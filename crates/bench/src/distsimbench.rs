@@ -30,8 +30,10 @@ pub fn distsim_smoke() -> bool {
 
 /// Aggregate calendar throughput must stay within this factor of the
 /// heap oracle's (host-independent: both run on the same machine in the
-/// same process). At 10⁴⁺ ranks the calendar core is *faster* than the
-/// heap; the floor only guards against a regression that makes the
+/// same process). The calendar core does not beat the heap: the stamped
+/// aggregate at 10⁴–10⁵ ranks is 0.94× (`results/BENCH_distsim.json`), and
+/// `benchmark/` measures 0.94× (2 tasks per rank) and 0.69× (128 per
+/// rank). The floor only guards against a regression that makes the
 /// production backend pathologically slower than its oracle.
 pub const DISTSIM_FLOOR_RATIO: f64 = 0.5;
 

@@ -1,14 +1,14 @@
 //! Shared event core of the discrete-event simulators.
 //!
-//! Every simulation loop in [`crate::sim`] and [`crate::faults`] is a
+//! Every event-driven simulation loop in [`crate::sim`] is a
 //! pop/push cycle over a pending-event set keyed by `(time, seq,
 //! worker)`, where `seq` is the insertion sequence number. The `seq`
 //! component makes the order *total*: equal-time events pop in
 //! insertion order on every backend, which is the tie-break contract
-//! the simulators rely on (historically three of the five loops keyed
+//! the simulators rely on (historically three of five loops keyed
 //! on `(time, worker)` instead, which starves high-ranked workers at
 //! coincident timestamps — see the regression tests pinning
-//! round-robin fairness in `sim.rs`/`faults.rs`).
+//! round-robin fairness in `sim.rs`).
 //!
 //! Two backends implement the same total order:
 //!

@@ -29,18 +29,19 @@
 //!   Once the detection interval elapses, thieves drop the rank from
 //!   their believed-alive victim set and stop paying timeouts.
 //!
-//! A fault-free plan reproduces [`crate::sim::simulate`] *exactly* —
-//! same event order, same RNG draws, same makespan — which is asserted
-//! in tests and is what makes degraded-vs-healthy comparisons
-//! meaningful. See `docs/FAULT_MODEL.md` for the full contract.
+//! This module holds the plan, its accounting and the recovery
+//! machinery; the loops that consult them are the simulator's own
+//! ([`crate::sim`] has one per model family, and
+//! [`crate::sim::simulate`] runs it under [`FaultPlan::fault_free`]),
+//! which is what makes degraded-vs-healthy comparisons meaningful. See
+//! `docs/FAULT_MODEL.md` for the full contract.
 
-use crate::eventq::{EventQueue, WorkTracker};
-use crate::sim::{stretched, topo_levels, SimConfig, SimModel, SimReport, SplitMix};
+use crate::eventq::WorkTracker;
+use crate::sim::{SimConfig, SimModel, SimReport, SplitMix};
 use emx_balance::prelude::{
     full_adjacency, rebalance, semi_matching, PersistenceConfig, Problem, SemiMatchConfig,
 };
 use emx_obs::MetricsRegistry;
-use emx_sched::ChunkRule;
 use std::collections::VecDeque;
 
 /// A scheduled fail-stop failure of one simulated rank.
@@ -95,8 +96,8 @@ impl RecoveryPolicy {
 
 /// Deterministic fault schedule for one simulated run.
 ///
-/// The default plan is fault-free and reproduces the healthy simulator
-/// bit-for-bit; builder methods ([`FaultPlan::with_rank_failure`] etc.)
+/// The default plan is fault-free — the healthy simulator; builder
+/// methods ([`FaultPlan::with_rank_failure`] etc.)
 /// switch individual faults on.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
@@ -159,7 +160,7 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// A plan injecting nothing — [`simulate_with_faults`] under this
-    /// plan reproduces [`crate::sim::simulate`] exactly.
+    /// plan is [`crate::sim::simulate`].
     pub fn fault_free() -> FaultPlan {
         FaultPlan::default()
     }
@@ -211,7 +212,7 @@ impl FaultPlan {
         self
     }
 
-    fn validate(&self, workers: usize) {
+    pub(crate) fn validate(&self, workers: usize) {
         for f in &self.rank_failures {
             assert!(f.rank < workers, "failed rank {} out of range", f.rank);
             assert!(f.at.is_finite() && f.at >= 0.0, "failure time invalid");
@@ -277,79 +278,17 @@ pub struct FaultReport {
 
 /// Runs `costs` under `model` with faults injected per `plan`.
 ///
-/// With [`FaultPlan::fault_free`], this is event-for-event identical to
-/// [`crate::sim::simulate`].
+/// [`crate::sim::simulate`] is this function under
+/// [`FaultPlan::fault_free`]: there is one loop per model family, and a
+/// plan that schedules no fault of some kind makes it allocate and touch
+/// none of that fault's state.
 pub fn simulate_with_faults(
     costs: &[f64],
     model: &SimModel,
     cfg: &SimConfig,
     plan: &FaultPlan,
 ) -> FaultReport {
-    assert!(cfg.workers > 0, "need at least one worker");
-    plan.validate(cfg.workers);
-    match model {
-        SimModel::Static(owners) => faulty_static(costs, owners, cfg, plan),
-        SimModel::Counter { chunk } => {
-            faulty_counter(costs, ChunkRule::Fixed(*chunk), 1, None, cfg, plan)
-        }
-        SimModel::Guided { min_chunk } => faulty_counter(
-            costs,
-            ChunkRule::Tapering {
-                k: 2,
-                min: *min_chunk,
-            },
-            1,
-            None,
-            cfg,
-            plan,
-        ),
-        SimModel::GroupCounters { groups, chunk } => faulty_counter(
-            costs,
-            ChunkRule::Fixed(*chunk),
-            (*groups).max(1),
-            None,
-            cfg,
-            plan,
-        ),
-        SimModel::HierCounters {
-            chunk,
-            node_size,
-            parent_chunk,
-        } => faulty_counter(
-            costs,
-            ChunkRule::Fixed(*chunk),
-            cfg.workers.div_ceil((*node_size).max(1)),
-            Some((*parent_chunk).max(1)),
-            cfg,
-            plan,
-        ),
-        SimModel::WorkStealing { steal_half } => {
-            faulty_stealing(costs, *steal_half, &[], None, cfg, plan)
-        }
-        SimModel::SeededStealing { owners, steal_half } => {
-            faulty_stealing(costs, *steal_half, &[], Some(owners), cfg, plan)
-        }
-        SimModel::HierarchicalStealing {
-            steal_half,
-            node_size,
-            remote_factor,
-        } => faulty_stealing(
-            costs,
-            *steal_half,
-            &[((*node_size).max(1), remote_factor.max(1.0))],
-            None,
-            cfg,
-            plan,
-        ),
-        SimModel::TopologyStealing { steal_half } => faulty_stealing(
-            costs,
-            *steal_half,
-            &topo_levels(&cfg.machine),
-            None,
-            cfg,
-            plan,
-        ),
-    }
+    crate::sim::run(costs, &model.lower(cfg), cfg, plan)
 }
 
 /// Publishes the fault accounting of `report` into `metrics` under
@@ -375,8 +314,12 @@ pub fn publish_fault_metrics(metrics: &MetricsRegistry, prefix: &str, report: &F
     }
 }
 
-/// Earliest scheduled death per worker.
-fn death_times(p: usize, plan: &FaultPlan) -> Vec<Option<f64>> {
+/// Earliest scheduled death per worker; empty when the plan kills
+/// nobody, so fault-free runs carry no per-rank fault state.
+pub(crate) fn death_times(p: usize, plan: &FaultPlan) -> Vec<Option<f64>> {
+    if plan.rank_failures.is_empty() {
+        return Vec::new();
+    }
     let mut d: Vec<Option<f64>> = vec![None; p];
     for f in &plan.rank_failures {
         d[f.rank] = Some(d[f.rank].map_or(f.at, |x: f64| x.min(f.at)));
@@ -387,7 +330,11 @@ fn death_times(p: usize, plan: &FaultPlan) -> Vec<Option<f64>> {
 /// Assigns orphan tasks to survivors; returns, per orphan, an index
 /// into the survivor list. `survivor_loads` are the survivors' residual
 /// completion times (s).
-fn assign_orphans(weights: &[f64], survivor_loads: &[f64], policy: RecoveryPolicy) -> Vec<usize> {
+pub(crate) fn assign_orphans(
+    weights: &[f64],
+    survivor_loads: &[f64],
+    policy: RecoveryPolicy,
+) -> Vec<usize> {
     let s = survivor_loads.len();
     assert!(s > 0, "no survivors to receive orphans");
     let n = weights.len();
@@ -428,390 +375,14 @@ fn assign_orphans(weights: &[f64], survivor_loads: &[f64], policy: RecoveryPolic
     }
 }
 
-fn faulty_static(costs: &[f64], owners: &[u32], cfg: &SimConfig, plan: &FaultPlan) -> FaultReport {
-    assert_eq!(owners.len(), costs.len(), "assignment length mismatch");
-    let p = cfg.workers;
-    let m = &cfg.machine;
-    let death = death_times(p, plan);
-    let mut busy = vec![0.0; p];
-    let mut clock = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut stats = FaultStats::default();
-    // (task, origin rank) in task order.
-    let mut orphans: Vec<(usize, usize)> = Vec::new();
-
-    for (i, &w) in owners.iter().enumerate() {
-        let w = w as usize;
-        assert!(w < p, "owner out of range");
-        if let Some(dt) = death[w] {
-            if clock[w] >= dt {
-                orphans.push((i, w));
-                continue;
-            }
-        }
-        let dur = stretched(costs[i], w, clock[w], cfg) + m.dispatch_overhead;
-        if let Some(dt) = death[w] {
-            if clock[w] + dur > dt {
-                // Killed mid-task: partial progress is lost and the
-                // task is orphaned along with the rest of the list.
-                busy[w] += dt - clock[w];
-                clock[w] = dt;
-                orphans.push((i, w));
-                continue;
-            }
-        }
-        if cfg.trace {
-            traces[w].push((clock[w], clock[w] + dur));
-        }
-        clock[w] += dur;
-        busy[w] += dur;
-        tasks[w] += 1;
-    }
-
-    stats.injected = death.iter().flatten().count() as u64;
-    stats.orphaned = orphans.len() as u64;
-    let survivors: Vec<usize> = (0..p).filter(|&w| death[w].is_none()).collect();
-    if !survivors.is_empty() {
-        // Heartbeat detection: every death is eventually noticed.
-        stats.detected = stats.injected;
-    }
-    if !orphans.is_empty() {
-        if survivors.is_empty() {
-            stats.lost = orphans.len() as u64;
-        } else {
-            let weights: Vec<f64> = orphans.iter().map(|&(i, _)| costs[i]).collect();
-            let loads: Vec<f64> = survivors.iter().map(|&s| clock[s]).collect();
-            let assign = assign_orphans(&weights, &loads, plan.recovery);
-            for (k, &(i, origin)) in orphans.iter().enumerate() {
-                let s = survivors[assign[k]];
-                let dt = death[origin].expect("orphan origin died");
-                // The replacement copy starts once the failure is
-                // detected and the reassignment round trip completes.
-                let start = clock[s].max(dt + plan.detection_interval + m.round_trip());
-                let dur = stretched(costs[i], s, start, cfg) + m.dispatch_overhead;
-                if cfg.trace {
-                    traces[s].push((start, start + dur));
-                }
-                clock[s] = start + dur;
-                busy[s] += dur;
-                tasks[s] += 1;
-                stats.recovered += 1;
-                stats.recovery_latency.push(start + dur - dt);
-            }
-        }
-    }
-
-    FaultReport {
-        sim: SimReport {
-            makespan: clock.iter().cloned().fold(0.0, f64::max),
-            busy,
-            tasks,
-            steals: 0,
-            steal_attempts: 0,
-            counter_fetches: 0,
-            comm: Vec::new(),
-            traces,
-            assignment: Vec::new(),
-            events: Vec::new(),
-        },
-        faults: stats,
-    }
-}
-
-fn faulty_counter(
-    costs: &[f64],
-    rule: ChunkRule,
-    groups: usize,
-    refill: Option<usize>,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-) -> FaultReport {
-    rule.validate();
-    let p = cfg.workers;
-    let n = costs.len();
-    let m = &cfg.machine;
-    let groups = groups.min(p).max(1);
-    let wgroup = |w: usize| w * groups / p;
-    let mut group_size = vec![0usize; groups];
-    for w in 0..p {
-        group_size[wgroup(w)] += 1;
-    }
-
-    let death = death_times(p, plan);
-    let mut dead = vec![false; p];
-    // Workers scheduled to die whose death has not been processed yet —
-    // while any exist, idle survivors park instead of retiring because
-    // orphans may still appear.
-    let mut undead = death.iter().flatten().count();
-    // Live ranks per group: when a group's last rank dies, its whole
-    // unclaimed range is orphaned onto the global recovery queue so
-    // survivors in other groups can pick it up.
-    let mut alive_in_group = group_size.clone();
-    let mut stats = FaultStats::default();
-    let mut outage_fired = false;
-
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut fetches = 0u64;
-    // Unclaimed range of each counter: a static block slice (no
-    // refill), or empty-until-refilled from the root (hierarchical).
-    let mut leaf_lo: Vec<usize>;
-    let mut leaf_hi: Vec<usize>;
-    if refill.is_some() {
-        leaf_lo = vec![0; groups];
-        leaf_hi = vec![0; groups];
-    } else {
-        leaf_lo = (0..groups).map(|g| g * n / groups).collect();
-        leaf_hi = (0..groups).map(|g| (g + 1) * n / groups).collect();
-    }
-    let mut root_next = 0usize;
-    let mut root_free = 0.0f64;
-    let mut counter_free = vec![0.0f64; groups];
-    let mut makespan = 0.0f64;
-    let mut executed = 0usize;
-
-    // Global orphan-recovery queue: survivors of any group drain it once
-    // the originating failure is detected (`recovery_open`).
-    let mut recovery: VecDeque<usize> = VecDeque::new();
-    let mut recovery_open = f64::INFINITY;
-    let mut orphan_death = vec![f64::NAN; n];
-    let mut parked: Vec<(usize, f64)> = Vec::new();
-    let mut claim_buf: Vec<usize> = Vec::new();
-    let mut fate = SplitMix::new(plan.seed ^ 0x0bad_cafe);
-
-    let mut q = EventQueue::with_capacity(cfg.queue, p);
-    for w in 0..p {
-        q.push(m.latency, w);
-    }
-
-    while let Some((arrival, w)) = q.pop() {
-        if dead[w] {
-            continue;
-        }
-        if let Some(dt) = death[w] {
-            if arrival >= dt {
-                // Died while idle or in flight: it held no claimed
-                // tasks, so nothing it owned is orphaned — but if it
-                // was the last live rank of its group, the group's
-                // unclaimed range is.
-                dead[w] = true;
-                undead -= 1;
-                stats.injected += 1;
-                stats.detected += 1;
-                let g = wgroup(w);
-                alive_in_group[g] -= 1;
-                if alive_in_group[g] == 0 && leaf_lo[g] < leaf_hi[g] {
-                    for od in &mut orphan_death[leaf_lo[g]..leaf_hi[g]] {
-                        *od = dt;
-                    }
-                    recovery.extend(leaf_lo[g]..leaf_hi[g]);
-                    stats.orphaned += (leaf_hi[g] - leaf_lo[g]) as u64;
-                    recovery_open = recovery_open.min(dt + plan.detection_interval);
-                    leaf_lo[g] = leaf_hi[g];
-                }
-                // Wake parked survivors: either orphans just appeared
-                // for them to claim, or no deaths remain pending and
-                // they can retire.
-                if !recovery.is_empty() || undead == 0 {
-                    for (pw, pt) in parked.drain(..) {
-                        let wake = if recovery.is_empty() {
-                            pt
-                        } else {
-                            recovery_open.max(pt)
-                        };
-                        q.push(wake, pw);
-                    }
-                }
-                continue;
-            }
-        }
-        let mut arrival = arrival;
-        // Transient message faults on the fetch request.
-        if plan.drop_prob > 0.0 && fate.unit() < plan.drop_prob {
-            stats.dropped_messages += 1;
-            stats.injected += 1;
-            q.push(arrival + plan.rpc_timeout, w);
-            continue;
-        }
-        if plan.delay_prob > 0.0 && fate.unit() < plan.delay_prob {
-            stats.delayed_messages += 1;
-            stats.injected += 1;
-            arrival += plan.delay;
-        }
-        let g = wgroup(w);
-        // The group's counter host serializes its fetches.
-        let mut start = arrival.max(counter_free[g]);
-        if g == 0 && refill.is_none() {
-            if let Some(o) = plan.counter_outage {
-                if start >= o.at && start < o.at + o.failover {
-                    // Counter host down: the fetch stalls until the
-                    // backup host takes over.
-                    start = o.at + o.failover;
-                    if !outage_fired {
-                        outage_fired = true;
-                        stats.injected += 1;
-                        stats.counter_failovers += 1;
-                    }
-                }
-            }
-        }
-        counter_free[g] = start + m.counter_service;
-        fetches += 1;
-        if leaf_lo[g] >= leaf_hi[g] {
-            if let Some(block) = refill {
-                if root_next < n {
-                    // Dry leaf: forward one block claim to the root
-                    // counter (an extra serialized round trip). In the
-                    // hierarchical tree the *root* is the outage-prone
-                    // shared host.
-                    let mut root_start = (counter_free[g] + m.latency).max(root_free);
-                    if let Some(o) = plan.counter_outage {
-                        if root_start >= o.at && root_start < o.at + o.failover {
-                            root_start = o.at + o.failover;
-                            if !outage_fired {
-                                outage_fired = true;
-                                stats.injected += 1;
-                                stats.counter_failovers += 1;
-                            }
-                        }
-                    }
-                    root_free = root_start + m.counter_service;
-                    fetches += 1;
-                    let take = block.min(n - root_next);
-                    leaf_lo[g] = root_next;
-                    leaf_hi[g] = root_next + take;
-                    root_next += take;
-                    counter_free[g] = root_free + m.latency;
-                }
-            }
-        }
-        let response = counter_free[g] + m.latency;
-
-        // Claim: the worker's own counter first, then the recovery
-        // queue.
-        claim_buf.clear();
-        if leaf_lo[g] < leaf_hi[g] {
-            let remaining = leaf_hi[g] - leaf_lo[g];
-            let chunk = rule.claim(remaining, group_size[g]);
-            let begin = leaf_lo[g];
-            leaf_lo[g] = begin + chunk;
-            claim_buf.extend(begin..begin + chunk);
-        } else if !recovery.is_empty() {
-            if response < recovery_open {
-                // Orphans exist but the failure is not yet detected —
-                // come back once it is.
-                q.push(recovery_open, w);
-                continue;
-            }
-            let chunk = rule.claim(recovery.len(), group_size[g]);
-            claim_buf.extend((0..chunk).filter_map(|_| recovery.pop_front()));
-        } else if undead > 0 {
-            // Nothing to do now, but a rank is still scheduled to die —
-            // park until its orphans (if any) appear.
-            parked.push((w, response));
-            continue;
-        } else {
-            continue; // range exhausted, no recovery work: retire
-        }
-
-        // Execute the claim, honoring a mid-chunk death.
-        let mut t = response;
-        let mut died_at: Option<f64> = None;
-        let mut first_unrun = claim_buf.len();
-        for (k, &i) in claim_buf.iter().enumerate() {
-            if let Some(dt) = death[w] {
-                if t >= dt {
-                    died_at = Some(dt);
-                    first_unrun = k;
-                    break;
-                }
-            }
-            let dur = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
-            if let Some(dt) = death[w] {
-                if t + dur > dt {
-                    busy[w] += dt - t;
-                    t = dt;
-                    died_at = Some(dt);
-                    first_unrun = k;
-                    break;
-                }
-            }
-            if cfg.trace {
-                traces[w].push((t, t + dur));
-            }
-            t += dur;
-            busy[w] += dur;
-            tasks[w] += 1;
-            executed += 1;
-            if !orphan_death[i].is_nan() {
-                stats.recovered += 1;
-                stats.recovery_latency.push(t - orphan_death[i]);
-            }
-        }
-        makespan = makespan.max(t);
-        if let Some(dt) = died_at {
-            dead[w] = true;
-            undead -= 1;
-            stats.injected += 1;
-            stats.detected += 1;
-            for &i in &claim_buf[first_unrun..] {
-                orphan_death[i] = dt;
-                recovery.push_back(i);
-                stats.orphaned += 1;
-            }
-            alive_in_group[g] -= 1;
-            if alive_in_group[g] == 0 && leaf_lo[g] < leaf_hi[g] {
-                // Last rank of the group: nobody is left to claim the
-                // counter's remaining range, so orphan it globally too.
-                for od in &mut orphan_death[leaf_lo[g]..leaf_hi[g]] {
-                    *od = dt;
-                }
-                recovery.extend(leaf_lo[g]..leaf_hi[g]);
-                stats.orphaned += (leaf_hi[g] - leaf_lo[g]) as u64;
-                leaf_lo[g] = leaf_hi[g];
-            }
-            recovery_open = recovery_open.min(dt + plan.detection_interval);
-            for (pw, pt) in parked.drain(..) {
-                q.push(recovery_open.max(pt), pw);
-            }
-        } else {
-            q.push(t + m.latency, w);
-        }
-    }
-
-    stats.lost = (n - executed) as u64;
-    FaultReport {
-        sim: SimReport {
-            makespan,
-            busy,
-            tasks,
-            steals: 0,
-            steal_attempts: 0,
-            counter_fetches: fetches,
-            comm: Vec::new(),
-            traces,
-            assignment: Vec::new(),
-            events: Vec::new(),
-        },
-        faults: stats,
-    }
-}
-
-/// Mutable per-rank liveness bookkeeping of the stealing loop, grouped
-/// so [`die`] stays callable while the queues are borrowed elsewhere.
-struct Liveness {
+/// Fail-stop bookkeeping of the stealing loop, built only for plans that
+/// kill a rank: who is dead, whom thieves still believe alive, what was
+/// orphaned, and when survivors may redistribute it.
+pub(crate) struct Liveness {
+    /// Earliest scheduled death per rank.
+    pub(crate) death: Vec<Option<f64>>,
     /// Fail-stop flags, indexed by rank.
-    dead: Vec<bool>,
+    pub(crate) dead: Vec<bool>,
     /// Live ranks in ascending rank order — the survivor set orphans are
     /// redistributed over. Updated immediately at death.
     alive_now: Vec<usize>,
@@ -827,24 +398,52 @@ struct Liveness {
     detect: Vec<(f64, usize)>,
     /// Residual queued cost per rank, maintained incrementally so
     /// redistribution never rescans queues.
-    qload: Vec<f64>,
+    pub(crate) qload: Vec<f64>,
+    /// Time of the death that last orphaned each task (NaN: never).
+    orphan_death: Vec<f64>,
+    /// Pending redistributions `(due time, batch serial, orphans)`,
+    /// sorted by descending key so the earliest batch pops from the
+    /// back; the serial keeps same-time batches in death order.
+    redis: Vec<(f64, u64, Vec<usize>)>,
+    redis_ser: u64,
+    detection_interval: f64,
+    recovery: RecoveryPolicy,
 }
 
 impl Liveness {
-    fn new(p: usize) -> Liveness {
+    pub(crate) fn new(costs: &[f64], queues: &[VecDeque<usize>], plan: &FaultPlan) -> Liveness {
+        let p = queues.len();
         Liveness {
+            death: death_times(p, plan),
             dead: vec![false; p],
             alive_now: (0..p).collect(),
             alive: (0..p).collect(),
             alive_pos: (0..p).collect(),
             detect: Vec::new(),
-            qload: vec![0.0; p],
+            qload: queues
+                .iter()
+                .map(|q| q.iter().map(|&i| costs[i]).sum())
+                .collect(),
+            orphan_death: vec![f64::NAN; costs.len()],
+            redis: Vec::new(),
+            redis_ser: 0,
+            detection_interval: plan.detection_interval,
+            recovery: plan.recovery,
         }
     }
 
-    /// Removes ranks whose detection time has passed from the thieves'
-    /// `alive` view.
-    fn run_detections(&mut self, t: f64) {
+    /// Brings the fault state up to time `t`: thieves drop every rank
+    /// whose death has been detected, and survivors redistribute each
+    /// orphan batch whose detection time has passed.
+    #[inline]
+    pub(crate) fn advance(
+        &mut self,
+        t: f64,
+        costs: &[f64],
+        queues: &mut [VecDeque<usize>],
+        tracker: &mut WorkTracker,
+        stats: &mut FaultStats,
+    ) {
         while self.detect.last().is_some_and(|&(due, _)| due <= t) {
             let (_, v) = self.detect.pop().expect("checked non-empty");
             let pos = self.alive_pos[v];
@@ -853,340 +452,98 @@ impl Liveness {
                 self.alive_pos[self.alive[k]] = k;
             }
         }
-    }
-}
-
-fn faulty_stealing(
-    costs: &[f64],
-    steal_half: bool,
-    levels: &[(usize, f64)],
-    seed_owners: Option<&[u32]>,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-) -> FaultReport {
-    let p = cfg.workers;
-    let n = costs.len();
-    let m = &cfg.machine;
-
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
-    match seed_owners {
-        Some(owners) => {
-            assert_eq!(owners.len(), n, "seed assignment length mismatch");
-            for (i, &w) in owners.iter().enumerate() {
-                assert!((w as usize) < p, "seed owner out of range");
-                queues[w as usize].push_back(i);
-            }
-        }
-        None => {
-            for i in 0..n {
-                queues[emx_sched::block_owner(i, n.max(1), p)].push_back(i);
-            }
-        }
-    }
-    let death = death_times(p, plan);
-    let mut live = Liveness::new(p);
-    for (w, q) in queues.iter().enumerate() {
-        live.qload[w] = q.iter().map(|&i| costs[i]).sum();
-    }
-    let level_sizes: Vec<usize> = levels.iter().map(|&(s, _)| s).collect();
-    let mut tracker = WorkTracker::new(p, &level_sizes);
-    for (w, q) in queues.iter().enumerate() {
-        tracker.update(w, !q.is_empty());
-    }
-    let mut stats = FaultStats::default();
-    let mut orphan_death = vec![f64::NAN; n];
-    // Pending redistributions `(due time, batch serial, orphans)`,
-    // sorted by descending key so the earliest batch pops from the
-    // back; the serial keeps same-time batches in death order.
-    let mut redis: Vec<(f64, u64, Vec<usize>)> = Vec::new();
-    let mut redis_ser = 0u64;
-    let mut backoff_k = vec![0u32; p];
-    // Stolen tasks in transit to each thief (see the stealing loop in
-    // `sim.rs`): they leave the victim at the steal decision and land
-    // at the thief's arrival event, so an in-flight task cannot be
-    // re-stolen — the endgame livelock where two idle survivors pass
-    // the last task back and forth forever is structurally impossible.
-    let mut fly: Vec<Vec<usize>> = vec![Vec::new(); p];
-    let mut flying = 0usize;
-
-    let mut remaining = n;
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut steals = 0u64;
-    let mut attempts = 0u64;
-    let mut makespan = 0.0f64;
-    let mut rng = SplitMix::new(cfg.seed);
-    let mut fate = SplitMix::new(plan.seed ^ 0x0bad_cafe);
-
-    let mut q = EventQueue::with_capacity(cfg.queue, p);
-    for w in 0..p {
-        q.push(0.0, w);
-    }
-
-    // One exponential-backoff wait after the k-th consecutive failure.
-    let backoff = |k: u32| -> f64 {
-        if plan.backoff_base <= 0.0 || k == 0 {
-            0.0
-        } else {
-            (plan.backoff_base * plan.backoff_factor.powi(k as i32 - 1)).min(plan.backoff_max)
-        }
-    };
-
-    while let Some((t, w)) = q.pop() {
-        live.run_detections(t);
-        // Redistribute any orphan batch whose detection time has passed.
-        while redis.last().is_some_and(|&(due, _, _)| due <= t) {
-            let (_, _, orphans) = redis.pop().expect("checked non-empty");
-            if live.alive_now.is_empty() {
-                continue; // unreachable: the popped worker is alive
+        while self.redis.last().is_some_and(|&(due, _, _)| due <= t) {
+            let (_, _, orphans) = self.redis.pop().expect("checked non-empty");
+            if self.alive_now.is_empty() {
+                continue; // unreachable: the worker popped at `t` is alive
             }
             stats.detected += 1;
             let weights: Vec<f64> = orphans.iter().map(|&i| costs[i]).collect();
-            let loads: Vec<f64> = live.alive_now.iter().map(|&s| live.qload[s]).collect();
-            let assign = assign_orphans(&weights, &loads, plan.recovery);
+            let loads: Vec<f64> = self.alive_now.iter().map(|&s| self.qload[s]).collect();
+            let assign = assign_orphans(&weights, &loads, self.recovery);
             for (k, &i) in orphans.iter().enumerate() {
-                let s = live.alive_now[assign[k]];
+                let s = self.alive_now[assign[k]];
                 queues[s].push_back(i);
-                live.qload[s] += costs[i];
+                self.qload[s] += costs[i];
                 tracker.update(s, true);
             }
         }
+    }
 
-        if live.dead[w] {
-            continue;
+    /// Due time of the earliest pending redistribution.
+    #[inline]
+    pub(crate) fn next_redistribution(&self) -> Option<f64> {
+        self.redis.last().map(|&(due, _, _)| due)
+    }
+
+    /// Uniform victim for thief `w` among the ranks it believes alive —
+    /// dead ranks keep getting hit until detection. `w` itself, without
+    /// a draw, when it knows of no other rank.
+    #[inline]
+    pub(crate) fn victim(&self, rng: &mut SplitMix, w: usize) -> usize {
+        let k = self.alive.len();
+        if k < 2 {
+            return w;
         }
-        // Land any stolen haul that rode this worker's arrival event.
-        // Landing precedes the death check so a thief killed mid-return
-        // orphans the haul with the rest of its queue.
-        if !fly[w].is_empty() {
-            flying -= fly[w].len();
-            for i in std::mem::take(&mut fly[w]) {
-                live.qload[w] += costs[i];
-                queues[w].push_back(i);
-            }
-            tracker.update(w, true);
+        let mut idx = (rng.next() as usize) % (k - 1);
+        if idx >= self.alive_pos[w] {
+            idx += 1;
         }
-        if let Some(dt) = death[w] {
-            if t >= dt {
-                // Fail-stop: freeze and orphan the queue; survivors
-                // redistribute it after the detection interval.
-                die(
-                    w,
-                    dt,
-                    &mut live,
-                    &mut tracker,
-                    &mut queues,
-                    &mut orphan_death,
-                    &mut redis,
-                    &mut redis_ser,
-                    &mut stats,
-                    plan,
-                );
-                continue;
-            }
-        }
-        if let Some(i) = queues[w].pop_front() {
-            let dur = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
-            if let Some(dt) = death[w] {
-                if t + dur > dt {
-                    // Killed mid-task: partial progress lost, the task
-                    // rejoins the (now orphaned) queue.
-                    busy[w] += dt - t;
-                    queues[w].push_front(i);
-                    die(
-                        w,
-                        dt,
-                        &mut live,
-                        &mut tracker,
-                        &mut queues,
-                        &mut orphan_death,
-                        &mut redis,
-                        &mut redis_ser,
-                        &mut stats,
-                        plan,
-                    );
-                    continue;
-                }
-            }
-            live.qload[w] -= costs[i];
-            tracker.update(w, !queues[w].is_empty());
-            if cfg.trace {
-                traces[w].push((t, t + dur));
-            }
-            busy[w] += dur;
-            tasks[w] += 1;
-            remaining -= 1;
-            makespan = makespan.max(t + dur);
-            if !orphan_death[i].is_nan() {
-                stats.recovered += 1;
-                stats.recovery_latency.push(t + dur - orphan_death[i]);
-            }
-            backoff_k[w] = 0;
-            q.push(t + dur, w);
-            continue;
-        }
-        if remaining == 0 {
-            continue; // global termination: worker retires
-        }
-        // No local work. If no queue holds work, nothing is in flight,
-        // and no redistribution is pending, the remaining tasks are
-        // unreachable (their holders died with no survivors to hand
-        // them to) — retire cleanly.
-        if !tracker.any() && redis.is_empty() && flying == 0 {
-            continue;
-        }
-        attempts += 1;
-        // Innermost topology level with known work wins; otherwise fall
-        // back to a uniform draw over the ranks still believed alive
-        // (dead ranks keep getting hit until detection — those requests
-        // time out below).
-        let mut pick: Option<(usize, f64)> = None;
-        for (l, &(size, factor)) in levels.iter().enumerate() {
-            let lo = w / size * size;
-            let hi = (lo + size).min(p);
-            if hi - lo > 1 && tracker.domain_has_work(l, w) {
-                let span = hi - lo - 1;
-                let mut v = lo + (rng.next() as usize) % span;
-                if v >= w {
-                    v += 1;
-                }
-                pick = Some((v, m.steal_latency / factor));
-                break;
-            }
-        }
-        let (victim, latency) = match pick {
-            Some(hit) => hit,
-            None => {
-                let k = live.alive.len();
-                if k >= 2 {
-                    let mut idx = (rng.next() as usize) % (k - 1);
-                    if idx >= live.alive_pos[w] {
-                        idx += 1;
-                    }
-                    (live.alive[idx], m.steal_latency)
-                } else {
-                    (w, m.steal_latency)
-                }
-            }
-        };
-        // Transient faults on the steal request.
-        if plan.drop_prob > 0.0 && fate.unit() < plan.drop_prob {
-            stats.dropped_messages += 1;
-            stats.injected += 1;
-            backoff_k[w] += 1;
-            q.push(t + plan.rpc_timeout + backoff(backoff_k[w]), w);
-            continue;
-        }
-        let mut t_resolved = t + latency;
-        if plan.delay_prob > 0.0 && fate.unit() < plan.delay_prob {
-            stats.delayed_messages += 1;
-            stats.injected += 1;
-            t_resolved += plan.delay;
-        }
-        if victim != w && death[victim].is_some_and(|dt| dt <= t_resolved) {
-            // Dead victim: no response ever comes. The thief abandons
-            // the round trip after the timeout and backs off.
-            stats.rpc_timeouts += 1;
-            backoff_k[w] += 1;
-            q.push(t + plan.rpc_timeout + backoff(backoff_k[w]), w);
-            continue;
-        }
-        let qlen = queues[victim].len();
-        if victim != w && qlen > 0 {
-            let take = if steal_half { qlen.div_ceil(2) } else { 1 };
-            // The haul is in flight until the thief's arrival event —
-            // invisible to other thieves, so the last task cannot
-            // ping-pong between idle survivors forever.
-            for _ in 0..take {
-                if let Some(task) = queues[victim].pop_back() {
-                    fly[w].push(task);
-                    flying += 1;
-                    live.qload[victim] -= costs[task];
-                }
-            }
-            tracker.update(victim, !queues[victim].is_empty());
-            steals += 1;
-            backoff_k[w] = 0;
-            q.push(t_resolved + take as f64 * m.steal_transfer, w);
-        } else {
-            // Failed attempt: back off, but never retry earlier than the
-            // next event (or the next pending redistribution, which may
-            // be the only future work source).
-            backoff_k[w] += 1;
-            let mut retry = t_resolved + backoff(backoff_k[w]);
-            let next_event = q.peek_time().unwrap_or(t_resolved);
-            retry = retry.max(next_event);
-            if retry <= t {
-                if let Some(&(due, _, _)) = redis.last() {
-                    retry = retry.max(due);
-                }
-            }
-            q.push(retry, w);
+        self.alive[idx]
+    }
+
+    /// Task `i` (of cost `cost`) left `w`'s queue and ran to completion
+    /// at `end`.
+    #[inline]
+    pub(crate) fn completed(
+        &mut self,
+        w: usize,
+        i: usize,
+        cost: f64,
+        end: f64,
+        stats: &mut FaultStats,
+    ) {
+        self.qload[w] -= cost;
+        if !self.orphan_death[i].is_nan() {
+            stats.recovered += 1;
+            stats.recovery_latency.push(end - self.orphan_death[i]);
         }
     }
 
-    stats.lost = remaining as u64;
-    FaultReport {
-        sim: SimReport {
-            makespan,
-            busy,
-            tasks,
-            steals,
-            steal_attempts: attempts,
-            counter_fetches: 0,
-            comm: Vec::new(),
-            traces,
-            assignment: Vec::new(),
-            events: Vec::new(),
-        },
-        faults: stats,
-    }
-}
-
-/// Processes a fail-stop of `w` at `dt` in the stealing loop: freezes
-/// the rank, orphans its queue, drops it from the survivor set, and
-/// schedules both redistribution and thief-side detection after the
-/// detection interval.
-#[allow(clippy::too_many_arguments)]
-fn die(
-    w: usize,
-    dt: f64,
-    live: &mut Liveness,
-    tracker: &mut WorkTracker,
-    queues: &mut [VecDeque<usize>],
-    orphan_death: &mut [f64],
-    redis: &mut Vec<(f64, u64, Vec<usize>)>,
-    redis_ser: &mut u64,
-    stats: &mut FaultStats,
-    plan: &FaultPlan,
-) {
-    live.dead[w] = true;
-    stats.injected += 1;
-    let orphans: Vec<usize> = std::mem::take(&mut queues[w]).into();
-    live.qload[w] = 0.0;
-    tracker.update(w, false);
-    let pos = live
-        .alive_now
-        .binary_search(&w)
-        .expect("dying rank is alive");
-    live.alive_now.remove(pos);
-    let due = dt + plan.detection_interval;
-    let pos = live.detect.partition_point(|&(d, _)| d > due);
-    live.detect.insert(pos, (due, w));
-    stats.orphaned += orphans.len() as u64;
-    for &i in &orphans {
-        orphan_death[i] = dt;
-    }
-    if !orphans.is_empty() {
-        let ser = *redis_ser;
-        *redis_ser += 1;
-        let pos = redis.partition_point(|&(d, s, _)| (d, s) > (due, ser));
-        redis.insert(pos, (due, ser, orphans));
+    /// Fail-stop of `w` at `dt`: freezes the rank, orphans its queue,
+    /// drops it from the survivor set, and schedules both redistribution
+    /// and thief-side detection after the detection interval.
+    pub(crate) fn die(
+        &mut self,
+        w: usize,
+        dt: f64,
+        queues: &mut [VecDeque<usize>],
+        tracker: &mut WorkTracker,
+        stats: &mut FaultStats,
+    ) {
+        self.dead[w] = true;
+        stats.injected += 1;
+        let orphans: Vec<usize> = std::mem::take(&mut queues[w]).into();
+        self.qload[w] = 0.0;
+        tracker.update(w, false);
+        let pos = self
+            .alive_now
+            .binary_search(&w)
+            .expect("dying rank is alive");
+        self.alive_now.remove(pos);
+        let due = dt + self.detection_interval;
+        let pos = self.detect.partition_point(|&(d, _)| d > due);
+        self.detect.insert(pos, (due, w));
+        stats.orphaned += orphans.len() as u64;
+        for &i in &orphans {
+            self.orphan_death[i] = dt;
+        }
+        if !orphans.is_empty() {
+            let ser = self.redis_ser;
+            self.redis_ser += 1;
+            let pos = self.redis.partition_point(|&(d, s, _)| (d, s) > (due, ser));
+            self.redis.insert(pos, (due, ser, orphans));
+        }
     }
 }
 
@@ -1204,114 +561,6 @@ mod tests {
 
     fn skewed(n: usize) -> Vec<f64> {
         (1..=n).map(|i| i as f64 * 1e-4).collect()
-    }
-
-    fn all_models(n: usize, p: usize) -> Vec<SimModel> {
-        vec![
-            SimModel::Static(block_assignment(n, p)),
-            SimModel::Counter { chunk: 4 },
-            SimModel::Guided { min_chunk: 2 },
-            SimModel::GroupCounters {
-                groups: 2,
-                chunk: 4,
-            },
-            SimModel::WorkStealing { steal_half: true },
-            SimModel::SeededStealing {
-                owners: block_assignment(n, p),
-                steal_half: false,
-            },
-            SimModel::HierarchicalStealing {
-                steal_half: true,
-                node_size: 2,
-                remote_factor: 4.0,
-            },
-            SimModel::HierCounters {
-                chunk: 2,
-                node_size: 2,
-                parent_chunk: 8,
-            },
-            SimModel::TopologyStealing { steal_half: true },
-        ]
-    }
-
-    #[test]
-    fn fault_free_plan_reproduces_baseline() {
-        let costs = skewed(128);
-        let cfg = SimConfig::new(8);
-        let plan = FaultPlan::fault_free();
-        assert!(plan.is_fault_free());
-        for model in all_models(128, 8) {
-            let healthy = simulate(&costs, &model, &cfg);
-            let faulty = simulate_with_faults(&costs, &model, &cfg, &plan);
-            assert_eq!(
-                healthy.makespan,
-                faulty.sim.makespan,
-                "{} makespan drift",
-                model.name()
-            );
-            assert_eq!(healthy.steals, faulty.sim.steals, "{}", model.name());
-            assert_eq!(
-                healthy.counter_fetches,
-                faulty.sim.counter_fetches,
-                "{}",
-                model.name()
-            );
-            assert_eq!(healthy.tasks, faulty.sim.tasks, "{}", model.name());
-            assert_eq!(faulty.faults.injected, 0);
-            assert_eq!(faulty.faults.lost, 0);
-        }
-    }
-
-    #[test]
-    fn fail_stop_recovers_all_orphans_under_every_model() {
-        let costs = skewed(96);
-        let p = 6;
-        let cfg = SimConfig::new(p);
-        // Kill rank 3 early enough that it still holds work everywhere.
-        let total: f64 = costs.iter().sum();
-        let at = 0.2 * total / p as f64;
-        for policy in [
-            RecoveryPolicy::BlockSurvivors,
-            RecoveryPolicy::SemiMatching,
-            RecoveryPolicy::Persistence,
-        ] {
-            for model in all_models(96, p) {
-                let plan = FaultPlan::fault_free()
-                    .with_rank_failure(3, at)
-                    .with_recovery(policy);
-                let r = simulate_with_faults(&costs, &model, &cfg, &plan);
-                assert_eq!(r.faults.lost, 0, "{} {}", model.name(), policy.name());
-                assert_eq!(
-                    r.faults.recovered,
-                    r.faults.orphaned,
-                    "{} {}",
-                    model.name(),
-                    policy.name()
-                );
-                assert_eq!(
-                    r.sim.tasks.iter().sum::<usize>(),
-                    96,
-                    "{} {}: work not conserved",
-                    model.name(),
-                    policy.name()
-                );
-                assert!(r.sim.tasks[3] < 96);
-                assert_eq!(
-                    r.faults.recovery_latency.len() as u64,
-                    r.faults.recovered,
-                    "{}",
-                    model.name()
-                );
-                assert!(
-                    r.faults
-                        .recovery_latency
-                        .iter()
-                        .all(|&l| l >= plan.detection_interval),
-                    "{}: recovery cannot precede detection",
-                    model.name()
-                );
-            }
-        }
     }
 
     #[test]
@@ -1460,48 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn all_ranks_dead_terminates_and_counts_lost() {
-        let costs = vec![1.0; 40];
-        let p = 4;
-        let cfg = SimConfig {
-            machine: MachineModel::ideal(),
-            ..SimConfig::new(p)
-        };
-        let mut plan = FaultPlan::fault_free();
-        for w in 0..p {
-            plan = plan.with_rank_failure(w, 2.5);
-        }
-        for model in all_models(40, p) {
-            let r = simulate_with_faults(&costs, &model, &cfg, &plan);
-            let done = r.sim.tasks.iter().sum::<usize>();
-            assert!(done < 40, "{}: nobody survives to finish", model.name());
-            assert_eq!(r.faults.lost as usize, 40 - done, "{}", model.name());
-        }
-    }
-
-    #[test]
-    fn fault_runs_are_deterministic() {
-        let costs = skewed(80);
-        let cfg = SimConfig::new(5);
-        let plan = FaultPlan::fault_free()
-            .with_rank_failure(1, 0.01)
-            .with_message_faults(0.1, 0.1, 20e-6)
-            .with_backoff(10e-6, 2.0, 1e-3);
-        for model in all_models(80, 5) {
-            let a = simulate_with_faults(&costs, &model, &cfg, &plan);
-            let b = simulate_with_faults(&costs, &model, &cfg, &plan);
-            assert_eq!(a.sim.makespan, b.sim.makespan, "{}", model.name());
-            assert_eq!(a.faults.recovered, b.faults.recovered, "{}", model.name());
-            assert_eq!(
-                a.faults.dropped_messages,
-                b.faults.dropped_messages,
-                "{}",
-                model.name()
-            );
-        }
-    }
-
-    #[test]
     fn publish_metrics_snapshot_contains_fault_series() {
         let costs = skewed(48);
         let cfg = SimConfig::new(4);
@@ -1519,28 +726,6 @@ mod tests {
         assert!(snap
             .iter()
             .any(|e| e.name == "distsim.faults.recovery_latency"));
-    }
-
-    #[test]
-    fn coincident_fault_free_fetches_round_robin_instead_of_starving() {
-        // On an ideal machine with zero-cost tasks every fetch response
-        // lands at t = 0. The old `(time, worker)` heap key re-popped
-        // worker 0 forever, handing it the whole range; insertion order
-        // must round-robin the workers instead. This mirrors the
-        // healthy-simulator pin and keeps the fault layer's event
-        // ordering in lockstep with it.
-        let costs = vec![0.0; 12];
-        let cfg = SimConfig {
-            machine: MachineModel::ideal(),
-            ..SimConfig::new(4)
-        };
-        let r = simulate_with_faults(
-            &costs,
-            &SimModel::Counter { chunk: 1 },
-            &cfg,
-            &FaultPlan::fault_free(),
-        );
-        assert_eq!(r.sim.tasks, vec![3, 3, 3, 3]);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   a parameterized [`machine::MachineModel`], reproducing the paper's
 //!   scaling shapes for thousands of ranks on any host.
 //!
-//! [`faults`] layers deterministic fault injection (rank fail-stop,
-//! message drop/delay, counter-host outage, unanswered steals) on top of
-//! the simulator, with orphaned work redistributed through
-//! `emx-balance`. See `docs/FAULT_MODEL.md`.
+//! [`faults`] describes deterministic fault injection (rank fail-stop,
+//! message drop/delay, counter-host outage, unanswered steals) for the
+//! simulator's loops to act on, with orphaned work redistributed through
+//! `emx-balance`; the fault-free simulator is those loops under a plan
+//! that injects nothing. See `docs/FAULT_MODEL.md`.
 //!
 //! ## Example
 //!

@@ -15,8 +15,16 @@
 //! * work stealing pays per-steal round trips only where imbalance
 //!   actually materializes;
 //! * per-worker speed variability stretches whatever each worker runs.
+//!
+//! There is one loop per model family (static, shared counter, work
+//! stealing), and each takes a [`FaultPlan`]: [`simulate`] is
+//! [`simulate_with_faults`] under the plan that injects nothing, which
+//! allocates and touches no fault state.
 
 use crate::eventq::{EventQueue, ProfArena, QueueKind, WorkTracker};
+use crate::faults::{
+    assign_orphans, death_times, simulate_with_faults, FaultPlan, FaultReport, FaultStats, Liveness,
+};
 use crate::machine::MachineModel;
 use emx_obs::{EventKind, ProfEvent};
 use emx_runtime::Variability;
@@ -24,6 +32,7 @@ use emx_sched::{
     random_victim, round_robin_victim, ChunkRule, PolicyKind, SeedPartition, SpecConfig,
     VictimPolicy,
 };
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -172,6 +181,95 @@ impl SimModel {
     }
 }
 
+/// What a [`SimModel`] or a [`PolicyKind`] asks of the simulator: the
+/// arguments of one of the three family loops.
+pub(crate) enum Family<'a> {
+    /// Fixed assignment `owners[task] = worker`.
+    Static { owners: Cow<'a, [u32]> },
+    /// `groups` shared counters handing out `rule`-sized claims; with
+    /// `refill`, leaves of a counter tree that claim blocks of that many
+    /// tasks from a root counter.
+    Counter {
+        rule: ChunkRule,
+        groups: usize,
+        refill: Option<usize>,
+    },
+    /// Work stealing over `levels` of locality domains (innermost first,
+    /// `(size in workers, latency divisor)`), the deques seeded from
+    /// `seed_owners` or block-wise.
+    Stealing {
+        steal_half: bool,
+        levels: Vec<(usize, f64)>,
+        seed_owners: Option<Cow<'a, [u32]>>,
+        victim: VictimPolicy,
+    },
+}
+
+impl SimModel {
+    /// The family loop, and its arguments, that simulates this model on
+    /// `cfg`'s machine.
+    pub(crate) fn lower(&self, cfg: &SimConfig) -> Family<'_> {
+        let counter = |rule, groups, refill| Family::Counter {
+            rule,
+            groups,
+            refill,
+        };
+        fn stealing(
+            steal_half: bool,
+            levels: Vec<(usize, f64)>,
+            seed_owners: Option<&[u32]>,
+        ) -> Family<'_> {
+            Family::Stealing {
+                steal_half,
+                levels,
+                seed_owners: seed_owners.map(Cow::Borrowed),
+                victim: VictimPolicy::Random,
+            }
+        }
+        match self {
+            SimModel::Static(owners) => Family::Static {
+                owners: Cow::Borrowed(owners),
+            },
+            SimModel::Counter { chunk } => counter(ChunkRule::Fixed(*chunk), 1, None),
+            SimModel::Guided { min_chunk } => {
+                let rule = ChunkRule::Tapering {
+                    k: 2,
+                    min: *min_chunk,
+                };
+                counter(rule, 1, None)
+            }
+            SimModel::GroupCounters { groups, chunk } => {
+                counter(ChunkRule::Fixed(*chunk), (*groups).max(1), None)
+            }
+            SimModel::HierCounters {
+                chunk,
+                node_size,
+                parent_chunk,
+            } => counter(
+                ChunkRule::Fixed(*chunk),
+                cfg.workers.div_ceil((*node_size).max(1)),
+                Some((*parent_chunk).max(1)),
+            ),
+            SimModel::WorkStealing { steal_half } => stealing(*steal_half, Vec::new(), None),
+            SimModel::SeededStealing { owners, steal_half } => {
+                stealing(*steal_half, Vec::new(), Some(owners))
+            }
+            SimModel::HierarchicalStealing {
+                steal_half,
+                node_size,
+                remote_factor,
+            } => stealing(
+                *steal_half,
+                vec![((*node_size).max(1), remote_factor.max(1.0))],
+                None,
+            ),
+            SimModel::TopologyStealing { steal_half } => {
+                stealing(*steal_half, topo_levels(&cfg.machine), None)
+            }
+        }
+    }
+}
+
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -235,13 +333,16 @@ pub struct SimReport {
     /// Per-worker task intervals `(start, end)` in seconds — populated
     /// when [`SimConfig::trace`] is set.
     pub traces: Vec<Vec<(f64, f64)>>,
-    /// Which worker executed each task (`assignment[i] = worker`).
-    /// Populated by the fault-free simulation paths; fault-injected runs
-    /// leave it empty (tasks there can be re-executed after failures, so
-    /// no single owner exists).
+    /// Which worker ran each task to completion (`assignment[i] =
+    /// worker`). Under a fault plan that is the rank whose execution
+    /// finished, not one killed mid-task, and `u32::MAX` for a task that
+    /// was lost.
     pub assignment: Vec<u32>,
     /// Per-worker profiling event streams in virtual nanoseconds —
-    /// populated when [`SimConfig::events`] is set. The schema matches
+    /// populated when [`SimConfig::events`] is set, with or without
+    /// faults (a task killed mid-run leaves no events on the rank that
+    /// died; an unanswered steal request is a `StealFail` at the thief's
+    /// timeout). The schema matches
     /// the thread runtime's [`emx_obs::RingSet`] capture, so
     /// [`emx_obs::Attribution`] and the speedscope/collapsed exporters
     /// consume either substrate's streams unchanged.
@@ -259,71 +360,42 @@ impl SimReport {
     }
 }
 
-/// Runs the simulation of `costs` (seconds per task) under `model`.
+/// Runs the simulation of `costs` (seconds per task) under `model`: the
+/// fault-injected simulator with nothing to inject.
 pub fn simulate(costs: &[f64], model: &SimModel, cfg: &SimConfig) -> SimReport {
+    simulate_with_faults(costs, model, cfg, &FaultPlan::fault_free()).sim
+}
+
+/// Runs `family`'s loop under `plan` — the one way into the loops for
+/// [`simulate`], [`simulate_with_faults`] and [`simulate_policy`].
+pub(crate) fn run(
+    costs: &[f64],
+    family: &Family<'_>,
+    cfg: &SimConfig,
+    plan: &FaultPlan,
+) -> FaultReport {
     assert!(cfg.workers > 0, "need at least one worker");
-    match model {
-        SimModel::Static(owners) => simulate_static(costs, owners, cfg),
-        SimModel::Counter { chunk } => {
-            simulate_counter_family(costs, ChunkRule::Fixed(*chunk), 1, None, cfg)
-        }
-        SimModel::Guided { min_chunk } => simulate_counter_family(
-            costs,
-            ChunkRule::Tapering {
-                k: 2,
-                min: *min_chunk,
-            },
-            1,
-            None,
-            cfg,
-        ),
-        SimModel::GroupCounters { groups, chunk } => {
-            simulate_counter_family(costs, ChunkRule::Fixed(*chunk), (*groups).max(1), None, cfg)
-        }
-        SimModel::HierCounters {
-            chunk,
-            node_size,
-            parent_chunk,
-        } => {
-            let groups = cfg.workers.div_ceil((*node_size).max(1));
-            simulate_counter_family(
-                costs,
-                ChunkRule::Fixed(*chunk),
-                groups,
-                Some((*parent_chunk).max(1)),
-                cfg,
-            )
-        }
-        SimModel::WorkStealing { steal_half } => {
-            simulate_stealing(costs, *steal_half, &[], None, VictimPolicy::Random, cfg)
-        }
-        SimModel::SeededStealing { owners, steal_half } => simulate_stealing(
-            costs,
-            *steal_half,
-            &[],
-            Some(owners),
-            VictimPolicy::Random,
-            cfg,
-        ),
-        SimModel::HierarchicalStealing {
+    plan.validate(cfg.workers);
+    match family {
+        Family::Static { owners } => simulate_static(costs, owners, None, cfg, plan),
+        Family::Counter {
+            rule,
+            groups,
+            refill,
+        } => simulate_counter_family(costs, *rule, *groups, *refill, cfg, plan),
+        Family::Stealing {
             steal_half,
-            node_size,
-            remote_factor,
+            levels,
+            seed_owners,
+            victim,
         } => simulate_stealing(
             costs,
             *steal_half,
-            &[((*node_size).max(1), remote_factor.max(1.0))],
-            None,
-            VictimPolicy::Random,
+            levels,
+            seed_owners.as_deref(),
+            *victim,
             cfg,
-        ),
-        SimModel::TopologyStealing { steal_half } => simulate_stealing(
-            costs,
-            *steal_half,
-            &topo_levels(&cfg.machine),
-            None,
-            VictimPolicy::Random,
-            cfg,
+            plan,
         ),
     }
 }
@@ -331,7 +403,7 @@ pub fn simulate(costs: &[f64], model: &SimModel, cfg: &SimConfig) -> SimReport {
 /// Stealing-domain levels of `m`'s topology, innermost first: `(domain
 /// size in workers, latency divisor)`. Empty (flat machine) when no
 /// topology is attached.
-pub(crate) fn topo_levels(m: &MachineModel) -> Vec<(usize, f64)> {
+fn topo_levels(m: &MachineModel) -> Vec<(usize, f64)> {
     match m.topology {
         Some(t) => {
             let node = t.node_size.max(1);
@@ -354,37 +426,38 @@ pub(crate) fn topo_levels(m: &MachineModel) -> Vec<(usize, f64)> {
 pub fn simulate_policy(costs: &[f64], kind: &PolicyKind, cfg: &SimConfig) -> SimReport {
     assert!(cfg.workers > 0, "need at least one worker");
     let n = costs.len();
-    match kind {
+    let family = match kind {
         PolicyKind::Serial
         | PolicyKind::StaticBlock
         | PolicyKind::StaticCyclic
         | PolicyKind::StaticAssigned(_)
-        | PolicyKind::PersistenceBased(_) => {
-            let owners = kind
-                .initial_partition(n, cfg.workers)
-                .expect("static policy has a partition");
-            simulate_static(costs, &owners, cfg)
-        }
+        | PolicyKind::PersistenceBased(_) => Family::Static {
+            owners: Cow::Owned(
+                kind.initial_partition(n, cfg.workers)
+                    .expect("static policy has a partition"),
+            ),
+        },
         PolicyKind::DynamicCounter { .. }
         | PolicyKind::Guided { .. }
-        | PolicyKind::GuidedAdaptive { .. } => {
-            let rule = kind.chunk_rule().expect("counter-family policy");
-            rule.validate();
-            simulate_counter_family(costs, rule, 1, None, cfg)
-        }
-        PolicyKind::WorkStealing(scfg) => {
-            let seeded;
-            let seed_owners = match &scfg.seed {
+        | PolicyKind::GuidedAdaptive { .. } => Family::Counter {
+            rule: kind.chunk_rule().expect("counter-family policy"),
+            groups: 1,
+            refill: None,
+        },
+        PolicyKind::WorkStealing(scfg) => Family::Stealing {
+            steal_half: scfg.steal_batch,
+            levels: Vec::new(),
+            seed_owners: match &scfg.seed {
                 SeedPartition::Block => None,
-                other => {
-                    seeded = other.owners(n, cfg.workers);
-                    Some(seeded.as_slice())
-                }
-            };
-            simulate_stealing(costs, scfg.steal_batch, &[], seed_owners, scfg.victim, cfg)
-        }
-        PolicyKind::Speculative(scfg) => simulate_speculative(costs, scfg, cfg),
-    }
+                other => Some(Cow::Owned(other.owners(n, cfg.workers))),
+            },
+            victim: scfg.victim,
+        },
+        // A protocol (aborts, re-execution, in-order commit), not a
+        // family of task placements: it has its own replay.
+        PolicyKind::Speculative(scfg) => return simulate_speculative(costs, scfg, cfg),
+    };
+    run(costs, &family, cfg, &FaultPlan::fault_free()).sim
 }
 
 /// Virtual-time replay of the Block-STM-style speculative model.
@@ -597,66 +670,171 @@ fn simulate_speculative(costs: &[f64], scfg: &SpecConfig, cfg: &SimConfig) -> Si
 }
 
 /// Effective duration of `cost` started at time `t` on `worker`.
-pub(crate) fn stretched(cost: f64, worker: usize, t: f64, cfg: &SimConfig) -> f64 {
+fn stretched(cost: f64, worker: usize, t: f64, cfg: &SimConfig) -> f64 {
     let f = cfg
         .variability
         .factor(worker, cfg.workers, Duration::from_secs_f64(t.max(0.0)));
     cost * f
 }
 
-fn simulate_static(costs: &[f64], owners: &[u32], cfg: &SimConfig) -> SimReport {
+/// Per-worker accounting every family loop keeps.
+struct Tally {
+    busy: Vec<f64>,
+    tasks: Vec<usize>,
+    traces: Vec<Vec<(f64, f64)>>,
+    assignment: Vec<u32>,
+    arena: ProfArena,
+}
+
+impl Tally {
+    fn new(ntasks: usize, cfg: &SimConfig) -> Tally {
+        let p = cfg.workers;
+        Tally {
+            busy: vec![0.0; p],
+            tasks: vec![0; p],
+            traces: vec![Vec::new(); if cfg.trace { p } else { 0 }],
+            assignment: vec![u32::MAX; ntasks],
+            arena: ProfArena::new(cfg.events),
+        }
+    }
+
+    /// Records profiling event `kind` on `w` at virtual time `t` (s).
+    #[inline]
+    fn event(&mut self, w: usize, kind: EventKind, arg: u64, t: f64) {
+        if self.arena.on() {
+            let t_ns = virt_ns(t);
+            self.arena.push(w, ProfEvent { kind, arg, t_ns });
+        }
+    }
+
+    /// Task `i` ran to completion on `w` over `[t, t + d]`.
+    #[inline]
+    fn ran(&mut self, w: usize, i: usize, t: f64, d: f64) {
+        if let Some(trace) = self.traces.get_mut(w) {
+            trace.push((t, t + d));
+        }
+        self.event(w, EventKind::TaskStart, i as u64, t);
+        self.event(w, EventKind::TaskEnd, i as u64, t + d);
+        self.busy[w] += d;
+        self.tasks[w] += 1;
+        self.assignment[i] = w as u32;
+    }
+
+    fn report(self, makespan: f64) -> SimReport {
+        let p = self.busy.len();
+        SimReport {
+            makespan,
+            busy: self.busy,
+            tasks: self.tasks,
+            steals: 0,
+            steal_attempts: 0,
+            counter_fetches: 0,
+            comm: Vec::new(),
+            traces: self.traces,
+            assignment: self.assignment,
+            events: self.arena.into_streams(p),
+        }
+    }
+}
+
+/// Static family: each worker runs its tasks in index order. With a
+/// `layout`, a task first fetches every remote block it touches that
+/// its worker has not cached yet (`machine.transfer_time` each). A
+/// worker that fail-stops orphans its unfinished tasks; once the failure
+/// is detected, survivors re-run them where [`assign_orphans`] puts
+/// them.
+fn simulate_static(
+    costs: &[f64],
+    owners: &[u32],
+    layout: Option<&DataLayout>,
+    cfg: &SimConfig,
+    plan: &FaultPlan,
+) -> FaultReport {
     assert_eq!(owners.len(), costs.len(), "assignment length mismatch");
     let p = cfg.workers;
-    let mut busy = vec![0.0; p];
+    let m = &cfg.machine;
+    let death = death_times(p, plan);
+    let mut tally = Tally::new(costs.len(), cfg);
     let mut clock = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
+    let mut stats = FaultStats::default();
+    // Per-worker cached-block bitsets and time spent filling them.
+    let xfer = layout.map_or(0.0, |l| m.transfer_time(l.block_bytes));
+    let mut cached = layout.map_or(Vec::new(), |l| {
+        vec![vec![0u64; l.block_home.len().div_ceil(64)]; p]
+    });
+    let mut comm = vec![0.0; cached.len()];
+
+    // The one place a task starts, first run and orphan re-run alike, at
+    // its worker's `clock`. False when the worker's death orphans it.
+    let mut start = |i: usize, w: usize, clock: &mut f64| -> bool {
+        let dies_at = death.get(w).copied().flatten();
+        if dies_at.is_some_and(|dt| *clock >= dt) {
+            return false;
+        }
+        if let Some(layout) = layout {
+            for &b in &layout.task_blocks[i] {
+                let b = b as usize;
+                if layout.block_home[b] as usize == w {
+                    continue;
+                }
+                let (word, bit) = (b / 64, b % 64);
+                if cached[w][word] & (1 << bit) == 0 {
+                    cached[w][word] |= 1 << bit;
+                    *clock += xfer;
+                    comm[w] += xfer;
+                }
+            }
+        }
+        let d = stretched(costs[i], w, *clock, cfg) + m.dispatch_overhead;
+        if let Some(dt) = dies_at.filter(|&dt| *clock + d > dt) {
+            // Killed mid-task: partial progress is lost.
+            tally.busy[w] += (dt - *clock).max(0.0);
+            *clock = clock.max(dt);
+            return false;
+        }
+        tally.ran(w, i, *clock, d);
+        *clock += d;
+        true
     };
-    let mut arena = ProfArena::new(cfg.events);
-    for (t, &w) in owners.iter().enumerate() {
+
+    // (task, origin rank) in task order.
+    let mut orphans = Vec::new();
+    for (i, &w) in owners.iter().enumerate() {
         let w = w as usize;
         assert!(w < p, "owner out of range");
-        let d = stretched(costs[t], w, clock[w], cfg) + cfg.machine.dispatch_overhead;
-        if cfg.trace {
-            traces[w].push((clock[w], clock[w] + d));
+        if !start(i, w, &mut clock[w]) {
+            orphans.push((i, w));
         }
-        if arena.on() {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskStart,
-                    arg: t as u64,
-                    t_ns: virt_ns(clock[w]),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskEnd,
-                    arg: t as u64,
-                    t_ns: virt_ns(clock[w] + d),
-                },
-            );
+    }
+    if !death.is_empty() {
+        stats.injected = death.iter().flatten().count() as u64;
+        stats.orphaned = orphans.len() as u64;
+        let survivors: Vec<usize> = (0..p).filter(|&w| death[w].is_none()).collect();
+        if survivors.is_empty() {
+            stats.lost = stats.orphaned;
+        } else {
+            // Heartbeat detection: every death is eventually noticed.
+            stats.detected = stats.injected;
+            let weights: Vec<f64> = orphans.iter().map(|&(i, _)| costs[i]).collect();
+            let loads: Vec<f64> = survivors.iter().map(|&s| clock[s]).collect();
+            let assign = assign_orphans(&weights, &loads, plan.recovery);
+            for (&(i, origin), &k) in orphans.iter().zip(&assign) {
+                let s = survivors[k];
+                let dt = death[origin].expect("orphan origin died");
+                // The replacement copy starts once the failure is
+                // detected and the reassignment round trip completes.
+                clock[s] = clock[s].max(dt + plan.detection_interval + m.round_trip());
+                let ran = start(i, s, &mut clock[s]);
+                debug_assert!(ran, "survivors are never scheduled to die");
+                stats.recovered += 1;
+                stats.recovery_latency.push(clock[s] - dt);
+            }
         }
-        clock[w] += d;
-        busy[w] += d;
-        tasks[w] += 1;
     }
-    SimReport {
-        makespan: clock.iter().cloned().fold(0.0, f64::max),
-        busy,
-        tasks,
-        steals: 0,
-        steal_attempts: 0,
-        counter_fetches: 0,
-        comm: Vec::new(),
-        traces,
-        assignment: owners.to_vec(),
-        events: arena.into_streams(p),
-    }
+
+    let mut sim = tally.report(clock.iter().cloned().fold(0.0, f64::max));
+    sim.comm = comm;
+    FaultReport { sim, faults: stats }
 }
 
 /// Data placement for communication-aware static simulation.
@@ -720,83 +898,12 @@ pub fn simulate_static_with_data(
     layout: &DataLayout,
     cfg: &SimConfig,
 ) -> SimReport {
-    assert_eq!(owners.len(), costs.len(), "assignment length mismatch");
     assert_eq!(
         layout.task_blocks.len(),
         costs.len(),
         "layout length mismatch"
     );
-    let p = cfg.workers;
-    let m = &cfg.machine;
-    let xfer = m.transfer_time(layout.block_bytes);
-    let nblocks = layout.block_home.len();
-    // Per-worker cached-block bitsets.
-    let words = nblocks.div_ceil(64);
-    let mut cached = vec![vec![0u64; words]; p];
-    let mut busy = vec![0.0; p];
-    let mut comm = vec![0.0; p];
-    let mut clock = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut arena = ProfArena::new(cfg.events);
-
-    for (t, &w) in owners.iter().enumerate() {
-        let w = w as usize;
-        assert!(w < p, "owner out of range");
-        for &b in &layout.task_blocks[t] {
-            let b = b as usize;
-            if layout.block_home[b] as usize == w {
-                continue;
-            }
-            let (word, bit) = (b / 64, b % 64);
-            if cached[w][word] & (1 << bit) == 0 {
-                cached[w][word] |= 1 << bit;
-                clock[w] += xfer;
-                comm[w] += xfer;
-            }
-        }
-        let d = stretched(costs[t], w, clock[w], cfg) + m.dispatch_overhead;
-        if cfg.trace {
-            traces[w].push((clock[w], clock[w] + d));
-        }
-        if arena.on() {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskStart,
-                    arg: t as u64,
-                    t_ns: virt_ns(clock[w]),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskEnd,
-                    arg: t as u64,
-                    t_ns: virt_ns(clock[w] + d),
-                },
-            );
-        }
-        clock[w] += d;
-        busy[w] += d;
-        tasks[w] += 1;
-    }
-    SimReport {
-        makespan: clock.iter().cloned().fold(0.0, f64::max),
-        busy,
-        tasks,
-        steals: 0,
-        steal_attempts: 0,
-        counter_fetches: 0,
-        comm,
-        traces,
-        assignment: owners.to_vec(),
-        events: arena.into_streams(p),
-    }
+    simulate_static(costs, owners, Some(layout), cfg, &FaultPlan::fault_free()).sim
 }
 
 /// Shared-counter family: `groups` independent counters each serve a
@@ -806,13 +913,21 @@ pub fn simulate_static_with_data(
 /// hierarchical NXTVAL tree*: they start empty and claim `block`-task
 /// ranges from a root counter on demand, so work balances globally
 /// while the root is contacted only once per block.
+///
+/// Under a fault plan, fetch requests may be dropped or delayed, the
+/// outage-prone host (the root of a tree, else group 0's counter) may
+/// stall them, and a rank that fail-stops orphans whatever it had
+/// claimed — plus its group's unclaimed range if it was the group's last
+/// rank — onto a global recovery queue that survivors of any group drain
+/// once the failure is detected.
 fn simulate_counter_family(
     costs: &[f64],
     rule: ChunkRule,
     groups: usize,
     refill: Option<usize>,
     cfg: &SimConfig,
-) -> SimReport {
+    plan: &FaultPlan,
+) -> FaultReport {
     rule.validate();
     let p = cfg.workers;
     let n = costs.len();
@@ -824,14 +939,8 @@ fn simulate_counter_family(
         group_size[wgroup(w)] += 1;
     }
 
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut arena = ProfArena::new(cfg.events);
+    let mut tally = Tally::new(n, cfg);
+    let mut stats = FaultStats::default();
     let mut fetches = 0u64;
     // Unclaimed range of each counter: a static block slice (no
     // refill), or empty-until-refilled (hierarchical tree).
@@ -848,7 +957,38 @@ fn simulate_counter_family(
     let mut root_free = 0.0f64;
     let mut counter_free = vec![0.0f64; groups];
     let mut makespan = 0.0f64;
-    let mut assignment = vec![u32::MAX; n];
+
+    // Fail-stop state: the per-rank and per-task arrays exist only when
+    // the plan kills a rank.
+    let death = death_times(p, plan);
+    let deaths = !death.is_empty();
+    let mut dead = vec![false; death.len()];
+    // Ranks scheduled to die whose death has not been processed yet —
+    // while any exist, idle survivors park instead of retiring because
+    // orphans may still appear.
+    let mut undead = death.iter().flatten().count();
+    // Live ranks per group: when a group's last rank dies, its whole
+    // unclaimed range is orphaned so other groups can pick it up.
+    let mut alive_in_group = group_size.clone();
+    // Global orphan-recovery queue: survivors of any group drain it once
+    // the originating failure is detected (`recovery_open`).
+    let mut recovery: VecDeque<usize> = VecDeque::new();
+    let mut recovery_open = f64::INFINITY;
+    let mut orphan_death = vec![f64::NAN; if deaths { n } else { 0 }];
+    let mut parked: Vec<(usize, f64)> = Vec::new();
+    let mut fate = SplitMix::new(plan.seed ^ 0x0bad_cafe);
+    // A request reaching the outage-prone host while it is down stalls
+    // until the backup host takes over.
+    let past_outage = |t: f64, stats: &mut FaultStats| match plan.counter_outage {
+        Some(o) if t >= o.at && t < o.at + o.failover => {
+            if stats.counter_failovers == 0 {
+                stats.injected += 1;
+                stats.counter_failovers = 1;
+            }
+            o.at + o.failover
+        }
+        _ => t,
+    };
 
     // Queue of (arrival time at the group's counter, worker).
     let mut q = EventQueue::with_capacity(cfg.queue, p);
@@ -856,107 +996,166 @@ fn simulate_counter_family(
         q.push(m.latency, w);
     }
 
-    while let Some((arrival, w)) = q.pop() {
-        let g = wgroup(w);
-        // The group's counter host serializes its fetches.
-        let start = arrival.max(counter_free[g]);
-        counter_free[g] = start + m.counter_service;
-        fetches += 1;
-        if leaf_lo[g] >= leaf_hi[g] {
-            if let Some(block) = refill {
-                if root_next < n {
-                    // The dry leaf forwards one block claim to the root
-                    // counter: a full extra round trip, serialized at
-                    // the root, before the leaf can answer.
-                    let root_start = (counter_free[g] + m.latency).max(root_free);
-                    root_free = root_start + m.counter_service;
-                    fetches += 1;
-                    let take = block.min(n - root_next);
-                    leaf_lo[g] = root_next;
-                    leaf_hi[g] = root_next + take;
-                    root_next += take;
-                    counter_free[g] = root_free + m.latency;
-                }
-            }
-        }
-        let response = counter_free[g] + m.latency;
-        if arena.on() {
-            // The worker issued this fetch one network latency before it
-            // arrived at the counter host.
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::CounterFetchStart,
-                    arg: 0,
-                    t_ns: virt_ns(arrival - m.latency),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::CounterFetchEnd,
-                    arg: leaf_lo[g] as u64,
-                    t_ns: virt_ns(response),
-                },
-            );
-        }
-        if leaf_lo[g] >= leaf_hi[g] {
-            // Counter exhausted — range done (no refill: no cross-group
-            // balancing by design, that asymmetry IS the model) or the
-            // root has nothing left. The worker retires.
+    'events: while let Some((arrival, w)) = q.pop() {
+        if deaths && dead[w] {
             continue;
         }
-        let remaining = leaf_hi[g] - leaf_lo[g];
-        let chunk = rule.claim(remaining, group_size[g]);
-        let begin = leaf_lo[g];
-        let end = begin + chunk;
-        leaf_lo[g] = end;
-        let mut t = response;
-        for i in begin..end {
-            let d = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
-            if cfg.trace {
-                traces[w].push((t, t + d));
+        let g = wgroup(w);
+        let dies_at = death.get(w).copied().flatten();
+        // What a live rank does with this fetch; if it fail-stops, yields
+        // the death time and the length of the recovery queue before the
+        // rest of its claim was orphaned onto it.
+        let (dt, before) = 'alive: {
+            if let Some(dt) = dies_at.filter(|&dt| arrival >= dt) {
+                // Died while idle or in flight: it holds no claim.
+                break 'alive (dt, recovery.len());
             }
-            if arena.on() {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::TaskStart,
-                        arg: i as u64,
-                        t_ns: virt_ns(t),
-                    },
-                );
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::TaskEnd,
-                        arg: i as u64,
-                        t_ns: virt_ns(t + d),
-                    },
-                );
+            // The worker issued this fetch one network latency before it
+            // arrived at the counter host.
+            let issued = arrival - m.latency;
+            let mut arrival = arrival;
+            // Transient message faults on the fetch request.
+            if plan.drop_prob > 0.0 && fate.unit() < plan.drop_prob {
+                stats.dropped_messages += 1;
+                stats.injected += 1;
+                q.push(arrival + plan.rpc_timeout, w);
+                continue 'events;
             }
-            t += d;
-            busy[w] += d;
-            tasks[w] += 1;
-            assignment[i] = w as u32;
+            if plan.delay_prob > 0.0 && fate.unit() < plan.delay_prob {
+                stats.delayed_messages += 1;
+                stats.injected += 1;
+                arrival += plan.delay;
+            }
+            // The group's counter host serializes its fetches.
+            let mut start = arrival.max(counter_free[g]);
+            if g == 0 && refill.is_none() {
+                start = past_outage(start, &mut stats);
+            }
+            counter_free[g] = start + m.counter_service;
+            fetches += 1;
+            if leaf_lo[g] >= leaf_hi[g] {
+                if let Some(block) = refill {
+                    if root_next < n {
+                        // The dry leaf forwards one block claim to the
+                        // root counter: a full extra round trip,
+                        // serialized at the root (the outage-prone host
+                        // of a tree), before the leaf can answer.
+                        let at_root = (counter_free[g] + m.latency).max(root_free);
+                        root_free = past_outage(at_root, &mut stats) + m.counter_service;
+                        fetches += 1;
+                        let take = block.min(n - root_next);
+                        leaf_lo[g] = root_next;
+                        leaf_hi[g] = root_next + take;
+                        root_next += take;
+                        counter_free[g] = root_free + m.latency;
+                    }
+                }
+            }
+            let response = counter_free[g] + m.latency;
+            let answer = leaf_lo[g] as u64;
+
+            // Claim: a range of the worker's own counter first, then
+            // orphans off the recovery queue.
+            let (own, orphans) = if leaf_lo[g] < leaf_hi[g] {
+                let begin = leaf_lo[g];
+                leaf_lo[g] += rule.claim(leaf_hi[g] - begin, group_size[g]);
+                (begin..leaf_lo[g], Vec::new())
+            } else if !recovery.is_empty() {
+                if response < recovery_open {
+                    // Orphans exist but the failure is not yet detected
+                    // — come back once it is.
+                    q.push(recovery_open, w);
+                    continue 'events;
+                }
+                let chunk = rule.claim(recovery.len(), group_size[g]);
+                (0..0, recovery.drain(..chunk).collect())
+            } else if undead > 0 {
+                // Nothing to do now, but a rank is still scheduled to
+                // die — park until its orphans (if any) appear.
+                parked.push((w, response));
+                continue 'events;
+            } else {
+                (0..0, Vec::new())
+            };
+            tally.event(w, EventKind::CounterFetchStart, 0, issued);
+            tally.event(w, EventKind::CounterFetchEnd, answer, response);
+            if own.is_empty() && orphans.is_empty() {
+                // Counter exhausted — range done (no refill: no
+                // cross-group balancing by design, that asymmetry IS the
+                // model) or the root has nothing left — and no recovery
+                // work. The worker retires.
+                continue 'events;
+            }
+
+            let mut claim = own.chain(orphans);
+            let mut t = response;
+            let mut killed = None;
+            for i in claim.by_ref() {
+                let d = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
+                if let Some(dt) = dies_at.filter(|&dt| t >= dt || t + d > dt) {
+                    // Killed, mid-task unless `t >= dt`: partial
+                    // progress is lost.
+                    tally.busy[w] += (dt - t).max(0.0);
+                    t = t.max(dt);
+                    killed = Some((dt, i));
+                    break;
+                }
+                tally.ran(w, i, t, d);
+                t += d;
+                if deaths && !orphan_death[i].is_nan() {
+                    stats.recovered += 1;
+                    stats.recovery_latency.push(t - orphan_death[i]);
+                }
+            }
+            makespan = makespan.max(t);
+            let Some((dt, i)) = killed else {
+                // Request the next chunk.
+                q.push(t + m.latency, w);
+                continue 'events;
+            };
+            let before = recovery.len();
+            recovery.push_back(i);
+            recovery.extend(claim);
+            (dt, before)
+        };
+
+        // Fail-stop of `w` at `dt`: besides the rest of its claim, its
+        // group's unclaimed range is orphaned if nobody is left there to
+        // claim it.
+        dead[w] = true;
+        undead -= 1;
+        stats.injected += 1;
+        stats.detected += 1;
+        alive_in_group[g] -= 1;
+        if alive_in_group[g] == 0 {
+            recovery.extend(leaf_lo[g]..leaf_hi[g]);
+            leaf_lo[g] = leaf_hi[g];
         }
-        makespan = makespan.max(t);
-        // Request the next chunk.
-        q.push(t + m.latency, w);
+        if recovery.len() > before {
+            for &i in recovery.range(before..) {
+                orphan_death[i] = dt;
+            }
+            stats.orphaned += (recovery.len() - before) as u64;
+            recovery_open = recovery_open.min(dt + plan.detection_interval);
+        }
+        // Wake parked survivors: either there are orphans for them to
+        // claim, or no deaths remain pending and they can retire.
+        if !recovery.is_empty() || undead == 0 {
+            for (pw, pt) in parked.drain(..) {
+                let wake = if recovery.is_empty() {
+                    pt
+                } else {
+                    recovery_open.max(pt)
+                };
+                q.push(wake, pw);
+            }
+        }
     }
 
-    SimReport {
-        makespan,
-        busy,
-        tasks,
-        steals: 0,
-        steal_attempts: 0,
-        counter_fetches: fetches,
-        comm: Vec::new(),
-        traces,
-        assignment,
-        events: arena.into_streams(p),
-    }
+    stats.lost = (n - tally.tasks.iter().sum::<usize>()) as u64;
+    let mut sim = tally.report(makespan);
+    sim.counter_fetches = fetches;
+    FaultReport { sim, faults: stats }
 }
 
 /// Work-stealing family. `levels` lists nested locality domains,
@@ -966,6 +1165,11 @@ fn simulate_counter_family(
 /// a global draw at full latency. An empty slice is flat stealing; one
 /// level reproduces [`SimModel::HierarchicalStealing`]; two levels are
 /// the node/rack topology of [`SimModel::TopologyStealing`].
+///
+/// Under a fault plan, steal requests may be dropped or delayed, a
+/// request to a dead rank goes unanswered until the thief times out, and
+/// a rank that fail-stops orphans its queue for survivors to
+/// redistribute ([`Liveness`]).
 fn simulate_stealing(
     costs: &[f64],
     steal_half: bool,
@@ -973,7 +1177,8 @@ fn simulate_stealing(
     seed_owners: Option<&[u32]>,
     victim_policy: VictimPolicy,
     cfg: &SimConfig,
-) -> SimReport {
+    plan: &FaultPlan,
+) -> FaultReport {
     let p = cfg.workers;
     let n = costs.len();
     let m = &cfg.machine;
@@ -1003,24 +1208,24 @@ fn simulate_stealing(
         tracker.update(w, !q.is_empty());
     }
     let mut remaining = n;
-    let mut assignment = vec![u32::MAX; n];
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut arena = ProfArena::new(cfg.events);
-    // Per-worker "hunting for work" state, used only for event emission
-    // (IdleStart on entering the hunt, StealSuccess/IdleEnd on leaving).
-    let mut hunting = vec![false; p];
+    let mut tally = Tally::new(n, cfg);
+    let mut stats = FaultStats::default();
+    // Per-worker state that only some runs need is sized to zero in the
+    // others: fail-stop bookkeeping, consecutive failed attempts (for
+    // backoff), the "hunting for work" flag (event emission only:
+    // IdleStart on entering the hunt, StealSuccess/IdleEnd on leaving)
+    // and the round-robin scan position.
+    let mut live = (!plan.rank_failures.is_empty()).then(|| Liveness::new(costs, &queues, plan));
+    let backs_off = plan.backoff_base > 0.0;
+    let mut failures = vec![0u32; if backs_off { p } else { 0 }];
+    let mut hunting = vec![false; if cfg.events { p } else { 0 }];
+    let round_robin = victim_policy == VictimPolicy::RoundRobin;
+    let mut rr_attempts = vec![0u64; if round_robin { p } else { 0 }];
     let mut steals = 0u64;
     let mut attempts = 0u64;
     let mut makespan = 0.0f64;
     let mut rng = SplitMix::new(cfg.seed);
-    // Round-robin victim selection scans per-worker (no RNG draw).
-    let mut rr_attempts = vec![0u64; p];
+    let mut fate = SplitMix::new(plan.seed ^ 0x0bad_cafe);
     // Stolen tasks in transit to each thief: they leave the victim's
     // queue at the steal decision but only become visible (and
     // stealable again) when the thief's arrival event fires. Without
@@ -1029,6 +1234,15 @@ fn simulate_stealing(
     // executes it — a deterministic livelock.
     let mut fly: Vec<Vec<usize>> = vec![Vec::new(); p];
     let mut flying = 0usize;
+    // Counts one more consecutive failed attempt of `w`; returns the
+    // exponential-backoff wait it owes before the next.
+    let failed = |failures: &mut [u32], w: usize| -> f64 {
+        if !backs_off {
+            return 0.0;
+        }
+        failures[w] += 1;
+        (plan.backoff_base * plan.backoff_factor.powi(failures[w] as i32 - 1)).min(plan.backoff_max)
+    };
 
     // Pending events keyed (time, seq, worker) — seq keeps order total.
     let mut q = EventQueue::with_capacity(cfg.queue, p);
@@ -1037,68 +1251,70 @@ fn simulate_stealing(
     }
 
     while let Some((t, w)) = q.pop() {
+        if let Some(live) = &mut live {
+            live.advance(t, costs, &mut queues, &mut tracker, &mut stats);
+            if live.dead[w] {
+                continue;
+            }
+        }
+        // Land any stolen haul that rode this worker's arrival event
+        // (before the death check, so a thief killed mid-return orphans
+        // the haul with the rest of its queue).
         if !fly[w].is_empty() {
             flying -= fly[w].len();
             for i in std::mem::take(&mut fly[w]) {
+                if let Some(live) = &mut live {
+                    live.qload[w] += costs[i];
+                }
                 queues[w].push_back(i);
             }
             tracker.update(w, true);
         }
+        if let Some(live) = &mut live {
+            if let Some(dt) = live.death[w] {
+                let head_ends = queues[w]
+                    .front()
+                    .map(|&i| t + (stretched(costs[i], w, t, cfg) + m.dispatch_overhead));
+                if t >= dt || head_ends.is_some_and(|end| end > dt) {
+                    // Fail-stop, idle or mid-task (partial progress is
+                    // lost): freeze and orphan the queue; survivors
+                    // redistribute it after the detection interval.
+                    tally.busy[w] += (dt - t).max(0.0);
+                    live.die(w, dt, &mut queues, &mut tracker, &mut stats);
+                    continue;
+                }
+            }
+        }
         if let Some(i) = queues[w].pop_front() {
             tracker.update(w, !queues[w].is_empty());
             let d = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
-            if cfg.trace {
-                traces[w].push((t, t + d));
-            }
-            if arena.on() {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::TaskStart,
-                        arg: i as u64,
-                        t_ns: virt_ns(t),
-                    },
-                );
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::TaskEnd,
-                        arg: i as u64,
-                        t_ns: virt_ns(t + d),
-                    },
-                );
-            }
-            busy[w] += d;
-            tasks[w] += 1;
-            assignment[i] = w as u32;
+            tally.ran(w, i, t, d);
             remaining -= 1;
             makespan = makespan.max(t + d);
+            if let Some(live) = &mut live {
+                live.completed(w, i, costs[i], t + d, &mut stats);
+            }
+            if backs_off {
+                failures[w] = 0;
+            }
             q.push(t + d, w);
             continue;
         }
-        if remaining == 0 {
-            if arena.on() && hunting[w] {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::IdleEnd,
-                        arg: 0,
-                        t_ns: virt_ns(t),
-                    },
-                );
+        // No local work. The worker retires on global termination, or
+        // when no queue holds work, nothing is in flight and no
+        // redistribution is pending: the remaining tasks are then
+        // unreachable (their holders died with no survivors to hand them
+        // to). Fault-free, every unfinished task is queued or in flight.
+        let pending = live.as_ref().and_then(Liveness::next_redistribution);
+        if remaining == 0 || (!tracker.any() && flying == 0 && pending.is_none()) {
+            if cfg.events && hunting[w] {
+                tally.event(w, EventKind::IdleEnd, 0, t);
                 hunting[w] = false;
             }
-            continue; // global termination: worker retires
+            continue;
         }
-        if arena.on() && !hunting[w] {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::IdleStart,
-                    arg: 0,
-                    t_ns: virt_ns(t),
-                },
-            );
+        if cfg.events && !hunting[w] {
+            tally.event(w, EventKind::IdleStart, 0, t);
             hunting[w] = true;
         }
         // Steal attempt: resolves one round trip later (victim queue is
@@ -1123,105 +1339,95 @@ fn simulate_stealing(
                 }
             }
         }
-        let (victim, latency) = match choice {
-            Some(c) => c,
-            None if p > 1 => match victim_policy {
-                VictimPolicy::Random => (random_victim(rng.next(), w, p), m.steal_latency),
-                VictimPolicy::RoundRobin => {
-                    let v = round_robin_victim(w, rr_attempts[w], p);
-                    rr_attempts[w] += 1;
-                    (v, m.steal_latency)
-                }
-            },
-            None => (w, m.steal_latency),
-        };
-        let t_resolved = t + latency;
-        if arena.on() {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::StealAttempt,
-                    arg: victim as u64,
-                    t_ns: virt_ns(t),
-                },
-            );
+        let (victim, latency) = choice.unwrap_or_else(|| {
+            let anyone = if p == 1 {
+                w
+            } else if round_robin {
+                let v = round_robin_victim(w, rr_attempts[w], p);
+                rr_attempts[w] += 1;
+                v
+            } else if let Some(live) = &live {
+                live.victim(&mut rng, w)
+            } else {
+                random_victim(rng.next(), w, p)
+            };
+            (anyone, m.steal_latency)
+        });
+        tally.event(w, EventKind::StealAttempt, victim as u64, t);
+        // Transient faults on the steal request, then a victim that died
+        // before the request resolves: either way no response ever comes.
+        let dropped = plan.drop_prob > 0.0 && fate.unit() < plan.drop_prob;
+        let mut t_resolved = t + latency;
+        if !dropped && plan.delay_prob > 0.0 && fate.unit() < plan.delay_prob {
+            stats.delayed_messages += 1;
+            stats.injected += 1;
+            t_resolved += plan.delay;
+        }
+        let silent = victim != w
+            && live
+                .as_ref()
+                .is_some_and(|l| l.death[victim].is_some_and(|dt| dt <= t_resolved));
+        if dropped {
+            stats.dropped_messages += 1;
+            stats.injected += 1;
+        } else if silent {
+            stats.rpc_timeouts += 1;
+        }
+        if dropped || silent {
+            // The thief abandons the round trip after the timeout and
+            // backs off.
+            let gave_up = t + plan.rpc_timeout;
+            tally.event(w, EventKind::StealFail, victim as u64, gave_up);
+            q.push(gave_up + failed(&mut failures, w), w);
+            continue;
         }
         let qlen = queues[victim].len();
         if victim != w && qlen > 0 {
             let take = if steal_half { qlen.div_ceil(2) } else { 1 };
             // Steal from the back (cold end), like Chase–Lev thieves.
             // The haul rides the return trip: it lands at the arrival
-            // event below, not in the thief's queue now.
+            // event above, not in the thief's queue now.
             for _ in 0..take {
                 if let Some(task) = queues[victim].pop_back() {
                     fly[w].push(task);
                     flying += 1;
+                    if let Some(live) = &mut live {
+                        live.qload[victim] -= costs[task];
+                    }
                 }
             }
             tracker.update(victim, !queues[victim].is_empty());
             steals += 1;
-            if arena.on() {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::StealSuccess,
-                        arg: victim as u64,
-                        t_ns: virt_ns(t_resolved),
-                    },
-                );
+            if backs_off {
+                failures[w] = 0;
+            }
+            if cfg.events {
+                tally.event(w, EventKind::StealSuccess, victim as u64, t_resolved);
                 hunting[w] = false;
             }
             q.push(t_resolved + take as f64 * m.steal_transfer, w);
         } else {
-            // Failed attempt. If no queue anywhere holds work and
-            // nothing is in flight, the outstanding tasks can never be
-            // obtained by stealing (the holder gave no response and
-            // never will) — retire cleanly instead of spinning forever
-            // on a silent victim.
-            if arena.on() {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::StealFail,
-                        arg: victim as u64,
-                        t_ns: virt_ns(t_resolved),
-                    },
-                );
-            }
-            if !tracker.any() && flying == 0 {
-                if arena.on() && hunting[w] {
-                    arena.push(
-                        w,
-                        ProfEvent {
-                            kind: EventKind::IdleEnd,
-                            arg: 0,
-                            t_ns: virt_ns(t_resolved),
-                        },
-                    );
-                    hunting[w] = false;
-                }
-                continue;
-            }
-            // Retry no earlier than the next event in the system, so
-            // zero-latency machines cannot livelock at a frozen
-            // timestamp while another worker finishes a task.
+            tally.event(w, EventKind::StealFail, victim as u64, t_resolved);
+            // Failed attempt: back off, but retry no earlier than the
+            // next event in the system, so zero-latency machines cannot
+            // livelock at a frozen timestamp while another worker
+            // finishes a task — nor, when that is no later than now,
+            // earlier than the next pending redistribution, which may be
+            // the only future work source.
             let next_event = q.peek_time().unwrap_or(t_resolved);
-            q.push(t_resolved.max(next_event), w);
+            let mut retry = (t_resolved + failed(&mut failures, w)).max(next_event);
+            if retry <= t {
+                retry = retry.max(pending.unwrap_or(retry));
+            }
+            q.push(retry, w);
         }
     }
 
-    SimReport {
-        makespan,
-        busy,
-        tasks,
-        steals,
-        steal_attempts: attempts,
-        counter_fetches: 0,
-        comm: Vec::new(),
-        traces,
-        assignment,
-        events: arena.into_streams(p),
-    }
+    stats.lost = remaining as u64;
+    let mut sim = tally.report(makespan);
+    sim.steals = steals;
+    sim.steal_attempts = attempts;
+    FaultReport { sim, faults: stats }
 }
 
 /// The simulator's deterministic RNG (victim selection and fault-fate
@@ -1755,19 +1961,81 @@ mod tests {
     #[test]
     fn event_emission_does_not_perturb_the_simulation() {
         let costs: Vec<f64> = (1..=64).map(|i| ((i * 37) % 11) as f64 * 1e-6).collect();
+        let one_death = FaultPlan::fault_free().with_rank_failure(2, 40e-6);
+        for plan in [FaultPlan::fault_free(), one_death] {
+            for model in [
+                SimModel::Static(block_assignment(64, 4)),
+                SimModel::Counter { chunk: 3 },
+                SimModel::Guided { min_chunk: 1 },
+                SimModel::WorkStealing { steal_half: true },
+            ] {
+                let base = simulate_with_faults(&costs, &model, &ideal_cfg(4), &plan);
+                let mut with_events = simulate_with_faults(&costs, &model, &event_cfg(4), &plan);
+                assert!(with_events.sim.events.iter().any(|s| !s.is_empty()));
+                with_events.sim.events.clear();
+                // Debug prints floats so that they round-trip: equal text
+                // is equal bits, field by field.
+                assert_eq!(
+                    format!("{base:?}"),
+                    format!("{with_events:?}"),
+                    "{}",
+                    model.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_faulted_run_reports_who_completed_each_task() {
+        // Unit tasks on an ideal machine; rank 1 dies at 2.5, two tasks
+        // done and a third half-run.
+        let costs = vec![1.0; 32];
+        let dt = 2.5;
+        let plan = FaultPlan::fault_free().with_rank_failure(1, dt);
+        let cfg = SimConfig {
+            trace: true,
+            ..event_cfg(4)
+        };
         for model in [
-            SimModel::Static(block_assignment(64, 4)),
-            SimModel::Counter { chunk: 3 },
-            SimModel::Guided { min_chunk: 1 },
+            SimModel::Static(block_assignment(32, 4)),
+            SimModel::Counter { chunk: 2 },
             SimModel::WorkStealing { steal_half: true },
         ] {
-            let base = simulate(&costs, &model, &ideal_cfg(4));
-            let with_events = simulate(&costs, &model, &event_cfg(4));
-            assert_eq!(base.makespan, with_events.makespan, "{}", model.name());
-            assert_eq!(base.busy, with_events.busy, "{}", model.name());
-            assert_eq!(base.assignment, with_events.assignment, "{}", model.name());
-            assert_eq!(base.steals, with_events.steals, "{}", model.name());
+            let name = model.name();
+            let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+            assert!(r.faults.orphaned > 0 && r.faults.lost == 0, "{name}");
+            let mut ends = vec![Vec::new(); costs.len()];
+            for (w, stream) in r.sim.events.iter().enumerate() {
+                assert!(
+                    stream.windows(2).all(|e| e[0].t_ns <= e[1].t_ns),
+                    "{name}: rank {w} goes back in time"
+                );
+                let done = stream.iter().filter(|e| e.kind == EventKind::TaskEnd);
+                done.clone()
+                    .for_each(|e| ends[e.arg as usize].push(w as u32));
+                assert_eq!(done.count(), r.sim.tasks[w], "{name}: rank {w}");
+                assert_eq!(r.sim.traces[w].len(), r.sim.tasks[w], "{name}: rank {w}");
+            }
+            // Exactly one completion per task, on the rank `assignment`
+            // names — for the task killed mid-run, the survivor that
+            // re-ran it, since the dead rank's stream stops at its death.
+            for (i, ranks) in ends.iter().enumerate() {
+                assert_eq!(ranks, &[r.sim.assignment[i]], "{name}: task {i}");
+            }
+            let last = r.sim.events[1].last().expect("rank 1 ran something");
+            assert!(last.t_ns <= virt_ns(dt), "{name}: events after death");
+            assert_eq!(r.sim.tasks[1], 2, "{name}");
         }
+        // With nobody left to recover them, unfinished tasks have no rank.
+        let mut plan = plan;
+        for w in [0, 2, 3] {
+            plan = plan.with_rank_failure(w, dt);
+        }
+        let model = SimModel::WorkStealing { steal_half: true };
+        let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+        let unassigned = r.sim.assignment.iter().filter(|&&w| w == u32::MAX);
+        assert_eq!(unassigned.count() as u64, r.faults.lost);
+        assert_eq!(r.faults.lost, 32 - 4 * 2);
     }
 
     #[test]

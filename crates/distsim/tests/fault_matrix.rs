@@ -8,6 +8,8 @@
 //! below by the detection interval, and bit-for-bit reproducibility of
 //! the degraded run.
 
+mod common;
+
 use emx_distsim::machine::MachineModel;
 use emx_distsim::prelude::*;
 
@@ -190,5 +192,103 @@ fn dead_group_with_message_faults_still_conserves_work() {
         let label = format!("dead-group+chaos/{}", policy.name());
         let r = simulate_with_faults(&costs, &model, &cfg(), &plan);
         assert_degraded_invariants(&r, &plan, &label);
+    }
+}
+
+// ----------------------------------------------------------------------
+// The same invariants across the whole model roster.
+// ----------------------------------------------------------------------
+
+fn skewed(n: usize) -> Vec<f64> {
+    (1..=n).map(|i| i as f64 * 1e-4).collect()
+}
+
+#[test]
+fn fail_stop_recovers_all_orphans_under_every_model() {
+    let costs = skewed(96);
+    let p = 6;
+    let cfg = SimConfig::new(p);
+    // Kill rank 3 early enough that it still holds work everywhere.
+    let total: f64 = costs.iter().sum();
+    let at = 0.2 * total / p as f64;
+    for policy in [
+        RecoveryPolicy::BlockSurvivors,
+        RecoveryPolicy::SemiMatching,
+        RecoveryPolicy::Persistence,
+    ] {
+        for model in common::roster(96, p) {
+            let plan = FaultPlan::fault_free()
+                .with_rank_failure(3, at)
+                .with_recovery(policy);
+            let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+            assert_eq!(r.faults.lost, 0, "{} {}", model.name(), policy.name());
+            assert_eq!(
+                r.faults.recovered,
+                r.faults.orphaned,
+                "{} {}",
+                model.name(),
+                policy.name()
+            );
+            assert_eq!(
+                r.sim.tasks.iter().sum::<usize>(),
+                96,
+                "{} {}: work not conserved",
+                model.name(),
+                policy.name()
+            );
+            assert!(r.sim.tasks[3] < 96);
+            assert_eq!(
+                r.faults.recovery_latency.len() as u64,
+                r.faults.recovered,
+                "{}",
+                model.name()
+            );
+            assert!(
+                r.faults
+                    .recovery_latency
+                    .iter()
+                    .all(|&l| l >= plan.detection_interval),
+                "{}: recovery cannot precede detection",
+                model.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn all_ranks_dead_terminates_and_counts_lost() {
+    let costs = vec![1.0; NTASKS];
+    let cfg = cfg();
+    let mut plan = FaultPlan::fault_free();
+    for w in 0..P {
+        plan = plan.with_rank_failure(w, 2.5);
+    }
+    for model in common::roster(NTASKS, P) {
+        let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+        let done = r.sim.tasks.iter().sum::<usize>();
+        assert!(done < NTASKS, "{}: nobody survives to finish", model.name());
+        assert_eq!(r.faults.lost as usize, NTASKS - done, "{}", model.name());
+    }
+}
+
+#[test]
+fn fault_runs_are_deterministic() {
+    let costs = skewed(80);
+    let cfg = SimConfig::new(5);
+    let plan = FaultPlan::fault_free()
+        .with_rank_failure(1, 0.01)
+        .with_message_faults(0.1, 0.1, 20e-6)
+        .with_backoff(10e-6, 2.0, 1e-3);
+    for model in common::roster(80, 5) {
+        let a = simulate_with_faults(&costs, &model, &cfg, &plan);
+        let b = simulate_with_faults(&costs, &model, &cfg, &plan);
+        assert_eq!(a.sim.makespan, b.sim.makespan, "{}", model.name());
+        assert_eq!(a.faults.recovered, b.faults.recovered, "{}", model.name());
+        assert_eq!(
+            a.faults.dropped_messages,
+            b.faults.dropped_messages,
+            "{}",
+            model.name()
+        );
     }
 }

@@ -11,38 +11,11 @@
 //! regimes on the ideal machine, where the old per-site heap keys
 //! diverged).
 
+mod common;
+
+use common::roster;
 use emx_distsim::machine::MachineModel;
 use emx_distsim::prelude::*;
-use emx_distsim::sim::SimModel;
-
-fn roster(n: usize, p: usize) -> Vec<SimModel> {
-    let owners: Vec<u32> = (0..n).map(|i| (i * p / n.max(1)) as u32).collect();
-    vec![
-        SimModel::Static(owners.clone()),
-        SimModel::Counter { chunk: 3 },
-        SimModel::Guided { min_chunk: 2 },
-        SimModel::GroupCounters {
-            groups: 2,
-            chunk: 3,
-        },
-        SimModel::HierCounters {
-            chunk: 2,
-            node_size: 4,
-            parent_chunk: 8,
-        },
-        SimModel::WorkStealing { steal_half: true },
-        SimModel::SeededStealing {
-            owners,
-            steal_half: false,
-        },
-        SimModel::HierarchicalStealing {
-            steal_half: true,
-            node_size: 4,
-            remote_factor: 4.0,
-        },
-        SimModel::TopologyStealing { steal_half: true },
-    ]
-}
 
 fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
     assert_eq!(

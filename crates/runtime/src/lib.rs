@@ -43,9 +43,6 @@ pub mod timeline;
 pub mod variability;
 
 pub use faults::{FaultInjection, PoisonSpec, StragglerSpec};
-#[cfg(feature = "legacy")]
-#[allow(deprecated)]
-pub use model::ExecutionModel;
 pub use model::{block_owner, ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
 pub use obs::{publish_report_gauges, report_to_chrome, RuntimeObs};
 pub use pool::Executor;
@@ -56,9 +53,6 @@ pub use variability::Variability;
 /// Common imports.
 pub mod prelude {
     pub use crate::faults::{FaultInjection, PoisonSpec, StragglerSpec};
-    #[cfg(feature = "legacy")]
-    #[allow(deprecated)]
-    pub use crate::model::ExecutionModel;
     pub use crate::model::{ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
     pub use crate::obs::{publish_report_gauges, report_to_chrome, RuntimeObs};
     pub use crate::pool::Executor;

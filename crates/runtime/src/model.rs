@@ -3,84 +3,12 @@
 //! The policy vocabulary — which worker runs which task and when, the
 //! variable of the whole study — now lives in the substrate-agnostic
 //! [`emx_sched`] crate so the thread runtime and the distributed
-//! simulator share one definition. This module re-exports those types
-//! and (behind the `legacy` cargo feature) keeps the old
-//! `ExecutionModel` enum as a deprecated alias that converts into
-//! [`PolicyKind`]. With the feature off — the default — the shim does
-//! not exist, so the workspace compiles under `-D deprecated`.
-
-#[cfg(feature = "legacy")]
-use std::sync::Arc;
+//! simulator share one definition. This module re-exports those types.
 
 pub use emx_sched::{
     block_owner, block_partition, cyclic_partition, ChunkRule, PolicyKind, SeedPartition,
     SpecConfig, StealConfig, VictimPolicy,
 };
-
-/// How tasks are distributed to workers before/while running.
-///
-/// Superseded by [`PolicyKind`], which covers the same policies (plus
-/// guided-adaptive and persistence-based scheduling) for both the thread
-/// runtime and the simulator. Every variant converts losslessly via
-/// `From<ExecutionModel> for PolicyKind`.
-#[cfg(feature = "legacy")]
-#[deprecated(since = "0.1.0", note = "use emx_sched::PolicyKind instead")]
-#[derive(Debug, Clone)]
-pub enum ExecutionModel {
-    /// One worker runs everything in task order (baseline).
-    Serial,
-    /// Contiguous index blocks: worker `w` owns `[w·n/P, (w+1)·n/P)`.
-    StaticBlock,
-    /// Round-robin: task `i` belongs to worker `i mod P`.
-    StaticCyclic,
-    /// Explicit per-task owner map (`assignment[i] < P`), produced by a
-    /// cost-model load balancer or a persistence pass.
-    StaticAssigned(Arc<Vec<u32>>),
-    /// Self-scheduling off a single shared counter; each fetch claims
-    /// `chunk` consecutive tasks.
-    DynamicCounter {
-        /// Tasks claimed per counter fetch.
-        chunk: usize,
-    },
-    /// Guided self-scheduling: each fetch claims `remaining / (2·P)`
-    /// tasks (at least `min_chunk`).
-    DynamicGuided {
-        /// Smallest chunk a fetch may claim.
-        min_chunk: usize,
-    },
-    /// Work stealing over per-worker deques.
-    WorkStealing(StealConfig),
-}
-
-#[cfg(feature = "legacy")]
-#[allow(deprecated)]
-impl ExecutionModel {
-    /// Short, stable name used in reports and bench tables.
-    pub fn name(&self) -> &'static str {
-        PolicyKind::from(self.clone()).name()
-    }
-
-    /// Whether the model can rebalance at runtime.
-    pub fn is_dynamic(&self) -> bool {
-        PolicyKind::from(self.clone()).is_dynamic()
-    }
-}
-
-#[cfg(feature = "legacy")]
-#[allow(deprecated)]
-impl From<ExecutionModel> for PolicyKind {
-    fn from(model: ExecutionModel) -> PolicyKind {
-        match model {
-            ExecutionModel::Serial => PolicyKind::Serial,
-            ExecutionModel::StaticBlock => PolicyKind::StaticBlock,
-            ExecutionModel::StaticCyclic => PolicyKind::StaticCyclic,
-            ExecutionModel::StaticAssigned(a) => PolicyKind::StaticAssigned(a),
-            ExecutionModel::DynamicCounter { chunk } => PolicyKind::DynamicCounter { chunk },
-            ExecutionModel::DynamicGuided { min_chunk } => PolicyKind::Guided { min_chunk },
-            ExecutionModel::WorkStealing(cfg) => PolicyKind::WorkStealing(cfg),
-        }
-    }
-}
 
 #[cfg(test)]
 mod reexport_tests {
@@ -90,50 +18,5 @@ mod reexport_tests {
     fn block_owner_reexport_partitions_evenly() {
         let owners: Vec<usize> = (0..10).map(|i| block_owner(i, 10, 3)).collect();
         assert_eq!(owners, vec![0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
-    }
-}
-
-#[cfg(all(test, feature = "legacy"))]
-#[allow(deprecated)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shim_names_match_the_registry() {
-        assert_eq!(ExecutionModel::Serial.name(), "serial");
-        assert_eq!(ExecutionModel::StaticBlock.name(), "static-block");
-        assert_eq!(
-            ExecutionModel::DynamicCounter { chunk: 4 }.name(),
-            "dynamic-counter"
-        );
-        assert_eq!(
-            ExecutionModel::DynamicGuided { min_chunk: 2 }.name(),
-            "guided"
-        );
-        assert_eq!(
-            ExecutionModel::WorkStealing(StealConfig::default()).name(),
-            "work-stealing"
-        );
-    }
-
-    #[test]
-    fn shim_conversion_is_lossless() {
-        match PolicyKind::from(ExecutionModel::DynamicGuided { min_chunk: 3 }) {
-            PolicyKind::Guided { min_chunk } => assert_eq!(min_chunk, 3),
-            other => panic!("unexpected conversion {other:?}"),
-        }
-        let owners = Arc::new(vec![1u32, 0, 1]);
-        match PolicyKind::from(ExecutionModel::StaticAssigned(owners.clone())) {
-            PolicyKind::StaticAssigned(a) => assert_eq!(a, owners),
-            other => panic!("unexpected conversion {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dynamic_classification() {
-        assert!(!ExecutionModel::StaticBlock.is_dynamic());
-        assert!(!ExecutionModel::Serial.is_dynamic());
-        assert!(ExecutionModel::DynamicCounter { chunk: 1 }.is_dynamic());
-        assert!(ExecutionModel::WorkStealing(StealConfig::default()).is_dynamic());
     }
 }

@@ -40,9 +40,7 @@ pub struct Executor {
 
 impl Executor {
     /// Creates an executor with no variability, tracing off and no
-    /// observability attached. Accepts any [`PolicyKind`] (or, with the
-    /// `legacy` feature, the deprecated `ExecutionModel`, which
-    /// converts).
+    /// observability attached.
     pub fn new(workers: usize, model: impl Into<PolicyKind>) -> Executor {
         assert!(workers > 0, "need at least one worker");
         Executor {

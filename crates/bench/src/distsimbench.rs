@@ -4,7 +4,7 @@
 //!
 //! The full policy roster runs at 10⁴–10⁵ simulated ranks twice per
 //! scale — once on the production calendar-queue event core and once on
-//! the retained binary-heap oracle ([`emx_distsim::QueueKind`]). Both
+//! the retained binary-heap oracle ([`emx_distsim::eventq::QueueKind`]). Both
 //! backends pop the same `(time, seq)` total order, so every pair is
 //! asserted **bitwise identical** before its walls count; the stamped
 //! figure of merit is simulated events per second of wall clock

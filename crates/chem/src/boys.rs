@@ -18,9 +18,9 @@
 //!   recursion `F_{m+1} = ((2m+1)F_m − e^{-T}) / (2T)`.
 
 /// Threshold below which `T` is treated as zero.
-const T_TINY: f64 = 1e-13;
+pub(crate) const T_TINY: f64 = 1e-13;
 /// Crossover from series+downward to asymptotic+upward evaluation.
-const T_LARGE: f64 = 36.0;
+pub(crate) const T_LARGE: f64 = 36.0;
 
 /// Evaluates `F_m(T)` for all orders `0..=m_max`, writing into `out`
 /// (which must have length `m_max + 1`).
@@ -138,6 +138,7 @@ fn boys_table() -> &'static [f64] {
 /// (`T < 36`, `m_max ≤ 16`) and falls back to it exactly outside. This
 /// is the hot-path entry point: it never calls `exp()` and touches one
 /// cache-resident table row per evaluation.
+#[inline(always)]
 pub fn boys_ladder_cached(m_max: usize, t: f64, out: &mut [f64]) {
     if !(T_TINY..T_LARGE).contains(&t) || m_max > TAB_M_MAX {
         boys_ladder(m_max, t, out);

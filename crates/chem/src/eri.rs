@@ -54,6 +54,12 @@ impl EriScratch {
         s
     }
 
+    /// Operation counts of every batched-kernel call made on this
+    /// scratch since it was created.
+    pub fn counts(&self) -> &crate::eribatch::KernelCounts {
+        &self.batch.counts
+    }
+
     /// Output block of ket `i` from the last
     /// [`crate::eribatch::eri_bra_block_into`] call on this scratch,
     /// laid out exactly like [`eri_quartet_into`]'s return.

@@ -876,4 +876,35 @@ mod tests {
         let bm = BasisedMolecule::assign(&Molecule::water(), BasisSet::SixThirtyOneG);
         assert_scratch_equivalent(&bm, 1e-12, 1e-10);
     }
+
+    #[test]
+    fn kernel_counts_add_up_to_surviving_primitive_quartets() {
+        // The benchmark's `chem.prim_quartets_per_build`, two ways: from
+        // the pair list, and as counted inside the kernel — by total
+        // order and by Boys regime — at a chunking that splits ket
+        // ranges across calls.
+        let bm = BasisedMolecule::assign(&Molecule::water(), BasisSet::SixThirtyOneG);
+        let pairs = ScreenedPairs::build(&bm, 1e-12);
+        let tau = 1e-10;
+        let fb = FockBuilder::new(&bm, &pairs, tau);
+        let d = mock_density(bm.nbf);
+        let mut g = Matrix::zeros(bm.nbf, bm.nbf);
+        let mut scratch = fb.scratch();
+        for task in fb.tasks(8) {
+            fb.execute(&task, &d, &mut g, &mut scratch);
+        }
+        let mut by_l_tot = [0u64; 2 * crate::md::PAIR_L_MAX + 1];
+        for bra in 0..pairs.len() {
+            for ket in (0..=bra).filter(|&ket| pairs.survives(bra, ket, tau)) {
+                let (b, k) = (&pairs.pairs[bra], &pairs.pairs[ket]);
+                by_l_tot[b.la + b.lb + k.la + k.lb] += (b.prims.len() * k.prims.len()) as u64;
+            }
+        }
+        let counts = scratch.counts();
+        assert_eq!(counts.by_l_tot, by_l_tot);
+        assert_eq!(counts.boys.iter().sum::<u64>(), counts.prim_quartets());
+        // One water molecule has same-centre quartets and nothing far
+        // enough apart to leave the Boys table.
+        assert!(counts.boys[0] > 0 && counts.boys[1] > 0);
+    }
 }

@@ -140,10 +140,23 @@ pub fn hermite_components(l: usize) -> &'static [(usize, usize, usize)] {
     &tables[l]
 }
 
+/// Flat position of `(t,u,v)` in the canonical order of
+/// [`hermite_components`]. It does not depend on the simplex's order:
+/// an order-`l` simplex is a prefix of every higher one, which is what
+/// lets [`hermite_r_simplex`] build all auxiliary levels in one buffer.
+#[inline]
+pub const fn hermite_index(t: usize, u: usize, v: usize) -> usize {
+    let total = t + u + v;
+    // hermite_count(total − 1) entries precede the layer; within it
+    // rows of `total − t' + 1` entries precede row `t`.
+    total * (total + 1) * (total + 2) / 6 + t * (2 * total + 3 - t) / 2 + u
+}
+
 /// Flat index-combination table for one `(bra order, ket order)` class:
-/// entry `hb·nh_ket + hk` holds the [`r_index`] (at `l = l_bra +
-/// l_ket`) of the componentwise sum of bra triple `hb` and ket triple
-/// `hk`. The batched ERI kernel's innermost gather walks this table
+/// entry `hb·nh_ket + hk` holds the [`hermite_index`] of the
+/// componentwise sum of bra triple `hb` and ket triple `hk` — a
+/// position in the dense simplex-ordered tensor [`hermite_r_simplex`]
+/// writes. The batched ERI kernel's innermost gather walks this table
 /// instead of re-deriving `(t+τ, u+ν, v+φ)` per element.
 pub fn hermite_comb_table(l_bra: usize, l_ket: usize) -> &'static [u32] {
     use std::sync::OnceLock;
@@ -156,13 +169,12 @@ pub fn hermite_comb_table(l_bra: usize, l_ket: usize) -> &'static [u32] {
         let mut all = Vec::with_capacity((PAIR_L_MAX + 1) * (PAIR_L_MAX + 1));
         for lb in 0..=PAIR_L_MAX {
             for lk in 0..=PAIR_L_MAX {
-                let l = lb + lk;
                 let bras = hermite_components(lb);
                 let kets = hermite_components(lk);
                 let mut tab = Vec::with_capacity(bras.len() * kets.len());
                 for &(t, u, v) in bras {
                     for &(tau, nu, phi) in kets {
-                        tab.push(r_index(l, t + tau, u + nu, v + phi) as u32);
+                        tab.push(hermite_index(t + tau, u + nu, v + phi) as u32);
                     }
                 }
                 all.push(tab);
@@ -295,6 +307,119 @@ pub fn r_index(l: usize, t: usize, u: usize, v: usize) -> usize {
     (t * dim + u) * dim + v
 }
 
+/// Length of the simplex-ordered tensor at the highest quartet order
+/// the batched tables cover (`2·PAIR_L_MAX`).
+pub const R_SIMPLEX_LEN: usize = hermite_count(2 * PAIR_L_MAX);
+
+/// One step of the `R` recurrence on the simplex:
+/// `R^n[h] = d[axis]·R^{n+1}[a] + k·R^{n+1}[b]`, where `a` and `b` drop
+/// one and two quanta from the first non-zero index of `h`'s triple.
+#[derive(Clone, Copy)]
+struct RStep {
+    axis: u8,
+    a: u8,
+    b: u8,
+    k: f64,
+}
+
+/// The recurrence as data, built at compile time so that a call with a
+/// literal order unrolls to straight-line code with every index and
+/// factor folded in.
+static R_STEPS: [RStep; R_SIMPLEX_LEN] = {
+    assert!(R_SIMPLEX_LEN <= 1 << u8::BITS, "RStep indexes with u8");
+    let mut steps = [RStep {
+        axis: 0,
+        a: 0,
+        b: 0,
+        k: 0.0,
+    }; R_SIMPLEX_LEN];
+    let mut total = 1;
+    while total <= 2 * PAIR_L_MAX {
+        let mut t = 0;
+        while t <= total {
+            let mut u = 0;
+            while u <= total - t {
+                let mut c = [t, u, total - t - u];
+                let h = hermite_index(c[0], c[1], c[2]);
+                // The first non-zero index of the triple.
+                let axis = (t == 0) as usize + (t == 0 && u == 0) as usize;
+                c[axis] -= 1;
+                let (a, k) = (hermite_index(c[0], c[1], c[2]), c[axis]);
+                c[axis] = k.saturating_sub(1);
+                steps[h] = RStep {
+                    axis: axis as u8,
+                    a: a as u8,
+                    b: hermite_index(c[0], c[1], c[2]) as u8,
+                    k: k as f64,
+                };
+                u += 1;
+            }
+            t += 1;
+        }
+        total += 1;
+    }
+    steps
+};
+
+/// `scale · R⁰_{tuv}` for all `t+u+v ≤ l`, written densely into
+/// `r[..hermite_count(l)]` in [`hermite_index`] order — the `R` half of
+/// the batched ERI kernel's front end, for `l ≤ 2·PAIR_L_MAX`. Returns
+/// the Boys argument `T = α·|d|²`.
+///
+/// Same recurrence and per-entry arithmetic as [`hermite_r_into`], which
+/// stays the oracle; what differs is the layout and the bookkeeping.
+/// The auxiliary levels share one buffer (level `n` is a prefix of level
+/// `n−1`, and a step reads only lower positions, so each level is
+/// rewritten in place from the top down), `scale·(−2α)ⁿ` is a running
+/// product instead of a `powi` per level and a pass over the finished
+/// tensor, and orders 0–4 — every quartet of an s/p basis — are
+/// instantiated with a literal `l`.
+pub fn hermite_r_simplex(
+    l: usize,
+    alpha: f64,
+    scale: f64,
+    dx: f64,
+    dy: f64,
+    dz: f64,
+    r: &mut [f64; R_SIMPLEX_LEN],
+) -> f64 {
+    let d = [dx, dy, dz];
+    match l {
+        0 => r_simplex(0, alpha, scale, d, r),
+        1 => r_simplex(1, alpha, scale, d, r),
+        2 => r_simplex(2, alpha, scale, d, r),
+        3 => r_simplex(3, alpha, scale, d, r),
+        4 => r_simplex(4, alpha, scale, d, r),
+        _ => r_simplex(l, alpha, scale, d, r),
+    }
+}
+
+#[inline(always)]
+fn r_simplex(l: usize, alpha: f64, scale: f64, d: [f64; 3], r: &mut [f64; R_SIMPLEX_LEN]) -> f64 {
+    let t_arg = alpha * (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
+    // s[n] = scale·(−2α)ⁿ·F_n, the apex R^n_{000} of level n.
+    let mut s = [0.0; 2 * PAIR_L_MAX + 1];
+    boys_ladder_cached(l, t_arg, &mut s[..=l]);
+    let mut power = scale;
+    for sn in &mut s[..=l] {
+        *sn *= power;
+        power *= -2.0 * alpha;
+    }
+    r[0] = s[l];
+    for n in (0..l).rev() {
+        for h in (1..hermite_count(l - n)).rev() {
+            let st = R_STEPS[h];
+            let mut x = d[st.axis as usize] * r[st.a as usize];
+            if st.k != 0.0 {
+                x += st.k * r[st.b as usize];
+            }
+            r[h] = x;
+        }
+        r[0] = s[n];
+    }
+    t_arg
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,7 +523,8 @@ mod tests {
             // Every triple valid, distinct, and in ascending-total order.
             let mut last_total = 0;
             let mut seen = std::collections::HashSet::new();
-            for &(t, u, v) in comps {
+            for (h, &(t, u, v)) in comps.iter().enumerate() {
+                assert_eq!(hermite_index(t, u, v), h, "l={l} ({t},{u},{v})");
                 assert!(t + u + v <= l);
                 assert!(t + u + v >= last_total, "order regressed at l={l}");
                 last_total = t + u + v;
@@ -408,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn comb_table_matches_direct_r_index() {
+    fn comb_table_matches_direct_hermite_index() {
         for lb in 0..=PAIR_L_MAX {
             for lk in 0..=PAIR_L_MAX {
                 let tab = hermite_comb_table(lb, lk);
@@ -417,12 +543,58 @@ mod tests {
                 assert_eq!(tab.len(), bras.len() * kets.len());
                 for (hb, &(t, u, v)) in bras.iter().enumerate() {
                     for (hk, &(tau, nu, phi)) in kets.iter().enumerate() {
-                        let expect = r_index(lb + lk, t + tau, u + nu, v + phi);
+                        let expect = hermite_index(t + tau, u + nu, v + phi);
                         assert_eq!(
                             tab[hb * kets.len() + hk] as usize,
                             expect,
                             "({lb},{lk}) hb={hb} hk={hk}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simplex_r_matches_generic_recursion() {
+        // The specialised front end against the oracle, every order the
+        // tables cover, T from the coincident-centre limit through the
+        // tabulated range and past the large-T crossover; zero,
+        // axis-aligned and general displacements. Compared per total
+        // order, relative to that layer's largest entry.
+        let dirs = [
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, -1.0],
+            [0.6, -0.48, 0.64],
+        ];
+        let mut oracle = RScratch::new();
+        let mut r = [0.0; R_SIMPLEX_LEN];
+        for l in 0..=2 * PAIR_L_MAX {
+            for &alpha in &[0.35f64, 1.7, 60.0] {
+                for &t_want in &[0.0f64, 1e-14, 0.03, 2.5, 17.0, 35.99, 36.0, 41.0, 100.0] {
+                    for dir in dirs {
+                        let len = (t_want / alpha).sqrt();
+                        let d = dir.map(|x| x * len);
+                        let scale = 1.75;
+                        let t_got = hermite_r_simplex(l, alpha, scale, d[0], d[1], d[2], &mut r);
+                        hermite_r_into(&mut oracle, l, alpha, d[0], d[1], d[2]);
+                        let norm2: f64 = d.iter().map(|x| x * x).sum();
+                        assert_eq!(t_got, alpha * norm2);
+                        let mut layer_max = vec![0.0f64; l + 1];
+                        for &(t, u, v) in hermite_components(l) {
+                            let want = scale * oracle.r()[r_index(l, t, u, v)];
+                            layer_max[t + u + v] = layer_max[t + u + v].max(want.abs());
+                        }
+                        for (h, &(t, u, v)) in hermite_components(l).iter().enumerate() {
+                            let want = scale * oracle.r()[r_index(l, t, u, v)];
+                            assert!(
+                                (r[h] - want).abs() <= 1e-13 * layer_max[t + u + v],
+                                "l={l} α={alpha} T={t_want} d={d:?} ({t},{u},{v}): {} vs {want}",
+                                r[h]
+                            );
+                        }
                     }
                 }
             }

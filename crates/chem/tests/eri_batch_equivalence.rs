@@ -3,16 +3,21 @@
 //! sets — mixed s/p/d angular momenta, mixed contraction depths,
 //! random centers — to 1e-12 relative, element by element.
 //!
-//! The two kernels share no contraction code: the scalar path walks the
-//! sparse six-deep `E` loops per component, the batched path contracts
-//! dense precomputed `E`-product rows in two stages. Agreement across
-//! random inputs therefore pins both the `ShellPairBatch` table
-//! construction (coefficient/norm/sign folding) and the two-stage
-//! summation itself.
+//! The two kernels share no contraction code and no `R` code: the
+//! scalar path walks the sparse six-deep `E` loops per component over
+//! the generic cube recursion, the batched path contracts dense
+//! precomputed `E`-product rows in two stages over the simplex-ordered
+//! front end (running powers, in-place levels; exponent and prefactor
+//! are the scalar kernel's expressions on purpose — a near-cancelling
+//! contraction sums terms 10⁴ times this tolerance's scale, so an ulp
+//! in every prefactor shows). Agreement across random inputs therefore
+//! pins the `ShellPairBatch` table construction (coefficient/norm/sign
+//! folding), the front end in every Boys regime, and the two-stage
+//! summation.
 
 use emx_chem::basis::Shell;
 use emx_chem::eri::{eri_quartet_into, EriScratch};
-use emx_chem::eribatch::eri_bra_block_into;
+use emx_chem::eribatch::{eri_bra_block_into, KernelCounts};
 use emx_chem::shellpair::{PairBatchSet, ShellPair};
 
 /// splitmix64 — same no-dependency PRNG idiom as `emx-sched::rng`.
@@ -39,7 +44,8 @@ impl Rng {
 }
 
 /// A random shell: l ∈ {0, 1, 2}, 1–3 primitives, center within a
-/// ~2 a₀ box so no primitive pair is pruned away entirely.
+/// ~2 a₀ box so no primitive pair is pruned away entirely. In this box
+/// with these exponents the Boys argument stays in the tabulated range.
 fn random_shell(rng: &mut Rng) -> Shell {
     let l = rng.pick(3);
     let nprim = 1 + rng.pick(3);
@@ -57,46 +63,119 @@ fn random_shell(rng: &mut Rng) -> Shell {
     Shell::new(l, center, exps, coefs, 0)
 }
 
+/// A shell for the regimes the box never reaches: it sits on one of a
+/// few sites (fewer sites than shells, so same-site quartets with `P =
+/// Q` and `T = 0` exactly always occur), each primitive is diffuse or
+/// tight (exponent 50–400, `T` in the thousands across an 8 a₀ gap),
+/// and s/p contractions run to six primitives. Coefficients are
+/// positive: sign folding is the box generator's job, and six terms of
+/// mixed sign can cancel to 1e-5 of their size, where "relative to the
+/// block" stops measuring the kernel.
+fn regime_shell(rng: &mut Rng, sites: &[[f64; 3]]) -> Shell {
+    let l = rng.pick(3);
+    let nprim = if l < 2 {
+        [1, 2, 3, 6][rng.pick(4)]
+    } else {
+        1 + rng.pick(2)
+    };
+    let mut exps = Vec::new();
+    let mut coefs = Vec::new();
+    for _ in 0..nprim {
+        exps.push(if rng.pick(3) == 0 {
+            rng.uniform(50.0, 400.0)
+        } else {
+            rng.uniform(0.15, 3.5)
+        });
+        coefs.push(rng.uniform(0.2, 1.0));
+    }
+    Shell::new(l, sites[rng.pick(sites.len())], exps, coefs, 0)
+}
+
+/// All unique non-empty pairs (a ≥ b), as the screened pair list builds
+/// them.
+fn unique_pairs(shells: &[Shell]) -> Vec<ShellPair> {
+    let mut pairs = Vec::new();
+    for a in 0..shells.len() {
+        for b in 0..=a {
+            let sp = ShellPair::build(a, &shells[a], b, &shells[b], 0);
+            if !sp.prims.is_empty() {
+                pairs.push(sp);
+            }
+        }
+    }
+    pairs
+}
+
+/// Every quartet of `shells`, batched against scalar. Returns the
+/// batched kernel's counts.
+fn assert_batched_matches_scalar(label: &str, shells: &[Shell]) -> KernelCounts {
+    let pairs = unique_pairs(shells);
+    let set = PairBatchSet::build(shells, &pairs);
+    let all_kets: Vec<u32> = (0..pairs.len() as u32).collect();
+
+    let mut scratch = EriScratch::new();
+    let mut oracle = EriScratch::new();
+    for bra in 0..pairs.len() {
+        // Every bra sees the full ket list in one batched call.
+        eri_bra_block_into(&mut scratch, &set, bra, &all_kets);
+        for ket in 0..pairs.len() {
+            let want = eri_quartet_into(&mut oracle, &pairs[bra], &pairs[ket], shells);
+            let got = scratch.ket_block(ket);
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "{label} bra {bra} ket {ket}: block size"
+            );
+            let scale = want.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+            for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    (g - w).abs() <= 1e-12 * scale,
+                    "{label} bra {bra} ket {ket} [{i}]: batched {g} vs scalar {w}"
+                );
+            }
+        }
+    }
+    *scratch.counts()
+}
+
 #[test]
 fn batched_kernel_matches_scalar_oracle_on_random_shells() {
     let mut rng = Rng(0x5eed_cafe);
     for round in 0..12 {
         let shells: Vec<Shell> = (0..4).map(|_| random_shell(&mut rng)).collect();
-        // All unique pairs (a ≥ b), as the screened pair list builds them.
-        let mut pairs = Vec::new();
-        for a in 0..shells.len() {
-            for b in 0..=a {
-                let sp = ShellPair::build(a, &shells[a], b, &shells[b], 0);
-                if !sp.prims.is_empty() {
-                    pairs.push(sp);
-                }
-            }
-        }
-        let set = PairBatchSet::build(&shells, &pairs);
-        let all_kets: Vec<u32> = (0..pairs.len() as u32).collect();
+        assert_batched_matches_scalar(&format!("round {round}"), &shells);
+    }
+}
 
-        let mut scratch = EriScratch::new();
-        let mut oracle = EriScratch::new();
-        for bra in 0..pairs.len() {
-            // Every bra sees the full ket list in one batched call.
-            eri_bra_block_into(&mut scratch, &set, bra, &all_kets);
-            for ket in 0..pairs.len() {
-                let want = eri_quartet_into(&mut oracle, &pairs[bra], &pairs[ket], &shells);
-                let got = scratch.ket_block(ket);
-                assert_eq!(
-                    got.len(),
-                    want.len(),
-                    "round {round} bra {bra} ket {ket}: block size"
-                );
-                let scale = want.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-                for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-                    assert!(
-                        (g - w).abs() <= 1e-12 * scale,
-                        "round {round} bra {bra} ket {ket} [{i}]: batched {g} vs scalar {w}"
-                    );
-                }
-            }
+#[test]
+fn batched_kernel_matches_scalar_oracle_in_every_boys_regime() {
+    let mut rng = Rng(0x7a11_b075);
+    let mut boys = [0u64; 3];
+    for round in 0..12 {
+        // Three sites: a neighbour 1–2.5 a₀ away (tabulated T) and a
+        // distant one 8–10 a₀ away, off-axis half the time.
+        let a = [0; 3].map(|_| rng.uniform(-1.0, 1.0));
+        let axis = rng.pick(3);
+        let (mut near, mut far) = (a, a);
+        near[(axis + 2) % 3] += rng.uniform(1.0, 2.5);
+        far[axis] += rng.uniform(8.0, 10.0);
+        if round % 2 == 1 {
+            far[(axis + 1) % 3] += rng.uniform(1.0, 3.0);
         }
+        let sites = [a, near, far];
+        let shells: Vec<Shell> = (0..4).map(|_| regime_shell(&mut rng, &sites)).collect();
+        let counts = assert_batched_matches_scalar(&format!("regime round {round}"), &shells);
+        for (total, n) in boys.iter_mut().zip(counts.boys) {
+            *total += n;
+        }
+    }
+    // The point of this generator: each regime is a real share.
+    let all: u64 = boys.iter().sum();
+    for (regime, n) in ["T < 1e-13", "tabulated", "T >= 36"].iter().zip(boys) {
+        assert!(
+            n * 20 >= all,
+            "{regime}: only {n} of {all} primitive quartets"
+        );
     }
 }
 
@@ -107,15 +186,7 @@ fn ket_blocks_are_independent_of_batch_composition() {
     // keeps G bitwise-deterministic across task chunkings.
     let mut rng = Rng(0xabcd_0123);
     let shells: Vec<Shell> = (0..3).map(|_| random_shell(&mut rng)).collect();
-    let mut pairs = Vec::new();
-    for a in 0..shells.len() {
-        for b in 0..=a {
-            let sp = ShellPair::build(a, &shells[a], b, &shells[b], 0);
-            if !sp.prims.is_empty() {
-                pairs.push(sp);
-            }
-        }
-    }
+    let pairs = unique_pairs(&shells);
     let set = PairBatchSet::build(&shells, &pairs);
     let all_kets: Vec<u32> = (0..pairs.len() as u32).collect();
 

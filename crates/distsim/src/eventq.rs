@@ -21,7 +21,7 @@
 //!   reports, which the oracle-equivalence suite asserts across the
 //!   whole policy roster.
 //!
-//! The module also provides [`ProfArena`], a single-buffer arena for
+//! The module also provides `ProfArena`, a single-buffer arena for
 //! profiling-event emission: simulators append `(worker, event)` pairs
 //! to one growing buffer instead of P independently reallocating
 //! per-worker vectors, and the per-worker streams are materialized

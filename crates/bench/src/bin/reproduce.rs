@@ -259,6 +259,15 @@ fn main() {
             println!("wrote {path}");
         }
     }
+    // After the tables are out (CI uploads them either way): the
+    // hypergraph rows of E3/E4 must meet the ε the weights allow.
+    let misses: Vec<String> = tables.iter().flat_map(hypergraph_misses_epsilon).collect();
+    if !misses.is_empty() {
+        for m in &misses {
+            eprintln!("epsilon check: {m}");
+        }
+        std::process::exit(1);
+    }
 }
 
 /// The `fock` experiment — a quick console view of the real (H₂O)₂/6-31G

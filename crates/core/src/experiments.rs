@@ -280,6 +280,40 @@ pub fn e4_partition_cost(sizes: &[usize], p: usize, seed: u64) -> Table {
     t
 }
 
+/// Shape check on a balancer table (E3, E4), on its data and not on
+/// any time: within each block of rows sharing the first column, a
+/// hypergraph imbalance above 1 + ε = 1.05 where LPT reaches 1.01
+/// means the partitioner missed a constraint the weights allowed (a
+/// task heavy enough to force more shows in LPT's row too). Returns
+/// one line per such block.
+pub fn hypergraph_misses_epsilon(t: &Table) -> Vec<String> {
+    let col = |name: &str| t.headers.iter().position(|h| h == name);
+    let (Some(balancer), Some(imbalance)) = (col("balancer"), col("imbalance")) else {
+        return Vec::new();
+    };
+    let of = |block: &str, kind: BalancerKind| -> Option<f64> {
+        let row = t
+            .rows
+            .iter()
+            .find(|r| r[0] == block && r[balancer] == kind.name())?;
+        row[imbalance].parse().ok()
+    };
+    let mut blocks: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
+    blocks.dedup();
+    blocks
+        .into_iter()
+        .filter_map(|b| {
+            let (lpt, hg) = (of(b, BalancerKind::Lpt)?, of(b, BalancerKind::Hypergraph)?);
+            (lpt <= 1.01 && hg > 1.05).then(|| {
+                format!(
+                    "{}: {} = {b}: hypergraph imbalance {hg} where LPT reaches {lpt}",
+                    t.title, t.headers[0]
+                )
+            })
+        })
+        .collect()
+}
+
 /// Synthetic task→block affinity: task `i` touches its own block plus
 /// two pseudo-random ones (mimics the bra + ket-chunk structure).
 pub fn synthetic_affinity(ntasks: usize, nblocks: usize, seed: u64) -> TaskAffinity {
@@ -790,6 +824,26 @@ mod tests {
     fn e4_larger_problems_cost_more_for_hypergraph() {
         let t = e4_partition_cost(&[200, 2000], 8, 3);
         assert_eq!(t.rows.len(), 2 * BalancerKind::all().len());
+        assert_eq!(hypergraph_misses_epsilon(&t), Vec::<String>::new());
+    }
+
+    #[test]
+    fn epsilon_check_reads_blocks_and_spares_forced_imbalance() {
+        let mut t = Table::new("T", &["P", "balancer", "imbalance"]);
+        for (p, kind, imb) in [
+            ("4", "lpt", "1.001"),
+            ("4", "hypergraph", "1.049"),
+            ("8", "lpt", "1.002"),
+            ("8", "hypergraph", "1.208"),
+            ("16", "lpt", "1.519"), // one task heavier than a share
+            ("16", "hypergraph", "1.519"),
+        ] {
+            t.push(vec![p.into(), kind.into(), imb.into()]);
+        }
+        let misses = hypergraph_misses_epsilon(&t);
+        assert_eq!(misses.len(), 1, "{misses:?}");
+        assert!(misses[0].contains("P = 8") && misses[0].contains("1.208"));
+        assert!(hypergraph_misses_epsilon(&Table::new("no such columns", &["a"])).is_empty());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::experiments::{
         e10_faults, e1_scaling, e2_headline, e3_balancer_quality, e3_comm_aware, e4_partition_cost,
         e5_granularity, e6_variability, e7_overheads, e8_distributed, e9_weak_scaling,
-        overhead_decomposition, synthetic_affinity, HeadlineResult,
+        hypergraph_misses_epsilon, overhead_decomposition, synthetic_affinity, HeadlineResult,
     };
     pub use crate::fockexec::{rhf_parallel, FockProfile, ParallelFock};
     pub use crate::table::{fmt3, fmt_secs, Table};

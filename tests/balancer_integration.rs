@@ -49,8 +49,13 @@ fn semi_matching_quality_tracks_hypergraph_on_chemistry() {
 
 #[test]
 fn hypergraph_is_the_expensive_one_at_scale() {
-    // On a large synthetic problem, the multilevel partitioner costs
-    // (much) more than semi-matching and LPT — the paper's E4 point.
+    // The paper's E4 point — the multilevel partitioner is the costly
+    // technique — as a ratio of walls taken in this process and this
+    // build, best of three a side (this host has slow spells). With the
+    // lazy-heap FM that ratio was 68–85× here (debug; 100–110× in
+    // release), most of it the partitioner's own waste; with delta-gain
+    // FM it is 4.6–5.3× (debug; 8.3× in release), and the floor of 2×
+    // leaves that a factor of two of noise.
     let n = 20_000;
     let w = synthetic_workload(
         CostModel::LogNormal {
@@ -63,12 +68,17 @@ fn hypergraph_is_the_expensive_one_at_scale() {
         "big",
     );
     let affinity = synthetic_affinity(n, n / 4, 9);
-    let (_, t_lpt) = balance(BalancerKind::Lpt, &w.costs, 16, Some(&affinity));
-    let (_, t_sm) = balance(BalancerKind::SemiMatching, &w.costs, 16, Some(&affinity));
-    let (_, t_hg) = balance(BalancerKind::Hypergraph, &w.costs, 16, Some(&affinity));
+    let best_of_three = |kind: BalancerKind| {
+        (0..3)
+            .map(|_| balance(kind, &w.costs, 16, Some(&affinity)).1)
+            .fold(f64::INFINITY, f64::min)
+    };
+    let t_lpt = best_of_three(BalancerKind::Lpt);
+    let t_sm = best_of_three(BalancerKind::SemiMatching);
+    let t_hg = best_of_three(BalancerKind::Hypergraph);
     assert!(
-        t_hg > 3.0 * t_sm.max(t_lpt),
-        "expected hypergraph ≫ others: lpt {t_lpt:.4}s, sm {t_sm:.4}s, hg {t_hg:.4}s"
+        t_hg > 2.0 * t_sm.max(t_lpt),
+        "expected hypergraph > 2 × others: lpt {t_lpt:.4}s, sm {t_sm:.4}s, hg {t_hg:.4}s"
     );
 }
 

@@ -9,9 +9,7 @@
 //!   determinism, cross-substrate agreement, and the full fault-
 //!   scenario × recovery-policy matrix (work conservation, no lost
 //!   tasks while survivors remain, orphan recovery, detection-bounded
-//!   recovery latency, degraded-mode determinism), plus the
-//!   speculation-protocol pass (deterministic commit vs serial replay,
-//!   abort-count conservation, incarnation accounting) over `emx-spec`.
+//!   recovery latency, degraded-mode determinism).
 //! * [`waitfor`] — rejects wedgeable configurations *structurally*,
 //!   from [`emx_sched::StealConfig`] / fault-plan shape alone, via a
 //!   wait-for graph: blocking waits into dead parties (deadlock) and
@@ -43,7 +41,7 @@ pub mod prelude {
     pub use crate::report::{AnalysisReport, Violation, ViolationKind};
     pub use crate::verifier::{
         fault_scenarios, verification_roster, verify_all, verify_policy, verify_policy_faults,
-        verify_speculation, VerifierConfig,
+        VerifierConfig,
     };
     pub use crate::waitfor::{
         build_graph, check_liveness, check_roster_liveness, LivenessConfig, WaitForGraph,

@@ -173,15 +173,10 @@ pub fn verify_policy(kind: &PolicyKind, cfg: &VerifierConfig) -> AnalysisReport 
         ));
     }
 
-    // Substrate 2: the discrete-event simulator. Speculation has no
-    // SimModel (its aborts and in-order commits are a protocol, not a
-    // partition) but `simulate_policy` replays it directly, so its
-    // exactly-once behavior is still checked on this substrate.
+    // Substrate 2: the discrete-event simulator.
     let sim_cfg = SimConfig::new(cfg.workers);
     let costs = cfg.costs();
-    if SimModel::from_policy(kind, cfg.ntasks, cfg.workers).is_some()
-        || matches!(kind, PolicyKind::Speculative(_))
-    {
+    if SimModel::from_policy(kind, cfg.ntasks, cfg.workers).is_some() {
         let sim = simulate_policy(&costs, kind, &sim_cfg);
         if kind.is_deterministic() {
             if sim.assignment != out1.assignment_or_max() {
@@ -398,135 +393,15 @@ pub fn verify_policy_faults(kind: &PolicyKind, cfg: &VerifierConfig) -> Analysis
     report
 }
 
-/// Speculation-protocol verification, driving `emx-spec` directly
-/// (the substrates above only see speculation's task→worker map; this
-/// pass checks the transactional invariants underneath it):
-///
-/// * **Deterministic commit** — the committed state and per-transaction
-///   outputs equal the serial replay bit-for-bit at every worker count;
-/// * **Abort-count conservation** — `executions = commits + aborts +
-///   stalls` (every execution attempt commits, is aborted, or stalled
-///   on an in-flight dependency and retried) and `Σ incarnations =
-///   aborts` (each abort bumps exactly one transaction's incarnation
-///   counter, monotonically);
-/// * **No spurious speculation** — a single worker, claiming in block
-///   order, never aborts and never stalls;
-/// * **Re-execution determinism** — two identical runs commit the same
-///   state even when their abort histories differ.
-pub fn verify_speculation(cfg: &VerifierConfig) -> AnalysisReport {
-    use emx_spec::{execute_serial, execute_transactions, TxnCtx};
-    let mut report = AnalysisReport::default();
-    let label = "speculative";
-    let n = cfg.ntasks;
-    // A read-modify-write chain through one shared location: every
-    // transaction conflicts with its predecessor — the hardest case
-    // for optimistic execution. The yields invite preemption between
-    // read and write so aborts actually occur even on one core.
-    let body = |i: usize, ctx: &mut TxnCtx<u64>| {
-        let seen = *ctx.read(0)?;
-        for _ in 0..2 {
-            std::thread::yield_now();
-        }
-        ctx.write(0, seen + 1 + (i as u64 % 3));
-        Ok(seen)
-    };
-    let (serial_vals, serial_outs) = execute_serial(vec![0u64], n, body);
-    for p in [1, 2, cfg.workers.max(2)] {
-        let scenario = format!("speculation/workers={p}");
-        let spec = execute_transactions(p, vec![0u64], n, body);
-        if spec.values != serial_vals || spec.outputs != serial_outs {
-            report.violations.push(Violation::new(
-                label,
-                ViolationKind::SubstrateMismatch,
-                &scenario,
-                "committed state or outputs diverged from the serial replay",
-            ));
-        }
-        if spec.stats.commits != n {
-            report.violations.push(Violation::new(
-                label,
-                ViolationKind::AccountingLeak,
-                &scenario,
-                format!("{} commits for {n} transactions", spec.stats.commits),
-            ));
-        }
-        if spec.stats.executions != spec.stats.commits + spec.stats.aborts + spec.stats.stalls {
-            report.violations.push(Violation::new(
-                label,
-                ViolationKind::AccountingLeak,
-                &scenario,
-                format!(
-                    "executions {} != commits {} + aborts {} + stalls {}",
-                    spec.stats.executions, spec.stats.commits, spec.stats.aborts, spec.stats.stalls
-                ),
-            ));
-        }
-        let incarnations: u64 = spec.stats.incarnations.iter().map(|&x| x as u64).sum();
-        if incarnations != spec.stats.aborts as u64 {
-            report.violations.push(Violation::new(
-                label,
-                ViolationKind::AccountingLeak,
-                &scenario,
-                format!(
-                    "incarnation counters sum to {incarnations} but {} aborts occurred",
-                    spec.stats.aborts
-                ),
-            ));
-        }
-        for (i, &w) in spec.assignment.iter().enumerate() {
-            if w as usize >= p {
-                report.violations.push(
-                    Violation::new(
-                        label,
-                        ViolationKind::OutOfRange,
-                        &scenario,
-                        format!("transaction {i} committed by worker {w} of {p}"),
-                    )
-                    .at_task(i),
-                );
-            }
-        }
-        if p == 1 && (spec.stats.aborts != 0 || spec.stats.stalls != 0) {
-            report.violations.push(Violation::new(
-                label,
-                ViolationKind::AccountingLeak,
-                &scenario,
-                format!(
-                    "single worker aborted {} / stalled {} times",
-                    spec.stats.aborts, spec.stats.stalls
-                ),
-            ));
-        }
-        let again = execute_transactions(p, vec![0u64], n, body);
-        if again.values != spec.values || again.outputs != spec.outputs {
-            report.violations.push(Violation::new(
-                label,
-                ViolationKind::Nondeterminism,
-                &scenario,
-                "two identical speculative runs committed different state",
-            ));
-        }
-        let clean = !report
-            .violations
-            .iter()
-            .any(|v| v.scenario == scenario && v.policy == label);
-        if clean {
-            report.passed.push((label.to_string(), scenario));
-        }
-    }
-    report
-}
-
 /// Runs the full verification: every roster policy through the healthy
-/// checks and the fault matrix, plus the speculation-protocol pass.
-/// This is what `reproduce analyze` and the CI gate execute.
+/// checks and the fault matrix. This is what `reproduce analyze` and the
+/// CI gate execute.
 pub fn verify_all(cfg: &VerifierConfig) -> AnalysisReport {
     let mut report = AnalysisReport::default();
     for kind in verification_roster(cfg) {
         report.merge(verify_policy(&kind, cfg));
         report.merge(verify_policy_faults(&kind, cfg));
     }
-    report.merge(verify_speculation(cfg));
     report
 }
 
@@ -593,16 +468,6 @@ mod tests {
             expressible >= 5,
             "fault matrix covered {expressible} policies"
         );
-    }
-
-    #[test]
-    fn speculation_invariants_hold() {
-        let cfg = quick();
-        let r = verify_speculation(&cfg);
-        assert!(r.is_clean(), "{:?}", r.violations);
-        // One passing entry per verified worker count, no silent skips.
-        assert_eq!(r.passed.len(), 3);
-        assert!(r.skipped.is_empty());
     }
 
     #[test]

@@ -13,13 +13,10 @@
 //! `profile` (ring-captured blame attribution of the real Fock
 //! build per policy, stamping `results/BENCH_obs.json` — see
 //! `docs/OBSERVABILITY.md`; `EMX_PROFILE_SMOKE=1` shrinks it for CI)
-//! and `speculate` (the Block-STM speculative incremental SCF against
-//! the sequential and work-stealing drivers, stamping
-//! `results/BENCH_spec.json` — see `docs/SPECULATION.md`;
-//! `EMX_SPEC_SMOKE=1` shrinks it for CI) and `distsim` (the simulator
-//! event core at 10⁴–10⁵ ranks, calendar queue vs the binary-heap
-//! oracle, stamping `results/BENCH_distsim.json` — see
-//! `docs/ARCHITECTURE.md`; `EMX_DISTSIM_SMOKE=1` shrinks it for CI).
+//! and `distsim` (the simulator event core at 10⁴–10⁵ ranks, calendar
+//! queue vs the binary-heap oracle, stamping
+//! `results/BENCH_distsim.json` — see `docs/ARCHITECTURE.md`;
+//! `EMX_DISTSIM_SMOKE=1` shrinks it for CI).
 //! Output is plain-text
 //! tables; pass `--csv DIR` to also write stamped CSV files,
 //! `--trace-out DIR` for Chrome trace JSON (plus speedscope/collapsed
@@ -212,9 +209,6 @@ fn main() {
             }
             "profile" => {
                 tables.push(run_profile(trace_dir.as_deref()));
-            }
-            "speculate" => {
-                tables.push(run_speculate());
             }
             "distsim" => {
                 tables.push(run_distsim());
@@ -411,72 +405,6 @@ fn run_profile(trace_dir: Option<&str>) -> Table {
     }
     let json = profbench::bench_obs_json(&report, &git_describe_string(), smoke);
     std::fs::write(bench_path, json).expect("write BENCH_obs.json");
-    println!("wrote {bench_path}");
-    t
-}
-
-/// The `speculate` experiment — the Block-STM speculative executor on
-/// the real ΔD incremental SCF. The speculative driver runs each
-/// iteration's Fock build as one multi-version speculative block with
-/// interleaved density-epoch refreshes (the conflict generator), at
-/// 1/2/4/8 workers, against the sequential [`emx_chem::scf::rhf_incremental`]
-/// baseline and a work-stealing reference on the identical chunk plan.
-/// Energies must match the serial driver to 1e-12 and be bit-identical
-/// across the worker sweep (the deterministic-commit rule); walls,
-/// speedups, commit throughput and the abort accounting are stamped
-/// into `results/BENCH_spec.json`.
-fn run_speculate() -> Table {
-    use emx_bench::specbench;
-
-    let smoke = specbench::spec_smoke();
-    let report = specbench::speculate_measure(smoke);
-
-    let mut t = Table::new(
-        format!(
-            "Speculate: Block-STM incremental SCF on {}/{} ({} iterations, \
-             {}-chunk blocks, serial {:.3}s)",
-            report.molecule,
-            report.basis,
-            report.iterations,
-            report.nchunks,
-            report.serial_wall_secs
-        ),
-        &[
-            "workers",
-            "wall s",
-            "vs serial",
-            "vs stealing",
-            "commits/s",
-            "commits",
-            "aborts",
-            "stalls",
-            "abort rate",
-            "wasted",
-        ],
-    );
-    for r in &report.rows {
-        t.push(vec![
-            r.workers.to_string(),
-            format!("{:.3}", r.wall_secs),
-            format!("{:.2}x", report.serial_wall_secs / r.wall_secs),
-            format!("{:.2}x", r.stealing_wall_secs / r.wall_secs),
-            format!("{:.0}", r.commits_per_sec()),
-            r.stats.commits.to_string(),
-            r.stats.aborts.to_string(),
-            r.stats.stalls.to_string(),
-            format!("{:.3}", r.stats.abort_rate()),
-            r.stats.wasted_executions().to_string(),
-        ]);
-    }
-    println!(
-        "[speculate] speculative energy {:.10} Ha agrees with serial to 1e-12 \
-         and is bit-identical across the worker sweep\n",
-        report.serial_energy
-    );
-
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_spec.json");
-    let json = specbench::bench_spec_json(&report, &git_describe_string(), smoke);
-    std::fs::write(bench_path, json).expect("write BENCH_spec.json");
     println!("wrote {bench_path}");
     t
 }

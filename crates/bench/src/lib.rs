@@ -15,7 +15,6 @@ pub mod fockbench;
 pub mod obscapture;
 pub mod profbench;
 pub mod slug;
-pub mod specbench;
 
 pub use distsimbench::{
     bench_distsim_json, distsim_measure, distsim_smoke, DistsimBenchReport, DistsimBenchRow,
@@ -28,9 +27,6 @@ pub use profbench::{
     RecordingOverhead, OVERHEAD_CEILING_FRAC,
 };
 pub use slug::csv_slug;
-pub use specbench::{
-    bench_spec_json, spec_smoke, speculate_measure, SpecBenchReport, SpecBenchRow,
-};
 
 /// The standard chemistry workload of the scaling experiments:
 /// (H₂O)₂ / 6-31G, inspector-estimated costs, chunk = 8.

@@ -47,6 +47,7 @@ fn full_roster_attribution_sums_to_wall_within_one_percent() {
 
         let a = &profile.attribution;
         assert_eq!(a.workers.len(), w, "{label}: one blame row per worker");
+        assert_eq!(a.overwritten, 0, "{label}");
         let tasks: u64 = a.workers.iter().map(|b| b.tasks).sum();
         assert_eq!(
             tasks as usize,

@@ -14,8 +14,6 @@
 //! * [`screening`] — Schwarz screening (the source of task-cost skew);
 //! * [`fock`] — the Fock build decomposed into schedulable tasks;
 //! * [`scf`] — the RHF driver consuming the kernel;
-//! * [`specscf`] — the incremental driver's ΔD Fock build run as a
-//!   speculative Block-STM block on `emx-spec`;
 //! * [`tasks`], [`synthetic`] — cost statistics and calibrated synthetic
 //!   surrogates for fast execution-model sweeps.
 //!
@@ -49,7 +47,6 @@ pub mod properties;
 pub mod scf;
 pub mod screening;
 pub mod shellpair;
-pub mod specscf;
 pub mod synthetic;
 pub mod tasks;
 pub mod uhf;
@@ -66,7 +63,6 @@ pub mod prelude {
         rhf, rhf_incremental, rhf_with, IncrementalStats, IterationPhases, ScfConfig, ScfResult,
     };
     pub use crate::screening::{ScreenedPairs, ScreeningStats};
-    pub use crate::specscf::{rhf_incremental_speculative, SpeculativeStats};
     pub use crate::synthetic::{busy_work, calibrate_lognormal, generate_costs, CostModel};
     pub use crate::tasks::{imbalance, makespan_lower_bound, CostStats};
     pub use crate::uhf::{spin_density, uhf, UhfResult};

@@ -372,7 +372,7 @@ pub fn rhf_incremental(bm: &BasisedMolecule, config: &ScfConfig) -> (ScfResult, 
 }
 
 /// Root-mean-square elementwise difference.
-pub(crate) fn rms_diff(a: &Matrix, b: &Matrix) -> f64 {
+fn rms_diff(a: &Matrix, b: &Matrix) -> f64 {
     let n = (a.rows() * a.cols()) as f64;
     let mut s = 0.0;
     for (x, y) in a.as_slice().iter().zip(b.as_slice()) {

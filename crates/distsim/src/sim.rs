@@ -29,8 +29,7 @@ use crate::machine::MachineModel;
 use emx_obs::{EventKind, ProfEvent};
 use emx_runtime::Variability;
 use emx_sched::{
-    random_victim, round_robin_victim, ChunkRule, PolicyKind, SeedPartition, SpecConfig,
-    VictimPolicy,
+    random_victim, round_robin_victim, ChunkRule, PolicyKind, SeedPartition, VictimPolicy,
 };
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -143,9 +142,8 @@ impl SimModel {
     /// model vocabulary, materializing static partitions for `ntasks`
     /// tasks on `workers` workers. Returns `None` for policies the
     /// `SimModel` enum cannot express (guided-adaptive chunking,
-    /// round-robin victims, speculative execution) — use
-    /// [`simulate_policy`] for those, which replays any registry policy
-    /// directly. The reverse direction has
+    /// round-robin victims) — use [`simulate_policy`] for those, which
+    /// replays any registry policy directly. The reverse direction has
     /// no mapping either: `GroupCounters`, `SeededStealing`,
     /// `HierarchicalStealing`, `HierCounters` and `TopologyStealing`
     /// are simulator-only extensions.
@@ -163,10 +161,6 @@ impl SimModel {
                 min_chunk: *min_chunk,
             }),
             PolicyKind::GuidedAdaptive { .. } => None,
-            // Speculation has no SimModel: its behavior (aborts,
-            // re-execution, in-order commit) is a protocol, not a task
-            // partition — simulate_policy replays it directly.
-            PolicyKind::Speculative(_) => None,
             PolicyKind::WorkStealing(cfg) => match (&cfg.seed, cfg.victim) {
                 (SeedPartition::Block, VictimPolicy::Random) => Some(SimModel::WorkStealing {
                     steal_half: cfg.steal_batch,
@@ -453,220 +447,8 @@ pub fn simulate_policy(costs: &[f64], kind: &PolicyKind, cfg: &SimConfig) -> Sim
             },
             victim: scfg.victim,
         },
-        // A protocol (aborts, re-execution, in-order commit), not a
-        // family of task placements: it has its own replay.
-        PolicyKind::Speculative(scfg) => return simulate_speculative(costs, scfg, cfg),
     };
     run(costs, &family, cfg, &FaultPlan::fault_free()).sim
-}
-
-/// Virtual-time replay of the Block-STM-style speculative model.
-///
-/// Workers claim transactions in block order off the shared execution
-/// front (a counter fetch, like the self-scheduling family), execute
-/// optimistically, then validate. Real threads discover conflicts from
-/// captured read sets; the simulator has no data, so the conflict
-/// *structure* is synthesized deterministically from
-/// [`SpecConfig::rng_seed`]: transaction `i` depends on some earlier
-/// transaction `j` within [`SpecConfig::window`] with probability
-/// [`SpecConfig::conflict_pct`]/100. A dependent transaction that
-/// started executing before its dependency committed read a stale
-/// version: validation fails (an `Abort` event, one wasted
-/// incarnation), and the transaction re-executes after the dependency's
-/// commit, which always validates. Commits are released in block order
-/// — the deterministic-commit rule — so `makespan` is the last commit
-/// and `assignment[i]` is the committing worker, exactly-once by
-/// construction. Wasted incarnations are charged to `busy`, so
-/// utilization reflects speculation waste.
-fn simulate_speculative(costs: &[f64], scfg: &SpecConfig, cfg: &SimConfig) -> SimReport {
-    let p = cfg.workers;
-    let n = costs.len();
-    let m = &cfg.machine;
-
-    // Synthetic conflict structure: dep[i] = Some(j) means txn i reads
-    // what txn j writes. Drawn from the policy's own seed so the
-    // structure is a property of the SpecConfig, not of the SimConfig.
-    let mut rng = SplitMix::new(scfg.rng_seed);
-    let window = scfg.window.max(1);
-    let dep: Vec<Option<usize>> = (0..n)
-        .map(|i| {
-            if i == 0 {
-                return None;
-            }
-            let hit = (rng.next() % 100) < scfg.conflict_pct.min(100) as u64;
-            if !hit {
-                return None;
-            }
-            let back = 1 + (rng.next() as usize) % window.min(i);
-            Some(i - back)
-        })
-        .collect();
-
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut arena = ProfArena::new(cfg.events);
-    let mut fetches = 0u64;
-    let mut counter_free = 0.0f64;
-    let mut next_txn = 0usize;
-    let mut commit_time = vec![0.0f64; n];
-    let mut commit_prev = 0.0f64;
-    let mut assignment = vec![u32::MAX; n];
-    let mut makespan = 0.0f64;
-
-    // Validation re-reads the captured read set against the store — one
-    // counter-host service in the machine model's vocabulary.
-    let v_cost = m.counter_service;
-
-    // Queue of (arrival time at the execution front, worker). Claims are
-    // strictly in block order, and commits are released in block order,
-    // so when transaction `i` is popped every j < i already has a final
-    // commit time — the replay can run in claim order.
-    let mut q = EventQueue::with_capacity(cfg.queue, p);
-    for w in 0..p {
-        q.push(m.latency, w);
-    }
-
-    while let Some((arrival, w)) = q.pop() {
-        if next_txn >= n {
-            // Execution front exhausted: the worker retires.
-            continue;
-        }
-        let start = arrival.max(counter_free);
-        counter_free = start + m.counter_service;
-        fetches += 1;
-        let response = counter_free + m.latency;
-        let i = next_txn;
-        next_txn += 1;
-        if arena.on() {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::CounterFetchStart,
-                    arg: 0,
-                    t_ns: virt_ns(arrival - m.latency),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::CounterFetchEnd,
-                    arg: i as u64,
-                    t_ns: virt_ns(response),
-                },
-            );
-        }
-
-        let run = |t0: f64,
-                   w: usize,
-                   busy: &mut Vec<f64>,
-                   arena: &mut ProfArena,
-                   traces: &mut Vec<Vec<(f64, f64)>>|
-         -> f64 {
-            let d = stretched(costs[i], w, t0, cfg) + m.dispatch_overhead;
-            if cfg.trace {
-                traces[w].push((t0, t0 + d));
-            }
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskStart,
-                    arg: i as u64,
-                    t_ns: virt_ns(t0),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskEnd,
-                    arg: i as u64,
-                    t_ns: virt_ns(t0 + d),
-                },
-            );
-            busy[w] += d;
-            t0 + d
-        };
-        let validate = |t0: f64, w: usize, busy: &mut Vec<f64>, arena: &mut ProfArena| -> f64 {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::ValidateStart,
-                    arg: i as u64,
-                    t_ns: virt_ns(t0),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::ValidateEnd,
-                    arg: i as u64,
-                    t_ns: virt_ns(t0 + v_cost),
-                },
-            );
-            busy[w] += v_cost;
-            t0 + v_cost
-        };
-
-        // Optimistic first incarnation.
-        let exec_start = response;
-        let mut t = run(exec_start, w, &mut busy, &mut arena, &mut traces);
-        t = validate(t, w, &mut busy, &mut arena);
-        // Stale read: the dependency committed only after this
-        // incarnation began, so the version it read has been superseded.
-        let stale = dep[i].is_some_and(|j| commit_time[j] > exec_start);
-        if stale {
-            let j = dep[i].expect("stale implies dependency");
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::Abort,
-                    arg: i as u64,
-                    t_ns: virt_ns(t),
-                },
-            );
-            // Re-execute once the dependency's write is final; the gap
-            // (if any) is idle, not busy.
-            let restart = t.max(commit_time[j]);
-            t = run(restart, w, &mut busy, &mut arena, &mut traces);
-            t = validate(t, w, &mut busy, &mut arena);
-        }
-
-        // Deterministic commit rule: commits are released in block
-        // order. The lag is bookkeeping on the commit front, not worker
-        // time — the worker goes back to the execution front at `t`.
-        let committed = t.max(commit_prev);
-        commit_prev = committed;
-        commit_time[i] = committed;
-        arena.push(
-            w,
-            ProfEvent {
-                kind: EventKind::Commit,
-                arg: i as u64,
-                t_ns: virt_ns(committed),
-            },
-        );
-        assignment[i] = w as u32;
-        tasks[w] += 1;
-        makespan = makespan.max(committed);
-        q.push(t + m.latency, w);
-    }
-
-    SimReport {
-        makespan,
-        busy,
-        tasks,
-        steals: 0,
-        steal_attempts: 0,
-        counter_fetches: fetches,
-        comm: Vec::new(),
-        traces,
-        assignment,
-        events: arena.into_streams(p),
-    }
 }
 
 /// Effective duration of `cost` started at time `t` on `worker`.
@@ -2039,67 +1821,6 @@ mod tests {
     }
 
     #[test]
-    fn speculative_replay_is_exactly_once_and_deterministic() {
-        let costs: Vec<f64> = (0..64).map(|i| 1e-6 + (i % 7) as f64 * 2e-7).collect();
-        let kind: PolicyKind = "speculative".parse().unwrap();
-        let cfg = event_cfg(4);
-        let a = simulate_policy(&costs, &kind, &cfg);
-        let b = simulate_policy(&costs, &kind, &cfg);
-        assert_eq!(a.assignment, b.assignment, "replay is deterministic");
-        assert!(a.assignment.iter().all(|&w| (w as usize) < 4));
-        assert_eq!(a.tasks.iter().sum::<usize>(), 64);
-        // Every transaction commits exactly once, and the commit stream
-        // across all workers covers 0..n.
-        let mut commits: Vec<u64> = a
-            .events
-            .iter()
-            .flatten()
-            .filter(|e| e.kind == EventKind::Commit)
-            .map(|e| e.arg)
-            .collect();
-        commits.sort_unstable();
-        assert_eq!(commits, (0..64).collect::<Vec<u64>>());
-        // Commit timestamps are monotone in block order: the
-        // deterministic commit rule releases them in sequence.
-        let mut by_txn = vec![0u64; 64];
-        for e in a.events.iter().flatten() {
-            if e.kind == EventKind::Commit {
-                by_txn[e.arg as usize] = e.t_ns;
-            }
-        }
-        assert!(by_txn.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn speculative_conflicts_abort_in_parallel_but_never_serially() {
-        let costs: Vec<f64> = vec![1e-6; 48];
-        let kind = PolicyKind::Speculative(SpecConfig {
-            conflict_pct: 100,
-            ..SpecConfig::default()
-        });
-        let count_aborts = |r: &SimReport| {
-            r.events
-                .iter()
-                .flatten()
-                .filter(|e| e.kind == EventKind::Abort)
-                .count()
-        };
-        // Four optimistic workers race past uncommitted dependencies.
-        let par = simulate_policy(&costs, &kind, &event_cfg(4));
-        assert!(count_aborts(&par) > 0, "parallel run must abort");
-        // One worker claims in block order after each commit: every
-        // dependency is already final, so speculation never misfires.
-        let serial = simulate_policy(&costs, &kind, &event_cfg(1));
-        assert_eq!(count_aborts(&serial), 0, "serial run cannot abort");
-        // Both commit the full block exactly once regardless.
-        assert_eq!(par.tasks.iter().sum::<usize>(), 48);
-        assert_eq!(serial.tasks.iter().sum::<usize>(), 48);
-        // Wasted incarnations are charged to busy time: the aborting
-        // run burns strictly more worker-seconds than the serial one.
-        assert!(par.busy.iter().sum::<f64>() > serial.busy.iter().sum::<f64>());
-    }
-
-    #[test]
     fn sim_events_feed_the_shared_attribution_pipeline() {
         let costs: Vec<f64> = (1..=24).map(|i| i as f64 * 1e-6).collect();
         let mut cfg = event_cfg(3);
@@ -2117,10 +1838,10 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Tie-break regression pins. Historically the counter-family and
-    // speculative queues keyed on (time, worker): at coincident
-    // timestamps the lowest worker popped first, re-claimed, landed at
-    // the same timestamp again, and starved everyone else. The
+    // Tie-break regression pins. Historically the counter-family
+    // queues keyed on (time, worker): at coincident timestamps the
+    // lowest worker popped first, re-claimed, landed at the same
+    // timestamp again, and starved everyone else. The
     // insertion-sequenced key makes coincident pops FIFO — round-robin.
     // ------------------------------------------------------------------
 
@@ -2146,18 +1867,6 @@ mod tests {
                 model.name()
             );
         }
-    }
-
-    #[test]
-    fn coincident_speculative_claims_round_robin() {
-        let costs = vec![0.0; 12];
-        let kind = PolicyKind::Speculative(SpecConfig {
-            conflict_pct: 0,
-            ..SpecConfig::default()
-        });
-        let r = simulate_policy(&costs, &kind, &ideal_cfg(4));
-        assert_eq!(r.tasks, vec![3, 3, 3, 3]);
-        assert_eq!(r.assignment, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]

@@ -116,27 +116,6 @@ fn cluster_scale_roster_is_bitwise_identical_across_backends() {
 }
 
 #[test]
-fn speculative_policy_is_bitwise_identical_across_backends() {
-    // The Block-STM-style model runs through `simulate_policy`, not the
-    // `SimModel` enum — cover its claim/validate event loop too.
-    let costs: Vec<f64> = (0..128).map(|i| ((i * 7) % 5 + 1) as f64 * 1e-5).collect();
-    let kind = PolicyKind::Speculative(emx_sched::SpecConfig {
-        rng_seed: 0x5bec,
-        conflict_pct: 25,
-        window: 6,
-    });
-    let mut cal_cfg = SimConfig::new(8);
-    cal_cfg.trace = true;
-    cal_cfg.events = true;
-    let mut heap_cfg = cal_cfg.clone();
-    cal_cfg.queue = QueueKind::Calendar;
-    heap_cfg.queue = QueueKind::Heap;
-    let a = simulate_policy(&costs, &kind, &cal_cfg);
-    let b = simulate_policy(&costs, &kind, &heap_cfg);
-    assert_reports_identical(&a, &b, "speculative");
-}
-
-#[test]
 fn faulty_roster_is_bitwise_identical_across_backends() {
     let n = 120;
     let p = 6;

@@ -15,9 +15,6 @@
 //!   (`IdleStart`→`StealSuccess`): the price of moving a task,
 //! * **merge** — pairwise reduction-tree merges
 //!   (`MergeStart`→`MergeEnd`),
-//! * **validate** — speculative read-set validation
-//!   (`ValidateStart`→`ValidateEnd`), with `Abort`/`Commit` point
-//!   events tallied alongside so speculation waste is visible,
 //! * **idle** — everything else: hunts that end in exhaustion, startup
 //!   and shutdown gaps, waiting at the implicit end barrier.
 //!
@@ -51,31 +48,26 @@ pub struct WorkerBlame {
     pub steal_ns: u64,
     /// Time merging reduction-tree partials.
     pub merge_ns: u64,
-    /// Time validating speculative read sets.
-    pub validate_ns: u64,
     /// Complement: exhausted hunts, startup/shutdown gaps, end barrier.
     pub idle_ns: u64,
     /// Tasks completed.
     pub tasks: u64,
-    /// Steal probes issued.
+    /// Steal probes issued: one per `StealAttempt` event plus the
+    /// failed probes each `IdleStart` carries.
     pub steal_attempts: u64,
     /// Steal probes that succeeded.
     pub steals: u64,
-    /// Speculative executions this worker aborted (validation failed).
-    pub aborts: u64,
-    /// Speculative executions this worker saw become final.
-    pub commits: u64,
 }
 
 impl WorkerBlame {
-    /// Sum of all six blame categories.
+    /// Sum of all five blame categories.
     pub fn total_ns(&self) -> u64 {
         self.measured_ns() + self.idle_ns
     }
 
     /// Sum of the *measured* categories (everything but idle).
     pub fn measured_ns(&self) -> u64 {
-        self.compute_ns + self.counter_ns + self.steal_ns + self.merge_ns + self.validate_ns
+        self.compute_ns + self.counter_ns + self.steal_ns + self.merge_ns
     }
 
     /// Relative error of the sums-to-wall invariant for this worker:
@@ -161,13 +153,10 @@ impl Attribution {
             t.counter_ns += w.counter_ns;
             t.steal_ns += w.steal_ns;
             t.merge_ns += w.merge_ns;
-            t.validate_ns += w.validate_ns;
             t.idle_ns += w.idle_ns;
             t.tasks += w.tasks;
             t.steal_attempts += w.steal_attempts;
             t.steals += w.steals;
-            t.aborts += w.aborts;
-            t.commits += w.commits;
         }
         t
     }
@@ -212,13 +201,10 @@ impl Attribution {
                                 ("counter_ns", Json::Num(w.counter_ns as f64)),
                                 ("steal_ns", Json::Num(w.steal_ns as f64)),
                                 ("merge_ns", Json::Num(w.merge_ns as f64)),
-                                ("validate_ns", Json::Num(w.validate_ns as f64)),
                                 ("idle_ns", Json::Num(w.idle_ns as f64)),
                                 ("tasks", Json::Num(w.tasks as f64)),
                                 ("steal_attempts", Json::Num(w.steal_attempts as f64)),
                                 ("steals", Json::Num(w.steals as f64)),
-                                ("aborts", Json::Num(w.aborts as f64)),
-                                ("commits", Json::Num(w.commits as f64)),
                             ])
                         })
                         .collect(),
@@ -242,15 +228,10 @@ impl Attribution {
                     counter_ns: num(w, "counter_ns")? as u64,
                     steal_ns: num(w, "steal_ns")? as u64,
                     merge_ns: num(w, "merge_ns")? as u64,
-                    // Speculation fields postdate stamped baselines;
-                    // default them so old BENCH_obs.json files parse.
-                    validate_ns: num(w, "validate_ns").unwrap_or(0.0) as u64,
                     idle_ns: num(w, "idle_ns")? as u64,
                     tasks: num(w, "tasks")? as u64,
                     steal_attempts: num(w, "steal_attempts")? as u64,
                     steals: num(w, "steals")? as u64,
-                    aborts: num(w, "aborts").unwrap_or(0.0) as u64,
-                    commits: num(w, "commits").unwrap_or(0.0) as u64,
                 })
             })
             .collect::<Option<Vec<_>>>()?;
@@ -277,7 +258,7 @@ impl Attribution {
             self.overwritten,
         ));
         out.push_str(
-            "  worker  compute%  counter%   steal%   merge%  validate%    idle%    tasks  attempts  steals  aborts\n",
+            "  worker  compute%  counter%   steal%   merge%    idle%    tasks  attempts  steals\n",
         );
         let pct = |ns: u64| {
             if self.wall_ns == 0 {
@@ -288,18 +269,16 @@ impl Attribution {
         };
         for w in &self.workers {
             out.push_str(&format!(
-                "  {:>6}  {:>8.2}  {:>8.2}  {:>7.2}  {:>7.2}  {:>9.2}  {:>7.2}  {:>7}  {:>8}  {:>6}  {:>6}\n",
+                "  {:>6}  {:>8.2}  {:>8.2}  {:>7.2}  {:>7.2}  {:>7.2}  {:>7}  {:>8}  {:>6}\n",
                 w.worker,
                 pct(w.compute_ns),
                 pct(w.counter_ns),
                 pct(w.steal_ns),
                 pct(w.merge_ns),
-                pct(w.validate_ns),
                 pct(w.idle_ns),
                 w.tasks,
                 w.steal_attempts,
                 w.steals,
-                w.aborts,
             ));
         }
         out
@@ -315,7 +294,6 @@ fn blame_worker(worker: usize, stream: &[ProfEvent], wall_ns: u64) -> WorkerBlam
     let mut task_open: Option<u64> = None;
     let mut fetch_open: Option<u64> = None;
     let mut merge_open: Option<u64> = None;
-    let mut validate_open: Option<u64> = None;
     let mut hunt_open: Option<u64> = None;
     for e in stream {
         match e.kind {
@@ -338,15 +316,10 @@ fn blame_worker(worker: usize, stream: &[ProfEvent], wall_ns: u64) -> WorkerBlam
                     b.merge_ns += e.t_ns.saturating_sub(t0);
                 }
             }
-            EventKind::ValidateStart => validate_open = Some(e.t_ns),
-            EventKind::ValidateEnd => {
-                if let Some(t0) = validate_open.take() {
-                    b.validate_ns += e.t_ns.saturating_sub(t0);
-                }
+            EventKind::IdleStart => {
+                hunt_open = Some(e.t_ns);
+                b.steal_attempts += e.arg;
             }
-            EventKind::Abort => b.aborts += 1,
-            EventKind::Commit => b.commits += 1,
-            EventKind::IdleStart => hunt_open = Some(e.t_ns),
             EventKind::StealAttempt => b.steal_attempts += 1,
             EventKind::StealSuccess => {
                 b.steals += 1;
@@ -442,7 +415,6 @@ impl AttributionDiff {
             ("counter", ta.counter_ns, tb.counter_ns),
             ("steal", ta.steal_ns, tb.steal_ns),
             ("merge", ta.merge_ns, tb.merge_ns),
-            ("validate", ta.validate_ns, tb.validate_ns),
             ("idle", ta.idle_ns, tb.idle_ns),
         ];
         let per_worker_delta_ns = (a.workers.len() == b.workers.len()).then(|| {
@@ -539,7 +511,8 @@ mod tests {
             ev(EventKind::StealSuccess, 0, 42),
             ev(EventKind::TaskStart, 3, 42),
             ev(EventKind::TaskEnd, 3, 70),
-            ev(EventKind::IdleStart, 0, 70),
+            // Three failed probes, carried by the hunt's opening event.
+            ev(EventKind::IdleStart, 3, 70),
             ev(EventKind::IdleEnd, 0, 85),
         ];
         let a = Attribution::build("test", 100, &[w0, w1]);
@@ -553,7 +526,7 @@ mod tests {
         assert_eq!(b1.compute_ns, 58);
         assert_eq!(b1.steal_ns, 12);
         assert_eq!(b1.idle_ns, 30, "exhausted hunt folds into idle");
-        assert_eq!(b1.steal_attempts, 1);
+        assert_eq!(b1.steal_attempts, 4, "one probe event + three carried");
         assert_eq!(b1.steals, 1);
         for w in &a.workers {
             assert_eq!(w.total_ns(), 100);
@@ -637,7 +610,7 @@ mod tests {
         let d = AttributionDiff::between(&a, &b);
         assert_eq!(d.wall_ns, (50, 80));
         assert_eq!(d.categories[0], ("compute", 40, 60));
-        assert_eq!(d.categories[5], ("idle", 10, 20));
+        assert_eq!(d.categories[4], ("idle", 10, 20));
         assert_eq!(d.per_worker_delta_ns, Some(vec![30]));
         let text = d.render();
         assert!(text.contains("compute"), "{text}");

@@ -26,12 +26,19 @@
 //! | `StealSuccess`      | victim worker  | probe succeeded, hunt over     |
 //! | `StealFail`         | victim worker  | probe failed                   |
 //! | `CounterFetchStart/End` | first index fetched | shared-counter round trip |
-//! | `IdleStart`         | 0              | out of local work, hunt begins |
+//! | `IdleStart`         | failed probes without events | out of local work, hunt begins |
 //! | `IdleEnd`           | 0              | hunt ends without a steal      |
 //! | `MergeStart/MergeEnd` | other slot   | pairwise reduction-tree merge  |
-//! | `ValidateStart/End` | task index     | speculative read-set validation |
-//! | `Abort`             | task index     | validation failed, re-execute (point) |
-//! | `Commit`            | task index     | execution became final (point) |
+//!
+//! A hunt costs a ring O(1) events however long it lasts. The
+//! simulator, whose probes are few and cost no host time to record,
+//! writes a `StealAttempt` and a `StealFail`/`StealSuccess` for each
+//! and `IdleStart` with `arg` 0. A real thief makes thousands of failed
+//! probes while a peer finishes its last task, which as an event each
+//! wrap the ring over the worker's own tasks; the thread runtime counts
+//! them and writes the hunt when it closes: `IdleStart` stamped with the
+//! time the hunt began and carrying the failed count, then either the
+//! winning `StealAttempt` + `StealSuccess` or `IdleEnd`.
 //!
 //! ## Slot protocol
 //!
@@ -82,7 +89,8 @@ pub enum EventKind {
     CounterFetchStart = 6,
     /// Shared-counter fetch returned (`arg` = first index fetched).
     CounterFetchEnd = 7,
-    /// Worker ran out of local work (`arg` = 0).
+    /// Worker ran out of local work (`arg` = failed probes of this hunt
+    /// that have no `StealAttempt`/`StealFail` events of their own).
     IdleStart = 8,
     /// Hunt for work ended without a steal — exhaustion or abort (`arg` = 0).
     IdleEnd = 9,
@@ -90,17 +98,6 @@ pub enum EventKind {
     MergeStart = 10,
     /// Reduction-tree merge ends (`arg` = the other slot index).
     MergeEnd = 11,
-    /// Speculative read-set validation begins (`arg` = task index).
-    ValidateStart = 12,
-    /// Speculative read-set validation ends (`arg` = task index).
-    ValidateEnd = 13,
-    /// A validation failed and won the abort race: the task's execution
-    /// is discarded and it will re-run at the next incarnation
-    /// (`arg` = task index; point event).
-    Abort = 14,
-    /// A task's execution became final under the deterministic commit
-    /// rule (`arg` = task index; point event).
-    Commit = 15,
 }
 
 impl EventKind {
@@ -117,10 +114,6 @@ impl EventKind {
             9 => EventKind::IdleEnd,
             10 => EventKind::MergeStart,
             11 => EventKind::MergeEnd,
-            12 => EventKind::ValidateStart,
-            13 => EventKind::ValidateEnd,
-            14 => EventKind::Abort,
-            15 => EventKind::Commit,
             _ => return None,
         })
     }
@@ -139,10 +132,6 @@ impl EventKind {
             EventKind::IdleEnd => "idle_end",
             EventKind::MergeStart => "merge_start",
             EventKind::MergeEnd => "merge_end",
-            EventKind::ValidateStart => "validate_start",
-            EventKind::ValidateEnd => "validate_end",
-            EventKind::Abort => "abort",
-            EventKind::Commit => "commit",
         }
     }
 }

@@ -26,7 +26,6 @@ fn intervals(stream: &[ProfEvent]) -> Vec<Interval> {
     let mut task_open: Option<(u64, u64)> = None;
     let mut fetch_open: Option<u64> = None;
     let mut merge_open: Option<(u64, u64)> = None;
-    let mut validate_open: Option<(u64, u64)> = None;
     let mut hunt_open: Option<u64> = None;
     for e in stream {
         match e.kind {
@@ -79,20 +78,7 @@ fn intervals(stream: &[ProfEvent]) -> Vec<Interval> {
                     });
                 }
             }
-            EventKind::ValidateStart => validate_open = Some((e.arg, e.t_ns)),
-            EventKind::ValidateEnd => {
-                if let Some((task, t0)) = validate_open.take() {
-                    out.push(Interval {
-                        label: format!("validate {task}"),
-                        start_ns: t0,
-                        end_ns: e.t_ns.max(t0),
-                    });
-                }
-            }
-            EventKind::StealAttempt
-            | EventKind::StealFail
-            | EventKind::Abort
-            | EventKind::Commit => {}
+            EventKind::StealAttempt | EventKind::StealFail => {}
         }
     }
     out

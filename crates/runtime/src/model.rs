@@ -7,7 +7,7 @@
 
 pub use emx_sched::{
     block_owner, block_partition, cyclic_partition, ChunkRule, PolicyKind, SeedPartition,
-    SpecConfig, StealConfig, VictimPolicy,
+    StealConfig, VictimPolicy,
 };
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! what lets one kernel run unchanged under every execution model.
 
 use crate::faults::{propagate, run_poisonable, FaultInjection, FaultState};
-use crate::model::{ChunkRule, PolicyKind, SpecConfig, StealConfig, VictimPolicy};
+use crate::model::{ChunkRule, PolicyKind, StealConfig, VictimPolicy};
 use crate::obs::{dur_ns, RuntimeObs, WorkerObs};
 use crate::report::{ExecutionReport, TaskEvent, WorkerStats};
 use crate::variability::Variability;
@@ -130,7 +130,6 @@ impl Executor {
                 self.run_guided(ntasks, rule, &init, &task)
             }
             PolicyKind::WorkStealing(cfg) => self.run_stealing(ntasks, cfg, &init, &task),
-            PolicyKind::Speculative(cfg) => self.run_speculative(ntasks, cfg, &init, &task),
         };
         let (locals, report) = outcome;
         assert_eq!(
@@ -503,13 +502,18 @@ impl Executor {
                             if done > 0 {
                                 remaining.fetch_sub(done, Ordering::Release);
                             }
-                            // Steal until we obtain work or everything is done.
+                            // Steal until we obtain work or everything is
+                            // done. `spins` is the hunt's failed probes: a
+                            // thief can make thousands while a peer
+                            // finishes its last task, so they are counted
+                            // here and reach the profiling ring as one
+                            // number when the hunt closes, never as an
+                            // event each.
                             let mut spins = 0u32;
                             let idle_from = ctx.obs_mark();
-                            ctx.obs_idle_start(idle_from);
                             loop {
                                 if remaining.load(Ordering::Acquire) == 0 {
-                                    ctx.obs_idle_end(idle_from);
+                                    ctx.obs_idle_end(idle_from, spins);
                                     break 'outer;
                                 }
                                 if ctx.fault_aborted() {
@@ -518,7 +522,7 @@ impl Executor {
                                     // `remaining` will never reach zero,
                                     // so exit instead of spinning (the
                                     // scope join re-raises the panic).
-                                    ctx.obs_idle_end(idle_from);
+                                    ctx.obs_idle_end(idle_from, spins);
                                     break 'outer;
                                 }
                                 if p == 1 {
@@ -534,7 +538,6 @@ impl Executor {
                                     }
                                 };
                                 ctx.stats.steal_attempts += 1;
-                                ctx.obs_steal_attempt(victim);
                                 let got = if cfg.steal_batch {
                                     stealers[victim].steal_batch_and_pop(&deque)
                                 } else {
@@ -543,7 +546,7 @@ impl Executor {
                                 match got {
                                     Steal::Success(i) => {
                                         ctx.stats.steals += 1;
-                                        ctx.obs_steal_success(idle_from, victim);
+                                        ctx.obs_steal_success(idle_from, spins, victim);
                                         if ctx.try_run_task(i, &mut local, task) {
                                             remaining.fetch_sub(1, Ordering::Release);
                                         } else {
@@ -552,7 +555,6 @@ impl Executor {
                                         continue 'outer;
                                     }
                                     Steal::Empty | Steal::Retry => {
-                                        ctx.obs_steal_fail(victim);
                                         spins += 1;
                                         if spins % (4 * p as u32) == 0 {
                                             std::thread::yield_now();
@@ -560,104 +562,6 @@ impl Executor {
                                             std::hint::spin_loop();
                                         }
                                     }
-                                }
-                            }
-                        }
-                        (local, ctx.stats, ctx.events)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        self.assemble(ntasks, start.elapsed(), results)
-    }
-
-    /// Block-STM-style speculative execution over opaque task bodies.
-    ///
-    /// The runtime's tasks expose no read or write sets, so every
-    /// transaction here is conflict-free by construction: the
-    /// multi-version store holds zero locations, validation always
-    /// passes, and each task executes exactly once. What this arm
-    /// exercises on real threads is the *protocol* — the collaborative
-    /// scheduler's execution and validation wave fronts, and the
-    /// validate/commit events on the profiling rings. Workloads with
-    /// real data dependencies declare them through `emx-spec` directly
-    /// (the speculative SCF driver does); the synthetic conflict knobs
-    /// in [`SpecConfig`] shape the simulator substrate, not threads.
-    fn run_speculative<L>(
-        &self,
-        ntasks: usize,
-        _cfg: &SpecConfig,
-        init: &(impl Fn(usize) -> L + Sync),
-        task: &(impl Fn(usize, &mut L) + Sync),
-    ) -> (Vec<L>, ExecutionReport)
-    where
-        L: Send,
-    {
-        use emx_spec::{MvMemory, Scheduler, SchedulerTask};
-        let p = self.workers;
-        let sched = Scheduler::new(ntasks);
-        let mv: MvMemory<()> = MvMemory::new(Vec::new(), ntasks);
-        let fstate = self.fault_state(ntasks);
-        let start = Instant::now();
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|w| {
-                    let sched = &sched;
-                    let mv = &mv;
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let trace = self.trace;
-                    let obs = self.worker_obs(w);
-                    let faults = fstate.clone();
-                    let straggle = self.straggle(w);
-                    s.spawn(move || {
-                        let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
-                        if let Some(fs) = faults {
-                            ctx.attach_faults(fs, straggle);
-                        }
-                        let mut t = sched.next_task();
-                        loop {
-                            match t {
-                                SchedulerTask::Done => break,
-                                SchedulerTask::NoTask => {
-                                    if ctx.fault_aborted() {
-                                        // A peer is propagating a
-                                        // permanently-failing task's
-                                        // panic; its transaction will
-                                        // never finish, so the waves
-                                        // can never drain — exit
-                                        // instead of spinning (the
-                                        // scope join re-raises).
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                    t = sched.next_task();
-                                }
-                                SchedulerTask::Execution(v) => {
-                                    ctx.run_task(v.txn, &mut local, task);
-                                    let wrote_new = mv.write(v, Vec::new());
-                                    t = sched.finish_execution(v, wrote_new);
-                                }
-                                SchedulerTask::Validation(v) => {
-                                    let mark = ctx.obs_mark();
-                                    let ok = mv.validate(v.txn, &[]);
-                                    ctx.obs_validate(mark, v.txn, ok);
-                                    // Hard assert (off the hot path): if the
-                                    // runtime arm ever gains real read sets, a
-                                    // failed validation must not be silently
-                                    // ignored in release builds.
-                                    assert!(
-                                        ok,
-                                        "opaque tasks read nothing; validation cannot fail"
-                                    );
-                                    sched.finish_validation();
-                                    t = sched.next_task();
                                 }
                             }
                         }
@@ -898,94 +802,48 @@ impl WorkerCtx {
         }
     }
 
-    /// Counts one steal attempt (success or not). The event ring, when
-    /// attached, gets a timestamped probe event — the extra clock read
-    /// happens only on workers that are already out of work.
+    /// Records a successful steal that `failed_probes` fruitless probes
+    /// preceded: the latency histogram gets the time from running out
+    /// of local work (`idle_from`) to acquiring the stolen task, and the
+    /// same interval becomes an `"idle"` span and, on the event ring, a
+    /// hunt — `IdleStart` (stamped `idle_from`, carrying the failed
+    /// count), the winning `StealAttempt`, `StealSuccess`.
     #[inline]
-    fn obs_steal_attempt(&mut self, victim: usize) {
+    fn obs_steal_success(
+        &mut self,
+        idle_from: Option<Duration>,
+        failed_probes: u32,
+        victim: usize,
+    ) {
         if let Some(o) = self.obs.as_mut() {
-            o.steal_attempts.inc();
-            if let Some(ring) = o.ring.as_mut() {
-                let now = dur_ns(self.start.elapsed());
-                ring.record(EventKind::StealAttempt, victim as u64, now);
-            }
-        }
-    }
-
-    /// Marks a failed probe on the event ring (metrics already count
-    /// attempts; the ring needs the outcome to reconstruct hunts).
-    #[inline]
-    fn obs_steal_fail(&mut self, victim: usize) {
-        if let Some(o) = self.obs.as_mut() {
-            if let Some(ring) = o.ring.as_mut() {
-                let now = dur_ns(self.start.elapsed());
-                ring.record(EventKind::StealFail, victim as u64, now);
-            }
-        }
-    }
-
-    /// Marks the start of a hunt for work on the event ring (`idle_from`
-    /// is the mark taken when the local deque ran dry).
-    #[inline]
-    fn obs_idle_start(&mut self, idle_from: Option<Duration>) {
-        if let Some(o) = self.obs.as_mut() {
-            if let Some(ring) = o.ring.as_mut() {
-                if let Some(from) = idle_from {
-                    ring.record(EventKind::IdleStart, 0, dur_ns(from));
-                }
-            }
-        }
-    }
-
-    /// Records a successful steal: the latency histogram gets the time
-    /// from running out of local work (`idle_from`) to acquiring the
-    /// stolen task, and the same interval becomes an `"idle"` span.
-    #[inline]
-    fn obs_steal_success(&mut self, idle_from: Option<Duration>, victim: usize) {
-        if let Some(o) = self.obs.as_mut() {
+            o.steal_attempts.add(failed_probes as u64 + 1);
             o.steals.inc();
             if let Some(from) = idle_from {
                 let now = self.start.elapsed();
                 o.steal_latency.record(dur_ns(now.saturating_sub(from)));
                 o.recorder.record("idle", dur_ns(from), dur_ns(now));
                 if let Some(ring) = o.ring.as_mut() {
+                    ring.record(EventKind::IdleStart, failed_probes as u64, dur_ns(from));
+                    ring.record(EventKind::StealAttempt, victim as u64, dur_ns(now));
                     ring.record(EventKind::StealSuccess, victim as u64, dur_ns(now));
                 }
             }
         }
     }
 
-    /// Records a speculative validation on the event ring:
-    /// `ValidateStart`/`ValidateEnd` bracket the read-set check, then
-    /// the outcome lands as a `Commit` (or `Abort`) point event.
-    #[inline]
-    fn obs_validate(&mut self, mark: Option<Duration>, txn: usize, committed: bool) {
-        if let Some(o) = self.obs.as_mut() {
-            if let Some(ring) = o.ring.as_mut() {
-                if let Some(from) = mark {
-                    let now = dur_ns(self.start.elapsed());
-                    ring.record(EventKind::ValidateStart, txn as u64, dur_ns(from));
-                    ring.record(EventKind::ValidateEnd, txn as u64, now);
-                    let outcome = if committed {
-                        EventKind::Commit
-                    } else {
-                        EventKind::Abort
-                    };
-                    ring.record(outcome, txn as u64, now);
-                }
-            }
-        }
-    }
-
     /// Closes the trailing idle interval when a worker exits because all
-    /// work is done (no steal ever succeeded for this interval).
+    /// work is done: none of the interval's `failed_probes` steal probes
+    /// succeeded. The ring gets the hunt as `IdleStart` (stamped
+    /// `idle_from`, carrying the count) and `IdleEnd`.
     #[inline]
-    fn obs_idle_end(&mut self, idle_from: Option<Duration>) {
+    fn obs_idle_end(&mut self, idle_from: Option<Duration>, failed_probes: u32) {
         if let Some(o) = self.obs.as_mut() {
+            o.steal_attempts.add(failed_probes as u64);
             if let Some(from) = idle_from {
                 let now = self.start.elapsed();
                 o.recorder.record("idle", dur_ns(from), dur_ns(now));
                 if let Some(ring) = o.ring.as_mut() {
+                    ring.record(EventKind::IdleStart, failed_probes as u64, dur_ns(from));
                     ring.record(EventKind::IdleEnd, 0, dur_ns(now));
                 }
             }
@@ -1020,7 +878,6 @@ mod tests {
                 seed: SeedPartition::Cyclic,
                 ..StealConfig::default()
             }),
-            PolicyKind::Speculative(SpecConfig::default()),
         ]
     }
 
@@ -1633,6 +1490,48 @@ mod tests {
                     started.iter().all(|&c| c == 1) && ended.iter().all(|&c| c == 1),
                     "model {}: lost or duplicated task events",
                     model.name()
+                );
+            }
+        }
+
+        /// A thief's fruitless probes reach the ring as a count on the
+        /// hunt, not as events of their own: while a peer sleeps 5 ms
+        /// in a task, per-probe events would wrap a 4096-slot ring many
+        /// times over and take the thief's own `TaskStart/End` with them.
+        #[test]
+        fn a_long_hunt_costs_its_ring_a_constant_number_of_events() {
+            use emx_obs::{Attribution, RingSet};
+            let (n, p) = (8, 2);
+            let rings = RingSet::new(p, 4096);
+            let ex = Executor::new(p, PolicyKind::WorkStealing(StealConfig::default())).with_obs(
+                RuntimeObs::new(Arc::new(MetricsRegistry::new())).with_rings(rings.clone()),
+            );
+            let (_, report) = ex.run(
+                n,
+                |_| (),
+                |i, _| {
+                    if i == n - 1 {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                },
+            );
+            let a = Attribution::from_rings("work-stealing", dur_ns(report.wall), &rings);
+            assert_eq!(a.overwritten, 0);
+            let stats = report.worker_stats.iter();
+            for ((st, blame), snap) in stats.zip(&a.workers).zip(rings.snapshot_all()) {
+                let w = blame.worker;
+                assert_eq!(blame.tasks, st.tasks as u64, "worker {w}");
+                assert_eq!(blame.steals, st.steals, "worker {w}");
+                assert_eq!(blame.steal_attempts, st.steal_attempts, "worker {w}");
+                // Two events a task, three a hunt; every steal closes
+                // one hunt and exhaustion closes the last.
+                let recorded = snap.events.len() as u64 + snap.overwritten;
+                let hunts = st.steals + 1;
+                assert!(
+                    recorded <= 2 * st.tasks as u64 + 3 * hunts,
+                    "worker {w}: {recorded} events for {} tasks, {hunts} hunts, {} probes",
+                    st.tasks,
+                    st.steal_attempts
                 );
             }
         }

@@ -53,14 +53,6 @@ pub enum PolicyKind {
     },
     /// Work stealing over per-worker deques.
     WorkStealing(StealConfig),
-    /// Block-STM-style speculative execution: tasks run optimistically
-    /// in block order against a multi-version store, are validated
-    /// against their read sets, and abort + re-execute on conflict. The
-    /// commit rule is deterministic (bit-identical to serial replay)
-    /// even though the task→worker assignment is timing-dependent. The
-    /// substrate lives in the `emx-spec` crate; the config models the
-    /// conflict structure for the simulator and the stress harnesses.
-    Speculative(SpecConfig),
     /// Persistence-based assignment: a static owner map produced by
     /// rebalancing the previous iteration's assignment with measured
     /// costs (see [`PolicyKind::persistence_from_costs`]). Statically
@@ -80,7 +72,6 @@ impl PolicyKind {
             PolicyKind::Guided { .. } => "guided",
             PolicyKind::GuidedAdaptive { .. } => "guided-adaptive",
             PolicyKind::WorkStealing(_) => "work-stealing",
-            PolicyKind::Speculative(_) => "speculative",
             PolicyKind::PersistenceBased(_) => "persistence-based",
         }
     }
@@ -96,7 +87,6 @@ impl PolicyKind {
             "guided",
             "guided-adaptive",
             "work-stealing",
-            "speculative",
             "persistence-based",
         ]
     }
@@ -109,7 +99,6 @@ impl PolicyKind {
                 | PolicyKind::Guided { .. }
                 | PolicyKind::GuidedAdaptive { .. }
                 | PolicyKind::WorkStealing(_)
-                | PolicyKind::Speculative(_)
         )
     }
 
@@ -216,10 +205,6 @@ impl PolicyKind {
             PolicyKind::GuidedAdaptive { k: 4, min_chunk: 1 },
         ));
         out.push((
-            "speculative".into(),
-            PolicyKind::Speculative(SpecConfig::default()),
-        ));
-        out.push((
             "persistence-based".into(),
             PolicyKind::persistence_from_costs(costs, workers),
         ));
@@ -276,9 +261,9 @@ impl FromStr for PolicyKind {
 
     /// Parses `name[:param[:param]]`: `serial`, `static-block`,
     /// `static-cyclic`, `dynamic-counter[:chunk]`, `guided[:min_chunk]`,
-    /// `guided-adaptive[:k[:min_chunk]]`, `work-stealing`,
-    /// `speculative`. `static-assigned` and `persistence-based` carry
-    /// owner maps and must be constructed programmatically.
+    /// `guided-adaptive[:k[:min_chunk]]`, `work-stealing`.
+    /// `static-assigned` and `persistence-based` carry owner maps and
+    /// must be constructed programmatically.
     fn from_str(s: &str) -> Result<PolicyKind, ParsePolicyError> {
         let mut parts = s.split(':');
         let head = parts.next().unwrap_or_default();
@@ -301,7 +286,6 @@ impl FromStr for PolicyKind {
                 min_chunk: num(1)?,
             },
             "work-stealing" => PolicyKind::WorkStealing(StealConfig::default()),
-            "speculative" => PolicyKind::Speculative(SpecConfig::default()),
             "static-assigned" | "persistence-based" => {
                 return Err(ParsePolicyError(format!(
                     "{head} carries an owner map; construct it programmatically"
@@ -318,33 +302,6 @@ impl FromStr for PolicyKind {
             return Err(ParsePolicyError(format!("too many parameters in {s:?}")));
         }
         Ok(kind)
-    }
-}
-
-/// Speculative-execution knobs: the modeled conflict structure used by
-/// the distributed simulator and the conflict-injection stress
-/// harnesses. The real-thread substrate discovers conflicts from the
-/// actual read/write sets, so these only parameterize *synthetic*
-/// dependency injection; they never change committed results (the
-/// commit rule is deterministic regardless).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecConfig {
-    /// Seed for the synthetic dependency structure (reproducibility).
-    pub rng_seed: u64,
-    /// Percent of tasks `[0, 100]` whose read depends on an earlier
-    /// task's write (a speculation hazard).
-    pub conflict_pct: u8,
-    /// How far back (in task indices) an injected dependency can reach.
-    pub window: usize,
-}
-
-impl Default for SpecConfig {
-    fn default() -> Self {
-        SpecConfig {
-            rng_seed: 0x5bec,
-            conflict_pct: 15,
-            window: 8,
-        }
     }
 }
 
@@ -433,10 +390,6 @@ mod tests {
             "work-stealing"
         );
         assert_eq!(
-            PolicyKind::Speculative(SpecConfig::default()).name(),
-            "speculative"
-        );
-        assert_eq!(
             PolicyKind::PersistenceBased(Arc::new(vec![])).name(),
             "persistence-based"
         );
@@ -465,7 +418,6 @@ mod tests {
             "guided:2",
             "guided-adaptive:4:2",
             "work-stealing",
-            "speculative",
         ] {
             let kind: PolicyKind = s.parse().expect(s);
             assert_eq!(kind.to_string(), s, "round trip of {s}");
@@ -497,10 +449,6 @@ mod tests {
         assert!(PolicyKind::Guided { min_chunk: 1 }.is_dynamic());
         assert!(PolicyKind::GuidedAdaptive { k: 4, min_chunk: 1 }.is_dynamic());
         assert!(PolicyKind::WorkStealing(StealConfig::default()).is_dynamic());
-        // Speculative assignment is timing-dependent (its *results* are
-        // deterministic, but determinism here is about the task→worker
-        // map, which speculation decides at runtime).
-        assert!(PolicyKind::Speculative(SpecConfig::default()).is_dynamic());
         assert!(PolicyKind::StaticCyclic.is_deterministic());
     }
 
@@ -586,9 +534,8 @@ mod tests {
         // block partition it starts from and stay in range.
         let costs: Vec<f64> = (1..=32).map(|i| i as f64).collect();
         let roster = PolicyKind::full_roster(&costs, 4, 8);
-        assert_eq!(roster.len(), 9);
+        assert_eq!(roster.len(), 8);
         assert_eq!(roster[0].0, "serial");
-        assert!(roster.iter().any(|(l, _)| l == "speculative"));
         let (_, persistence) = roster.last().unwrap();
         let owners = persistence.initial_partition(32, 4).unwrap();
         assert!(owners.iter().all(|&w| w < 4));

@@ -46,7 +46,7 @@ pub mod policy;
 pub mod rng;
 
 pub use chunk::ChunkRule;
-pub use kind::{PolicyKind, SeedPartition, SpecConfig, StealConfig, VictimPolicy};
+pub use kind::{PolicyKind, SeedPartition, StealConfig, VictimPolicy};
 pub use partition::{block_owner, block_partition, cyclic_partition};
 pub use policy::{build_policy, replay_assignment, Claim, SchedulePolicy};
 pub use rng::{random_victim, round_robin_victim, worker_stream, SplitMix64};

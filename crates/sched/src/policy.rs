@@ -99,19 +99,6 @@ pub fn build_policy(kind: &PolicyKind, ntasks: usize, workers: usize) -> Box<dyn
         PolicyKind::WorkStealing(cfg) => {
             Box::new(StealingPolicy::new(cfg.clone(), ntasks, workers))
         }
-        // The replay reference for speculation is optimistic in-order
-        // dispatch: tasks are claimed one at a time in block order off a
-        // shared counter (the execution wave front). Validation, aborts
-        // and re-execution are substrate behaviors (emx-spec / the
-        // simulator); the *claim order* this policy models is what the
-        // exactly-once replay check needs.
-        PolicyKind::Speculative(_) => Box::new(CounterPolicy {
-            name: kind.name(),
-            next: 0,
-            ntasks,
-            workers,
-            rule: ChunkRule::Fixed(1),
-        }),
     }
 }
 
@@ -341,7 +328,6 @@ mod tests {
                 steal_batch: false,
                 ..StealConfig::default()
             }),
-            PolicyKind::Speculative(crate::kind::SpecConfig::default()),
         ];
         if ntasks > 0 {
             v.push(PolicyKind::persistence_from_costs(&costs, workers));

@@ -2,9 +2,8 @@
 //! surface.
 //!
 //! The repo's execution-model infrastructure (shared counters, the
-//! seqlock event ring, the work-stealing pool, the Block-STM
-//! scheduler) is exactly where the last two review-fix commits found
-//! memory-ordering bugs. This crate turns that review into a standing
+//! seqlock event ring, the work-stealing pool) is exactly where
+//! review-fix commits found memory-ordering bugs. This crate turns that review into a standing
 //! gate: a hand-rolled lexer ([`lex`]) feeds an extractor
 //! ([`extract`]) that models every atomic operation and `unsafe`
 //! occurrence in the workspace source, and a checker ([`check`])
@@ -14,10 +13,10 @@
 //! serialize to the same JSON report shape CI already consumes.
 //!
 //! The pass itself is guarded the same way emx-analyze is: a mutation
-//! self-test ([`selftest`]) re-introduces the exact bug classes the
-//! reviews caught (the fence-less seqlock writer from PR 6, a
-//! Relaxed-weakened done-protocol counter from PR 7) into a scratch
-//! copy of the source and fails if the pass does not flag them.
+//! self-test ([`selftest`]) re-introduces the bug classes the reviews
+//! caught (the fence-less seqlock writer from PR 6, a declared Release
+//! weakened to Relaxed) into a scratch copy of the source and fails if
+//! the pass does not flag them.
 
 #![warn(missing_docs)]
 

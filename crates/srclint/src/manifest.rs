@@ -1,8 +1,8 @@
 //! The declared memory-protocol manifest (`docs/protocols.toml`).
 //!
 //! Each `[[protocol]]` names one synchronization discipline (the
-//! seqlock ring, the work-stealing termination counter, the Block-STM
-//! done protocol, …) and carries `[[protocol.rule]]` entries binding
+//! seqlock ring, the work-stealing termination counter, the abort
+//! flag, …) and carries `[[protocol.rule]]` entries binding
 //! source locations to roles:
 //!
 //! ```toml

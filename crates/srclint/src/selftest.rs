@@ -5,9 +5,9 @@
 //! none. In the PR-4 style, this module re-introduces known-bad code
 //! into a scratch mirror of the workspace source and asserts each
 //! mutant is flagged with the **expected** finding kind — an escape is
-//! itself a failure. The seeded mutants are not synthetic: two of them
-//! are the exact bugs human review caught after the code shipped (the
-//! PR-6 fence-less seqlock writer, the PR-7 done-protocol weakening).
+//! itself a failure. The seeded mutants are not all synthetic: the
+//! first is the exact bug human review caught after the code shipped
+//! (the PR-6 fence-less seqlock writer).
 //!
 //! The mirror copies *every* workspace source plus the manifest, so
 //! all other protocol rules stay satisfied and the check isolates the
@@ -33,8 +33,8 @@ pub struct Mutant {
     pub expect_at: &'static str,
 }
 
-/// The seeded mutants. The first two are the historical review-caught
-/// bugs; the rest cover the remaining finding kinds.
+/// The seeded mutants. The first is the historical review-caught bug;
+/// the rest cover the remaining finding kinds.
 pub fn builtin_mutants() -> Vec<Mutant> {
     vec![
         // PR 6, exact pre-fix state: the seqlock writer published
@@ -49,16 +49,17 @@ pub fn builtin_mutants() -> Vec<Mutant> {
             expect: ViolationKind::MissingFence,
             expect_at: "crates/obs/src/ring.rs",
         },
-        // PR 7 bug class: weakening the done-protocol's active-count
-        // raise below SeqCst re-opens the quiescence race the TOCTOU
-        // fix closed.
+        // A declared ordering weakened in place: the work-stealing
+        // pool's batched completion decrement dropped below Release no
+        // longer publishes the finished tasks' writes to the peer whose
+        // Acquire load of zero ends the run.
         Mutant {
-            name: "pr7-relaxed-done-counter",
-            file: "crates/spec/src/scheduler.rs",
-            find: "        self.num_active.fetch_add(1, SeqCst);\n        let idx = self.execution_idx.fetch_add(1, SeqCst);",
-            replace: "        self.num_active.fetch_add(1, Relaxed);\n        let idx = self.execution_idx.fetch_add(1, SeqCst);",
+            name: "relaxed-ws-termination-publish",
+            file: "crates/runtime/src/pool.rs",
+            find: "remaining.fetch_sub(done, Ordering::Release);",
+            replace: "remaining.fetch_sub(done, Ordering::Relaxed);",
             expect: ViolationKind::ProtocolMismatch,
-            expect_at: "crates/spec/src/scheduler.rs",
+            expect_at: "crates/runtime/src/pool.rs",
         },
         // A new Relaxed counter nobody declared or justified.
         Mutant {

@@ -1,8 +1,8 @@
 //! Mutation self-test (PR-4 style): seeds known-bad source and
 //! manifest mutants into a scratch mirror of the workspace and fails
-//! on any escape. Two mutants are the literal review-caught bugs this
-//! pass exists to catch mechanically: the PR-6 fence-less seqlock
-//! writer and a Relaxed-weakened PR-7 done-protocol counter.
+//! on any escape. One mutant is the literal review-caught bug this
+//! pass exists to catch mechanically, the PR-6 fence-less seqlock
+//! writer; another weakens a declared ordering in place.
 
 use emx_analyze::report::ViolationKind;
 use emx_srclint::selftest::{builtin_mutants, run_mutants};
@@ -29,7 +29,7 @@ fn no_mutant_escapes() {
 }
 
 #[test]
-fn the_two_review_caught_bugs_are_seeded() {
+fn the_review_caught_bug_and_a_weakened_ordering_are_seeded() {
     let mutants = builtin_mutants();
     let pr6 = mutants
         .iter()
@@ -37,10 +37,10 @@ fn the_two_review_caught_bugs_are_seeded() {
         .expect("PR-6 mutant present");
     assert_eq!(pr6.expect, ViolationKind::MissingFence);
     assert_eq!(pr6.file, "crates/obs/src/ring.rs");
-    let pr7 = mutants
+    let weakened = mutants
         .iter()
-        .find(|m| m.name == "pr7-relaxed-done-counter")
-        .expect("PR-7 mutant present");
-    assert_eq!(pr7.expect, ViolationKind::ProtocolMismatch);
-    assert_eq!(pr7.file, "crates/spec/src/scheduler.rs");
+        .find(|m| m.name == "relaxed-ws-termination-publish")
+        .expect("weakened-ordering mutant present");
+    assert_eq!(weakened.expect, ViolationKind::ProtocolMismatch);
+    assert_eq!(weakened.file, "crates/runtime/src/pool.rs");
 }

@@ -85,7 +85,7 @@ const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[
 
 /// Experiment ids legitimately absent from `reproduce`'s default list
 /// (on-demand modes).
-const ON_DEMAND_EXPERIMENTS: &[&str] = &["smoke", "fock", "profile", "speculate", "distsim"];
+const ON_DEMAND_EXPERIMENTS: &[&str] = &["smoke", "fock", "profile", "distsim"];
 
 /// Files whose non-test code forms the ERI quartet inner loop and must
 /// stay free of per-call `Vec` allocation.

@@ -102,6 +102,39 @@ fn full_roster_runs_in_simulator_exactly_once() {
 }
 
 #[test]
+fn the_roster_is_nine_names_and_the_removed_fifth_model_is_not_one() {
+    let names = [
+        "serial",
+        "static-block",
+        "static-cyclic",
+        "static-assigned",
+        "dynamic-counter",
+        "guided",
+        "guided-adaptive",
+        "work-stealing",
+        "persistence-based",
+    ];
+    assert_eq!(PolicyKind::canonical_names(), names);
+    // Every name but the one that needs an owner map is in the roster.
+    let roster = PolicyKind::full_roster(&skewed_costs(NTASKS), WORKERS, 2);
+    assert_eq!(roster.len(), names.len() - 1);
+    for name in names {
+        assert_eq!(
+            roster.iter().any(|(_, kind)| kind.name() == name),
+            name != "static-assigned",
+            "{name}"
+        );
+    }
+    assert_eq!(
+        "speculative".parse::<PolicyKind>().unwrap_err().to_string(),
+        format!(
+            "unknown policy \"speculative\" (known: {})",
+            names.join(", ")
+        )
+    );
+}
+
+#[test]
 fn work_stealing_round_robin_victims_run_on_both_substrates() {
     // RoundRobin victim selection is a threads-first feature; the
     // simulator replays it too via `simulate_policy`.

@@ -27,7 +27,10 @@
 //!   whose death is not yet detected gets no response; the thief times
 //!   out and retries under exponential backoff instead of spinning.
 //!   Once the detection interval elapses, thieves drop the rank from
-//!   their believed-alive victim set and stop paying timeouts.
+//!   their believed-alive victim set and stop paying timeouts. A thief
+//!   that finds nothing stealable anywhere while orphans still wait for
+//!   the detector sleeps until they are redistributed rather than
+//!   polling (the quiescence rule, `Liveness::quiescent_until`).
 //!
 //! This module holds the plan, its accounting and the recovery
 //! machinery; the loops that consult them are the simulator's own
@@ -470,10 +473,18 @@ impl Liveness {
         }
     }
 
-    /// Due time of the earliest pending redistribution.
+    /// The quiescence rule. Asked when every queue is empty and no haul
+    /// is in flight, so that each unfinished task is either running to
+    /// completion or waiting in an orphan batch (a rank that will die
+    /// mid-task is killed when the task starts, so running tasks orphan
+    /// nothing later): no probe can succeed before the earliest pending
+    /// redistribution, and idle rank `w` has nothing to do until then, or
+    /// until its own scheduled death if that comes first. `None` when no
+    /// redistribution is pending — nothing will ever be stealable again.
     #[inline]
-    pub(crate) fn next_redistribution(&self) -> Option<f64> {
-        self.redis.last().map(|&(due, _, _)| due)
+    pub(crate) fn quiescent_until(&self, w: usize) -> Option<f64> {
+        let &(due, _, _) = self.redis.last()?;
+        Some(self.death[w].map_or(due, |dt| dt.min(due)))
     }
 
     /// Uniform victim for thief `w` among the ranks it believes alive —
@@ -731,11 +742,12 @@ mod tests {
     #[test]
     fn ten_thousand_ranks_with_half_failing_finish_without_blowup() {
         // Scale regression for the fault path: 10⁴ ranks, every even
-        // rank fail-stops early, survivors absorb the orphans. The old
-        // implementation rescanned all P queues per steal attempt and
-        // rebuilt the survivor list per redistribution, which is
-        // quadratic here; the tracker/liveness structures must keep
-        // this a seconds-scale run even in debug builds.
+        // rank fail-stops early, survivors absorb the orphans. Bounded in
+        // events, not seconds: tasks + steal attempts stay linear in
+        // n + P = 30 000 (measured 20 000 + 471 685, of which 183 734
+        // time out on a dead victim: survivors with a task left keep the
+        // others probing until the detector fires, so this cell has no
+        // quiescent gap to wait out).
         let p = 10_000;
         let n = 2 * p;
         let costs: Vec<f64> = (0..n).map(|i| ((i * 13) % 7 + 1) as f64 * 1e-4).collect();
@@ -745,22 +757,18 @@ mod tests {
         for w in (0..p).step_by(2) {
             plan = plan.with_rank_failure(w, 1e-4 + w as f64 * 1e-8);
         }
-        let t0 = std::time::Instant::now();
         let r = simulate_with_faults(
             &costs,
             &SimModel::TopologyStealing { steal_half: true },
             &cfg,
             &plan,
         );
-        let elapsed = t0.elapsed();
         assert_eq!(r.faults.injected, (p / 2) as u64);
         assert_eq!(r.faults.lost, 0, "survivors must finish every task");
         assert_eq!(r.sim.tasks.iter().sum::<usize>(), n);
         assert!((0..p).step_by(2).all(|w| r.sim.tasks[w] * 50 < n));
-        assert!(
-            elapsed < std::time::Duration::from_secs(90),
-            "fault-path scale regression: {elapsed:?}"
-        );
+        let events = n as u64 + r.sim.steal_attempts;
+        assert!(events <= 32 * (n + p) as u64, "{events} events");
     }
 
     #[test]

@@ -951,7 +951,8 @@ fn simulate_counter_family(
 /// Under a fault plan, steal requests may be dropped or delayed, a
 /// request to a dead rank goes unanswered until the thief times out, and
 /// a rank that fail-stops orphans its queue for survivors to
-/// redistribute ([`Liveness`]).
+/// redistribute ([`Liveness`]); idle survivors with nothing left to steal
+/// wait for that redistribution instead of polling.
 fn simulate_stealing(
     costs: &[f64],
     steal_half: bool,
@@ -995,12 +996,14 @@ fn simulate_stealing(
     // Per-worker state that only some runs need is sized to zero in the
     // others: fail-stop bookkeeping, consecutive failed attempts (for
     // backoff), the "hunting for work" flag (event emission only:
-    // IdleStart on entering the hunt, StealSuccess/IdleEnd on leaving)
-    // and the round-robin scan position.
+    // IdleStart on entering the hunt, StealSuccess/IdleEnd on leaving),
+    // the "waiting for the detector" flag and the round-robin scan
+    // position.
     let mut live = (!plan.rank_failures.is_empty()).then(|| Liveness::new(costs, &queues, plan));
     let backs_off = plan.backoff_base > 0.0;
     let mut failures = vec![0u32; if backs_off { p } else { 0 }];
     let mut hunting = vec![false; if cfg.events { p } else { 0 }];
+    let mut parked = vec![false; if live.is_some() { p } else { 0 }];
     let round_robin = victim_policy == VictimPolicy::RoundRobin;
     let mut rr_attempts = vec![0u64; if round_robin { p } else { 0 }];
     let mut steals = 0u64;
@@ -1033,6 +1036,7 @@ fn simulate_stealing(
     }
 
     while let Some((t, w)) = q.pop() {
+        let woken = live.is_some() && std::mem::take(&mut parked[w]);
         if let Some(live) = &mut live {
             live.advance(t, costs, &mut queues, &mut tracker, &mut stats);
             if live.dead[w] {
@@ -1069,6 +1073,11 @@ fn simulate_stealing(
         }
         if let Some(i) = queues[w].pop_front() {
             tracker.update(w, !queues[w].is_empty());
+            if cfg.events && hunting[w] {
+                // A redistribution handed the hunter work of its own.
+                tally.event(w, EventKind::IdleEnd, 0, t);
+                hunting[w] = false;
+            }
             let d = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
             tally.ran(w, i, t, d);
             remaining -= 1;
@@ -1082,17 +1091,33 @@ fn simulate_stealing(
             q.push(t + d, w);
             continue;
         }
-        // No local work. The worker retires on global termination, or
-        // when no queue holds work, nothing is in flight and no
-        // redistribution is pending: the remaining tasks are then
+        // No local work, and nothing is stealable either when no queue
+        // holds work and nothing is in flight. The worker then waits for
+        // the detector — one wake-up at the next redistribution instead
+        // of a failed probe per steal latency until then — or retires if
+        // none is pending: the run is over, or the remaining tasks are
         // unreachable (their holders died with no survivors to hand them
         // to). Fault-free, every unfinished task is queued or in flight.
-        let pending = live.as_ref().and_then(Liveness::next_redistribution);
-        if remaining == 0 || (!tracker.any() && flying == 0 && pending.is_none()) {
-            if cfg.events && hunting[w] {
-                tally.event(w, EventKind::IdleEnd, 0, t);
+        if remaining == 0 || (!tracker.any() && flying == 0) {
+            let wake = live.as_ref().and_then(|l| l.quiescent_until(w));
+            if cfg.events && (hunting[w] || wake.is_some()) {
+                // The wait is one idle span, closed at the wake-up.
+                if !hunting[w] {
+                    tally.event(w, EventKind::IdleStart, 0, t);
+                }
+                tally.event(w, EventKind::IdleEnd, 0, wake.unwrap_or(t));
                 hunting[w] = false;
             }
+            if let Some(wake) = wake {
+                parked[w] = true;
+                q.push(wake, w);
+            }
+            continue;
+        }
+        if woken {
+            // The ranks that were handed orphans at this instant start
+            // them before a woken thief's probe can reach them.
+            q.push(t, w);
             continue;
         }
         if cfg.events && !hunting[w] {
@@ -1193,15 +1218,9 @@ fn simulate_stealing(
             // Failed attempt: back off, but retry no earlier than the
             // next event in the system, so zero-latency machines cannot
             // livelock at a frozen timestamp while another worker
-            // finishes a task — nor, when that is no later than now,
-            // earlier than the next pending redistribution, which may be
-            // the only future work source.
+            // finishes a task.
             let next_event = q.peek_time().unwrap_or(t_resolved);
-            let mut retry = (t_resolved + failed(&mut failures, w)).max(next_event);
-            if retry <= t {
-                retry = retry.max(pending.unwrap_or(retry));
-            }
-            q.push(retry, w);
+            q.push((t_resolved + failed(&mut failures, w)).max(next_event), w);
         }
     }
 
@@ -1649,6 +1668,31 @@ mod tests {
         events.iter().flatten().filter(|e| e.kind == kind).count() as u64
     }
 
+    /// Every hunt is opened once and closed once — by a steal, or by an
+    /// `IdleEnd` — before the rank's next task starts or its stream ends.
+    fn assert_hunts_well_formed(events: &[Vec<ProfEvent>], label: &str) {
+        for (w, stream) in events.iter().enumerate() {
+            let mut hunting = false;
+            for e in stream {
+                match e.kind {
+                    EventKind::IdleStart => {
+                        assert!(!hunting, "{label}: rank {w} nests hunts");
+                        hunting = true;
+                    }
+                    EventKind::StealSuccess | EventKind::IdleEnd => {
+                        assert!(hunting, "{label}: rank {w} closes no hunt");
+                        hunting = false;
+                    }
+                    EventKind::TaskStart => {
+                        assert!(!hunting, "{label}: rank {w} runs a task mid-hunt")
+                    }
+                    _ => {}
+                }
+            }
+            assert!(!hunting, "{label}: rank {w} ends in an open hunt");
+        }
+    }
+
     #[test]
     fn events_off_by_default() {
         let costs = vec![1.0; 8];
@@ -1722,22 +1766,32 @@ mod tests {
         );
         assert_eq!(count_kind(&r.events, EventKind::StealSuccess), r.steals);
         assert_eq!(count_kind(&r.events, EventKind::TaskStart), 32);
-        // Every hunt a worker opened is closed by a steal success or a
-        // final IdleEnd — no dangling IdleStart survives the run.
-        for stream in &r.events {
-            let mut hunting = false;
-            for e in stream {
-                match e.kind {
-                    EventKind::IdleStart => {
-                        assert!(!hunting, "no nested hunts");
-                        hunting = true;
-                    }
-                    EventKind::StealSuccess | EventKind::IdleEnd => hunting = false,
-                    _ => {}
-                }
-            }
-            assert!(!hunting, "every hunt is closed");
+        assert_hunts_well_formed(&r.events, "fault-free");
+    }
+
+    #[test]
+    fn a_hunter_handed_orphans_closes_its_hunt() {
+        // Rank 0 runs dry while rank 2 still holds work, probes the dead
+        // rank 1 and, waiting out the time-out, is handed rank 1's orphans.
+        let mut cfg = event_cfg(3);
+        cfg.machine = MachineModel::default();
+        let costs = [1e-6, 1e-6, 9e-6, 9e-6, 50e-6, 50e-6, 50e-6, 50e-6, 50e-6];
+        let owners = vec![0, 0, 1, 1, 2, 2, 2, 2, 2];
+        let model = SimModel::SeededStealing {
+            owners,
+            steal_half: false,
+        };
+        let mut plan = FaultPlan::fault_free().with_rank_failure(1, 5e-6);
+        plan.detection_interval = 20e-6;
+        let mut timed_out = 0;
+        for seed in 0..8 {
+            cfg.seed = seed;
+            let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+            assert_eq!((r.faults.orphaned, r.faults.lost), (2, 0));
+            assert_hunts_well_formed(&r.sim.events, "fail-stop");
+            timed_out += r.faults.rpc_timeouts;
         }
+        assert!(timed_out > 0, "no seed probed the dead rank");
     }
 
     #[test]
@@ -1835,6 +1889,59 @@ mod tests {
         // never meaningfully overrun the virtual wall clock.
         assert!(a.max_sum_error() < 0.01, "{}", a.max_sum_error());
         assert!(a.critical_path_ns > 0 && a.critical_path_ns <= wall);
+    }
+
+    #[test]
+    fn a_wait_for_the_detector_is_one_idle_span() {
+        // The quiescent-gap cell: every survivor is out of work after
+        // ~20 µs and the dead rank's orphan falls due a millisecond later.
+        let p = 64;
+        let costs: Vec<f64> = (0..2 * p)
+            .map(|i| ((i * 13) % 7 + 1) as f64 * 1e-6)
+            .collect();
+        let mut cfg = SimConfig::new(p);
+        cfg.machine = MachineModel::with_topology();
+        cfg.events = true;
+        let dt = 0.25 * costs.iter().sum::<f64>() / p as f64;
+        let plan = FaultPlan::fault_free().with_rank_failure(p / 3, dt);
+        let due = virt_ns(dt + plan.detection_interval);
+        for model in [
+            SimModel::WorkStealing { steal_half: true },
+            SimModel::TopologyStealing { steal_half: true },
+        ] {
+            let name = model.name();
+            let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+            assert_eq!(r.faults.recovered, r.faults.orphaned, "{name}");
+            let wall = virt_ns(r.sim.makespan);
+            assert!(wall > due, "{name}: the orphan runs after the gap");
+            assert_hunts_well_formed(&r.sim.events, name);
+            for (w, stream) in r.sim.events.iter().enumerate() {
+                if w == p / 3 {
+                    continue;
+                }
+                // The wait is the hunt that ran dry, closed when the
+                // detector fires: no probe is issued inside the gap (one
+                // sent to the dead rank earlier may time out in it).
+                let close = stream
+                    .iter()
+                    .position(|e| e.kind == EventKind::IdleEnd && e.t_ns == due)
+                    .unwrap_or_else(|| panic!("{name}: rank {w} did not wait for the detector"));
+                let mut probes = stream[..close]
+                    .iter()
+                    .filter(|e| e.kind == EventKind::StealAttempt);
+                assert!(
+                    probes.all(|e| e.t_ns < due / 10),
+                    "{name}: rank {w} probed inside the gap"
+                );
+            }
+            let a = emx_obs::Attribution::build(name, wall, &r.sim.events);
+            assert!(a.max_sum_error() < 0.01, "{name}: {}", a.max_sum_error());
+            for b in a.workers.iter().filter(|b| b.worker != p / 3) {
+                // The wait is booked as idle, not as the price of a steal.
+                assert!(b.steal_ns < wall / 20, "{name}: {b:?}");
+                assert!(b.idle_ns > wall / 10 * 9, "{name}: {b:?}");
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2020,10 +2127,15 @@ mod tests {
 
     #[test]
     fn full_roster_simulates_ten_thousand_ranks_in_bounded_time() {
-        // The tentpole scale contract: every model in the roster runs
-        // 10⁴ ranks without super-linear blowup. Debug builds are slow,
-        // so the bound is generous — the quadratic regressions this
-        // guards against overshoot it by orders of magnitude.
+        // The scale contract, in events rather than seconds (this host
+        // has slow spells a stopwatch cannot tell from a regression):
+        // every model in the roster runs 10⁴ ranks in a number of tasks +
+        // counter fetches + steal attempts linear in n + P = 30 000.
+        // Measured: static 20 000; counter 32 500, guided 35 000,
+        // group-counters 32 528, hier-counters 35 079; work-stealing
+        // 36 281, seeded 37 937, hier-stealing 50 025, topo 52 082 — the
+        // starvation and ping-pong regressions this guards against
+        // overshoot the bounds by orders of magnitude.
         let p = 10_000;
         let n = 2 * p;
         let costs: Vec<f64> = (0..n)
@@ -2057,16 +2169,21 @@ mod tests {
             },
             SimModel::TopologyStealing { steal_half: true },
         ];
-        let t0 = std::time::Instant::now();
         for model in &roster {
             let r = simulate(&costs, model, &cfg);
             assert_eq!(r.tasks.iter().sum::<usize>(), n, "{}", model.name());
             assert!(r.makespan > 0.0, "{}", model.name());
+            let events = n as u64 + r.counter_fetches + r.steal_attempts;
+            let c = match model.lower(&cfg) {
+                Family::Static { .. } => 1,
+                Family::Counter { .. } => 2,
+                Family::Stealing { .. } => 3,
+            };
+            assert!(
+                events <= c * (n + p) as u64,
+                "{}: {events} events",
+                model.name()
+            );
         }
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed < std::time::Duration::from_secs(60),
-            "10k-rank roster took {elapsed:?}"
-        );
     }
 }

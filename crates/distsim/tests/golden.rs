@@ -45,6 +45,27 @@ const GOLDEN: [[[u64; 4]; 9]; 2] = [
     ],
 ];
 
+/// `GAP_GOLDEN[seed][model][recovery]`: the quiescent-gap cell
+/// (`common::gap_cell`, where idle thieves wait for the detector instead
+/// of polling) for the stealing models of `common::stealing_roster` under
+/// `common::RECOVERIES`, assignment and events included. Taken with the
+/// quiescence rule; the polling loop it replaced never produced them.
+#[rustfmt::skip]
+const GAP_GOLDEN: [[[u64; 3]; 4]; 2] = [
+    [
+        [0x2eb6237154bd6eff, 0x2eb6237154bd6eff, 0x87dcaa25942712ec],
+        [0x2eb6237154bd6eff, 0x2eb6237154bd6eff, 0x87dcaa25942712ec],
+        [0x674265f266b27c5f, 0x674265f266b27c5f, 0x4d0132716cf7cb2c],
+        [0x6c2ffbfcfe929225, 0x6c2ffbfcfe929225, 0x79b0ab9a7d303316],
+    ],
+    [
+        [0xcd3931461330e519, 0xcd3931461330e519, 0xb5e4aaf41155ea96],
+        [0xcd3931461330e519, 0xcd3931461330e519, 0xb5e4aaf41155ea96],
+        [0x1c707b1498b18b11, 0x1c707b1498b18b11, 0x488312eacfb449de],
+        [0x911f1b8ac6361e00, 0x911f1b8ac6361e00, 0xc178561c4fb21b77],
+    ],
+];
+
 /// Scattered 1–13× costs on a ramp that makes the last quarter of the
 /// ranks four times as loaded as the first, so thieves meet long queues.
 fn costs() -> Vec<f64> {
@@ -161,8 +182,31 @@ fn every_cell_matches_the_pre_merge_simulators() {
     assert!(drift.is_empty(), "cells drifted: {drift:#?}");
 }
 
+/// One row of the gap table: `model` at `seed` under each recovery policy.
+fn gap_row(seed: u64, model: &SimModel) -> [u64; 3] {
+    common::RECOVERIES.map(|recovery| {
+        let mut cell = common::gap_cell(P, seed, recovery);
+        cell.cfg.events = true;
+        let r = simulate_with_faults(&cell.costs, model, &cell.cfg, &cell.plan);
+        hash(&r.sim, &r.faults, true)
+    })
+}
+
 #[test]
-#[ignore = "prints the GOLDEN table for the current code"]
+fn gap_cells_match_the_quiescence_rule() {
+    let mut drift = Vec::new();
+    for (s, &seed) in SEEDS.iter().enumerate() {
+        for (m, model) in common::stealing_roster(2 * P, P).iter().enumerate() {
+            if gap_row(seed, model) != GAP_GOLDEN[s][m] {
+                drift.push(format!("seed {seed} {}", model.name()));
+            }
+        }
+    }
+    assert!(drift.is_empty(), "gap cells drifted: {drift:#?}");
+}
+
+#[test]
+#[ignore = "prints the GOLDEN and GAP_GOLDEN tables for the current code"]
 fn print_golden() {
     let costs = costs();
     println!("const GOLDEN: [[[u64; 4]; 9]; 2] = [");
@@ -171,6 +215,16 @@ fn print_golden() {
         println!("    [");
         for model in &common::roster(N, P) {
             let row = plans(seed).map(|plan| format!("{:#018x}", cell(&costs, model, &cfg, &plan)));
+            println!("        [{}],", row.join(", "));
+        }
+        println!("    ],");
+    }
+    println!("];");
+    println!("const GAP_GOLDEN: [[[u64; 3]; 4]; 2] = [");
+    for &seed in &SEEDS {
+        println!("    [");
+        for model in &common::stealing_roster(2 * P, P) {
+            let row = gap_row(seed, model).map(|h| format!("{h:#018x}"));
             println!("        [{}],", row.join(", "));
         }
         println!("    ],");

@@ -173,3 +173,32 @@ fn faulty_roster_is_bitwise_identical_across_backends() {
         }
     }
 }
+
+#[test]
+fn quiescent_gap_is_bitwise_identical_across_backends_and_event_capture() {
+    // Every survivor parks at one timestamp and wakes at another: the
+    // regime in which wake order (park order) is all the queue decides.
+    for seed in [1u64, 7] {
+        for recovery in common::RECOVERIES {
+            let cell = common::gap_cell(64, seed, recovery);
+            for model in common::stealing_roster(cell.costs.len(), cell.p) {
+                let label = format!("gap {} {} seed={seed}", model.name(), recovery.name());
+                let run = |queue: QueueKind, events: bool| {
+                    let mut cfg = cell.cfg.clone();
+                    (cfg.queue, cfg.events, cfg.trace) = (queue, events, true);
+                    simulate_with_faults(&cell.costs, &model, &cfg, &cell.plan)
+                };
+                let cal = run(QueueKind::Calendar, true);
+                let heap = run(QueueKind::Heap, true);
+                assert_reports_identical(&cal.sim, &heap.sim, &label);
+                // Debug prints floats so that they round-trip: equal text
+                // is equal bits, field by field, fault accounting included.
+                assert_eq!(format!("{cal:?}"), format!("{heap:?}"), "{label}");
+                let mut silent = cal;
+                silent.sim.events.clear();
+                let off = run(QueueKind::Calendar, false);
+                assert_eq!(format!("{silent:?}"), format!("{off:?}"), "{label}: events");
+            }
+        }
+    }
+}

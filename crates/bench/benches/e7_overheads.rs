@@ -1,16 +1,14 @@
 //! E7 — runtime-overhead microbenchmarks (real code paths).
 //!
 //! Pins the cost of the mechanisms the execution models are built from:
-//! per-task dispatch of each scheduler, NXTVAL counter fetches, GA
-//! one-sided accumulates (local vs remote block), and the ERI compute
-//! kernel itself at different shell classes.
+//! per-task dispatch of each scheduler and the ERI compute kernel
+//! itself at different shell classes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use emx_chem::basis::{BasisSet, BasisedMolecule};
 use emx_chem::eri::eri_quartet;
 use emx_chem::molecule::Molecule;
 use emx_chem::shellpair::ShellPair;
-use emx_distsim::prelude::*;
 use emx_runtime::prelude::*;
 use std::hint::black_box;
 use std::time::Duration;
@@ -39,35 +37,6 @@ fn bench_dispatch(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
-}
-
-fn bench_nxtval(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e7_nxtval");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
-    let counter = NxtVal::new();
-    group.bench_function("fetch", |b| b.iter(|| black_box(counter.next(1))));
-    group.finish();
-}
-
-fn bench_ga(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e7_ga_acc");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
-    let ga = GlobalArray::zeros(64, 64, 4);
-    let patch = vec![1.0; 16 * 64];
-    // Rows 0..16 belong to rank 0: local for caller 0, remote for 3.
-    group.bench_function("local-block", |b| {
-        b.iter(|| ga.acc(0, 0, 0, 16, 64, 1.0, black_box(&patch)))
-    });
-    group.bench_function("remote-block", |b| {
-        b.iter(|| ga.acc(3, 0, 0, 16, 64, 1.0, black_box(&patch)))
-    });
     group.finish();
 }
 
@@ -137,12 +106,5 @@ fn bench_post_hf_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_dispatch,
-    bench_nxtval,
-    bench_ga,
-    bench_eri,
-    bench_post_hf_kernels
-);
+criterion_group!(benches, bench_dispatch, bench_eri, bench_post_hf_kernels);
 criterion_main!(benches);

@@ -2,9 +2,9 @@
 //!
 //! Runs a small but real slice of the study with observability attached
 //! — a traced work-stealing Fock build, a counter-model build, a full
-//! SCF with per-iteration phase timings, a traced discrete-event
-//! simulation and an observed distributed SCF — and renders the results
-//! as Chrome-trace JSON files plus one stamped JSONL metrics snapshot.
+//! SCF with per-iteration phase timings and a traced discrete-event
+//! simulation — and renders the results as Chrome-trace JSON files plus
+//! one stamped JSONL metrics snapshot.
 //! The `reproduce` binary writes these under `--trace-out` /
 //! `--metrics-out`; the integration tests assert their shape.
 
@@ -102,18 +102,6 @@ pub fn capture_observability(experiment_id: &str) -> ObsCapture {
         publish_sim_metrics(&metrics, "sim.ws", &r);
         let chrome = sim_report_to_chrome(&r, 2, "sim work-stealing P=8");
         traces.push(("sim_ws".into(), chrome.to_json_string()));
-    }
-
-    // 5. Observed distributed SCF: NXTVAL fetch latency + GA traffic.
-    {
-        let h2 = BasisedMolecule::assign(&Molecule::h2(1.4), BasisSet::Sto3g);
-        let (_, _) = rhf_distributed_observed(
-            &h2,
-            &cfg,
-            2,
-            DistScheduler::NxtVal { chunk: 1 },
-            Some(&metrics),
-        );
     }
 
     let meta = RunMeta::new(experiment_id, git_describe_string());

@@ -62,7 +62,6 @@ fn metrics_jsonl_is_stamped_and_complete() {
         "runtime.steal_attempts",
         "runtime.steals",
         "runtime.counter_fetches",
-        "distsim.nxtval_fetches",
     ] {
         assert_eq!(kind_of(counter), "counter", "{counter}");
     }
@@ -70,7 +69,6 @@ fn metrics_jsonl_is_stamped_and_complete() {
         "runtime.steal_latency",
         "runtime.counter_fetch_latency",
         "runtime.task_duration",
-        "distsim.nxtval_fetch_latency",
         "chem.quartets_per_task",
     ] {
         assert_eq!(kind_of(hist), "histogram", "{hist}");

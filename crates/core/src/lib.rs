@@ -32,7 +32,6 @@
 //! ```
 
 pub mod balancer;
-pub mod distexec;
 pub mod experiments;
 pub mod fockexec;
 pub mod table;
@@ -41,9 +40,6 @@ pub mod workload;
 /// Common imports for examples and benches.
 pub mod prelude {
     pub use crate::balancer::{balance, fock_affinity, BalancerKind, TaskAffinity};
-    pub use crate::distexec::{
-        rhf_distributed, rhf_distributed_observed, DistScheduler, DistStats,
-    };
     pub use crate::experiments::{
         e10_faults, e1_scaling, e2_headline, e3_balancer_quality, e3_comm_aware, e4_partition_cost,
         e5_granularity, e6_variability, e7_overheads, e8_distributed, e9_weak_scaling,

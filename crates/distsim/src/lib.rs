@@ -1,17 +1,13 @@
 //! # emx-distsim — simulated distributed-memory substrate
 //!
 //! The paper's environment is an MPI + Global Arrays cluster; this crate
-//! substitutes it with two complementary pieces:
-//!
-//! * **Thread-backed semantics** — [`world`] (ranks, messages, barrier,
-//!   reduce/broadcast), [`nxtval`] (the GA shared counter) and [`ga`]
-//!   (block-distributed dense arrays with one-sided get/put/accumulate
-//!   and traffic accounting). These run the *real* communication code
-//!   paths of the distributed kernel and are tested for correctness.
-//! * **Timing at scale** — [`sim`], a discrete-event simulator replaying
-//!   measured or synthetic task costs through each execution model with
-//!   a parameterized [`machine::MachineModel`], reproducing the paper's
-//!   scaling shapes for thousands of ranks on any host.
+//! substitutes it with [`sim`], a single-threaded, deterministic
+//! discrete-event simulator replaying measured or synthetic task costs
+//! through each execution model with a parameterized
+//! [`machine::MachineModel`], reproducing the paper's scaling shapes for
+//! thousands of ranks on any host. The shared NXTVAL counter is the
+//! counter family of loops; remote-accumulate volume is priced per
+//! assignment by [`sim::DataLayout`].
 //!
 //! [`faults`] describes deterministic fault injection (rank fail-stop,
 //! message drop/delay, counter-host outage, unanswered steals) for the
@@ -37,13 +33,10 @@
 
 pub mod eventq;
 pub mod faults;
-pub mod ga;
 pub mod machine;
-pub mod nxtval;
 pub mod obs;
 pub mod sim;
 pub mod simviz;
-pub mod world;
 
 /// Common imports.
 pub mod prelude {
@@ -52,15 +45,12 @@ pub mod prelude {
         publish_fault_metrics, simulate_with_faults, CounterOutage, FaultPlan, FaultReport,
         FaultStats, RankFailure, RecoveryPolicy,
     };
-    pub use crate::ga::GlobalArray;
     pub use crate::machine::{MachineModel, Topology};
-    pub use crate::nxtval::{HierNxtVal, NxtVal};
-    pub use crate::obs::{publish_ga_traffic, publish_sim_metrics, sim_report_to_chrome};
+    pub use crate::obs::{publish_sim_metrics, sim_report_to_chrome};
     pub use crate::sim::{
         simulate, simulate_policy, simulate_static_with_data, DataLayout, SimConfig, SimModel,
         SimReport,
     };
     pub use crate::simviz::{render_sim_timeline, sim_utilization_curve};
-    pub use crate::world::{run_world, run_world_with_obs, Message, RankCtx, Traffic};
     pub use emx_sched::PolicyKind;
 }

@@ -1,6 +1,6 @@
 //! Observability adapters for the simulated distributed substrate:
 //! Chrome-trace export of DES timelines and metric publication for
-//! simulation reports and Global-Array traffic.
+//! simulation reports.
 //!
 //! Metric names (all prefixed by the caller):
 //!
@@ -11,11 +11,7 @@
 //! | `.steals`           | counter | count | [`SimReport::steals`]       |
 //! | `.steal_attempts`   | counter | count | [`SimReport::steal_attempts`] |
 //! | `.counter_fetches`  | counter | count | [`SimReport::counter_fetches`] |
-//! | `.local_ops`        | counter | count | [`GlobalArray::traffic`]    |
-//! | `.remote_ops`       | counter | count | [`GlobalArray::traffic`]    |
-//! | `.remote_bytes`     | counter | bytes | [`GlobalArray::traffic`]    |
 
-use crate::ga::GlobalArray;
 use crate::sim::SimReport;
 use emx_obs::{ChromeTrace, MetricsRegistry};
 
@@ -57,20 +53,6 @@ pub fn publish_sim_metrics(metrics: &MetricsRegistry, prefix: &str, report: &Sim
     metrics
         .counter(&format!("{prefix}.counter_fetches"), "count")
         .add(report.counter_fetches);
-}
-
-/// Publishes a Global Array's access accounting under `prefix`.
-pub fn publish_ga_traffic(metrics: &MetricsRegistry, prefix: &str, ga: &GlobalArray) {
-    let (local, remote, bytes) = ga.traffic();
-    metrics
-        .counter(&format!("{prefix}.local_ops"), "count")
-        .add(local);
-    metrics
-        .counter(&format!("{prefix}.remote_ops"), "count")
-        .add(remote);
-    metrics
-        .counter(&format!("{prefix}.remote_bytes"), "bytes")
-        .add(bytes);
 }
 
 #[cfg(test)]
@@ -144,37 +126,6 @@ mod tests {
             .unwrap();
         match &util.value {
             MetricValue::Gauge(v) => assert!((*v - r.utilization()).abs() < 1e-12),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ga_traffic_published() {
-        let ga = GlobalArray::zeros(8, 8, 2);
-        ga.put(0, 0, 0, 8, 8, &vec![1.0; 64]); // half local, half remote
-        let _ = ga.get(1, 0, 0, 4, 8); // remote for rank 1
-        let m = MetricsRegistry::new();
-        publish_ga_traffic(&m, "ga", &ga);
-        let (local, remote, bytes) = ga.traffic();
-        let entries = m.snapshot();
-        let get = |name: &str| {
-            entries
-                .iter()
-                .find(|e| e.name == name)
-                .unwrap()
-                .value
-                .clone()
-        };
-        match get("ga.local_ops") {
-            MetricValue::Counter(v) => assert_eq!(v, local),
-            other => panic!("unexpected {other:?}"),
-        }
-        match get("ga.remote_ops") {
-            MetricValue::Counter(v) => assert_eq!(v, remote),
-            other => panic!("unexpected {other:?}"),
-        }
-        match get("ga.remote_bytes") {
-            MetricValue::Counter(v) => assert_eq!(v, bytes),
             other => panic!("unexpected {other:?}"),
         }
     }

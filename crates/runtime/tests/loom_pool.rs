@@ -1,7 +1,9 @@
-//! Loom harnesses for the work-stealing pool's two load-bearing
-//! protocols: deque handoff (owner pop vs thief steal) and the
-//! abort-flag broadcast that keeps peers from spinning after a task
-//! exhausts its retries (the e82b711 deadlock class).
+//! Loom harnesses for the pool's load-bearing protocols: deque handoff
+//! (owner pop vs thief steal), the abort-flag broadcast that keeps
+//! peers from spinning after a task exhausts its retries (the e82b711
+//! deadlock class), and the shared-counter claim of
+//! `runtime-counter-dispatch` (docs/protocols.toml) — chunked fetch-add
+//! claims must partition the task range under every schedule.
 //!
 //! Under the vendored loom stand-in these run 64 perturbed schedules
 //! per `model` call; build with `RUSTFLAGS="--cfg loom"` for the deep
@@ -163,5 +165,96 @@ fn loom_executor_stealing_exactly_once_stress() {
         // run() asserts every task of 0..24 executes exactly once.
         let (locals, _report) = exec.run(24, |_| 0usize, |_, n| *n += 1);
         assert_eq!(locals.iter().sum::<usize>(), 24);
+    });
+}
+
+/// The `runtime-counter-dispatch` claim on model atomics: three workers
+/// claim chunks until the range is exhausted; claims never overlap and
+/// cover every task.
+#[test]
+fn loom_counter_chunked_claims_partition_the_range() {
+    loom::model(|| {
+        const NTASKS: usize = 12;
+        const CHUNK: usize = 2;
+        let next = Arc::new(AtomicUsize::new(0));
+        let claims = Arc::new(Mutex::new(Vec::new()));
+
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let next = Arc::clone(&next);
+                let claims = Arc::clone(&claims);
+                loom::thread::spawn(move || loop {
+                    let begin = next.fetch_add(CHUNK, Ordering::Relaxed);
+                    if begin >= NTASKS {
+                        break;
+                    }
+                    let end = (begin + CHUNK).min(NTASKS);
+                    claims.lock().unwrap().push((begin, end));
+                    loom::thread::yield_now();
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+
+        let mut tasks: Vec<usize> = claims
+            .lock()
+            .unwrap()
+            .iter()
+            .flat_map(|&(b, e)| b..e)
+            .collect();
+        tasks.sort_unstable();
+        assert_eq!(
+            tasks,
+            (0..NTASKS).collect::<Vec<_>>(),
+            "claims must partition 0..{NTASKS} exactly"
+        );
+    });
+}
+
+/// Over-claiming past the end is benign: every worker that fetches a
+/// begin ≥ ntasks retires without touching a task, and the counter
+/// never hands the same begin to two workers.
+#[test]
+fn loom_counter_overshoot_is_idempotent() {
+    loom::model(|| {
+        let next = Arc::new(AtomicUsize::new(0));
+        let begins = Arc::new(Mutex::new(Vec::new()));
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let next = Arc::clone(&next);
+                let begins = Arc::clone(&begins);
+                loom::thread::spawn(move || {
+                    let b = next.fetch_add(3, Ordering::Relaxed);
+                    begins.lock().unwrap().push(b);
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let mut b = begins.lock().unwrap().clone();
+        b.sort_unstable();
+        assert_eq!(b, vec![0, 3, 6, 9], "each worker owns a distinct chunk");
+    });
+}
+
+/// The real counter executor under repeated perturbed schedules: the
+/// tasks the workers ran are a disjoint exact cover of the range, for a
+/// chunk that divides it and one that overshoots its end. (A stress
+/// repeat like the stealing canary above, not an interleaving proof.)
+#[test]
+fn loom_executor_counter_claims_are_a_disjoint_exact_cover() {
+    use emx_runtime::pool::Executor;
+    use emx_sched::PolicyKind;
+    loom::model(|| {
+        for chunk in [2, 5] {
+            let exec = Executor::new(3, PolicyKind::DynamicCounter { chunk });
+            let (locals, _report) = exec.run(24, |_| Vec::new(), |i, ran| ran.push(i));
+            let mut all: Vec<usize> = locals.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..24).collect::<Vec<_>>(), "chunk {chunk}");
+        }
     });
 }

@@ -416,8 +416,8 @@ fn run_profile(trace_dir: Option<&str>) -> Table {
 /// `docs/ARCHITECTURE.md`); every pair is asserted bitwise identical,
 /// and the stamped metric is simulated events per second of wall clock.
 /// The CI gate is host-independent: aggregate calendar throughput must
-/// stay within [`emx_bench::DISTSIM_FLOOR_RATIO`] of the heap oracle's
-/// on the same host. Walls, rates and the ratio are stamped into
+/// be at least [`emx_bench::DISTSIM_FLOOR_RATIO`] times the heap
+/// oracle's on the same host. Walls, rates and the ratio are stamped into
 /// `results/BENCH_distsim.json`; `EMX_DISTSIM_SMOKE=1` shrinks the
 /// sweep to 10³/10⁴ ranks for CI.
 fn run_distsim() -> Table {

@@ -28,14 +28,15 @@ pub fn distsim_smoke() -> bool {
     std::env::var("EMX_DISTSIM_SMOKE").is_ok()
 }
 
-/// Aggregate calendar throughput must stay within this factor of the
+/// Aggregate calendar throughput must be at least this multiple of the
 /// heap oracle's (host-independent: both run on the same machine in the
-/// same process). The calendar core does not beat the heap: the stamped
-/// aggregate at 10⁴–10⁵ ranks is 0.94× (`results/BENCH_distsim.json`), and
-/// `benchmark/` measures 0.94× (2 tasks per rank) and 0.69× (128 per
-/// rank). The floor only guards against a regression that makes the
-/// production backend pathologically slower than its oracle.
-pub const DISTSIM_FLOOR_RATIO: f64 = 0.5;
+/// same process): the production backend may not lose to its oracle.
+/// The sort-on-open calendar stamps 1.9–2.1× at 10⁴–10⁵ ranks
+/// (`results/BENCH_distsim.json`), ten smoke runs on a noisy two-core
+/// host read 1.60–2.07, and `benchmark/`'s `distsim.heap_over_calendar`
+/// is 1.5–1.8 at both 2 and 128 tasks a rank; the per-bucket-heap
+/// calendar before it stamped 0.94×.
+pub const DISTSIM_FLOOR_RATIO: f64 = 1.0;
 
 /// One (model, rank count) cell of the sweep.
 pub struct DistsimBenchRow {

@@ -39,13 +39,12 @@
 //! which is what makes degraded-vs-healthy comparisons meaningful. See
 //! `docs/FAULT_MODEL.md` for the full contract.
 
-use crate::eventq::WorkTracker;
+use crate::eventq::{RankQueues, WorkTracker};
 use crate::sim::{SimConfig, SimModel, SimReport, SplitMix};
 use emx_balance::prelude::{
     full_adjacency, rebalance, semi_matching, PersistenceConfig, Problem, SemiMatchConfig,
 };
 use emx_obs::MetricsRegistry;
-use std::collections::VecDeque;
 
 /// A scheduled fail-stop failure of one simulated rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -414,8 +413,8 @@ pub(crate) struct Liveness {
 }
 
 impl Liveness {
-    pub(crate) fn new(costs: &[f64], queues: &[VecDeque<usize>], plan: &FaultPlan) -> Liveness {
-        let p = queues.len();
+    pub(crate) fn new(costs: &[f64], queues: &RankQueues, plan: &FaultPlan) -> Liveness {
+        let p = queues.ranks();
         Liveness {
             death: death_times(p, plan),
             dead: vec![false; p],
@@ -423,9 +422,8 @@ impl Liveness {
             alive: (0..p).collect(),
             alive_pos: (0..p).collect(),
             detect: Vec::new(),
-            qload: queues
-                .iter()
-                .map(|q| q.iter().map(|&i| costs[i]).sum())
+            qload: (0..p)
+                .map(|w| queues.queue(w).map(|i| costs[i]).sum())
                 .collect(),
             orphan_death: vec![f64::NAN; costs.len()],
             redis: Vec::new(),
@@ -443,7 +441,7 @@ impl Liveness {
         &mut self,
         t: f64,
         costs: &[f64],
-        queues: &mut [VecDeque<usize>],
+        queues: &mut RankQueues,
         tracker: &mut WorkTracker,
         stats: &mut FaultStats,
     ) {
@@ -466,7 +464,7 @@ impl Liveness {
             let assign = assign_orphans(&weights, &loads, self.recovery);
             for (k, &i) in orphans.iter().enumerate() {
                 let s = self.alive_now[assign[k]];
-                queues[s].push_back(i);
+                queues.push_back(s, i);
                 self.qload[s] += costs[i];
                 tracker.update(s, true);
             }
@@ -528,13 +526,13 @@ impl Liveness {
         &mut self,
         w: usize,
         dt: f64,
-        queues: &mut [VecDeque<usize>],
+        queues: &mut RankQueues,
         tracker: &mut WorkTracker,
         stats: &mut FaultStats,
     ) {
         self.dead[w] = true;
         stats.injected += 1;
-        let orphans: Vec<usize> = std::mem::take(&mut queues[w]).into();
+        let orphans = queues.take_all(w);
         self.qload[w] = 0.0;
         tracker.update(w, false);
         let pos = self

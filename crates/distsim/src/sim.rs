@@ -21,7 +21,7 @@
 //! [`simulate_with_faults`] under the plan that injects nothing, which
 //! allocates and touches no fault state.
 
-use crate::eventq::{EventQueue, ProfArena, QueueKind, WorkTracker};
+use crate::eventq::{EventQueue, ProfArena, QueueKind, RankQueues, WorkTracker};
 use crate::faults::{
     assign_orphans, death_times, simulate_with_faults, FaultPlan, FaultReport, FaultStats, Liveness,
 };
@@ -284,10 +284,10 @@ pub struct SimConfig {
     /// one attribution/export pipeline serves both substrates.
     pub events: bool,
     /// Event-queue backend. [`QueueKind::Calendar`] (the default) is the
-    /// O(1)-amortized production backend; [`QueueKind::Heap`] is the
-    /// binary-heap oracle it is checked against — both implement the
-    /// same `(time, seq)` total order, so reports are bitwise
-    /// identical.
+    /// O(1)-amortized sort-on-open calendar, faster than the heap at
+    /// every measured size; [`QueueKind::Heap`] is the `std` binary heap
+    /// kept as its oracle — both implement the same `(time, seq)` total
+    /// order, so reports are bitwise identical.
     pub queue: QueueKind,
 }
 
@@ -452,7 +452,11 @@ pub fn simulate_policy(costs: &[f64], kind: &PolicyKind, cfg: &SimConfig) -> Sim
 }
 
 /// Effective duration of `cost` started at time `t` on `worker`.
+#[inline]
 fn stretched(cost: f64, worker: usize, t: f64, cfg: &SimConfig) -> f64 {
+    if matches!(cfg.variability, Variability::None) {
+        return cost; // the factor is 1.0: no `Duration` to build per task
+    }
     let f = cfg
         .variability
         .factor(worker, cfg.workers, Duration::from_secs_f64(t.max(0.0)));
@@ -968,18 +972,18 @@ fn simulate_stealing(
 
     // Seed the deques: from the given assignment, or block-wise
     // (mirroring the static baseline's initial locality).
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
+    let mut queues = RankQueues::new(n, p);
     match seed_owners {
         Some(owners) => {
             assert_eq!(owners.len(), n, "seed assignment length mismatch");
             for (i, &w) in owners.iter().enumerate() {
                 assert!((w as usize) < p, "seed owner out of range");
-                queues[w as usize].push_back(i);
+                queues.push_back(w as usize, i);
             }
         }
         None => {
             for i in 0..n {
-                queues[emx_sched::block_owner(i, n.max(1), p)].push_back(i);
+                queues.push_back(emx_sched::block_owner(i, n.max(1), p), i);
             }
         }
     }
@@ -987,8 +991,8 @@ fn simulate_stealing(
     // answers instead of O(P) scans per steal attempt.
     let level_sizes: Vec<usize> = levels.iter().map(|&(s, _)| s).collect();
     let mut tracker = WorkTracker::new(p, &level_sizes);
-    for (w, q) in queues.iter().enumerate() {
-        tracker.update(w, !q.is_empty());
+    for w in 0..p {
+        tracker.update(w, queues.len(w) > 0);
     }
     let mut remaining = n;
     let mut tally = Tally::new(n, cfg);
@@ -1011,13 +1015,12 @@ fn simulate_stealing(
     let mut makespan = 0.0f64;
     let mut rng = SplitMix::new(cfg.seed);
     let mut fate = SplitMix::new(plan.seed ^ 0x0bad_cafe);
-    // Stolen tasks in transit to each thief: they leave the victim's
-    // queue at the steal decision but only become visible (and
-    // stealable again) when the thief's arrival event fires. Without
-    // this, two idle workers can pass the last task back and forth
-    // forever, each re-stealing it before the other's arrival event
-    // executes it — a deterministic livelock.
-    let mut fly: Vec<Vec<usize>> = vec![Vec::new(); p];
+    // Stolen tasks in transit to their thieves (the hauls of `queues`):
+    // they leave the victim's queue at the steal decision but only
+    // become visible (and stealable again) when the thief's arrival
+    // event fires. Without this, two idle workers can pass the last task
+    // back and forth forever, each re-stealing it before the other's
+    // arrival event executes it — a deterministic livelock.
     let mut flying = 0usize;
     // Counts one more consecutive failed attempt of `w`; returns the
     // exponential-backoff wait it owes before the next.
@@ -1046,21 +1049,19 @@ fn simulate_stealing(
         // Land any stolen haul that rode this worker's arrival event
         // (before the death check, so a thief killed mid-return orphans
         // the haul with the rest of its queue).
-        if !fly[w].is_empty() {
-            flying -= fly[w].len();
-            for i in std::mem::take(&mut fly[w]) {
-                if let Some(live) = &mut live {
-                    live.qload[w] += costs[i];
-                }
-                queues[w].push_back(i);
+        if queues.in_flight(w) > 0 {
+            flying -= queues.in_flight(w);
+            if let Some(live) = &mut live {
+                queues.haul(w).for_each(|i| live.qload[w] += costs[i]);
             }
+            queues.land(w);
             tracker.update(w, true);
         }
         if let Some(live) = &mut live {
             if let Some(dt) = live.death[w] {
-                let head_ends = queues[w]
-                    .front()
-                    .map(|&i| t + (stretched(costs[i], w, t, cfg) + m.dispatch_overhead));
+                let head_ends = queues
+                    .front(w)
+                    .map(|i| t + (stretched(costs[i], w, t, cfg) + m.dispatch_overhead));
                 if t >= dt || head_ends.is_some_and(|end| end > dt) {
                     // Fail-stop, idle or mid-task (partial progress is
                     // lost): freeze and orphan the queue; survivors
@@ -1071,8 +1072,8 @@ fn simulate_stealing(
                 }
             }
         }
-        if let Some(i) = queues[w].pop_front() {
-            tracker.update(w, !queues[w].is_empty());
+        if let Some(i) = queues.pop_front(w) {
+            tracker.update(w, queues.len(w) > 0);
             if cfg.events && hunting[w] {
                 // A redistribution handed the hunter work of its own.
                 tally.event(w, EventKind::IdleEnd, 0, t);
@@ -1188,22 +1189,18 @@ fn simulate_stealing(
             q.push(gave_up + failed(&mut failures, w), w);
             continue;
         }
-        let qlen = queues[victim].len();
+        let qlen = queues.len(victim);
         if victim != w && qlen > 0 {
             let take = if steal_half { qlen.div_ceil(2) } else { 1 };
             // Steal from the back (cold end), like Chase–Lev thieves.
             // The haul rides the return trip: it lands at the arrival
             // event above, not in the thief's queue now.
-            for _ in 0..take {
-                if let Some(task) = queues[victim].pop_back() {
-                    fly[w].push(task);
-                    flying += 1;
-                    if let Some(live) = &mut live {
-                        live.qload[victim] -= costs[task];
-                    }
-                }
+            queues.steal(victim, w, take);
+            flying += take;
+            if let Some(live) = &mut live {
+                queues.haul(w).for_each(|i| live.qload[victim] -= costs[i]);
             }
-            tracker.update(victim, !queues[victim].is_empty());
+            tracker.update(victim, queues.len(victim) > 0);
             steals += 1;
             if backs_off {
                 failures[w] = 0;

@@ -140,6 +140,12 @@ fn boys_table() -> &'static [f64] {
 /// cache-resident table row per evaluation.
 #[inline(always)]
 pub fn boys_ladder_cached(m_max: usize, t: f64, out: &mut [f64]) {
+    if m_max == 0 && t >= T_LARGE {
+        // `boys_ladder`'s large-T value, without the e^{-T} that only its
+        // upward recursion reads.
+        out[0] = 0.5 * (std::f64::consts::PI / t).sqrt();
+        return;
+    }
     if !(T_TINY..T_LARGE).contains(&t) || m_max > TAB_M_MAX {
         boys_ladder(m_max, t, out);
         return;
@@ -270,7 +276,7 @@ mod tests {
     #[test]
     fn cached_falls_back_outside_table() {
         // Large T, tiny T and high m all route to the exact ladder.
-        for &(m_max, t) in &[(3usize, 50.0), (3, 1e-15), (TAB_M_MAX + 4, 5.0)] {
+        for &(m_max, t) in &[(3usize, 50.0), (0, 50.0), (3, 1e-15), (TAB_M_MAX + 4, 5.0)] {
             let mut a = vec![0.0; m_max + 1];
             let mut b = vec![0.0; m_max + 1];
             boys_ladder(m_max, t, &mut a);

@@ -34,6 +34,14 @@
 //! the `(−1)^{τ+ν+φ}` sign and every coefficient/norm factor are folded
 //! into the tables at pair-build time.
 //!
+//! Both stages are one `#[inline(always)]` body, [`Quartet::contract`],
+//! called with literal class sizes (`nh`, `ncomp` of each side) for the
+//! nine shape pairs of an s/p basis and with the sizes as loaded for any
+//! class with a d shell: one source, and every loop of an s/p quartet has
+//! a fixed trip count. Stage 1 keeps the `ncomp_ket` dots of a bra
+//! Hermite row side by side, each summed in `hk` order, so the
+//! vectorizer pairs ket components into lanes without reordering a sum.
+//!
 //! Each ket's block is computed into its own accumulators, so a
 //! quartet's result is bit-identical regardless of which other kets
 //! share the call — task chunking and worker count cannot perturb `G`.
@@ -119,19 +127,14 @@ pub fn eri_bra_block_into(scratch: &mut EriScratch, set: &PairBatchSet, bra: usi
         counts,
     } = &mut scratch.batch;
     let (bc, bslot) = set.class_of(bra);
-    let nh_b = bc.nh;
-    let ncomp_b = bc.ncomp;
-    let bp0 = bc.prim_off[bslot] as usize;
-    let bp1 = bc.prim_off[bslot + 1] as usize;
-
     offs.clear();
     offs.push(0);
     let mut total = 0usize;
     let mut tacc_len = 0usize;
     for &k in kets {
         let ncomp_k = set.class_of(k as usize).0.ncomp;
-        total += ncomp_b * ncomp_k;
-        tacc_len = tacc_len.max(nh_b * ncomp_k);
+        total += bc.ncomp * ncomp_k;
+        tacc_len = tacc_len.max(bc.nh * ncomp_k);
         offs.push(total);
     }
     blocks.clear();
@@ -143,34 +146,120 @@ pub fn eri_bra_block_into(scratch: &mut EriScratch, set: &PairBatchSet, bra: usi
     }
     // The prefactor-scaled R tensor of one primitive quartet.
     let mut r = [0.0; R_SIMPLEX_LEN];
+    let (mut prims, mut tiny, mut large) = (0, 0, 0);
 
     for (ki, &k) in kets.iter().enumerate() {
         let (kc, kslot) = set.class_of(k as usize);
-        let nh_k = kc.nh;
-        let ncomp_k = kc.ncomp;
-        let l_tot = bc.l + kc.l;
-        let comb = hermite_comb_table(bc.l, kc.l);
-        let kp0 = kc.prim_off[kslot] as usize;
-        let kp1 = kc.prim_off[kslot + 1] as usize;
+        let q = Quartet::new(bc, bslot, kc, kslot);
+        let n = (bc.nprims(bslot) * kc.nprims(kslot)) as u64;
+        counts.by_l_tot[bc.l + kc.l] += n;
+        prims += n;
         let out = &mut blocks[offs[ki]..offs[ki + 1]];
+        let dims = [bc.nh, bc.ncomp, kc.nh, kc.ncomp];
+        // The nine shape pairs of an s/p basis get literal dims, so every
+        // loop of the body has a fixed trip count; a d shell runs the
+        // same body with the dims as loaded.
+        let (q_tiny, q_large) = match dims {
+            [1, 1, 1, 1] => q.contract([1, 1, 1, 1], &mut r, tacc, out),
+            [1, 1, 4, 3] => q.contract([1, 1, 4, 3], &mut r, tacc, out),
+            [1, 1, 10, 9] => q.contract([1, 1, 10, 9], &mut r, tacc, out),
+            [4, 3, 1, 1] => q.contract([4, 3, 1, 1], &mut r, tacc, out),
+            [4, 3, 4, 3] => q.contract([4, 3, 4, 3], &mut r, tacc, out),
+            [4, 3, 10, 9] => q.contract([4, 3, 10, 9], &mut r, tacc, out),
+            [10, 9, 1, 1] => q.contract([10, 9, 1, 1], &mut r, tacc, out),
+            [10, 9, 4, 3] => q.contract([10, 9, 4, 3], &mut r, tacc, out),
+            [10, 9, 10, 9] => q.contract([10, 9, 10, 9], &mut r, tacc, out),
+            _ => q.contract(dims, &mut r, tacc, out),
+        };
+        tiny += q_tiny;
+        large += q_large;
+    }
+    counts.boys[0] += tiny;
+    counts.boys[1] += prims - tiny - large;
+    counts.boys[2] += large;
+}
+
+/// `[nh_bra, ncomp_bra, nh_ket, ncomp_ket]`: Hermite simplex size and
+/// Cartesian component pairs of each side of a quartet.
+type Dims = [usize; 4];
+
+/// Largest component-pair count of a class: `ncart(la)·ncart(lb)` with
+/// `la + lb ≤ PAIR_L_MAX` peaks at `la = lb`.
+const MAX_NCOMP: usize = {
+    let ncart = (PAIR_L_MAX / 2 + 1) * (PAIR_L_MAX / 2 + 2) / 2;
+    ncart * ncart
+};
+
+/// One (bra pair, ket pair) quartet: both classes, each side's
+/// primitive-pair range and the class pair's `comb` table.
+struct Quartet<'a> {
+    bc: &'a ShellPairBatch,
+    kc: &'a ShellPairBatch,
+    bp: (usize, usize),
+    kp: (usize, usize),
+    comb: &'a [u32],
+}
+
+impl<'a> Quartet<'a> {
+    /// Member `bslot` of class `bc` against member `kslot` of `kc`.
+    fn new(bc: &'a ShellPairBatch, bslot: usize, kc: &'a ShellPairBatch, kslot: usize) -> Self {
+        let prims =
+            |c: &ShellPairBatch, m: usize| (c.prim_off[m] as usize, c.prim_off[m + 1] as usize);
+        Quartet {
+            bc,
+            kc,
+            bp: prims(bc, bslot),
+            kp: prims(kc, kslot),
+            comb: hermite_comb_table(bc.l, kc.l),
+        }
+    }
+
+    /// The quartet's block into `out` (zeroed, `ncomp_bra · ncomp_ket`),
+    /// with `tacc` as the stage-1 accumulator. `dims` must be the two
+    /// classes' own; a literal gives every loop a fixed trip count.
+    /// Returns how many primitive quartets had `T < T_TINY` and `T ≥
+    /// T_LARGE`.
+    #[inline(always)]
+    fn contract(
+        &self,
+        [nh_b, ncomp_b, nh_k, ncomp_k]: Dims,
+        r: &mut [f64; R_SIMPLEX_LEN],
+        tacc: &mut [f64],
+        out: &mut [f64],
+    ) -> (u64, u64) {
+        let Quartet { bc, kc, comb, .. } = *self;
+        debug_assert_eq!(
+            [nh_b, ncomp_b, nh_k, ncomp_k],
+            [bc.nh, bc.ncomp, kc.nh, kc.ncomp]
+        );
         let tacc = &mut tacc[..nh_b * ncomp_k];
-        counts.by_l_tot[l_tot] += ((bp1 - bp0) * (kp1 - kp0)) as u64;
-
-        for bp in bp0..bp1 {
+        let comb = &comb[..nh_b * nh_k];
+        let out = &mut out[..ncomp_b * ncomp_k];
+        let (mut tiny, mut large) = (0, 0);
+        let mut dots = [0.0; MAX_NCOMP];
+        for bp in self.bp.0..self.bp.1 {
             tacc.fill(0.0);
-            for kp in kp0..kp1 {
-                let t_arg = front_end(bc, bp, kc, kp, &mut r);
-                counts.boys[(t_arg >= T_TINY) as usize + (t_arg >= T_LARGE) as usize] += 1;
+            for kp in self.kp.0..self.kp.1 {
+                let t_arg = front_end(bc, bp, kc, kp, r);
+                tiny += (t_arg < T_TINY) as u64;
+                large += (t_arg >= T_LARGE) as u64;
 
+                // Stage 1: for each bra Hermite component, the R row it
+                // pairs with against every ket component's dense E row —
+                // one dot per ket component, summed in `hk` order, with
+                // the components side by side so they share each R value.
                 let e_k = &kc.e_ket[kp * ncomp_k * nh_k..][..ncomp_k * nh_k];
-                // Literal simplex sizes (s|s, s|p and p|p kets) give the
-                // gather and the dots fixed trip counts.
-                match nh_k {
-                    1 => stage1::<1>(1, tacc, e_k, &r, comb, ncomp_k),
-                    4 => stage1::<4>(4, tacc, e_k, &r, comb, ncomp_k),
-                    10 => stage1::<10>(10, tacc, e_k, &r, comb, ncomp_k),
-                    _ => {
-                        stage1::<{ hermite_count(PAIR_L_MAX) }>(nh_k, tacc, e_k, &r, comb, ncomp_k)
+                for (trow, crow) in tacc.chunks_exact_mut(ncomp_k).zip(comb.chunks_exact(nh_k)) {
+                    let dots = &mut dots[..ncomp_k];
+                    dots.fill(0.0);
+                    for (hk, &ci) in crow.iter().enumerate() {
+                        let rv = r[ci as usize];
+                        for (s, erow) in dots.iter_mut().zip(e_k.chunks_exact(nh_k)) {
+                            *s += erow[hk] * rv;
+                        }
+                    }
+                    for (t, s) in trow.iter_mut().zip(dots.iter()) {
+                        *t += s;
                     }
                 }
             }
@@ -178,22 +267,20 @@ pub fn eri_bra_block_into(scratch: &mut EriScratch, set: &PairBatchSet, bra: usi
             // Stage 2: contract the bra E rows against the accumulated
             // T — once per bra primitive, amortized over ket prims.
             let e_b = &bc.e_bra[bp * ncomp_b * nh_b..][..ncomp_b * nh_b];
-            for a in 0..ncomp_b {
-                let erow = &e_b[a * nh_b..][..nh_b];
-                let orow = &mut out[a * ncomp_k..][..ncomp_k];
-                for (hb, &w) in erow.iter().enumerate() {
+            for (orow, erow) in out.chunks_exact_mut(ncomp_k).zip(e_b.chunks_exact(nh_b)) {
+                for (&w, trow) in erow.iter().zip(tacc.chunks_exact(ncomp_k)) {
                     // Dense bra rows keep the E triangle's zeros; a row
                     // skip here saves the whole ncomp_k AXPY.
                     if w == 0.0 {
                         continue;
                     }
-                    let trow = &tacc[hb * ncomp_k..][..ncomp_k];
                     for (o, t) in orow.iter_mut().zip(trow) {
                         *o += w * t;
                     }
                 }
             }
         }
+        (tiny, large)
     }
 }
 
@@ -225,48 +312,70 @@ pub fn front_end(
     )
 }
 
-/// Stage 1 for one primitive quartet: `T[hb][cd] += Σ_hk e_k[cd][hk] ·
-/// r[comb[hb][hk]]`, with `T` as `tacc` (`nh_bra` rows of `ncomp_k`).
-/// `CAP ≥ nh_k` sizes the gathered row; when the caller passes both as
-/// the same literal the row lives in registers.
-#[inline(always)]
-fn stage1<const CAP: usize>(
-    nh_k: usize,
-    tacc: &mut [f64],
-    e_k: &[f64],
-    r: &[f64; R_SIMPLEX_LEN],
-    comb: &[u32],
-    ncomp_k: usize,
-) {
-    let mut rg = [0.0; CAP];
-    let rg = &mut rg[..nh_k];
-    let mut c0 = 0;
-    let mut t0 = 0;
-    while t0 < tacc.len() {
-        // Gather the R row this bra Hermite component pairs with, then
-        // dot it against every ket component's dense E row.
-        for (x, &ci) in rg.iter_mut().zip(&comb[c0..c0 + nh_k]) {
-            *x = r[ci as usize];
-        }
-        let mut ec = 0;
-        for t in &mut tacc[t0..t0 + ncomp_k] {
-            let mut s = 0.0;
-            for (e, g) in e_k[ec..ec + nh_k].iter().zip(rg.iter()) {
-                s += e * g;
-            }
-            *t += s;
-            ec += nh_k;
-        }
-        c0 += nh_k;
-        t0 += ncomp_k;
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::basis::Shell;
+    use crate::shellpair::ShellPair;
+
     #[test]
     fn prefactor_constant_is_the_scalar_kernels() {
         // `front_end` promises the scalar kernel's prefactor bit for bit.
-        assert_eq!(super::TWO_PI_POW_2_5, 2.0 * std::f64::consts::PI.powf(2.5));
+        assert_eq!(TWO_PI_POW_2_5, 2.0 * PI.powf(2.5));
+    }
+
+    #[test]
+    fn literal_and_runtime_dims_give_the_same_bits() {
+        // Random s/p shells: every block the kernel computes (literal
+        // dims) against the same body with the dims hidden from the
+        // optimizer, bit for bit; all nine shape pairs must occur.
+        let mut state = 0x5eed_d1a5_u64;
+        let mut uniform = |lo: f64, hi: f64| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            lo + ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+        };
+        let shape = |c: &ShellPairBatch| [1, 4, 10].iter().position(|&nh| nh == c.nh).unwrap();
+        let mut seen = [[false; 3]; 3];
+        for _ in 0..8 {
+            let shells: Vec<Shell> = (0..4)
+                .map(|_| {
+                    let l = uniform(0.0, 2.0) as usize;
+                    let nprim = uniform(1.0, 4.0) as usize;
+                    let exps = (0..nprim).map(|_| uniform(0.15, 3.5)).collect();
+                    let coefs = (0..nprim).map(|_| uniform(-0.5, 1.0)).collect();
+                    let center = [0; 3].map(|_| uniform(-1.0, 1.0));
+                    Shell::new(l, center, exps, coefs, 0)
+                })
+                .collect();
+            let mut pairs = Vec::new();
+            for a in 0..shells.len() {
+                for b in 0..=a {
+                    pairs.push(ShellPair::build(a, &shells[a], b, &shells[b], 0));
+                }
+            }
+            let set = PairBatchSet::build(&shells, &pairs);
+            let kets: Vec<u32> = (0..pairs.len() as u32).collect();
+            let mut scratch = EriScratch::new();
+            for bra in 0..pairs.len() {
+                eri_bra_block_into(&mut scratch, &set, bra, &kets);
+                let (bc, bslot) = set.class_of(bra);
+                for (i, &k) in kets.iter().enumerate() {
+                    let (kc, kslot) = set.class_of(k as usize);
+                    let dims = std::hint::black_box([bc.nh, bc.ncomp, kc.nh, kc.ncomp]);
+                    let mut r = [0.0; R_SIMPLEX_LEN];
+                    let mut tacc = vec![0.0; bc.nh * kc.ncomp];
+                    let mut out = vec![0.0; bc.ncomp * kc.ncomp];
+                    Quartet::new(bc, bslot, kc, kslot).contract(dims, &mut r, &mut tacc, &mut out);
+                    let bits = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(scratch.ket_block(i)), bits(&out), "bra {bra} ket {k}");
+                    seen[shape(bc)][shape(kc)] = true;
+                }
+            }
+        }
+        assert_eq!(seen, [[true; 3]; 3], "shape pairs covered");
     }
 }

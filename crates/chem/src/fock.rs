@@ -129,24 +129,7 @@ impl<'a> FockBuilder<'a> {
         g_local: &mut Matrix,
         scratch: &mut EriScratch,
     ) -> u64 {
-        debug_assert_eq!(density.shape(), (self.bm.nbf, self.bm.nbf));
-        debug_assert_eq!(g_local.shape(), (self.bm.nbf, self.bm.nbf));
-        let mut kets = std::mem::take(&mut scratch.ket_buf);
-        kets.clear();
-        for ket in task.ket_begin..task.ket_end {
-            if self.pairs.survives(task.bra, ket, self.tau) {
-                kets.push(ket as u32);
-            }
-        }
-        eri_bra_block_into(scratch, &self.pairs.batch, task.bra, &kets);
-        let bra_pair = &self.pairs.pairs[task.bra];
-        for (i, &ket) in kets.iter().enumerate() {
-            let ket_pair = &self.pairs.pairs[ket as usize];
-            self.scatter(bra_pair, ket_pair, scratch.ket_block(i), density, g_local);
-        }
-        let done = kets.len() as u64;
-        scratch.ket_buf = kets;
-        done
+        self.execute_jk(task, density, density, 0.5, g_local, scratch)
     }
 
     /// The pre-batching task executor: one scalar
@@ -173,21 +156,23 @@ impl<'a> FockBuilder<'a> {
             }
             let ket_pair = &self.pairs.pairs[ket];
             let block = eri_quartet_into(scratch, bra_pair, ket_pair, &self.bm.shells);
-            self.scatter(bra_pair, ket_pair, block, density, g_local);
+            self.scatter(bra_pair, ket_pair, block, density, density, 0.5, g_local);
             done += 1;
         }
         done
     }
 
-    /// Scatters one quartet block into `g` using 8-fold symmetry.
+    /// Scatters one quartet block into `g` using 8-fold symmetry:
+    /// `G += J(pj) − k_scale·K(pk)` (RHF is `(P, P, ½)`).
     ///
     /// Shell-level uniqueness comes from the triangular task loop
     /// (`a ≥ b`, `c ≥ d`, bra pair index ≥ ket pair index); component
     /// duplicates therefore only arise between *coincident* shells, and
     /// the filters below dedup exactly those cases:
     ///
-    /// * `a == b` → keep `ia ≥ ib`;
-    /// * `c == d` → keep `ic ≥ id`;
+    /// * `a == b` → keep `ia ≥ ib`, i.e. `μ ≥ ν` (for `a > b` every `μ`
+    ///   exceeds every `ν`);
+    /// * `c == d` → keep `λ ≥ σ`;
     /// * bra pair == ket pair → keep global compound `(μν) ≥ (λσ)`.
     ///
     /// A global-compound filter applied unconditionally would be wrong:
@@ -199,54 +184,54 @@ impl<'a> FockBuilder<'a> {
     ///
     /// Returns the number of permutational images applied — the
     /// old-vs-scratch equivalence tests compare these counts.
+    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
     fn scatter(
         &self,
         bra: &crate::shellpair::ShellPair,
         ket: &crate::shellpair::ShellPair,
         block: &[f64],
-        p: &Matrix,
+        pj: &Matrix,
+        pk: &Matrix,
+        k_scale: f64,
         g: &mut Matrix,
     ) -> u64 {
+        debug_assert!(bra.a >= bra.b && ket.a >= ket.b, "pair list not canonical");
         let off = &self.bm.shell_offsets;
-        let ca = cartesian_components(bra.la);
-        let cb = cartesian_components(bra.lb);
-        let cc = cartesian_components(ket.la);
-        let cd = cartesian_components(ket.lb);
         let (oa, ob, oc, od) = (off[bra.a], off[bra.b], off[ket.a], off[ket.b]);
-        let (ncb, ncc, ncd) = (cb.len(), cc.len(), cd.len());
-        let same_ab = bra.a == bra.b;
-        let same_cd = ket.a == ket.b;
+        let nc = |l| cartesian_components(l).len();
         let same_pair = bra.a == ket.a && bra.b == ket.b;
+        let n = g.cols();
+        let (g, pj, pk) = (g.as_mut_slice(), pj.as_slice(), pk.as_slice());
 
         let mut images = 0;
         let mut idx = 0;
-        for ia in 0..ca.len() {
-            let mu = oa + ia;
-            for ib in 0..ncb {
-                let nu = ob + ib;
-                for ic in 0..ncc {
-                    let la = oc + ic;
-                    for id in 0..ncd {
-                        let si = od + id;
+        for mu in oa..oa + nc(bra.la) {
+            for nu in ob..ob + nc(bra.lb) {
+                for la in oc..oc + nc(ket.la) {
+                    for si in od..od + nc(ket.lb) {
                         let v = block[idx];
                         idx += 1;
-                        if v == 0.0 {
+                        if v == 0.0 || nu > mu || si > la {
                             continue;
                         }
-                        if same_ab && ib > ia {
+                        if same_pair && mu * (mu + 1) / 2 + nu < la * (la + 1) / 2 + si {
                             continue;
                         }
-                        if same_cd && id > ic {
-                            continue;
+                        let q = [mu, nu, la, si];
+                        let distinct = distinct_images(q);
+                        for &k in distinct {
+                            // The symmetry orbits of all canonical quartets
+                            // partition the full (a,b,c,d) index space, so
+                            // applying the two naive updates once per
+                            // distinct image reproduces the unrestricted
+                            // four-index sums exactly:
+                            //   Coulomb   G[ab] += Pj[cd]·(ab|cd)
+                            //   Exchange  G[ac] −= k·Pk[bd]·(ab|cd)
+                            let [a, b, c, d] = IMAGES[k as usize].map(|i| q[i]);
+                            g[a * n + b] += pj[c * n + d] * v;
+                            g[a * n + c] -= k_scale * pk[b * n + d] * v;
                         }
-                        if same_pair {
-                            let ij = mu * (mu + 1) / 2 + nu;
-                            let kl = la * (la + 1) / 2 + si;
-                            if ij < kl {
-                                continue;
-                            }
-                        }
-                        images += scatter_images(g, p, v, mu, nu, la, si);
+                        images += distinct.len() as u64;
                     }
                 }
             }
@@ -271,7 +256,6 @@ impl<'a> FockBuilder<'a> {
     /// The RHF build is the special case `(d_j, d_k, k_scale) =
     /// (P, P, ½)`; the UHF spin Focks use `(Pᵅ+Pᵝ, Pᵅ, 1)` and
     /// `(Pᵅ+Pᵝ, Pᵝ, 1)`.
-    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
     pub fn execute_jk(
         &self,
         task: &FockTask,
@@ -281,80 +265,45 @@ impl<'a> FockBuilder<'a> {
         g_local: &mut Matrix,
         scratch: &mut EriScratch,
     ) -> u64 {
+        let survives = |ket| self.pairs.survives(task.bra, ket, self.tau);
+        self.execute_kets(task, survives, d_j, d_k, k_scale, g_local, scratch)
+    }
+
+    /// The batched executor: stages the kets of `task` that `keep` admits
+    /// into the scratch's ket list, evaluates them in one kernel call,
+    /// and scatters their blocks in canonical ket order. Returns how
+    /// many quartets it computed.
+    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
+    fn execute_kets(
+        &self,
+        task: &FockTask,
+        keep: impl Fn(usize) -> bool,
+        d_j: &Matrix,
+        d_k: &Matrix,
+        k_scale: f64,
+        g_local: &mut Matrix,
+        scratch: &mut EriScratch,
+    ) -> u64 {
+        debug_assert_eq!(d_j.shape(), (self.bm.nbf, self.bm.nbf));
+        debug_assert_eq!(d_k.shape(), (self.bm.nbf, self.bm.nbf));
+        debug_assert_eq!(g_local.shape(), (self.bm.nbf, self.bm.nbf));
         let mut kets = std::mem::take(&mut scratch.ket_buf);
         kets.clear();
-        for ket in task.ket_begin..task.ket_end {
-            if self.pairs.survives(task.bra, ket, self.tau) {
-                kets.push(ket as u32);
-            }
-        }
+        kets.extend(
+            (task.ket_begin..task.ket_end)
+                .filter(|&ket| keep(ket))
+                .map(|ket| ket as u32),
+        );
         eri_bra_block_into(scratch, &self.pairs.batch, task.bra, &kets);
         let bra_pair = &self.pairs.pairs[task.bra];
         for (i, &ket) in kets.iter().enumerate() {
             let ket_pair = &self.pairs.pairs[ket as usize];
             let block = scratch.ket_block(i);
-            self.scatter_jk(bra_pair, ket_pair, block, d_j, d_k, k_scale, g_local);
+            self.scatter(bra_pair, ket_pair, block, d_j, d_k, k_scale, g_local);
         }
         let done = kets.len() as u64;
         scratch.ket_buf = kets;
         done
-    }
-
-    /// J/K scatter with independent densities (see [`Self::execute_jk`]).
-    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
-    fn scatter_jk(
-        &self,
-        bra: &crate::shellpair::ShellPair,
-        ket: &crate::shellpair::ShellPair,
-        block: &[f64],
-        pj: &Matrix,
-        pk: &Matrix,
-        k_scale: f64,
-        g: &mut Matrix,
-    ) {
-        let off = &self.bm.shell_offsets;
-        let ca = cartesian_components(bra.la);
-        let cb = cartesian_components(bra.lb);
-        let cc = cartesian_components(ket.la);
-        let cd = cartesian_components(ket.lb);
-        let (oa, ob, oc, od) = (off[bra.a], off[bra.b], off[ket.a], off[ket.b]);
-        let (ncb, ncc, ncd) = (cb.len(), cc.len(), cd.len());
-        let same_ab = bra.a == bra.b;
-        let same_cd = ket.a == ket.b;
-        let same_pair = bra.a == ket.a && bra.b == ket.b;
-
-        let mut idx = 0;
-        for ia in 0..ca.len() {
-            let mu = oa + ia;
-            for ib in 0..ncb {
-                let nu = ob + ib;
-                for ic in 0..ncc {
-                    let la = oc + ic;
-                    for id in 0..ncd {
-                        let si = od + id;
-                        let v = block[idx];
-                        idx += 1;
-                        if v == 0.0 {
-                            continue;
-                        }
-                        if same_ab && ib > ia {
-                            continue;
-                        }
-                        if same_cd && id > ic {
-                            continue;
-                        }
-                        if same_pair {
-                            let ij = mu * (mu + 1) / 2 + nu;
-                            let kl = la * (la + 1) / 2 + si;
-                            if ij < kl {
-                                continue;
-                            }
-                        }
-                        scatter_images_jk(g, pj, pk, k_scale, v, mu, nu, la, si);
-                    }
-                }
-            }
-        }
     }
 
     /// Largest |density| entry touching each shell pair's block — the
@@ -394,105 +343,51 @@ impl<'a> FockBuilder<'a> {
         scratch: &mut EriScratch,
     ) -> u64 {
         debug_assert_eq!(dmax.len(), self.pairs.len());
-        let mut kets = std::mem::take(&mut scratch.ket_buf);
-        kets.clear();
-        for ket in task.ket_begin..task.ket_end {
+        let keep = |ket| {
             let dfactor = dmax[task.bra].max(dmax[ket]);
-            if self.pairs.q[task.bra] * self.pairs.q[ket] * dfactor >= self.tau {
-                kets.push(ket as u32);
-            }
-        }
-        eri_bra_block_into(scratch, &self.pairs.batch, task.bra, &kets);
-        let bra_pair = &self.pairs.pairs[task.bra];
-        for (i, &ket) in kets.iter().enumerate() {
-            let ket_pair = &self.pairs.pairs[ket as usize];
-            self.scatter(bra_pair, ket_pair, scratch.ket_block(i), density, g_local);
-        }
-        let done = kets.len() as u64;
-        scratch.ket_buf = kets;
-        done
+            self.pairs.q[task.bra] * self.pairs.q[ket] * dfactor >= self.tau
+        };
+        self.execute_kets(task, keep, density, density, 0.5, g_local, scratch)
     }
 }
 
-/// Applies the J/K updates of one canonical integral value to every
-/// distinct permutational image of `(μν|λσ)`. Returns the number of
-/// distinct images applied.
-fn scatter_images(
-    g: &mut Matrix,
-    p: &Matrix,
-    v: f64,
-    mu: usize,
-    nu: usize,
-    la: usize,
-    si: usize,
-) -> u64 {
-    let images = [
-        (mu, nu, la, si),
-        (nu, mu, la, si),
-        (mu, nu, si, la),
-        (nu, mu, si, la),
-        (la, si, mu, nu),
-        (si, la, mu, nu),
-        (la, si, nu, mu),
-        (si, la, nu, mu),
-    ];
-    // Dedup the ≤ 8 images in place (tiny fixed-size problem).
-    let mut seen: [(usize, usize, usize, usize); 8] = [(usize::MAX, 0, 0, 0); 8];
-    let mut nseen = 0;
-    for &im in &images {
-        if seen[..nseen].contains(&im) {
-            continue;
-        }
-        seen[nseen] = im;
-        nseen += 1;
-        let (a, b, c, d) = im;
-        // The symmetry orbits of all canonical quartets partition the
-        // full (a,b,c,d) index space, so applying the two naive updates
-        // once per distinct image reproduces the unrestricted four-index
-        // sums exactly:
-        //   Coulomb   G[ab] += P[cd]·(ab|cd)
-        //   Exchange  G[ac] −= ½·P[bd]·(ab|cd)
-        g[(a, b)] += p.row(c)[d] * v;
-        g[(a, c)] -= 0.5 * p.row(b)[d] * v;
-    }
-    nseen as u64
-}
+/// The eight permutational images of `(μν|λσ)`, as positions in
+/// `[μ, ν, λ, σ]`.
+const IMAGES: [[usize; 4]; 8] = [
+    [0, 1, 2, 3],
+    [1, 0, 2, 3],
+    [0, 1, 3, 2],
+    [1, 0, 3, 2],
+    [2, 3, 0, 1],
+    [3, 2, 0, 1],
+    [2, 3, 1, 0],
+    [3, 2, 1, 0],
+];
 
-/// J/K image scatter with independent Coulomb/exchange densities.
-#[allow(clippy::too_many_arguments)] // kernel-internal plumbing
-fn scatter_images_jk(
-    g: &mut Matrix,
-    pj: &Matrix,
-    pk: &Matrix,
-    k_scale: f64,
-    v: f64,
-    mu: usize,
-    nu: usize,
-    la: usize,
-    si: usize,
-) {
-    let images = [
-        (mu, nu, la, si),
-        (nu, mu, la, si),
-        (mu, nu, si, la),
-        (nu, mu, si, la),
-        (la, si, mu, nu),
-        (si, la, mu, nu),
-        (la, si, nu, mu),
-        (si, la, nu, mu),
-    ];
-    let mut seen: [(usize, usize, usize, usize); 8] = [(usize::MAX, 0, 0, 0); 8];
-    let mut nseen = 0;
-    for &im in &images {
-        if seen[..nseen].contains(&im) {
-            continue;
-        }
-        seen[nseen] = im;
-        nseen += 1;
-        let (a, b, c, d) = im;
-        g[(a, b)] += pj.row(c)[d] * v;
-        g[(a, c)] -= k_scale * pk.row(b)[d] * v;
-    }
+/// The distinct [`IMAGES`], each at its first occurrence, by coincidence
+/// class `(μ = ν) + 2·(λ = σ) + 4·((μν) = (λσ))`. Under the canonical
+/// order `μ ≥ ν`, `λ ≥ σ` these three equalities decide every
+/// coincidence among the eight (any other forces all four indices
+/// equal), and `(μν) = (λσ)` with exactly one of the other two cannot
+/// occur (classes 5 and 6).
+const DISTINCT_IMAGES: [&[u8]; 8] = [
+    &[0, 1, 2, 3, 4, 5, 6, 7],
+    &[0, 2, 4, 5],
+    &[0, 1, 4, 6],
+    &[0, 4],
+    &[0, 1, 2, 3],
+    &[0],
+    &[0],
+    &[0],
+];
+
+/// The distinct permutational images of the canonical quartet `[μ, ν, λ,
+/// σ]`, as indices into [`IMAGES`].
+#[inline]
+fn distinct_images([mu, nu, la, si]: [usize; 4]) -> &'static [u8] {
+    debug_assert!(mu >= nu && la >= si, "non-canonical quartet");
+    let class = (mu == nu) as usize + 2 * (la == si) as usize + 4 * (mu == la && nu == si) as usize;
+    DISTINCT_IMAGES[class]
 }
 
 /// Reference `G` built from the naive four-index loop over the full
@@ -643,7 +538,7 @@ mod tests {
 
     #[test]
     fn jk_build_reduces_to_rhf_build() {
-        // execute_jk(P, P, ½) must equal the fused RHF scatter exactly.
+        // execute_jk(P, P, ½) must equal the RHF build to the last bit.
         let (bm, pairs) = setup(&Molecule::water());
         let fb = FockBuilder::new(&bm, &pairs, 1e-10);
         let d = mock_density(bm.nbf);
@@ -654,7 +549,44 @@ mod tests {
             fb.execute(&t, &d, &mut g_rhf, &mut scratch);
             fb.execute_jk(&t, &d, &d, 0.5, &mut g_jk, &mut scratch);
         }
-        assert!(g_rhf.max_abs_diff(&g_jk) < 1e-14);
+        for (a, b) in g_rhf.as_slice().iter().zip(g_jk.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn image_table_matches_the_search_it_replaced() {
+        // The distinct images of every canonical (μν|λσ) over 0..6, in
+        // order, against a dedup search over all eight.
+        for mu in 0..6 {
+            for nu in 0..=mu {
+                for la in 0..6 {
+                    for si in 0..=la {
+                        let q = [mu, nu, la, si];
+                        let mut searched = Vec::new();
+                        for im in [
+                            [mu, nu, la, si],
+                            [nu, mu, la, si],
+                            [mu, nu, si, la],
+                            [nu, mu, si, la],
+                            [la, si, mu, nu],
+                            [si, la, mu, nu],
+                            [la, si, nu, mu],
+                            [si, la, nu, mu],
+                        ] {
+                            if !searched.contains(&im) {
+                                searched.push(im);
+                            }
+                        }
+                        let table: Vec<_> = distinct_images(q)
+                            .iter()
+                            .map(|&k| IMAGES[k as usize].map(|i| q[i]))
+                            .collect();
+                        assert_eq!(table, searched, "{q:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -734,7 +666,7 @@ mod tests {
                 let ket_pair = &fb.pairs.pairs[ket];
                 let block =
                     crate::eri::eri_quartet_alloc_reference(bra_pair, ket_pair, &fb.bm.shells);
-                images += fb.scatter(bra_pair, ket_pair, &block, d, &mut g);
+                images += fb.scatter(bra_pair, ket_pair, &block, d, d, 0.5, &mut g);
                 quartets += 1;
             }
         }
@@ -755,7 +687,7 @@ mod tests {
                 let ket_pair = &fb.pairs.pairs[ket];
                 let block =
                     crate::eri::eri_quartet_into(&mut scratch, bra_pair, ket_pair, &fb.bm.shells);
-                images += fb.scatter(bra_pair, ket_pair, block, d, &mut g);
+                images += fb.scatter(bra_pair, ket_pair, block, d, d, 0.5, &mut g);
                 quartets += 1;
             }
         }

@@ -142,31 +142,30 @@ fn fock_execute_paths_are_allocation_free() {
     assert_eq!(ring.recorded(), 2 * tasks.len() as u64);
 
     // "No measurable overhead": the Off-recorder loop must run at the
-    // same speed as the bare loop. Medians over several repetitions,
-    // with a generous bound so the guard never flakes on shared runners
-    // — the real claim (one branch per task) is orders below it.
-    let median_secs = |f: &mut dyn FnMut()| -> f64 {
-        let mut secs: Vec<f64> = (0..5)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                f();
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        secs.sort_by(|a, b| a.total_cmp(b));
-        secs[secs.len() / 2]
+    // same speed as the bare loop. The two loops alternate and each is
+    // judged by its fastest repetition, so a slow spell of a loaded host
+    // inflates samples of both rather than the whole of one; the bound
+    // stays generous — the real claim (one branch per task) is orders
+    // below it.
+    let secs = |f: &mut dyn FnMut()| {
+        let t0 = std::time::Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
     };
-    let bare = median_secs(&mut || {
-        for t in &tasks {
-            fb.execute(t, &d, &mut g, &mut scratch);
-        }
-    });
-    let with_off = median_secs(&mut || {
-        for (i, t) in tasks.iter().enumerate() {
-            fb.execute(t, &d, &mut g, &mut scratch);
-            off.record("task", i as u64, i as u64 + 1);
-        }
-    });
+    let (mut bare, mut with_off) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..9 {
+        bare = bare.min(secs(&mut || {
+            for t in &tasks {
+                fb.execute(t, &d, &mut g, &mut scratch);
+            }
+        }));
+        with_off = with_off.min(secs(&mut || {
+            for (i, t) in tasks.iter().enumerate() {
+                fb.execute(t, &d, &mut g, &mut scratch);
+                off.record("task", i as u64, i as u64 + 1);
+            }
+        }));
+    }
     assert!(
         with_off <= bare * 1.5 + 1e-4,
         "disabled recorder slowed the warmed loop: {with_off:.6}s vs {bare:.6}s bare"

@@ -7,9 +7,8 @@
 //!
 //! Experiment ids follow `DESIGN.md` (E1–E8) plus `faults` (fault
 //! injection, see `docs/FAULT_MODEL.md`), `ablations`, `obs`
-//! (an instrumented capture of the whole stack), `analyze` (the static
-//! concurrency-correctness gate, see `docs/ANALYSIS.md`), `smoke`
-//! (CI's fast check: the full policy roster through both substrates)
+//! (an instrumented capture of the whole stack), `smoke`
+//! (CI's fast check: the full policy roster through both substrates),
 //! `profile` (ring-captured blame attribution of the real Fock
 //! build per policy, stamping `results/BENCH_obs.json` — see
 //! `docs/OBSERVABILITY.md`; `EMX_PROFILE_SMOKE=1` shrinks it for CI)
@@ -65,7 +64,6 @@ fn main() {
             "faults",
             "f1",
             "obs",
-            "analyze",
             "ablations",
         ]
         .into_iter()
@@ -212,19 +210,6 @@ fn main() {
             }
             "distsim" => {
                 tables.push(run_distsim());
-            }
-            "analyze" => {
-                let (table, report) = run_analyze();
-                tables.push(table);
-                if !report.is_clean() {
-                    eprintln!("{}", report.to_json());
-                    eprintln!(
-                        "analyze: {} violation(s) — see the machine-readable \
-                         report above",
-                        report.violations.len()
-                    );
-                    std::process::exit(1);
-                }
             }
             "ablations" => {
                 tables.push(ablation_steal_policy(&machine));
@@ -538,93 +523,6 @@ fn smoke_full_roster(machine: &MachineModel) -> Table {
         ]);
     }
     t
-}
-
-/// The `analyze` experiment: the static concurrency-correctness gate.
-///
-/// Three stages. (1) The schedule verifier drives the full
-/// [`PolicyKind`] roster through the sequential replay, the simulator
-/// and the threaded executor, then through every fault scenario ×
-/// recovery policy. (2) The structural wait-for-graph liveness check
-/// rejects wedgeable configurations from shape alone. (3) The mutation
-/// self-test seeds known defects — dropped task, double assignment,
-/// dead-victim spin — and requires each to surface as a distinct
-/// violation of the expected kind, proving the verifier can actually
-/// see. The healthy sweeps must be clean; any violation (or an escaped
-/// mutation) fails the run with the machine-readable JSON report.
-fn run_analyze() -> (Table, emx_analyze::report::AnalysisReport) {
-    use emx_analyze::prelude::*;
-
-    let cfg = VerifierConfig::default();
-    let mut t = Table::new(
-        format!(
-            "Analyze: schedule verifier, config liveness, mutation self-test \
-             (N={}, P={})",
-            cfg.ntasks, cfg.workers
-        ),
-        &["stage", "subject", "passed", "violations", "note"],
-    );
-    let mut gate = AnalysisReport::default();
-
-    for kind in verification_roster(&cfg) {
-        let mut r = verify_policy(&kind, &cfg);
-        r.merge(verify_policy_faults(&kind, &cfg));
-        t.push(vec![
-            "verify".into(),
-            kind.name().into(),
-            r.passed.len().to_string(),
-            r.violations.len().to_string(),
-            if r.skipped.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    "{} combination(s) inexpressible, listed in report",
-                    r.skipped.len()
-                )
-            },
-        ]);
-        gate.merge(r);
-    }
-
-    let roster = verification_roster(&cfg);
-    let plans = fault_scenarios(&cfg);
-    let live = check_roster_liveness(&roster, &plans, cfg.workers, Some(3));
-    t.push(vec![
-        "liveness".into(),
-        format!("{} policies x {} plans", roster.len(), plans.len()),
-        live.passed.len().to_string(),
-        live.violations.len().to_string(),
-        String::new(),
-    ]);
-    gate.merge(live);
-
-    for (mutation, base) in emx_analyze::mutation::mutation_roster(cfg.ntasks) {
-        let out = run_mutation(mutation, &base, cfg.ntasks, cfg.workers);
-        let expected = mutation.expected_kind();
-        let caught: Vec<_> = out
-            .violations
-            .iter()
-            .filter(|v| v.kind == expected)
-            .collect();
-        let note = match caught.first() {
-            Some(v) => {
-                let task = v.task.map_or(String::new(), |x| format!(" task {x}"));
-                let worker = v.worker.map_or(String::new(), |x| format!(" worker {x}"));
-                format!("caught as {}{task}{worker}", v.kind)
-            }
-            None => "ESCAPED".to_string(),
-        };
-        t.push(vec![
-            "mutation".into(),
-            format!("{} in {}", mutation.name(), base.name()),
-            caught.len().to_string(),
-            out.violations.len().to_string(),
-            note,
-        ]);
-    }
-    gate.merge(self_test(cfg.ntasks, cfg.workers));
-
-    (t, gate)
 }
 
 /// A result table's CSV, self-described with `#` header comments: the

@@ -229,6 +229,16 @@ impl FaultPlan {
         );
         assert!(self.delay >= 0.0, "delay must be non-negative");
         assert!(self.detection_interval >= 0.0, "detection_interval < 0");
+        if let Some(o) = self.counter_outage {
+            assert!(
+                o.at.is_finite() && o.at >= 0.0,
+                "counter outage start invalid"
+            );
+            assert!(
+                o.failover.is_finite() && o.failover >= 0.0,
+                "counter failover time invalid"
+            );
+        }
         if self.drop_prob > 0.0 || !self.rank_failures.is_empty() {
             assert!(
                 self.rpc_timeout > 0.0,
@@ -643,6 +653,67 @@ mod tests {
             "outage must cost time: {} vs {}",
             r.sim.makespan,
             baseline.makespan
+        );
+    }
+
+    /// Runs a four-rank counter simulation under an outage at `at` with
+    /// `failover` — the shape every invalid-outage case below shares.
+    fn outage(at: f64, failover: f64) {
+        let plan = FaultPlan::fault_free().with_counter_outage(at, failover);
+        simulate_with_faults(
+            &[1e-3; 16],
+            &SimModel::Counter { chunk: 2 },
+            &SimConfig::new(4),
+            &plan,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "counter failover time invalid")]
+    fn infinite_counter_failover_is_rejected() {
+        outage(1e-3, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter failover time invalid")]
+    fn nan_counter_failover_is_rejected() {
+        outage(1e-3, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter failover time invalid")]
+    fn negative_counter_failover_is_rejected() {
+        outage(1e-3, -1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter outage start invalid")]
+    fn infinite_counter_outage_start_is_rejected() {
+        outage(f64::INFINITY, 1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter outage start invalid")]
+    fn nan_counter_outage_start_is_rejected() {
+        outage(f64::NAN, 1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter outage start invalid")]
+    fn negative_counter_outage_start_is_rejected() {
+        outage(-1e-3, 1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "rpc_timeout must be positive")]
+    fn a_death_without_an_rpc_timeout_is_rejected() {
+        let mut plan = FaultPlan::fault_free().with_rank_failure(1, 1e-3);
+        plan.rpc_timeout = 0.0;
+        simulate_with_faults(
+            &[1e-3; 16],
+            &SimModel::WorkStealing { steal_half: true },
+            &SimConfig::new(4),
+            &plan,
         );
     }
 

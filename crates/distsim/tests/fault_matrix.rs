@@ -1,12 +1,12 @@
 //! Regression matrix for orphan redistribution: every
 //! [`RecoveryPolicy`] × a fully-dead counter group (and the other
-//! fully-dead-subset shapes a redistribution pass must survive).
+//! fully-dead-subset shapes a redistribution pass must survive), then
+//! the whole model roster × seven fault scenarios × every policy.
 //!
-//! The invariants are the ones `emx-analyze` verifies generically:
-//! work conservation (`executed + lost = total`), zero loss while
-//! survivors remain, orphans fully recovered, recovery latency bounded
-//! below by the detection interval, and bit-for-bit reproducibility of
-//! the degraded run.
+//! The invariants: work conservation (`executed + lost = total`), zero
+//! loss while survivors remain, orphans fully recovered, recovery
+//! latency bounded below by the detection interval, and bit-for-bit
+//! reproducibility of the degraded run.
 
 mod common;
 
@@ -203,54 +203,92 @@ fn skewed(n: usize) -> Vec<f64> {
     (1..=n).map(|i| i as f64 * 1e-4).collect()
 }
 
+/// Fault scenarios on `p` ranks, at the microsecond scale of
+/// [`fail_stop_recovers_all_orphans_under_every_model`]'s tasks. In the
+/// first six, deaths land in the first few tasks and the detector fires
+/// long after the survivors run dry, so a recovery that jumps the
+/// detection interval shows in its latency; in the last, rank 3's death
+/// is detected while every survivor is still busy.
+fn scenarios(p: usize) -> Vec<(&'static str, FaultPlan)> {
+    let mut out = vec![
+        ("healthy", FaultPlan::fault_free()),
+        (
+            "one-death",
+            FaultPlan::fault_free().with_rank_failure(p - 1, 2e-6),
+        ),
+        (
+            "two-deaths",
+            FaultPlan::fault_free()
+                .with_rank_failure(1, 2e-6)
+                .with_rank_failure(p - 1, 4e-6),
+        ),
+        (
+            "message-chaos",
+            FaultPlan::fault_free().with_message_faults(0.2, 0.2, 3e-6),
+        ),
+        (
+            "death-plus-chaos",
+            FaultPlan::fault_free()
+                .with_rank_failure(0, 3e-6)
+                .with_message_faults(0.1, 0.1, 2e-6),
+        ),
+        (
+            "counter-outage",
+            FaultPlan::fault_free().with_counter_outage(2e-6, 10e-6),
+        ),
+    ];
+    for (_, plan) in &mut out {
+        plan.rpc_timeout = 50e-6;
+    }
+    let mut mid_run = FaultPlan::fault_free().with_rank_failure(3, 20e-6);
+    mid_run.detection_interval = 10e-6;
+    out.push(("detected-mid-run", mid_run));
+    out
+}
+
 #[test]
 fn fail_stop_recovers_all_orphans_under_every_model() {
-    let costs = skewed(96);
+    let n = 96;
     let p = 6;
+    // Heavy head, light tail, 1-13 µs a task.
+    let costs: Vec<f64> = (0..n)
+        .map(|i| 1e-6 * (1.0 + (n - i) as f64 / 8.0))
+        .collect();
     let cfg = SimConfig::new(p);
-    // Kill rank 3 early enough that it still holds work everywhere.
-    let total: f64 = costs.iter().sum();
-    let at = 0.2 * total / p as f64;
-    for policy in [
-        RecoveryPolicy::BlockSurvivors,
-        RecoveryPolicy::SemiMatching,
-        RecoveryPolicy::Persistence,
-    ] {
-        for model in common::roster(96, p) {
-            let plan = FaultPlan::fault_free()
-                .with_rank_failure(3, at)
-                .with_recovery(policy);
-            let r = simulate_with_faults(&costs, &model, &cfg, &plan);
-            assert_eq!(r.faults.lost, 0, "{} {}", model.name(), policy.name());
-            assert_eq!(
-                r.faults.recovered,
-                r.faults.orphaned,
-                "{} {}",
-                model.name(),
-                policy.name()
-            );
-            assert_eq!(
-                r.sim.tasks.iter().sum::<usize>(),
-                96,
-                "{} {}: work not conserved",
-                model.name(),
-                policy.name()
-            );
-            assert!(r.sim.tasks[3] < 96);
-            assert_eq!(
-                r.faults.recovery_latency.len() as u64,
-                r.faults.recovered,
-                "{}",
-                model.name()
-            );
-            assert!(
-                r.faults
-                    .recovery_latency
-                    .iter()
-                    .all(|&l| l >= plan.detection_interval),
-                "{}: recovery cannot precede detection",
-                model.name()
-            );
+    for (name, base) in scenarios(p) {
+        for policy in policies() {
+            let plan = base.clone().with_recovery(policy);
+            for model in common::roster(n, p) {
+                let label = format!("{name}/{}/{}", policy.name(), model.name());
+                let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+                let executed: usize = r.sim.tasks.iter().sum();
+                assert_eq!(
+                    executed + r.faults.lost as usize,
+                    n,
+                    "{label}: work not conserved"
+                );
+                assert_eq!(r.faults.lost, 0, "{label}: survivors exist");
+                assert_eq!(r.faults.recovered, r.faults.orphaned, "{label}");
+                for f in &plan.rank_failures {
+                    assert!(r.sim.tasks[f.rank] < n, "{label}: rank {} died", f.rank);
+                }
+                assert_eq!(
+                    r.faults.recovery_latency.len() as u64,
+                    r.faults.recovered,
+                    "{label}"
+                );
+                assert!(
+                    r.faults
+                        .recovery_latency
+                        .iter()
+                        .all(|&l| l >= plan.detection_interval),
+                    "{label}: recovery cannot precede detection"
+                );
+                let again = simulate_with_faults(&costs, &model, &cfg, &plan);
+                assert_eq!(again.sim.assignment, r.sim.assignment, "{label}: rerun");
+                assert_eq!(again.faults.lost, r.faults.lost, "{label}: rerun");
+                assert_eq!(again.faults.recovered, r.faults.recovered, "{label}");
+            }
         }
     }
 }

@@ -1,19 +1,15 @@
-//! Fault injection for the shared-memory executor: poisoned tasks and
-//! straggler workers.
+//! Fault injection for the shared-memory executor: poisoned tasks.
 //!
 //! OS threads cannot be fail-stopped safely the way simulated ranks can
 //! (killing a thread mid-task would leak locks and corrupt shared
 //! accumulators), so the thread substrate models degraded execution with
-//! the two faults that *are* meaningful in-process:
-//!
-//! * **poisoned tasks** — a selected task panics (before touching any
-//!   worker state); the executor catches the unwind, logs it, and
-//!   re-enqueues the work item instead of wedging the pool. A task that
-//!   keeps panicking beyond [`FaultInjection::max_retries`] is treated
-//!   as genuinely broken and its panic is propagated.
-//! * **straggler workers** — the lowest worker ids run every task
-//!   `factor`× slower (spin-amplified, like the variability model),
-//!   standing in for a rank that is alive but degraded.
+//! the fault that *is* meaningful in-process: a selected task panics
+//! (before touching any worker state); the executor catches the unwind,
+//! logs it, and re-enqueues the work item instead of wedging the pool.
+//! A task that keeps panicking beyond [`FaultInjection::max_retries`] is
+//! treated as genuinely broken and its panic is propagated. A worker
+//! that is alive but slow is not a fault here: it is
+//! [`Variability::SlowCores`](crate::Variability::SlowCores).
 //!
 //! Injected panics fire *before* the task body runs, so a retry cannot
 //! double-accumulate into the worker-local state — which is what keeps
@@ -24,7 +20,7 @@
 //! caller's contract, exactly as it is for any retry-based runtime.
 //!
 //! Everything is deterministic: poison sets are explicit task lists or
-//! seeded hashes, and straggler selection is by worker id.
+//! seeded hashes.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -48,24 +44,12 @@ pub enum PoisonSpec {
     },
 }
 
-/// Straggler injection: the `count` lowest worker ids run `factor`×
-/// slower than nominal (multiplies the variability factor).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StragglerSpec {
-    /// How many workers straggle (the lowest ids).
-    pub count: usize,
-    /// Slowdown factor (≥ 1) applied to every task they run.
-    pub factor: f64,
-}
-
 /// Fault-injection configuration carried by an
 /// [`Executor`](crate::pool::Executor).
 #[derive(Debug, Clone)]
 pub struct FaultInjection {
     /// Poisoned-task selection.
     pub poison: PoisonSpec,
-    /// Optional straggler workers.
-    pub stragglers: Option<StragglerSpec>,
     /// How many times one task may panic before the executor gives up
     /// and propagates the panic (a genuinely broken task must not
     /// livelock the pool).
@@ -76,7 +60,6 @@ impl Default for FaultInjection {
     fn default() -> FaultInjection {
         FaultInjection {
             poison: PoisonSpec::None,
-            stragglers: None,
             max_retries: 3,
         }
     }
@@ -88,20 +71,6 @@ impl FaultInjection {
         FaultInjection {
             poison: PoisonSpec::Tasks(Arc::new(tasks)),
             ..FaultInjection::default()
-        }
-    }
-
-    /// Adds straggler workers (builder style).
-    pub fn with_stragglers(mut self, count: usize, factor: f64) -> FaultInjection {
-        self.stragglers = Some(StragglerSpec { count, factor });
-        self
-    }
-
-    /// Slowdown factor for `worker` (1.0 when it is not a straggler).
-    pub fn straggle_factor(&self, worker: usize) -> f64 {
-        match self.stragglers {
-            Some(s) if worker < s.count => s.factor.max(1.0),
-            _ => 1.0,
         }
     }
 }
@@ -290,14 +259,6 @@ mod tests {
         let cfg = FaultInjection::poison_tasks(vec![99]);
         let st = FaultState::new(4, &cfg);
         assert!(!st.poisoned.iter().any(|&p| p));
-    }
-
-    #[test]
-    fn straggle_factor_applies_to_prefix() {
-        let cfg = FaultInjection::default().with_stragglers(2, 4.0);
-        assert_eq!(cfg.straggle_factor(0), 4.0);
-        assert_eq!(cfg.straggle_factor(1), 4.0);
-        assert_eq!(cfg.straggle_factor(2), 1.0);
     }
 
     #[test]

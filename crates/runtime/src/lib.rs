@@ -14,7 +14,7 @@
 //! tracing, injectable per-core performance variability
 //! ([`Variability`]) modelling energy-induced speed differences, and
 //! deterministic fault injection ([`faults`]: poisoned tasks caught and
-//! re-enqueued, straggler workers) — see `docs/FAULT_MODEL.md`.
+//! re-enqueued) — see `docs/FAULT_MODEL.md`.
 //!
 //! The scheduling-policy vocabulary itself ([`PolicyKind`] and friends)
 //! lives in the substrate-agnostic `emx-sched` crate, shared with the
@@ -42,7 +42,7 @@ pub mod report;
 pub mod timeline;
 pub mod variability;
 
-pub use faults::{FaultInjection, PoisonSpec, StragglerSpec};
+pub use faults::{FaultInjection, PoisonSpec};
 pub use model::{block_owner, ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
 pub use obs::{publish_report_gauges, report_to_chrome, RuntimeObs};
 pub use pool::Executor;
@@ -52,7 +52,7 @@ pub use variability::Variability;
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::faults::{FaultInjection, PoisonSpec, StragglerSpec};
+    pub use crate::faults::{FaultInjection, PoisonSpec};
     pub use crate::model::{ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
     pub use crate::obs::{publish_report_gauges, report_to_chrome, RuntimeObs};
     pub use crate::pool::Executor;

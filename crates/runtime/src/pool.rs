@@ -33,8 +33,8 @@ pub struct Executor {
     /// Observability attachment; `None` (the default) keeps the task
     /// loop free of metric atomics and span buffers.
     pub obs: Option<RuntimeObs>,
-    /// Fault injection (poisoned tasks, straggler workers); `None` (the
-    /// default) keeps the task loop free of the catch-unwind wrapper.
+    /// Fault injection (poisoned tasks); `None` (the default) keeps the
+    /// task loop free of the catch-unwind wrapper.
     pub faults: Option<FaultInjection>,
 }
 
@@ -60,8 +60,7 @@ impl Executor {
     }
 
     /// Attaches fault injection (builder style). Poisoned tasks are
-    /// caught, logged and retried (re-enqueued under work stealing);
-    /// straggler workers run their tasks spin-amplified.
+    /// caught, logged and retried (re-enqueued under work stealing).
     pub fn with_faults(mut self, faults: FaultInjection) -> Executor {
         self.faults = Some(faults);
         self
@@ -72,11 +71,6 @@ impl Executor {
         self.faults
             .as_ref()
             .map(|f| Arc::new(FaultState::new(ntasks, f)))
-    }
-
-    /// Straggler slowdown for worker `w` (1.0 without fault injection).
-    fn straggle(&self, w: usize) -> f64 {
-        self.faults.as_ref().map_or(1.0, |f| f.straggle_factor(w))
     }
 
     /// Resolves worker `w`'s metric handles, including the fault
@@ -220,9 +214,7 @@ impl Executor {
         let mut local = init(0);
         let obs = self.worker_obs(0);
         let mut ctx = WorkerCtx::new(0, 1, self.variability, self.trace, start, obs);
-        if let Some(fs) = self.fault_state(ntasks) {
-            ctx.attach_faults(fs, self.straggle(0));
-        }
+        ctx.faults = self.fault_state(ntasks);
         for i in 0..ntasks {
             ctx.run_task(i, &mut local, task);
         }
@@ -268,13 +260,10 @@ impl Executor {
                     let trace = self.trace;
                     let obs = self.worker_obs(w);
                     let faults = fstate.clone();
-                    let straggle = self.straggle(w);
                     s.spawn(move || {
                         let mut local = init(w);
                         let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
-                        if let Some(fs) = faults {
-                            ctx.attach_faults(fs, straggle);
-                        }
+                        ctx.faults = faults;
                         for i in list {
                             ctx.run_task(i, &mut local, task);
                         }
@@ -314,13 +303,10 @@ impl Executor {
                     let trace = self.trace;
                     let obs = self.worker_obs(w);
                     let faults = fstate.clone();
-                    let straggle = self.straggle(w);
                     s.spawn(move || {
                         let mut local = init(w);
                         let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
-                        if let Some(fs) = faults {
-                            ctx.attach_faults(fs, straggle);
-                        }
+                        ctx.faults = faults;
                         loop {
                             let t_fetch = ctx.obs_mark();
                             // Protocol `runtime-counter-dispatch`
@@ -373,13 +359,10 @@ impl Executor {
                     let trace = self.trace;
                     let obs = self.worker_obs(w);
                     let faults = fstate.clone();
-                    let straggle = self.straggle(w);
                     s.spawn(move || {
                         let mut local = init(w);
                         let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
-                        if let Some(fs) = faults {
-                            ctx.attach_faults(fs, straggle);
-                        }
+                        ctx.faults = faults;
                         loop {
                             // Claim what the tapering rule dictates, via
                             // CAS (the claim size depends on the current
@@ -465,13 +448,10 @@ impl Executor {
                     let cfg = cfg.clone();
                     let obs = self.worker_obs(w);
                     let faults = fstate.clone();
-                    let straggle = self.straggle(w);
                     s.spawn(move || {
                         let mut local = init(w);
                         let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
-                        if let Some(fs) = faults {
-                            ctx.attach_faults(fs, straggle);
-                        }
+                        ctx.faults = faults;
                         let mut rng = worker_stream(cfg.rng_seed, w);
                         'outer: loop {
                             // Drain the local deque first. A task whose
@@ -617,7 +597,6 @@ struct WorkerCtx {
     events: Vec<TaskEvent>,
     obs: Option<WorkerObs>,
     faults: Option<Arc<FaultState>>,
-    straggle: f64,
 }
 
 impl WorkerCtx {
@@ -639,13 +618,7 @@ impl WorkerCtx {
             events: Vec::new(),
             obs,
             faults: None,
-            straggle: 1.0,
         }
-    }
-
-    fn attach_faults(&mut self, state: Arc<FaultState>, straggle: f64) {
-        self.faults = Some(state);
-        self.straggle = straggle;
     }
 
     /// True when some worker is propagating a permanently-failing
@@ -722,14 +695,14 @@ impl WorkerCtx {
         self.account(i, t0, t1);
     }
 
-    /// Post-task accounting: busy time, variability/straggler stretch,
+    /// Post-task accounting: busy time, variability stretch,
     /// obs metrics, trace events, and fault-recovery bookkeeping.
     #[inline]
     fn account(&mut self, i: usize, t0: Duration, t1: Duration) {
         let dur = t1.saturating_sub(t0);
         self.stats.tasks += 1;
         self.stats.busy += dur;
-        let f = self.variability.factor(self.worker, self.nworkers, t1) * self.straggle;
+        let f = self.variability.factor(self.worker, self.nworkers, t1);
         if f > 1.0 {
             // Stretch the task as a proportionally slower core would.
             let pad = dur.mul_f64(f - 1.0);
@@ -1204,8 +1177,13 @@ mod tests {
 
         #[test]
         fn stragglers_pad_but_do_not_change_results() {
-            let ex = Executor::new(4, PolicyKind::WorkStealing(StealConfig::default()))
-                .with_faults(FaultInjection::default().with_stragglers(1, 3.0));
+            // A slow core stretches its tasks on the fault-wrapped path too.
+            let mut ex = Executor::new(4, PolicyKind::WorkStealing(StealConfig::default()))
+                .with_faults(FaultInjection::default());
+            ex.variability = Variability::SlowCores {
+                factor: 3.0,
+                count: 1,
+            };
             let (locals, report) = ex.run(
                 64,
                 |_| 0u64,
@@ -1217,7 +1195,7 @@ mod tests {
             assert_eq!(locals.iter().sum::<u64>(), (0..64u64).sum());
             assert!(
                 report.worker_stats[0].padded > Duration::ZERO,
-                "straggler worker 0 must be spin-amplified"
+                "slow worker 0 must be spin-amplified"
             );
             assert_eq!(report.worker_stats[1].padded, Duration::ZERO);
         }

@@ -277,20 +277,37 @@ impl SchedulePolicy for StealingPolicy {
 /// policies this is, by construction, the assignment both substrates
 /// must reproduce; for dynamic policies it is *a* valid schedule that
 /// conserves work.
+///
+/// Panics, naming the policy, on a task claimed twice, a task never
+/// claimed, or a stall: a policy whose workers neither claim nor retire
+/// (a thief that steals from drained victims forever) panics once
+/// `2·P + 4` rounds in a row pass with no claim while some worker is
+/// unfinished, instead of hanging. A healthy policy claims something in
+/// every round.
 pub fn replay_assignment(kind: &PolicyKind, ntasks: usize, workers: usize) -> Vec<u32> {
     let mut policy = build_policy(kind, ntasks, workers);
+    replay(policy.as_mut(), ntasks, workers)
+}
+
+/// The loop behind [`replay_assignment`], open to any policy object.
+fn replay(policy: &mut dyn SchedulePolicy, ntasks: usize, workers: usize) -> Vec<u32> {
+    let name = policy.name();
+    let stall_bound = 2 * workers + 4;
     let mut assignment = vec![u32::MAX; ntasks];
     let mut done = vec![false; workers];
+    let mut idle_rounds = 0;
     while !done.iter().all(|&d| d) {
+        let mut claimed = false;
         for (w, finished) in done.iter_mut().enumerate() {
             if *finished {
                 continue;
             }
             match policy.next_task(w) {
                 Claim::Local { begin, end } | Claim::FromCounter { begin, end } => {
+                    claimed |= end > begin;
                     for (off, slot) in assignment[begin..end].iter_mut().enumerate() {
                         let i = begin + off;
-                        assert_eq!(*slot, u32::MAX, "task {i} claimed twice");
+                        assert_eq!(*slot, u32::MAX, "{name}: task {i} claimed twice");
                         *slot = w as u32;
                         policy.task_done(w, i, 0.0);
                     }
@@ -299,10 +316,17 @@ pub fn replay_assignment(kind: &PolicyKind, ntasks: usize, workers: usize) -> Ve
                 Claim::Done => *finished = true,
             }
         }
+        idle_rounds = if claimed { 0 } else { idle_rounds + 1 };
+        assert!(
+            idle_rounds < stall_bound || done.iter().all(|&d| d),
+            "{name}: replay stalled, {idle_rounds} rounds in a row without a claim \
+             while workers {:?} are unfinished",
+            (0..workers).filter(|&w| !done[w]).collect::<Vec<_>>()
+        );
     }
     assert!(
         assignment.iter().all(|&w| w != u32::MAX),
-        "replay dropped tasks"
+        "{name}: replay dropped tasks"
     );
     assignment
 }
@@ -347,9 +371,48 @@ mod tests {
                         "{} assigned out of range",
                         kind.name()
                     );
+                    // No hidden state (wall clock, ambient RNG) reaches
+                    // a replay: the same inputs give the same map.
+                    assert_eq!(a, replay_assignment(&kind, n, p), "{}", kind.name());
                 }
             }
         }
+    }
+
+    /// Worker 0 drains everything in one claim; every other worker
+    /// steals from it forever and never retires.
+    struct DeadVictimSpinner {
+        left: usize,
+    }
+
+    impl SchedulePolicy for DeadVictimSpinner {
+        fn name(&self) -> &'static str {
+            "dead-victim-spin"
+        }
+
+        fn initial_partition(&self) -> Option<Vec<u32>> {
+            None
+        }
+
+        fn next_task(&mut self, worker: usize) -> Claim {
+            match worker {
+                0 if self.left > 0 => {
+                    let end = std::mem::take(&mut self.left);
+                    Claim::Local { begin: 0, end }
+                }
+                0 => Claim::Done,
+                _ => Claim::StealFrom {
+                    victim: 0,
+                    amount: 0,
+                },
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dead-victim-spin: replay stalled")]
+    fn a_spinning_policy_panics_instead_of_hanging() {
+        replay(&mut DeadVictimSpinner { left: 40 }, 40, 4);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Checks an extracted [`Inventory`] against the declared-protocol
 //! [`Manifest`].
 //!
-//! Four layers, each a distinct finding kind (all reported through the
-//! emx-analyze [`Violation`] vocabulary so CI reads one shape):
+//! Four layers, each a distinct finding kind (all reported as
+//! [`Violation`]s so CI reads one shape):
 //!
 //! 1. **Site coverage.** Every non-test atomic site must either match
 //!    a manifest rule or — for `Relaxed` sites only — carry a
@@ -33,15 +33,15 @@
 
 use crate::extract::{AtomicSite, Inventory};
 use crate::manifest::{Manifest, Protocol, Rule};
-use emx_analyze::report::{AnalysisReport, Violation, ViolationKind};
+use crate::report::{Report, Violation, ViolationKind};
 
 /// Orderings that publish on the write side.
 const RELEASING: &[&str] = &["Release", "AcqRel", "SeqCst"];
 
 /// Runs every check; the returned report is clean iff the workspace
 /// conforms to the manifest.
-pub fn check(inv: &Inventory, manifest: &Manifest) -> AnalysisReport {
-    let mut report = AnalysisReport::default();
+pub fn check(inv: &Inventory, manifest: &Manifest) -> Report {
+    let mut report = Report::default();
     check_sites(inv, manifest, &mut report);
     check_rules(inv, manifest, &mut report);
     check_unsafe(inv, &mut report);
@@ -73,7 +73,7 @@ fn rule_satisfied(rule: &Rule, site: &AtomicSite) -> bool {
     true
 }
 
-fn check_sites(inv: &Inventory, manifest: &Manifest, report: &mut AnalysisReport) {
+fn check_sites(inv: &Inventory, manifest: &Manifest, report: &mut Report) {
     let mut clean = 0usize;
     for site in inv.sites.iter().filter(|s| !s.in_test) {
         let matching: Vec<(&Protocol, &Rule)> = manifest
@@ -139,7 +139,7 @@ fn check_sites(inv: &Inventory, manifest: &Manifest, report: &mut AnalysisReport
     }
 }
 
-fn check_rules(inv: &Inventory, manifest: &Manifest, report: &mut AnalysisReport) {
+fn check_rules(inv: &Inventory, manifest: &Manifest, report: &mut Report) {
     for p in &manifest.protocols {
         let before = report.violations.len();
         for r in &p.rules {
@@ -178,7 +178,7 @@ fn check_rules(inv: &Inventory, manifest: &Manifest, report: &mut AnalysisReport
 
 /// Exact-sequence check for one rule: the fn's full non-test atomic-op
 /// list must equal `rule.sequence` element-for-element.
-fn check_sequence(inv: &Inventory, p: &Protocol, r: &Rule, report: &mut AnalysisReport) {
+fn check_sequence(inv: &Inventory, p: &Protocol, r: &Rule, report: &mut Report) {
     let sites = inv.fn_sites(&r.file, &r.func);
     let actual: Vec<String> = sites
         .iter()
@@ -233,7 +233,7 @@ fn check_sequence(inv: &Inventory, p: &Protocol, r: &Rule, report: &mut Analysis
 
 /// Paired-ordering rule: an Acquire-side rule must name a partner role
 /// that publishes with Release/AcqRel/SeqCst.
-fn check_pairing(p: &Protocol, r: &Rule, report: &mut AnalysisReport) {
+fn check_pairing(p: &Protocol, r: &Rule, report: &mut Report) {
     let Some(partner) = &r.pairs else {
         report.violations.push(Violation::new(
             p.name.clone(),
@@ -270,7 +270,7 @@ fn check_pairing(p: &Protocol, r: &Rule, report: &mut AnalysisReport) {
     }
 }
 
-fn check_unsafe(inv: &Inventory, report: &mut AnalysisReport) {
+fn check_unsafe(inv: &Inventory, report: &mut Report) {
     let mut clean = 0usize;
     for u in &inv.unsafes {
         if u.has_safety {
@@ -306,7 +306,7 @@ mod tests {
         inv
     }
 
-    fn kinds(r: &AnalysisReport) -> Vec<ViolationKind> {
+    fn kinds(r: &Report) -> Vec<ViolationKind> {
         r.violations.iter().map(|v| v.kind).collect()
     }
 

@@ -8,12 +8,12 @@
 //! ([`extract`]) that models every atomic operation and `unsafe`
 //! occurrence in the workspace source, and a checker ([`check`])
 //! verifies the model against the declared memory-protocol manifest
-//! `docs/protocols.toml` ([`manifest`]). Findings use the emx-analyze
-//! [`Violation`](emx_analyze::report::Violation) vocabulary and
-//! serialize to the same JSON report shape CI already consumes.
+//! `docs/protocols.toml` ([`manifest`]). Findings are [`Violation`]s of
+//! seven [`ViolationKind`]s, collected into a [`Report`] that
+//! serializes to the JSON shape CI archives.
 //!
-//! The pass itself is guarded the same way emx-analyze is: a mutation
-//! self-test ([`selftest`]) re-introduces the bug classes the reviews
+//! The pass proves it can fail: a mutation self-test ([`selftest`])
+//! re-introduces the bug classes the reviews
 //! caught (the fence-less seqlock writer from PR 6, a declared Release
 //! weakened to Relaxed) into a scratch copy of the source and fails if
 //! the pass does not flag them.
@@ -24,9 +24,11 @@ pub mod check;
 pub mod extract;
 pub mod lex;
 pub mod manifest;
+mod report;
 pub mod selftest;
 
-use emx_analyze::report::AnalysisReport;
+pub use report::{Report, Violation, ViolationKind};
+
 use emx_obs::Json;
 use std::path::Path;
 
@@ -40,7 +42,7 @@ pub struct Outcome {
     /// The parsed manifest the inventory was checked against.
     pub manifest: manifest::Manifest,
     /// Findings (clean iff the workspace conforms).
-    pub report: AnalysisReport,
+    pub report: Report,
 }
 
 /// Scans the workspace under `root` (the repository root), loads

@@ -13,8 +13,7 @@
 //! all other protocol rules stay satisfied and the check isolates the
 //! one seeded defect.
 
-use crate::{check, extract, manifest};
-use emx_analyze::report::ViolationKind;
+use crate::{check, extract, manifest, Report, ViolationKind};
 use std::path::{Path, PathBuf};
 
 /// One seeded defect and the finding it must produce.
@@ -151,7 +150,7 @@ pub fn mirror_workspace(root: &Path, work: &Path) -> Result<Vec<PathBuf>, String
     Ok(copied)
 }
 
-fn run_on(work: &Path) -> Result<emx_analyze::report::AnalysisReport, String> {
+fn run_on(work: &Path) -> Result<Report, String> {
     let m = manifest::Manifest::load(&work.join(crate::MANIFEST_PATH))?;
     let inv = extract::scan_workspace(work);
     Ok(check::check(&inv, &m))

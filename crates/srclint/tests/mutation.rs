@@ -4,8 +4,8 @@
 //! pass exists to catch mechanically, the PR-6 fence-less seqlock
 //! writer; another weakens a declared ordering in place.
 
-use emx_analyze::report::ViolationKind;
 use emx_srclint::selftest::{builtin_mutants, run_mutants};
+use emx_srclint::ViolationKind;
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {

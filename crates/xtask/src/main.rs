@@ -1,41 +1,38 @@
 //! `cargo xtask` — the repository's lint wall.
 //!
-//! `cargo xtask lint` runs nine families of checks that rustc and
+//! `cargo xtask lint` runs eight families of checks that rustc and
 //! clippy cannot express, and exits non-zero on any finding:
 //!
 //! 1. **Replay-path hygiene** — the deterministic replay paths
-//!    (`emx-sched`, the simulator, fault injection, the analyzer) must
+//!    (`emx-sched`, the simulator, fault injection, the balancers) must
 //!    not read the wall clock (`Instant::now`, `SystemTime`) or ambient
 //!    randomness (`thread_rng`, `from_entropy`, `OsRng`): any of those
 //!    would make `replay_assignment` and `simulate_with_faults`
 //!    unreproducible. Instrumentation-only exceptions are listed
 //!    explicitly in [`WALL_CLOCK_ALLOW`].
-//! 2. **Roster coverage** — every [`PolicyKind`] variant must be
-//!    reachable from the analyzer's verification roster, so adding a
-//!    variant without wiring it into verification fails the gate.
-//! 3. **Experiment registration** — every experiment id matched by the
+//! 2. **Experiment registration** — every experiment id matched by the
 //!    `reproduce` binary must be runnable from its default list (or be
 //!    an explicitly-listed on-demand id), and vice versa, so dead or
 //!    unregistered experiments cannot accumulate silently.
-//! 4. **Hot-path allocation hygiene** — the ERI quartet inner-loop
+//! 3. **Hot-path allocation hygiene** — the ERI quartet inner-loop
 //!    modules ([`HOT_PATH_FILES`]) must not grow `Vec` allocations in
 //!    their non-test code: the whole point of the scratch-buffer API is
 //!    that a warmed Fock build performs zero heap traffic (enforced
 //!    dynamically by `crates/chem/tests/alloc_guard.rs`; this lint
 //!    catches the regression at review time). Setup-time allocations
 //!    are listed in [`HOT_PATH_ALLOC_ALLOW`].
-//! 5. **Observability hygiene** — the always-on profiling path is the
+//! 4. **Observability hygiene** — the always-on profiling path is the
 //!    fixed-capacity event ring; the `Vec`-backed `CollectingSink` is a
 //!    test/export convenience and must never be referenced from the
 //!    steal or quartet inner loops ([`NO_COLLECTING_SINK_FILES`]): a
 //!    mutex-guarded `Vec` push per event would put allocation and
 //!    cross-core traffic back inside the measured region.
-//! 6. **Doc-link integrity** — every relative markdown link in
+//! 5. **Doc-link integrity** — every relative markdown link in
 //!    `README.md` and `docs/*.md` must resolve to an existing file
 //!    (fragments stripped, absolute URLs and pure anchors skipped), so
 //!    renaming or dropping a document cannot leave dangling references
 //!    behind.
-//! 7. **Pair-data reuse** — the quartet hot-path modules
+//! 6. **Pair-data reuse** — the quartet hot-path modules
 //!    ([`NO_PAIR_REBUILD_FILES`]) must not construct shell-pair data
 //!    (`ShellPair::build`, `HermiteE::build`) in non-test code: all `E`
 //!    tables are precomputed once per pair at screening time (AoS and
@@ -43,7 +40,7 @@
 //!    tensor loop silently multiplies the per-pair recurrence cost by
 //!    the quartet count — exactly the regression the old
 //!    `full_eri_tensor` shipped with.
-//! 8. **Memory-protocol conformance (emx-srclint)** — a real static
+//! 7. **Memory-protocol conformance (emx-srclint)** — a real static
 //!    pass (lexer + site extractor, not a grep): every atomic
 //!    operation and `unsafe` occurrence in the workspace is modeled
 //!    and checked against the declared protocols in
@@ -52,7 +49,7 @@
 //!    Release pairing, Relaxed-needs-a-role, and `// SAFETY:` hygiene.
 //!    `cargo xtask srclint --json <path>` additionally writes the full
 //!    machine-readable site inventory + report (the CI artifact).
-//! 9. **Event-core discipline** — the simulator loops
+//! 8. **Event-core discipline** — the simulator loops
 //!    ([`NO_BINARYHEAP_FILES`]) must schedule through the shared
 //!    [`emx_distsim`] `EventQueue` abstraction, never a raw
 //!    `BinaryHeap`: per-site heaps are how the `(time, worker)`
@@ -66,7 +63,6 @@ use std::process::ExitCode;
 /// Source roots whose code must be wall-clock- and ambient-RNG-free.
 const REPLAY_PATH_ROOTS: &[&str] = &[
     "crates/sched/src",
-    "crates/analyze/src",
     "crates/distsim/src/sim.rs",
     "crates/distsim/src/faults.rs",
     "crates/distsim/src/eventq.rs",
@@ -231,49 +227,6 @@ fn lint_replay_hygiene_at(root: &Path, roots: &[&str], findings: &mut Vec<String
     );
 }
 
-fn lint_roster_coverage(findings: &mut Vec<String>) {
-    use emx_analyze::verifier::{verification_roster, VerifierConfig};
-    use emx_sched::PolicyKind;
-
-    let cfg = VerifierConfig::default();
-    let roster = verification_roster(&cfg);
-    let covered: Vec<&str> = roster.iter().map(|k| k.name()).collect();
-    let full: Vec<(String, String)> = PolicyKind::full_roster(&cfg.costs(), cfg.workers, cfg.chunk)
-        .into_iter()
-        .map(|(label, kind)| (label.to_string(), kind.name().to_string()))
-        .collect();
-    roster_coverage_core(PolicyKind::canonical_names(), &covered, &full, findings);
-}
-
-/// Core of lint 2, injectable for the fixture tests: `canonical` is
-/// the policy registry, `covered` the verification roster, `full` the
-/// paper-facing `(label, kind-name)` roster.
-fn roster_coverage_core(
-    canonical: &[&str],
-    covered: &[&str],
-    full: &[(String, String)],
-    findings: &mut Vec<String>,
-) {
-    for name in canonical {
-        if !covered.contains(name) {
-            findings.push(format!(
-                "roster coverage: PolicyKind variant `{name}` is not in the \
-                 analyzer's verification roster"
-            ));
-        }
-    }
-    // The paper-facing full roster must stay a subset of the canonical
-    // registry (no orphaned display names).
-    for (label, kind) in full {
-        if !canonical.contains(&kind.as_str()) {
-            findings.push(format!(
-                "roster coverage: full_roster entry `{label}` has unregistered \
-                 kind `{kind}`"
-            ));
-        }
-    }
-}
-
 fn quoted_idents(line: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut rest = line;
@@ -302,7 +255,7 @@ fn lint_experiment_registration(root: &Path, findings: &mut Vec<String>) {
     experiment_registration_core(&text, &path.display().to_string(), findings);
 }
 
-/// Core of lint 3, injectable for the fixture tests: parses the given
+/// Core of lint 2, injectable for the fixture tests: parses the given
 /// `reproduce.rs` source text instead of reading it from disk.
 fn experiment_registration_core(text: &str, shown: &str, findings: &mut Vec<String>) {
     // The default experiment list: quoted ids between `wanted = vec![`
@@ -365,7 +318,7 @@ fn experiment_registration_core(text: &str, shown: &str, findings: &mut Vec<Stri
     }
 }
 
-/// Lint 4: no `Vec` allocation in the quartet inner-loop modules'
+/// Lint 3: no `Vec` allocation in the quartet inner-loop modules'
 /// non-test code (everything before the first `#[cfg(test)]` line —
 /// both the test-only reference kernel and the test module sit below
 /// it by construction).
@@ -415,7 +368,7 @@ fn hotpath_allocations_at(
     }
 }
 
-/// Lint 5: `CollectingSink` (mutex + `Vec` push per span) may not be
+/// Lint 4: `CollectingSink` (mutex + `Vec` push per span) may not be
 /// referenced from the steal/quartet inner-loop modules' non-test code
 /// — always-on capture there goes through the fixed-capacity event
 /// rings instead.
@@ -446,7 +399,7 @@ fn collecting_sink_at(root: &Path, files: &[&str], findings: &mut Vec<String>) {
     }
 }
 
-/// The markdown files whose relative links lint 6 checks: the README
+/// The markdown files whose relative links lint 5 checks: the README
 /// plus everything under `docs/`.
 fn doc_files(root: &Path) -> Vec<PathBuf> {
     let mut out = vec![root.join("README.md")];
@@ -475,7 +428,7 @@ fn markdown_link_targets(line: &str) -> Vec<String> {
     out
 }
 
-/// Lint 6: every relative markdown link in the README and `docs/*.md`
+/// Lint 5: every relative markdown link in the README and `docs/*.md`
 /// must resolve (relative to the containing file) after stripping any
 /// `#fragment`. Absolute URLs, `mailto:` and pure in-page anchors are
 /// out of scope; fenced code blocks are skipped so example syntax
@@ -525,7 +478,7 @@ fn lint_doc_links(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
-/// Lint 7: shell-pair data may not be rebuilt in the quartet hot-path
+/// Lint 6: shell-pair data may not be rebuilt in the quartet hot-path
 /// modules' non-test code — `ShellPair::build` and `HermiteE::build`
 /// belong to pair-list construction (`screening.rs`, `shellpair.rs`,
 /// one-electron setup), never inside quartet or tensor loops.
@@ -560,7 +513,7 @@ fn pair_rebuild_at(root: &Path, files: &[&str], findings: &mut Vec<String>) {
     }
 }
 
-/// Lint 9: simulator loops must schedule through the shared
+/// Lint 8: simulator loops must schedule through the shared
 /// `EventQueue` event core. A raw `BinaryHeap` in `sim.rs`/`faults.rs`
 /// non-test code reintroduces per-site keys — the exact path the
 /// `(time, worker)` tie-break divergence shipped through — and skips
@@ -593,7 +546,7 @@ fn binaryheap_at(root: &Path, files: &[&str], findings: &mut Vec<String>) {
     }
 }
 
-/// Lint 8: the whole-workspace memory-protocol pass. Runs the
+/// Lint 7: the whole-workspace memory-protocol pass. Runs the
 /// emx-srclint extractor + checker against `docs/protocols.toml` and
 /// folds every violation into the lint wall. A failure to run the pass
 /// at all (missing manifest, parse error) is itself a finding.
@@ -617,7 +570,6 @@ fn run_lints() -> Vec<String> {
     let root = repo_root();
     let mut findings = Vec::new();
     lint_replay_hygiene(&root, &mut findings);
-    lint_roster_coverage(&mut findings);
     lint_experiment_registration(&root, &mut findings);
     lint_hotpath_allocations(&root, &mut findings);
     lint_no_collecting_sink(&root, &mut findings);
@@ -822,20 +774,6 @@ mod tests {
         lint_replay_hygiene_at(&fx.0, &["crates/bad/src"], &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].contains("ambient randomness"), "{findings:?}");
-    }
-
-    #[test]
-    fn roster_coverage_flags_uncovered_and_orphaned() {
-        let mut findings = Vec::new();
-        roster_coverage_core(
-            &["static", "stealing"],
-            &["static"], // "stealing" missing from the verification roster
-            &[("Exotic".into(), "exotic".into())], // not in the registry
-            &mut findings,
-        );
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings[0].contains("`stealing`"), "{findings:?}");
-        assert!(findings[1].contains("`exotic`"), "{findings:?}");
     }
 
     #[test]

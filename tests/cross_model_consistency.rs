@@ -126,8 +126,8 @@ fn h2_dissociation_curve_is_model_invariant() {
 
 #[test]
 fn fault_injection_does_not_change_scf_energy() {
-    // Poisoned tasks (caught, logged, re-run) plus a straggler worker
-    // under every thread execution model: the converged energy must be
+    // Poisoned tasks (caught, logged, re-run) plus a slow core under
+    // every thread execution model: the converged energy must be
     // identical to the fault-free serial run and no task may be lost.
     let bm = BasisedMolecule::assign(&Molecule::water(), BasisSet::Sto3g);
     let cfg = ScfConfig::default();
@@ -141,8 +141,12 @@ fn fault_injection_does_not_change_scf_energy() {
         (4, PolicyKind::Guided { min_chunk: 2 }),
         (4, PolicyKind::WorkStealing(StealConfig::default())),
     ] {
-        let ex = Executor::new(workers, model.clone())
-            .with_faults(FaultInjection::poison_tasks(vec![0, 1, 2]).with_stragglers(1, 2.0));
+        let mut ex = Executor::new(workers, model.clone())
+            .with_faults(FaultInjection::poison_tasks(vec![0, 1, 2]));
+        ex.variability = Variability::SlowCores {
+            factor: 2.0,
+            count: 1,
+        };
         let (r, reports) = rhf_parallel(&bm, &cfg, &ex, 4);
         assert!(r.converged, "model {}", model.name());
         assert!(

@@ -18,9 +18,10 @@
 //! `EMX_DISTSIM_SMOKE=1` shrinks it for CI).
 //! Output is plain-text
 //! tables; pass `--csv DIR` to also write stamped CSV files,
-//! `--trace-out DIR` for Chrome trace JSON (plus speedscope/collapsed
-//! exports under `profile`) and `--metrics-out FILE` for
-//! a stamped JSONL metrics snapshot (the latter two imply `obs`).
+//! `--trace-out DIR` for Chrome trace JSON (one per roster policy under
+//! `profile`) and `--metrics-out FILE` for a stamped JSONL metrics
+//! snapshot (the latter two imply `obs`). A flag without its value
+//! prints the usage and exits with status 2.
 
 use emx_balance::prelude::{movement, rebalance, PersistenceConfig, Problem};
 use emx_bench::{
@@ -29,7 +30,10 @@ use emx_bench::{
 use emx_chem::synthetic::CostModel;
 use emx_core::prelude::*;
 use emx_distsim::machine::MachineModel;
-use emx_obs::{git_describe_string, RunMeta, SCHEMA_VERSION};
+use emx_obs::{git_describe_string, ChromeTrace, RunMeta, SCHEMA_VERSION};
+
+const USAGE: &str = "usage: reproduce [EXPERIMENT ...] [--csv DIR] [--trace-out DIR] \
+                     [--metrics-out FILE]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,14 +43,21 @@ fn main() {
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
-        if a == "--csv" {
-            csv_dir = Some(it.next().expect("--csv needs a directory"));
-        } else if a == "--trace-out" {
-            trace_dir = Some(it.next().expect("--trace-out needs a directory"));
-        } else if a == "--metrics-out" {
-            metrics_path = Some(it.next().expect("--metrics-out needs a file path"));
-        } else {
-            wanted.push(a.to_lowercase());
+        let slot = match a.as_str() {
+            "--csv" => &mut csv_dir,
+            "--trace-out" => &mut trace_dir,
+            "--metrics-out" => &mut metrics_path,
+            _ => {
+                wanted.push(a.to_lowercase());
+                continue;
+            }
+        };
+        match it.next() {
+            Some(value) => *slot = Some(value),
+            None => {
+                eprintln!("{a} needs a value\n{USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
@@ -277,8 +288,8 @@ fn fock_kernel_throughput() -> Table {
 /// rings attached; each capture is decomposed into blame categories
 /// (compute / counter / steal / merge / idle, summing to the wall
 /// clock), compared differentially against the headline static policy
-/// and the previously stamped baseline, exported as speedscope +
-/// collapsed stacks when `--trace-out` is given, and finally stamped
+/// and the previously stamped baseline, exported as one Chrome trace per
+/// policy when `--trace-out` is given, and finally stamped
 /// into `results/BENCH_obs.json` together with the measured rings-on
 /// vs obs-off recording overhead (ceiling-checked outside smoke mode).
 fn run_profile(trace_dir: Option<&str>) -> Table {
@@ -357,14 +368,11 @@ fn run_profile(trace_dir: Option<&str>) -> Table {
         std::fs::create_dir_all(dir).expect("create trace dir");
         for p in &report.policies {
             let slug = emx_bench::csv_slug(&p.label);
-            let path = format!("{dir}/profile_{slug}.speedscope.json");
-            let name = format!("{} fock build", p.label);
-            std::fs::write(&path, emx_obs::speedscope_json(&name, &p.profile.events))
-                .expect("write speedscope export");
-            println!("wrote {path}");
-            let path = format!("{dir}/profile_{slug}.collapsed.txt");
-            std::fs::write(&path, emx_obs::collapsed_stacks(&p.profile.events))
-                .expect("write collapsed-stack export");
+            let path = format!("{dir}/profile_{slug}.trace.json");
+            let mut trace = ChromeTrace::new();
+            trace.set_process_name(1, format!("{} fock build", p.label));
+            trace.add_event_streams(1, "worker", &p.profile.events);
+            std::fs::write(&path, trace.to_json_string()).expect("write trace");
             println!("wrote {path}");
         }
     }

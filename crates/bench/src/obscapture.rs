@@ -1,10 +1,11 @@
 //! The `obs` experiment: one instrumented capture of the whole stack.
 //!
 //! Runs a small but real slice of the study with observability attached
-//! — a traced work-stealing Fock build, a counter-model build, a full
-//! SCF with per-iteration phase timings and a traced discrete-event
-//! simulation — and renders the results as Chrome-trace JSON files plus
-//! one stamped JSONL metrics snapshot.
+//! — a ring-captured work-stealing Fock build, a counter-model build, a
+//! full SCF with per-iteration phase timings and a discrete-event
+//! simulation with events on — and renders the results as Chrome-trace
+//! JSON files (built from the two event-stream captures) plus one
+//! stamped JSONL metrics snapshot.
 //! The `reproduce` binary writes these under `--trace-out` /
 //! `--metrics-out`; the integration tests assert their shape.
 
@@ -14,10 +15,10 @@ use emx_chem::scf::ScfConfig;
 use emx_core::prelude::*;
 use emx_distsim::machine::MachineModel;
 use emx_distsim::sim::{simulate, SimConfig, SimModel};
-use emx_obs::{git_describe_string, metrics_to_jsonl, Json, MetricsRegistry, RunMeta};
-use emx_runtime::{
-    publish_report_gauges, report_to_chrome, Executor, PolicyKind, RuntimeObs, StealConfig,
+use emx_obs::{
+    git_describe_string, metrics_to_jsonl, ChromeTrace, Json, MetricsRegistry, RingSet, RunMeta,
 };
+use emx_runtime::{publish_report_gauges, Executor, PolicyKind, RuntimeObs, StealConfig};
 use std::sync::Arc;
 
 /// Everything the `obs` experiment produces, ready to write to disk.
@@ -41,18 +42,21 @@ pub fn capture_observability(experiment_id: &str) -> ObsCapture {
     let cfg = ScfConfig::default();
     let mut traces: Vec<(String, String)> = Vec::new();
 
-    // 1. One traced work-stealing Fock build: steal metrics + a
+    // 1. One ring-captured work-stealing Fock build: steal metrics + a
     //    per-worker timeline.
     {
         let pairs = ScreenedPairs::build(&bm, cfg.tau * 1e-2);
         let pf = ParallelFock::new(&bm, &pairs, cfg.tau, 2);
         let density = initial_density(&bm);
-        let mut ex = Executor::new(4, PolicyKind::WorkStealing(StealConfig::default()))
-            .with_obs(obs.clone());
-        ex.trace = true;
+        let workers = 4;
+        let rings = RingSet::new(workers, 1 << 12);
+        let ex = Executor::new(workers, PolicyKind::WorkStealing(StealConfig::default()))
+            .with_obs(obs.clone().with_rings(rings.clone()));
         let (_, report) = pf.execute(&density, &ex);
         publish_report_gauges(&metrics, "exec.ws", &report);
-        let chrome = report_to_chrome(&report, 1, "fock build");
+        let mut chrome = ChromeTrace::new();
+        chrome.set_process_name(1, format!("fock build ({})", report.model));
+        chrome.add_event_streams(1, "worker", &rings.events_per_worker());
         traces.push(("exec_ws".into(), chrome.to_json_string()));
     }
 
@@ -86,11 +90,12 @@ pub fn capture_observability(experiment_id: &str) -> ObsCapture {
         }
     }
 
-    // 4. A traced discrete-event simulation at P=8 — the scaled view.
+    // 4. A discrete-event simulation at P=8 with events on — the scaled
+    //    view, in virtual time.
     {
         let costs: Vec<f64> = (1..=256).map(|i| (i % 17 + 1) as f64 * 1e-6).collect();
         let sim_cfg = SimConfig {
-            trace: true,
+            events: true,
             machine: MachineModel::default(),
             ..SimConfig::new(8)
         };
@@ -100,7 +105,9 @@ pub fn capture_observability(experiment_id: &str) -> ObsCapture {
             &sim_cfg,
         );
         publish_sim_metrics(&metrics, "sim.ws", &r);
-        let chrome = sim_report_to_chrome(&r, 2, "sim work-stealing P=8");
+        let mut chrome = ChromeTrace::new();
+        chrome.set_process_name(2, "sim work-stealing P=8");
+        chrome.add_event_streams(2, "rank", &r.events);
         traces.push(("sim_ws".into(), chrome.to_json_string()));
     }
 

@@ -7,8 +7,8 @@
 //! * [`profile_fock_roster`] runs every roster policy on the standard
 //!   (H₂O)₂/6-31G build with per-worker event rings attached and
 //!   returns one [`FockProfile`] per policy — attribution table rows,
-//!   speedscope / collapsed-stack export inputs, and the differential
-//!   comparison all come from this single capture.
+//!   the Chrome trace export, and the differential comparison all come
+//!   from this single capture.
 //! * [`recording_overhead`] measures the cost of leaving the rings on:
 //!   median builds/second with no observability vs with rings attached,
 //!   on the same warmed kernel. The stamped overhead is held to

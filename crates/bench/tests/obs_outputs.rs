@@ -1,10 +1,14 @@
 //! Shape tests for the `obs` experiment's exports: the Chrome trace
 //! JSON must be Perfetto-loadable (valid JSON, metadata tracks,
-//! monotonic slice timestamps) and the JSONL metrics snapshot must be
-//! stamped, parseable line by line, and cover the study's headline
-//! observables.
+//! monotonic slice timestamps, one `task` slice per task on `worker N`
+//! or `rank N` tracks) and the JSONL metrics snapshot must be stamped,
+//! parseable line by line, and cover the study's headline observables.
 
 use emx_bench::capture_observability;
+use emx_chem::basis::{BasisSet, BasisedMolecule};
+use emx_chem::molecule::Molecule;
+use emx_chem::scf::ScfConfig;
+use emx_core::prelude::{ParallelFock, ScreenedPairs};
 use emx_obs::{Json, SCHEMA_VERSION};
 
 fn parsed_lines(jsonl: &str) -> Vec<Json> {
@@ -98,7 +102,20 @@ fn chrome_traces_are_perfetto_loadable() {
     assert!(stems.contains(&"exec_ws"), "missing exec_ws in {stems:?}");
     assert!(stems.contains(&"sim_ws"), "missing sim_ws in {stems:?}");
 
+    // The captured Fock build's decomposition (water/STO-3G, two ket
+    // pairs a task) and the simulation's 256 tasks on 8 ranks.
+    let bm = BasisedMolecule::assign(&Molecule::water(), BasisSet::Sto3g);
+    let cfg = ScfConfig::default();
+    let pairs = ScreenedPairs::build(&bm, cfg.tau * 1e-2);
+    let fock_tasks = ParallelFock::new(&bm, &pairs, cfg.tau, 2).ntasks();
+    let expected = |stem: &str| match stem {
+        "exec_ws" => ("worker", 4, fock_tasks),
+        "sim_ws" => ("rank", 8, 256),
+        other => panic!("unexpected trace {other}"),
+    };
+
     for (stem, json) in &capture.traces {
+        let (track, tracks, ntasks) = expected(stem);
         let v = Json::parse(json).unwrap_or_else(|e| panic!("{stem}: invalid JSON: {e:?}"));
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(!events.is_empty(), "{stem}: empty trace");
@@ -111,21 +128,35 @@ fn chrome_traces_are_perfetto_loadable() {
                 .count()
         };
         assert_eq!(name_count("process_name"), 1, "{stem}");
-        let tracks = name_count("thread_name");
-        assert!(
-            tracks >= 2,
-            "{stem}: expected multiple worker tracks, got {tracks}"
-        );
+        let names: Vec<&str> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(|x| x.as_str()) == Some("thread_name"))
+            .map(|e| {
+                e.get("args")
+                    .unwrap()
+                    .get("name")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+            })
+            .collect();
+        let want: Vec<String> = (0..tracks).map(|w| format!("{track} {w}")).collect();
+        assert_eq!(names, want, "{stem}: one named track per worker");
 
         // Complete events: monotonic non-decreasing ts, non-negative
         // dur, every tid a named track.
         let mut last_ts = f64::NEG_INFINITY;
         let mut slices = 0;
+        let mut task_slices = vec![0u32; ntasks];
         for e in events {
             if e.get("ph").and_then(|p| p.as_str()) != Some("X") {
                 continue;
             }
             slices += 1;
+            let name = e.get("name").unwrap().as_str().unwrap();
+            if let Some(i) = name.strip_prefix("task ") {
+                task_slices[i.parse::<usize>().unwrap()] += 1;
+            }
             let ts = e.get("ts").unwrap().as_f64().unwrap();
             assert!(
                 ts >= last_ts,
@@ -135,5 +166,9 @@ fn chrome_traces_are_perfetto_loadable() {
             assert!(e.get("dur").unwrap().as_f64().unwrap() >= 0.0, "{stem}");
         }
         assert!(slices > 0, "{stem}: no slices");
+        assert!(
+            task_slices.iter().all(|&c| c == 1),
+            "{stem}: not exactly one task slice per task: {task_slices:?}"
+        );
     }
 }

@@ -34,7 +34,7 @@
 //! the `(−1)^{τ+ν+φ}` sign and every coefficient/norm factor are folded
 //! into the tables at pair-build time.
 //!
-//! Both stages are one `#[inline(always)]` body, [`Quartet::contract`],
+//! Both stages are one `#[inline(always)]` body, `Quartet::contract`,
 //! called with literal class sizes (`nh`, `ncomp` of each side) for the
 //! nine shape pairs of an s/p basis and with the sizes as loaded for any
 //! class with a d shell: one source, and every loop of an s/p quartet has

@@ -22,8 +22,8 @@ use std::time::Instant;
 
 /// Everything one profiled Fock build captures beyond its result: the
 /// blame attribution and the raw per-worker event streams it was
-/// reconstructed from (keep the streams for speedscope / collapsed /
-/// Chrome exports — one capture, every view).
+/// reconstructed from (keep the streams for the Chrome trace export —
+/// one capture, every view).
 pub struct FockProfile {
     /// Critical path + per-worker blame decomposition of the build.
     pub attribution: Attribution,

@@ -46,7 +46,7 @@ pub mod prelude {
         FaultStats, RankFailure, RecoveryPolicy,
     };
     pub use crate::machine::{MachineModel, Topology};
-    pub use crate::obs::{publish_sim_metrics, sim_report_to_chrome};
+    pub use crate::obs::publish_sim_metrics;
     pub use crate::sim::{
         simulate, simulate_policy, simulate_static_with_data, DataLayout, SimConfig, SimModel,
         SimReport,

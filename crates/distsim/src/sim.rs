@@ -338,8 +338,8 @@ pub struct SimReport {
     /// died; an unanswered steal request is a `StealFail` at the thief's
     /// timeout). The schema matches
     /// the thread runtime's [`emx_obs::RingSet`] capture, so
-    /// [`emx_obs::Attribution`] and the speedscope/collapsed exporters
-    /// consume either substrate's streams unchanged.
+    /// [`emx_obs::Attribution`] and [`emx_obs::ChromeTrace`] consume
+    /// either substrate's streams unchanged.
     pub events: Vec<Vec<ProfEvent>>,
 }
 

@@ -1,36 +1,36 @@
 //! Chrome trace-event JSON export (`chrome://tracing` / Perfetto).
 //!
-//! Builds the "JSON Array with metadata" flavour of the trace-event
-//! format: one process per source (runtime, simulator, SCF), one thread
-//! track per worker, complete (`"ph":"X"`) events with microsecond
+//! The workspace's one trace format. Builds the "JSON Array with
+//! metadata" flavour of the trace-event format: one process per source
+//! (a Fock build on threads, a simulated run), one thread track per
+//! worker or rank, complete (`"ph":"X"`) events with microsecond
 //! timestamps. Events are sorted by timestamp at export, so `ts` is
-//! monotonic across the file — some viewers require it.
+//! monotonic across the file — some viewers require it. Perfetto,
+//! `chrome://tracing` and speedscope's importer all open the result.
+//!
+//! Slices come from the per-worker [`ProfEvent`] streams that both
+//! substrates emit — the thread runtime's rings and the simulator's
+//! virtual-time events — through [`ChromeTrace::add_event_streams`].
 
 use crate::json::Json;
-use crate::recorder::SpanEvent;
+use crate::ring::{EventKind, ProfEvent};
 use std::collections::BTreeMap;
 
 /// One complete ("X") trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Process id (groups tracks in the viewer).
-    pub pid: u32,
-    /// Thread id (one per worker/rank).
-    pub tid: u32,
-    /// Event name shown on the slice.
-    pub name: String,
-    /// Category string (filterable in the viewer).
-    pub cat: String,
-    /// Start in microseconds from the trace origin.
-    pub ts_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
+#[derive(Debug)]
+struct Span {
+    pid: u32,
+    tid: u32,
+    name: String,
+    cat: String,
+    ts_us: f64,
+    dur_us: f64,
 }
 
 /// Accumulates spans and track names, then serializes to trace JSON.
 #[derive(Debug, Default)]
 pub struct ChromeTrace {
-    spans: Vec<TraceSpan>,
+    spans: Vec<Span>,
     process_names: BTreeMap<u32, String>,
     thread_names: BTreeMap<(u32, u32), String>,
 }
@@ -61,7 +61,7 @@ impl ChromeTrace {
         ts_us: f64,
         dur_us: f64,
     ) {
-        self.spans.push(TraceSpan {
+        self.spans.push(Span {
             pid,
             tid,
             name: name.into(),
@@ -71,40 +71,57 @@ impl ChromeTrace {
         });
     }
 
-    /// Adds one busy interval per entry of `intervals` (seconds), the
-    /// shape both `ExecutionReport` and `SimReport` traces use. Also
-    /// names the track `worker <tid>` if it has no name yet.
-    pub fn add_worker_intervals(
-        &mut self,
-        pid: u32,
-        tid: u32,
-        name: &str,
-        cat: &str,
-        intervals: &[(f64, f64)],
-    ) {
-        self.thread_names
-            .entry((pid, tid))
-            .or_insert_with(|| format!("worker {tid}"));
-        for &(start_s, end_s) in intervals {
-            self.add_span(pid, tid, name, cat, start_s * 1e6, (end_s - start_s) * 1e6);
-        }
-    }
-
-    /// Adds recorder spans (nanosecond clocks) under `pid`, one track
-    /// per `SpanEvent::track`.
-    pub fn add_recorder_events(&mut self, pid: u32, events: &[SpanEvent]) {
-        for e in events {
-            self.thread_names
-                .entry((pid, e.track))
-                .or_insert_with(|| format!("worker {}", e.track));
-            self.add_span(
-                pid,
-                e.track,
-                e.name,
-                "span",
-                e.start_ns as f64 / 1e3,
-                (e.end_ns.saturating_sub(e.start_ns)) as f64 / 1e3,
-            );
+    /// Adds per-worker event streams (nanosecond timestamps) under
+    /// `pid`: stream `w` becomes the track `<track> w`, and each
+    /// start/end pair in it one slice — `task N` (category `compute`),
+    /// `counter fetch` (`counter`), `merge +k` (`merge`), and a hunt
+    /// that opened with `IdleStart` as `steal hunt` (`steal`) when it
+    /// closed with `StealSuccess` or `idle` (`idle`) when it closed with
+    /// `IdleEnd`. Unmatched events — the truncated window of a wrapped
+    /// ring — are dropped rather than guessed at.
+    pub fn add_event_streams(&mut self, pid: u32, track: &str, streams: &[Vec<ProfEvent>]) {
+        for (w, stream) in streams.iter().enumerate() {
+            let tid = w as u32;
+            self.set_thread_name(pid, tid, format!("{track} {w}"));
+            let (mut task, mut fetch, mut merge, mut hunt) = (None, None, None, None);
+            for e in stream {
+                let closed = match e.kind {
+                    EventKind::TaskStart => {
+                        task = Some((e.arg, e.t_ns));
+                        None
+                    }
+                    EventKind::TaskEnd => task
+                        .take()
+                        .map(|(i, t0)| (format!("task {i}"), "compute", t0)),
+                    EventKind::CounterFetchStart => {
+                        fetch = Some(e.t_ns);
+                        None
+                    }
+                    EventKind::CounterFetchEnd => fetch
+                        .take()
+                        .map(|t0| ("counter fetch".to_string(), "counter", t0)),
+                    EventKind::MergeStart => {
+                        merge = Some((e.arg, e.t_ns));
+                        None
+                    }
+                    EventKind::MergeEnd => merge
+                        .take()
+                        .map(|(k, t0)| (format!("merge +{k}"), "merge", t0)),
+                    EventKind::IdleStart => {
+                        hunt = Some(e.t_ns);
+                        None
+                    }
+                    EventKind::StealSuccess => hunt
+                        .take()
+                        .map(|t0| ("steal hunt".to_string(), "steal", t0)),
+                    EventKind::IdleEnd => hunt.take().map(|t0| ("idle".to_string(), "idle", t0)),
+                    EventKind::StealAttempt | EventKind::StealFail => None,
+                };
+                if let Some((name, cat, t0)) = closed {
+                    let dur_ns = e.t_ns.saturating_sub(t0);
+                    self.add_span(pid, tid, name, cat, t0 as f64 / 1e3, dur_ns as f64 / 1e3);
+                }
+            }
         }
     }
 
@@ -141,7 +158,7 @@ impl ChromeTrace {
             ]));
         }
         // Complete events, sorted so ts is monotonic across the file.
-        let mut spans: Vec<&TraceSpan> = self.spans.iter().collect();
+        let mut spans: Vec<&Span> = self.spans.iter().collect();
         spans.sort_by(|a, b| {
             a.ts_us
                 .total_cmp(&b.ts_us)
@@ -175,12 +192,47 @@ impl ChromeTrace {
 mod tests {
     use super::*;
 
+    fn ev(kind: EventKind, arg: u64, t_ns: u64) -> ProfEvent {
+        ProfEvent { kind, arg, t_ns }
+    }
+
+    /// The `(name, cat, tid)` of every slice, in export order.
+    fn slices(t: &ChromeTrace) -> Vec<(String, String, u32)> {
+        let v = Json::parse(&t.to_json_string()).unwrap();
+        v.get("traceEvents")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").unwrap().as_str() == Some("X"))
+            .map(|e| {
+                (
+                    e.get("name").unwrap().as_str().unwrap().to_string(),
+                    e.get("cat").unwrap().as_str().unwrap().to_string(),
+                    e.get("tid").unwrap().as_f64().unwrap() as u32,
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn spans_sorted_and_named() {
         let mut t = ChromeTrace::new();
         t.set_process_name(0, "runtime");
-        t.add_worker_intervals(0, 1, "task", "exec", &[(2e-6, 3e-6)]);
-        t.add_worker_intervals(0, 0, "task", "exec", &[(0.0, 1e-6)]);
+        t.add_event_streams(
+            0,
+            "worker",
+            &[
+                vec![
+                    ev(EventKind::TaskStart, 1, 2000),
+                    ev(EventKind::TaskEnd, 1, 3000),
+                ],
+                vec![
+                    ev(EventKind::TaskStart, 0, 0),
+                    ev(EventKind::TaskEnd, 0, 1000),
+                ],
+            ],
+        );
         let v = Json::parse(&t.to_json_string()).unwrap();
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
         // 1 process-name + 2 thread-name + 2 X events.
@@ -190,8 +242,9 @@ mod tests {
             .filter(|e| e.get("ph").unwrap().as_str() == Some("X"))
             .collect();
         assert_eq!(xs.len(), 2);
-        // Monotonic ts.
+        // Monotonic ts: worker 1's earlier slice comes first.
         assert!(xs[0].get("ts").unwrap().as_f64() <= xs[1].get("ts").unwrap().as_f64());
+        assert_eq!(xs[0].get("tid").unwrap().as_f64(), Some(1.0));
         // One thread-name track per worker.
         let names: Vec<&str> = events
             .iter()
@@ -209,16 +262,19 @@ mod tests {
     }
 
     #[test]
-    fn recorder_events_convert_ns_to_us() {
+    fn ring_events_convert_ns_to_us() {
         let mut t = ChromeTrace::new();
-        t.add_recorder_events(
+        t.add_event_streams(
             2,
-            &[crate::recorder::SpanEvent {
-                name: "steal",
-                track: 4,
-                start_ns: 3000,
-                end_ns: 4500,
-            }],
+            "rank",
+            &[
+                vec![],
+                vec![
+                    ev(EventKind::IdleStart, 0, 3000),
+                    ev(EventKind::StealAttempt, 0, 4500),
+                    ev(EventKind::StealSuccess, 0, 4500),
+                ],
+            ],
         );
         let v = Json::parse(&t.to_json_string()).unwrap();
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
@@ -228,7 +284,74 @@ mod tests {
             .unwrap();
         assert_eq!(x.get("ts").unwrap().as_f64(), Some(3.0));
         assert_eq!(x.get("dur").unwrap().as_f64(), Some(1.5));
-        assert_eq!(x.get("tid").unwrap().as_f64(), Some(4.0));
+        assert_eq!(x.get("pid").unwrap().as_f64(), Some(2.0));
+        assert_eq!(x.get("tid").unwrap().as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn ring_streams_become_five_labelled_slices() {
+        let mut t = ChromeTrace::new();
+        t.add_event_streams(
+            0,
+            "worker",
+            &[
+                vec![
+                    ev(EventKind::CounterFetchStart, 0, 0),
+                    ev(EventKind::CounterFetchEnd, 0, 5),
+                    ev(EventKind::TaskStart, 0, 5),
+                    ev(EventKind::TaskEnd, 0, 40),
+                    ev(EventKind::MergeStart, 1, 50),
+                    ev(EventKind::MergeEnd, 1, 60),
+                ],
+                vec![
+                    ev(EventKind::TaskStart, 1, 0),
+                    ev(EventKind::TaskEnd, 1, 30),
+                    ev(EventKind::IdleStart, 0, 30),
+                    ev(EventKind::StealAttempt, 0, 32),
+                    ev(EventKind::StealFail, 0, 32),
+                    ev(EventKind::StealAttempt, 0, 35),
+                    ev(EventKind::StealSuccess, 0, 35),
+                    ev(EventKind::TaskStart, 2, 35),
+                    ev(EventKind::TaskEnd, 2, 45),
+                    ev(EventKind::IdleStart, 0, 45),
+                    ev(EventKind::IdleEnd, 0, 70),
+                ],
+            ],
+        );
+        let got = slices(&t);
+        let want = [
+            ("counter fetch", "counter", 0),
+            ("task 1", "compute", 1),
+            ("task 0", "compute", 0),
+            ("steal hunt", "steal", 1),
+            ("task 2", "compute", 1),
+            ("idle", "idle", 1),
+            ("merge +1", "merge", 0),
+        ];
+        let want: Vec<(String, String, u32)> = want
+            .iter()
+            .map(|&(n, c, w)| (n.to_string(), c.to_string(), w))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn truncated_stream_drops_unmatched_events() {
+        let mut t = ChromeTrace::new();
+        t.add_event_streams(
+            0,
+            "worker",
+            &[vec![
+                ev(EventKind::TaskEnd, 9, 10), // lost start
+                ev(EventKind::TaskStart, 10, 20),
+                ev(EventKind::TaskEnd, 10, 30),
+                ev(EventKind::TaskStart, 11, 40),   // never ends
+                ev(EventKind::StealSuccess, 0, 50), // hunt opened before the window
+            ]],
+        );
+        let got = slices(&t);
+        assert_eq!(got.len(), 1, "only the matched pair survives: {got:?}");
+        assert_eq!(got[0].0, "task 10");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! JSONL / CSV metric snapshots, stamped and schema-versioned.
+//! JSONL metric snapshots, stamped and schema-versioned.
 //!
 //! Every exported metrics file is self-describing: the first JSONL
-//! record (or leading `#` comment lines in CSV) carries the schema
-//! version, the experiment id and a git-describe string, so a results
-//! directory can be read years later without the producing binary.
+//! record carries the schema version, the experiment id and a
+//! git-describe string, so a results directory can be read years later
+//! without the producing binary.
 //!
 //! ## JSONL schema (version 1)
 //!
@@ -26,7 +26,7 @@
 use crate::json::Json;
 use crate::metrics::{MetricEntry, MetricValue};
 
-/// Version of the JSONL/CSV metric schema documented in this module.
+/// Version of the JSONL metric schema documented in this module.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Identity stamp attached to every exported file.
@@ -134,40 +134,6 @@ pub fn metrics_to_jsonl(meta: &RunMeta, entries: &[MetricEntry], extra: &[Json])
     out
 }
 
-/// Serializes a metrics snapshot to CSV with `#` header comments
-/// carrying the stamp. Histograms are flattened to their summary
-/// columns.
-pub fn metrics_to_csv(meta: &RunMeta, entries: &[MetricEntry]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# schema_version: {}\n", meta.schema_version));
-    out.push_str(&format!("# experiment: {}\n", meta.experiment_id));
-    out.push_str(&format!("# git: {}\n", meta.git_describe));
-    out.push_str("name,kind,unit,value,count,sum,min,max,p50,p90,p99\n");
-    for entry in entries {
-        match &entry.value {
-            MetricValue::Counter(v) => {
-                out.push_str(&format!(
-                    "{},counter,{},{},,,,,,,\n",
-                    entry.name, entry.unit, v
-                ));
-            }
-            MetricValue::Gauge(v) => {
-                out.push_str(&format!(
-                    "{},gauge,{},{},,,,,,,\n",
-                    entry.name, entry.unit, v
-                ));
-            }
-            MetricValue::Histogram(h) => {
-                out.push_str(&format!(
-                    "{},histogram,{},,{},{},{},{},{},{},{}\n",
-                    entry.name, entry.unit, h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99
-                ));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,17 +170,6 @@ mod tests {
         let hist = Json::parse(lines[1]).unwrap();
         assert_eq!(hist.get("kind").unwrap().as_str(), Some("histogram"));
         assert_eq!(hist.get("count").unwrap().as_f64(), Some(2.0));
-    }
-
-    #[test]
-    fn csv_is_stamped() {
-        let meta = RunMeta::new("obs", "v1-2-gdeadbee");
-        let text = metrics_to_csv(&meta, &sample_entries());
-        assert!(text.starts_with("# schema_version: 1\n"));
-        assert!(text.contains("# experiment: obs\n"));
-        assert!(text.contains("# git: v1-2-gdeadbee\n"));
-        assert!(text.contains("runtime.steals,counter,count,7,"));
-        assert!(text.contains("runtime.steal_latency,histogram,ns,,2,"));
     }
 
     #[test]

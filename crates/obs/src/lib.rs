@@ -6,18 +6,12 @@
 //! exported from, shared by the thread runtime, the distributed
 //! simulator, the chemistry kernel and the `reproduce` harness:
 //!
-//! * [`recorder`] — per-worker span recorders with a pluggable
-//!   [`recorder::EventSink`]. Each worker owns its buffer (no locks or
-//!   atomics on the record path) and flushes once at the end of a run.
-//!   With no sink attached a recorder is [`recorder::SpanRecorder::Off`]
-//!   and `record()` is a branch on a two-variant enum; with the
-//!   `compile-out` feature it is statically empty.
 //! * [`metrics`] — a registry of named counters, gauges and log₂-bucketed
 //!   histograms. Handles are `Arc`s that hot paths clone up front and
 //!   update with relaxed atomics; the registry lock is touched only at
 //!   registration and snapshot time.
-//! * [`ring`] — bounded per-worker SPSC profiling event rings: the
-//!   always-on capture path (fixed capacity, overwrite-oldest, no
+//! * [`ring`] — bounded per-worker SPSC profiling event rings: the one
+//!   per-worker capture path (fixed capacity, overwrite-oldest, no
 //!   allocation after setup), sharing one event schema between the
 //!   thread runtime and the discrete-event simulator.
 //! * [`attrib`] — critical-path extraction and blame attribution over
@@ -25,11 +19,10 @@
 //!   steal / merge / idle per worker, plus differential comparison of
 //!   two runs.
 //! * [`chrome`] — Chrome trace-event JSON (the `chrome://tracing` /
-//!   Perfetto format) built from any per-worker interval data.
-//! * [`speedscope`] — speedscope JSON and collapsed-stack (flamegraph)
-//!   exports of the same event streams.
-//! * [`export`] — JSONL and CSV metric snapshots, stamped with a schema
-//!   version, experiment id and git-describe string.
+//!   Perfetto format, which speedscope also imports) built from the same
+//!   event streams: the one trace format.
+//! * [`export`] — JSONL metric snapshots, stamped with a schema version,
+//!   experiment id and git-describe string.
 //! * [`json`] — the minimal JSON value type backing the exporters (the
 //!   workspace builds offline, so no serde).
 //!
@@ -53,33 +46,25 @@ pub mod chrome;
 pub mod export;
 pub mod json;
 pub mod metrics;
-pub mod recorder;
 pub mod ring;
-pub mod speedscope;
 
 pub use attrib::{Attribution, AttributionDiff, WorkerBlame};
-pub use chrome::{ChromeTrace, TraceSpan};
-pub use export::{git_describe_string, metrics_to_csv, metrics_to_jsonl, RunMeta, SCHEMA_VERSION};
+pub use chrome::ChromeTrace;
+pub use export::{git_describe_string, metrics_to_jsonl, RunMeta, SCHEMA_VERSION};
 pub use json::Json;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
 };
-pub use recorder::{CollectingSink, EventSink, NullSink, SpanEvent, SpanRecorder};
 pub use ring::{EventKind, EventRing, ProfEvent, RingSet, RingSnapshot, RingWriter};
-pub use speedscope::{collapsed_stacks, speedscope_json};
 
 /// Common imports.
 pub mod prelude {
     pub use crate::attrib::{Attribution, AttributionDiff, WorkerBlame};
     pub use crate::chrome::ChromeTrace;
-    pub use crate::export::{
-        git_describe_string, metrics_to_csv, metrics_to_jsonl, RunMeta, SCHEMA_VERSION,
-    };
+    pub use crate::export::{git_describe_string, metrics_to_jsonl, RunMeta, SCHEMA_VERSION};
     pub use crate::json::Json;
     pub use crate::metrics::{
         Counter, Gauge, Histogram, MetricEntry, MetricValue, MetricsRegistry,
     };
-    pub use crate::recorder::{CollectingSink, EventSink, NullSink, SpanEvent, SpanRecorder};
     pub use crate::ring::{EventKind, EventRing, ProfEvent, RingSet, RingWriter};
-    pub use crate::speedscope::{collapsed_stacks, speedscope_json};
 }

@@ -1,10 +1,8 @@
 //! Per-worker lock-free profiling event rings.
 //!
-//! The span [`recorder`](crate::recorder) answers "what happened in this
-//! run" with worker-local `Vec` buffers — fine for tests, wrong for an
-//! always-on profiler, where capture must be bounded, allocation-free
-//! after setup and immune to a slow consumer. This module is the
-//! production path: one bounded single-producer/single-consumer
+//! The crate's one per-worker capture path. An always-on profiler's
+//! capture must be bounded, allocation-free after setup and immune to a
+//! slow consumer, so this is one bounded single-producer/single-consumer
 //! [`EventRing`] per worker, fixed capacity, overwrite-oldest, cycle
 //! timestamps carried by the caller (the runtime reuses the clock reads
 //! it already makes for busy accounting; the simulator stamps virtual

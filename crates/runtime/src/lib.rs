@@ -44,7 +44,7 @@ pub mod variability;
 
 pub use faults::{FaultInjection, PoisonSpec};
 pub use model::{block_owner, ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
-pub use obs::{publish_report_gauges, report_to_chrome, RuntimeObs};
+pub use obs::{publish_report_gauges, RuntimeObs};
 pub use pool::Executor;
 pub use report::{ExecutionReport, TaskEvent, WorkerStats};
 pub use timeline::{render_timeline, utilization_curve};
@@ -54,7 +54,7 @@ pub use variability::Variability;
 pub mod prelude {
     pub use crate::faults::{FaultInjection, PoisonSpec};
     pub use crate::model::{ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
-    pub use crate::obs::{publish_report_gauges, report_to_chrome, RuntimeObs};
+    pub use crate::obs::{publish_report_gauges, RuntimeObs};
     pub use crate::pool::Executor;
     pub use crate::report::{ExecutionReport, TaskEvent, WorkerStats};
     pub use crate::timeline::{render_timeline, utilization_curve};

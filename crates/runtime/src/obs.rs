@@ -1,11 +1,11 @@
-//! Optional executor observability: metric handles and span recording.
+//! Optional executor observability: metric handles and event rings.
 //!
 //! An [`Executor`](crate::pool::Executor) carries `obs: Option<RuntimeObs>`.
-//! With `None` (the default) the task loop touches no registry, no sink
+//! With `None` (the default) the task loop touches no registry, no ring
 //! and no extra clocks — the only cost is one predictable branch per
 //! task. With `Some`, every worker resolves its metric handles once at
-//! spawn time and then updates plain atomics / a worker-local span
-//! buffer from the hot loop.
+//! spawn time and then updates plain atomics / its own event ring from
+//! the hot loop.
 //!
 //! ## Metric names (all registered lazily, only when obs is attached)
 //!
@@ -30,47 +30,33 @@
 //! Steal latency is measured from the moment a worker runs out of local
 //! work to the moment a steal succeeds — the paper's "time to find
 //! work", not the cost of one deque operation. The same interval is
-//! emitted as an `"idle"` span when a sink is attached.
+//! recorded as a hunt on the worker's ring when rings are attached.
 
-use crate::report::{ExecutionReport, TaskEvent};
-use emx_obs::{
-    ChromeTrace, Counter, EventSink, Histogram, MetricsRegistry, RingSet, RingWriter, SpanRecorder,
-};
+use crate::report::ExecutionReport;
+use emx_obs::{Counter, Histogram, MetricsRegistry, RingSet, RingWriter};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Observability attachment for an executor run: a metrics registry,
-/// an optional span sink shared by every worker, and optional
-/// per-worker profiling event rings.
+/// Observability attachment for an executor run: a metrics registry
+/// and optional per-worker profiling event rings.
 #[derive(Clone)]
 pub struct RuntimeObs {
     /// Registry receiving the runtime.* metrics.
     pub metrics: Arc<MetricsRegistry>,
-    /// Destination for per-worker span buffers (`"task"` / `"idle"`),
-    /// flushed once per worker after the timed region.
-    pub sink: Option<Arc<dyn EventSink>>,
-    /// Per-worker profiling event rings (the always-on capture path:
+    /// Per-worker profiling event rings (the one capture path:
     /// bounded, allocation-free after setup). Worker `w` writes ring
     /// `w`; drain with [`RingSet::snapshot_all`] after the run.
     pub rings: Option<Arc<RingSet>>,
 }
 
 impl RuntimeObs {
-    /// Metrics-only observability (no span recording, no event rings).
+    /// Metrics-only observability (no event rings).
     pub fn new(metrics: Arc<MetricsRegistry>) -> RuntimeObs {
         RuntimeObs {
             metrics,
-            sink: None,
             rings: None,
         }
-    }
-
-    /// Adds a span sink; workers will record `"task"` and `"idle"`
-    /// spans into worker-local buffers flushed to it.
-    pub fn with_sink(mut self, sink: Arc<dyn EventSink>) -> RuntimeObs {
-        self.sink = Some(sink);
-        self
     }
 
     /// Attaches per-worker profiling rings. Each worker then records
@@ -87,7 +73,6 @@ impl fmt::Debug for RuntimeObs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RuntimeObs")
             .field("metrics", &"MetricsRegistry")
-            .field("sink", &self.sink.is_some())
             .field("rings", &self.rings.is_some())
             .finish()
     }
@@ -104,7 +89,6 @@ pub(crate) struct WorkerObs {
     pub(crate) counter_fetches: Arc<Counter>,
     pub(crate) counter_fetch_latency: Arc<Histogram>,
     pub(crate) faults: Option<FaultObsHandles>,
-    pub(crate) recorder: SpanRecorder,
     /// Producer handle into this worker's profiling ring (`None` when
     /// the run has no rings attached — then no event clock is read).
     pub(crate) ring: Option<RingWriter>,
@@ -130,10 +114,6 @@ impl WorkerObs {
             counter_fetches: m.counter("runtime.counter_fetches", "count"),
             counter_fetch_latency: m.histogram("runtime.counter_fetch_latency", "ns"),
             faults: None,
-            recorder: match &obs.sink {
-                Some(sink) => SpanRecorder::on(worker, sink.clone()),
-                None => SpanRecorder::off(),
-            },
             ring: obs.rings.as_ref().map(|r| r.writer(worker as usize)),
         }
     }
@@ -148,22 +128,6 @@ impl WorkerObs {
             recovery_latency: m.histogram("runtime.faults.recovery_latency", "ns"),
         });
     }
-}
-
-/// Converts a (traced) execution report into one Chrome-trace process:
-/// one thread track per worker, one `"task"` slice per task event. The
-/// process is named `<label> (<model>)`.
-pub fn report_to_chrome(report: &ExecutionReport, pid: u32, label: &str) -> ChromeTrace {
-    let mut trace = ChromeTrace::new();
-    trace.set_process_name(pid, format!("{label} ({})", report.model));
-    for (w, events) in report.traces.iter().enumerate() {
-        let intervals: Vec<(f64, f64)> = events
-            .iter()
-            .map(|e| (e.start.as_secs_f64(), e.end.as_secs_f64()))
-            .collect();
-        trace.add_worker_intervals(pid, w as u32, "task", "exec", &intervals);
-    }
-    trace
 }
 
 /// Publishes a report's derived quantities as gauges under `prefix`
@@ -193,53 +157,10 @@ pub(crate) fn dur_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Task-event helper shared by the report adapter tests.
-#[allow(dead_code)]
-pub(crate) fn task_event(task: usize, start_us: u64, end_us: u64) -> TaskEvent {
-    TaskEvent {
-        task,
-        start: Duration::from_micros(start_us),
-        end: Duration::from_micros(end_us),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::WorkerStats;
-    use emx_obs::Json;
-
-    #[test]
-    fn report_to_chrome_one_track_per_worker() {
-        let report = ExecutionReport {
-            model: "work-stealing".into(),
-            workers: 2,
-            tasks: 3,
-            wall: Duration::from_micros(30),
-            worker_stats: vec![WorkerStats::default(), WorkerStats::default()],
-            traces: vec![
-                vec![task_event(0, 0, 10), task_event(2, 10, 25)],
-                vec![task_event(1, 5, 20)],
-            ],
-        };
-        let trace = report_to_chrome(&report, 7, "fock");
-        assert_eq!(trace.len(), 3);
-        let v = Json::parse(&trace.to_json_string()).unwrap();
-        let events = v.get("traceEvents").unwrap().as_arr().unwrap();
-        let tracks: Vec<&Json> = events
-            .iter()
-            .filter(|e| e.get("name").unwrap().as_str() == Some("thread_name"))
-            .collect();
-        assert_eq!(tracks.len(), 2, "one thread_name per worker");
-        let proc = events
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("process_name"))
-            .unwrap();
-        assert_eq!(
-            proc.get("args").unwrap().get("name").unwrap().as_str(),
-            Some("fock (work-stealing)")
-        );
-    }
 
     #[test]
     fn gauges_published_under_prefix() {

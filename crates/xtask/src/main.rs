@@ -1,6 +1,6 @@
 //! `cargo xtask` — the repository's lint wall.
 //!
-//! `cargo xtask lint` runs eight families of checks that rustc and
+//! `cargo xtask lint` runs seven families of checks that rustc and
 //! clippy cannot express, and exits non-zero on any finding:
 //!
 //! 1. **Replay-path hygiene** — the deterministic replay paths
@@ -8,8 +8,8 @@
 //!    not read the wall clock (`Instant::now`, `SystemTime`) or ambient
 //!    randomness (`thread_rng`, `from_entropy`, `OsRng`): any of those
 //!    would make `replay_assignment` and `simulate_with_faults`
-//!    unreproducible. Instrumentation-only exceptions are listed
-//!    explicitly in [`WALL_CLOCK_ALLOW`].
+//!    unreproducible. Instrumentation-only exceptions would be listed
+//!    explicitly in [`WALL_CLOCK_ALLOW`] (empty today).
 //! 2. **Experiment registration** — every experiment id matched by the
 //!    `reproduce` binary must be runnable from its default list (or be
 //!    an explicitly-listed on-demand id), and vice versa, so dead or
@@ -21,18 +21,16 @@
 //!    dynamically by `crates/chem/tests/alloc_guard.rs`; this lint
 //!    catches the regression at review time). Setup-time allocations
 //!    are listed in [`HOT_PATH_ALLOC_ALLOW`].
-//! 4. **Observability hygiene** — the always-on profiling path is the
-//!    fixed-capacity event ring; the `Vec`-backed `CollectingSink` is a
-//!    test/export convenience and must never be referenced from the
-//!    steal or quartet inner loops ([`NO_COLLECTING_SINK_FILES`]): a
-//!    mutex-guarded `Vec` push per event would put allocation and
-//!    cross-core traffic back inside the measured region.
-//! 5. **Doc-link integrity** — every relative markdown link in
+//!
+//!    In both families with an allow list, an entry that matches no
+//!    scanned source line is itself a finding: a stale entry would
+//!    silently excuse that exact line if someone added it back.
+//! 4. **Doc-link integrity** — every relative markdown link in
 //!    `README.md` and `docs/*.md` must resolve to an existing file
 //!    (fragments stripped, absolute URLs and pure anchors skipped), so
 //!    renaming or dropping a document cannot leave dangling references
 //!    behind.
-//! 6. **Pair-data reuse** — the quartet hot-path modules
+//! 5. **Pair-data reuse** — the quartet hot-path modules
 //!    ([`NO_PAIR_REBUILD_FILES`]) must not construct shell-pair data
 //!    (`ShellPair::build`, `HermiteE::build`) in non-test code: all `E`
 //!    tables are precomputed once per pair at screening time (AoS and
@@ -40,7 +38,7 @@
 //!    tensor loop silently multiplies the per-pair recurrence cost by
 //!    the quartet count — exactly the regression the old
 //!    `full_eri_tensor` shipped with.
-//! 7. **Memory-protocol conformance (emx-srclint)** — a real static
+//! 6. **Memory-protocol conformance (emx-srclint)** — a real static
 //!    pass (lexer + site extractor, not a grep): every atomic
 //!    operation and `unsafe` occurrence in the workspace is modeled
 //!    and checked against the declared protocols in
@@ -49,9 +47,9 @@
 //!    Release pairing, Relaxed-needs-a-role, and `// SAFETY:` hygiene.
 //!    `cargo xtask srclint --json <path>` additionally writes the full
 //!    machine-readable site inventory + report (the CI artifact).
-//! 8. **Event-core discipline** — the simulator loops
+//! 7. **Event-core discipline** — the simulator loops
 //!    ([`NO_BINARYHEAP_FILES`]) must schedule through the shared
-//!    [`emx_distsim`] `EventQueue` abstraction, never a raw
+//!    `emx_distsim` `EventQueue` abstraction, never a raw
 //!    `BinaryHeap`: per-site heaps are how the `(time, worker)`
 //!    tie-break divergence shipped, and a direct heap bypasses both the
 //!    total `(time, seq)` order and the calendar-queue backend that
@@ -72,12 +70,7 @@ const REPLAY_PATH_ROOTS: &[&str] = &[
 /// `file:substring` pairs exempt from the wall-clock lint (metrics
 /// timestamps on non-replay paths, with the burden of proof on the
 /// entry).
-const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[
-    // The 10⁴-rank scale regression tests bound their own wall clock —
-    // measurement around the simulation, never inside the replay path.
-    ("sim.rs", "let t0 = std::time::Instant::now();"),
-    ("faults.rs", "let t0 = std::time::Instant::now();"),
-];
+const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[];
 
 /// Experiment ids legitimately absent from `reproduce`'s default list
 /// (on-demand modes).
@@ -105,17 +98,6 @@ const HOT_PATH_ALLOC_ALLOW: &[(&str, &str)] = &[
     ("md.rs", "Vec::with_capacity(hermite_count"),
     ("md.rs", "Vec::with_capacity((PAIR_L_MAX"),
     ("md.rs", "Vec::with_capacity(bras.len()"),
-];
-
-/// Files whose non-test code forms the steal and quartet inner loops:
-/// the per-span `Vec`-push `CollectingSink` must not appear in any of
-/// them (the event ring is the sanctioned always-on capture there).
-const NO_COLLECTING_SINK_FILES: &[&str] = &[
-    "crates/runtime/src/pool.rs",
-    "crates/chem/src/eri.rs",
-    "crates/chem/src/eribatch.rs",
-    "crates/chem/src/md.rs",
-    "crates/chem/src/fock.rs",
 ];
 
 /// Simulator-loop files whose non-test code must use the shared
@@ -167,6 +149,33 @@ fn rust_sources(root: &Path, rel: &str) -> Vec<PathBuf> {
     out
 }
 
+/// Whether an allow entry excuses `line` of file `shown`; marks every
+/// entry that matches as used.
+fn allowed(allow: &[(&str, &str)], used: &mut [bool], shown: &str, line: &str) -> bool {
+    let mut any = false;
+    for (k, (f, s)) in allow.iter().enumerate() {
+        if shown.ends_with(f) && line.contains(s) {
+            used[k] = true;
+            any = true;
+        }
+    }
+    any
+}
+
+/// One finding per allow entry that matched no scanned source line.
+fn stale_allow_entries(
+    allow: &[(&str, &str)],
+    used: &[bool],
+    what: &str,
+    findings: &mut Vec<String>,
+) {
+    for ((f, s), _) in allow.iter().zip(used).filter(|(_, &u)| !u) {
+        findings.push(format!(
+            "{what}: allow entry `{f}`: `{s}` matches no source line (delete it)"
+        ));
+    }
+}
+
 fn scan_for(
     root: &Path,
     roots: &[&str],
@@ -175,6 +184,7 @@ fn scan_for(
     what: &str,
     findings: &mut Vec<String>,
 ) {
+    let mut used = vec![false; allow.len()];
     for rel in roots {
         for file in rust_sources(root, rel) {
             let Ok(text) = std::fs::read_to_string(&file) else {
@@ -187,12 +197,9 @@ fn scan_for(
                 .to_string();
             for (lineno, line) in text.lines().enumerate() {
                 let code = line.split("//").next().unwrap_or(line);
+                let excused = allowed(allow, &mut used, &shown, line);
                 for needle in needles {
-                    if code.contains(needle)
-                        && !allow
-                            .iter()
-                            .any(|(f, s)| shown.ends_with(f) && line.contains(s))
-                    {
+                    if code.contains(needle) && !excused {
                         findings.push(format!(
                             "{shown}:{}: {what}: `{needle}` in a replay path",
                             lineno + 1
@@ -202,6 +209,7 @@ fn scan_for(
             }
         }
     }
+    stale_allow_entries(allow, &used, what, findings);
 }
 
 fn lint_replay_hygiene(root: &Path, findings: &mut Vec<String>) {
@@ -339,6 +347,7 @@ fn hotpath_allocations_at(
         ".to_vec()",
         ".collect()",
     ];
+    let mut used = vec![false; allow.len()];
     for rel in files {
         let path = root.join(rel);
         let Ok(text) = std::fs::read_to_string(&path) else {
@@ -350,12 +359,9 @@ fn hotpath_allocations_at(
                 break;
             }
             let code = line.split("//").next().unwrap_or(line);
+            let excused = allowed(allow, &mut used, rel, line);
             for needle in NEEDLES {
-                if code.contains(needle)
-                    && !allow
-                        .iter()
-                        .any(|(f, s)| rel.ends_with(f) && line.contains(s))
-                {
+                if code.contains(needle) && !excused {
                     findings.push(format!(
                         "{rel}:{}: hot-path allocation: `{needle}` in a quartet \
                          inner-loop module (use the scratch buffers, or add a \
@@ -366,40 +372,10 @@ fn hotpath_allocations_at(
             }
         }
     }
+    stale_allow_entries(allow, &used, "hot-path allocations", findings);
 }
 
-/// Lint 4: `CollectingSink` (mutex + `Vec` push per span) may not be
-/// referenced from the steal/quartet inner-loop modules' non-test code
-/// — always-on capture there goes through the fixed-capacity event
-/// rings instead.
-fn lint_no_collecting_sink(root: &Path, findings: &mut Vec<String>) {
-    collecting_sink_at(root, NO_COLLECTING_SINK_FILES, findings);
-}
-
-fn collecting_sink_at(root: &Path, files: &[&str], findings: &mut Vec<String>) {
-    for rel in files {
-        let path = root.join(rel);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            findings.push(format!("observability hygiene: cannot read {rel}"));
-            continue;
-        };
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim_start().starts_with("#[cfg(test)]") {
-                break;
-            }
-            let code = line.split("//").next().unwrap_or(line);
-            if code.contains("CollectingSink") {
-                findings.push(format!(
-                    "{rel}:{}: observability hygiene: `CollectingSink` in an \
-                     inner-loop module (record into the event ring instead)",
-                    lineno + 1
-                ));
-            }
-        }
-    }
-}
-
-/// The markdown files whose relative links lint 5 checks: the README
+/// The markdown files whose relative links lint 4 checks: the README
 /// plus everything under `docs/`.
 fn doc_files(root: &Path) -> Vec<PathBuf> {
     let mut out = vec![root.join("README.md")];
@@ -428,7 +404,7 @@ fn markdown_link_targets(line: &str) -> Vec<String> {
     out
 }
 
-/// Lint 5: every relative markdown link in the README and `docs/*.md`
+/// Lint 4: every relative markdown link in the README and `docs/*.md`
 /// must resolve (relative to the containing file) after stripping any
 /// `#fragment`. Absolute URLs, `mailto:` and pure in-page anchors are
 /// out of scope; fenced code blocks are skipped so example syntax
@@ -478,7 +454,7 @@ fn lint_doc_links(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
-/// Lint 6: shell-pair data may not be rebuilt in the quartet hot-path
+/// Lint 5: shell-pair data may not be rebuilt in the quartet hot-path
 /// modules' non-test code — `ShellPair::build` and `HermiteE::build`
 /// belong to pair-list construction (`screening.rs`, `shellpair.rs`,
 /// one-electron setup), never inside quartet or tensor loops.
@@ -513,7 +489,7 @@ fn pair_rebuild_at(root: &Path, files: &[&str], findings: &mut Vec<String>) {
     }
 }
 
-/// Lint 8: simulator loops must schedule through the shared
+/// Lint 7: simulator loops must schedule through the shared
 /// `EventQueue` event core. A raw `BinaryHeap` in `sim.rs`/`faults.rs`
 /// non-test code reintroduces per-site keys — the exact path the
 /// `(time, worker)` tie-break divergence shipped through — and skips
@@ -546,7 +522,7 @@ fn binaryheap_at(root: &Path, files: &[&str], findings: &mut Vec<String>) {
     }
 }
 
-/// Lint 7: the whole-workspace memory-protocol pass. Runs the
+/// Lint 6: the whole-workspace memory-protocol pass. Runs the
 /// emx-srclint extractor + checker against `docs/protocols.toml` and
 /// folds every violation into the lint wall. A failure to run the pass
 /// at all (missing manifest, parse error) is itself a finding.
@@ -572,7 +548,6 @@ fn run_lints() -> Vec<String> {
     lint_replay_hygiene(&root, &mut findings);
     lint_experiment_registration(&root, &mut findings);
     lint_hotpath_allocations(&root, &mut findings);
-    lint_no_collecting_sink(&root, &mut findings);
     lint_doc_links(&root, &mut findings);
     lint_no_pair_rebuild(&root, &mut findings);
     lint_no_binaryheap(&root, &mut findings);
@@ -825,16 +800,33 @@ match exp.as_str() {
     }
 
     #[test]
-    fn collecting_sink_lint_flags_seeded_reference() {
-        let fx = Fixture::new("sink");
+    fn stale_allow_entries_are_findings() {
+        // An entry whose line is gone would excuse that exact line if it
+        // came back: both families with an allow list report it.
+        let fx = Fixture::new("stale");
         fx.write(
-            "crates/bad/src/pool.rs",
-            "fn steal() { let s = CollectingSink::default(); }\n",
+            "crates/bad/src/eri.rs",
+            "fn setup() { let v: Vec<f64> = Vec::with_capacity(8); }\n",
         );
+        let allow: &[(&str, &str)] = &[
+            ("eri.rs", "Vec::with_capacity(8)"),
+            ("eri.rs", "let t0 = std::time::Instant::now();"),
+        ];
         let mut findings = Vec::new();
-        collecting_sink_at(&fx.0, &["crates/bad/src/pool.rs"], &mut findings);
+        scan_for(
+            &fx.0,
+            &["crates/bad/src"],
+            &["Instant::now"],
+            allow,
+            "wall clock",
+            &mut findings,
+        );
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].contains("CollectingSink"), "{findings:?}");
+        assert!(findings[0].contains("Instant::now();` matches no source line"));
+        let mut findings = Vec::new();
+        hotpath_allocations_at(&fx.0, &["crates/bad/src/eri.rs"], allow, &mut findings);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("hot-path allocations: allow entry"));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use emx_bench::{
 use emx_chem::synthetic::CostModel;
 use emx_core::prelude::*;
 use emx_distsim::machine::MachineModel;
-use emx_obs::{git_describe_string, ChromeTrace, RunMeta, SCHEMA_VERSION};
+use emx_obs::{git_describe_string, render_timeline, ChromeTrace, RunMeta, SCHEMA_VERSION};
 
 const USAGE: &str = "usage: reproduce [EXPERIMENT ...] [--csv DIR] [--trace-out DIR] \
                      [--metrics-out FILE]";
@@ -595,13 +595,17 @@ fn figure_timelines(machine: &MachineModel) {
     let cfg = SimConfig {
         workers: p,
         machine: *machine,
-        trace: true,
+        events: true,
         ..SimConfig::new(p)
     };
     println!(
         "## F1: utilization timelines on {} at P={p} (# = busy)",
         w.name
     );
+    let strips = |r: &SimReport| {
+        let makespan_ns = (r.makespan * 1e9).round() as u64;
+        render_timeline(&r.events, makespan_ns, 72, 16)
+    };
     let owners = block_owners(w.ntasks(), p);
     let st = simulate(&w.costs, &SimModel::Static(owners), &cfg);
     println!(
@@ -609,14 +613,14 @@ fn figure_timelines(machine: &MachineModel) {
         fmt_secs(st.makespan),
         st.utilization()
     );
-    print!("{}", render_sim_timeline(&st, 72, 16));
+    print!("{}", strips(&st));
     let ws = simulate(&w.costs, &SimModel::WorkStealing { steal_half: true }, &cfg);
     println!(
         "\nwork-stealing  (makespan {}, utilization {:.2}):",
         fmt_secs(ws.makespan),
         ws.utilization()
     );
-    print!("{}", render_sim_timeline(&ws, 72, 16));
+    print!("{}", strips(&ws));
     println!();
 }
 

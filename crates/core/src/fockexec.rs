@@ -74,8 +74,8 @@ impl<'a> ParallelFock<'a> {
     }
 
     /// Executes one task by index into a caller-owned accumulator —
-    /// the entry point for external runtimes (the distributed driver's
-    /// rank loops). Returns the quartets computed.
+    /// the entry point for a caller that schedules tasks itself instead
+    /// of through an [`Executor`]. Returns the quartets computed.
     pub fn execute_task_into(
         &self,
         i: usize,
@@ -136,10 +136,13 @@ impl<'a> ParallelFock<'a> {
     /// The wall clock the attribution is normalized against wraps the
     /// *whole* build — worker execution plus the pairwise reduction
     /// merges stamped after the join — so the compute / counter / steal
-    /// / merge / idle decomposition sums to it by construction. Size
-    /// `ring_capacity` at ≥ `2 · ntasks / workers` plus steal/fetch
-    /// headroom to capture a build without overwrite (losses are
-    /// reported in [`Attribution::overwritten`], never silently).
+    /// / merge / idle decomposition sums to it by construction.
+    ///
+    /// `ring_capacity` is per worker. To capture a build without
+    /// overwrite, size it at `2 · ntasks` (under a dynamic policy one
+    /// worker may run every task) plus headroom for the hunt, fetch and
+    /// merge events — the benchmark uses `4 · ntasks + 1024`. Losses are
+    /// reported in [`Attribution::overwritten`], never silently.
     pub fn execute_profiled(
         &self,
         density: &Matrix,

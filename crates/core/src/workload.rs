@@ -3,18 +3,20 @@
 //!
 //! Every experiment consumes a [`KernelWorkload`]: named task costs in
 //! seconds plus the task→data affinity. Chemistry workloads come from a
-//! traced serial execution of the real Fock build (the inspector pass);
+//! profiled serial execution of the real Fock build (the inspector
+//! pass, read off its event ring);
 //! synthetic workloads come from `emx_chem::synthetic` cost models,
 //! optionally calibrated to a measured distribution.
 
 use crate::balancer::{fock_affinity, TaskAffinity};
-use crate::fockexec::ParallelFock;
+use crate::fockexec::{FockProfile, ParallelFock};
 use emx_chem::basis::{BasisSet, BasisedMolecule};
 use emx_chem::molecule::Molecule;
 use emx_chem::screening::ScreenedPairs;
 use emx_chem::synthetic::{generate_costs, CostModel};
 use emx_linalg::Matrix;
-use emx_runtime::{Executor, PolicyKind};
+use emx_obs::task_spans;
+use emx_runtime::PolicyKind;
 
 /// A named task-cost vector with affinity information.
 #[derive(Debug, Clone)]
@@ -40,8 +42,13 @@ impl KernelWorkload {
 }
 
 /// Measures the real per-task costs of one Fock build by executing it
-/// serially with tracing enabled (the inspector pass of an
-/// inspector–executor scheme).
+/// serially with a profiling ring attached (the inspector pass of an
+/// inspector–executor scheme): a task's cost is its `TaskStart` →
+/// `TaskEnd` interval in the captured stream.
+///
+/// The ring holds the whole build (two events a task plus headroom). A
+/// lossy capture — overwritten events, or a task not seen exactly once —
+/// panics; it is never truncated into a cost vector.
 ///
 /// The density used is the core-guess-like mock (costs depend on the
 /// basis and screening, not on density values).
@@ -59,23 +66,34 @@ pub fn measure_fock_workload(
         0.4 / (1.0 + (i as f64 - j as f64).abs())
     });
     d.symmetrize();
-    let mut ex = Executor::new(1, PolicyKind::Serial);
-    ex.trace = true;
-    let (_, report) = pf.execute(&d, &ex);
-    let costs: Vec<f64> = report
-        .task_durations()
-        .into_iter()
-        .map(|d| {
-            d.expect("traced serial run covers every task")
-                .as_secs_f64()
-        })
-        .collect();
+    let ntasks = pf.ntasks();
+    let (_, _, profile) = pf.execute_profiled(&d, 1, PolicyKind::Serial, 2 * ntasks + 16);
+    let costs = measured_costs(&profile, ntasks);
     let affinity = fock_affinity(pf.tasks(), pairs.len());
     KernelWorkload {
         name: name.into(),
         costs,
         affinity: Some(affinity),
     }
+}
+
+/// Each task's measured duration (s) from a profiled build's event
+/// streams. Panics if the rings overwrote events or if any task is not
+/// seen exactly once.
+fn measured_costs(profile: &FockProfile, ntasks: usize) -> Vec<f64> {
+    let lost = profile.attribution.overwritten;
+    if lost > 0 {
+        panic!("measured costs: the rings overwrote {lost} events");
+    }
+    let mut costs = vec![None; ntasks];
+    for (task, t0, t1) in profile.events.iter().flat_map(|s| task_spans(s)) {
+        let seen = costs[task].replace(t1.saturating_sub(t0) as f64 * 1e-9);
+        assert!(seen.is_none(), "measured costs: task {task} seen twice");
+    }
+    let seen_once = |(i, c): (usize, Option<f64>)| {
+        c.unwrap_or_else(|| panic!("measured costs: task {i} never seen"))
+    };
+    costs.into_iter().enumerate().map(seen_once).collect()
 }
 
 /// Inspector-estimate workload (no execution): model-based costs scaled
@@ -142,6 +160,18 @@ mod tests {
         assert!(w.costs.iter().all(|&c| c > 0.0));
         assert!(w.affinity.is_some());
         assert!(w.total() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "measured costs: the rings overwrote")]
+    fn measured_costs_refuse_an_undersized_ring() {
+        // Eight slots hold four tasks; a water/STO-3G build has more.
+        let bm = BasisedMolecule::assign(&Molecule::water(), BasisSet::Sto3g);
+        let pairs = ScreenedPairs::build(&bm, 1e-12);
+        let pf = ParallelFock::new(&bm, &pairs, 1e-10, 4);
+        let d = Matrix::from_fn(bm.nbf, bm.nbf, |i, j| if i == j { 1.0 } else { 0.0 });
+        let (_, _, profile) = pf.execute_profiled(&d, 1, PolicyKind::Serial, 8);
+        measured_costs(&profile, pf.ntasks());
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod faults;
 pub mod machine;
 pub mod obs;
 pub mod sim;
-pub mod simviz;
 
 /// Common imports.
 pub mod prelude {
@@ -51,6 +50,5 @@ pub mod prelude {
         simulate, simulate_policy, simulate_static_with_data, DataLayout, SimConfig, SimModel,
         SimReport,
     };
-    pub use crate::simviz::{render_sim_timeline, sim_utilization_curve};
     pub use emx_sched::PolicyKind;
 }

@@ -1,6 +1,7 @@
 //! Metric publication for simulation reports. (Timelines of a simulated
 //! run are its [`SimConfig::events`](crate::sim::SimConfig::events)
-//! streams, which `emx_obs::ChromeTrace::add_event_streams` renders.)
+//! streams, which `emx_obs::ChromeTrace::add_event_streams` exports and
+//! `emx_obs::render_timeline` draws as text strips.)
 //!
 //! Metric names (all prefixed by the caller):
 //!

@@ -276,12 +276,10 @@ pub struct SimConfig {
     pub variability: Variability,
     /// RNG seed for victim selection.
     pub seed: u64,
-    /// Record per-task execution intervals (worker, start, end) for
-    /// timeline rendering.
-    pub trace: bool,
     /// Emit per-worker profiling events ([`ProfEvent`]) in virtual time
     /// — the same schema the thread runtime's event rings record — so
-    /// one attribution/export pipeline serves both substrates.
+    /// one attribution / export / timeline pipeline serves both
+    /// substrates.
     pub events: bool,
     /// Event-queue backend. [`QueueKind::Calendar`] (the default) is the
     /// O(1)-amortized sort-on-open calendar, faster than the heap at
@@ -299,7 +297,6 @@ impl SimConfig {
             machine: MachineModel::default(),
             variability: Variability::None,
             seed: 0xd15c,
-            trace: false,
             events: false,
             queue: QueueKind::default(),
         }
@@ -324,9 +321,6 @@ pub struct SimReport {
     /// Per-worker time spent fetching remote data blocks (s) — only
     /// populated by [`simulate_static_with_data`].
     pub comm: Vec<f64>,
-    /// Per-worker task intervals `(start, end)` in seconds — populated
-    /// when [`SimConfig::trace`] is set.
-    pub traces: Vec<Vec<(f64, f64)>>,
     /// Which worker ran each task to completion (`assignment[i] =
     /// worker`). Under a fault plan that is the rank whose execution
     /// finished, not one killed mid-task, and `u32::MAX` for a task that
@@ -467,7 +461,6 @@ fn stretched(cost: f64, worker: usize, t: f64, cfg: &SimConfig) -> f64 {
 struct Tally {
     busy: Vec<f64>,
     tasks: Vec<usize>,
-    traces: Vec<Vec<(f64, f64)>>,
     assignment: Vec<u32>,
     arena: ProfArena,
 }
@@ -478,7 +471,6 @@ impl Tally {
         Tally {
             busy: vec![0.0; p],
             tasks: vec![0; p],
-            traces: vec![Vec::new(); if cfg.trace { p } else { 0 }],
             assignment: vec![u32::MAX; ntasks],
             arena: ProfArena::new(cfg.events),
         }
@@ -496,9 +488,6 @@ impl Tally {
     /// Task `i` ran to completion on `w` over `[t, t + d]`.
     #[inline]
     fn ran(&mut self, w: usize, i: usize, t: f64, d: f64) {
-        if let Some(trace) = self.traces.get_mut(w) {
-            trace.push((t, t + d));
-        }
         self.event(w, EventKind::TaskStart, i as u64, t);
         self.event(w, EventKind::TaskEnd, i as u64, t + d);
         self.busy[w] += d;
@@ -516,7 +505,6 @@ impl Tally {
             steal_attempts: 0,
             counter_fetches: 0,
             comm: Vec::new(),
-            traces: self.traces,
             assignment: self.assignment,
             events: self.arena.into_streams(p),
         }
@@ -1698,6 +1686,64 @@ mod tests {
     }
 
     #[test]
+    fn untraced_run_renders_empty() {
+        let r = simulate(
+            &[1.0; 8],
+            &SimModel::Counter { chunk: 1 },
+            &SimConfig::new(2),
+        );
+        let s = emx_obs::render_timeline(&r.events, virt_ns(r.makespan), 10, 4);
+        assert!(s.is_empty(), "no events, no strips: {s}");
+    }
+
+    #[test]
+    fn static_skew_shows_idle_tails() {
+        // Triangular costs, block partition: early workers idle at the
+        // end — their strips contain dots, the last worker's none.
+        let costs: Vec<f64> = (1..=32).map(|i| i as f64).collect();
+        let owners = block_assignment(32, 4);
+        let r = simulate(&costs, &SimModel::Static(owners), &event_cfg(4));
+        let s = emx_obs::render_timeline(&r.events, virt_ns(r.makespan), 40, 8);
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains('·'), "worker 0 has an idle tail: {s}");
+        assert!(!lines[3].contains('·'), "worker 3 never idles: {s}");
+    }
+
+    #[test]
+    fn stealing_timeline_is_dense() {
+        // Triangular costs under stealing: the task intervals on the
+        // streams cover over 85 % of the 4 workers' makespan.
+        let costs: Vec<f64> = (1..=64).map(|i| i as f64).collect();
+        let r = simulate(
+            &costs,
+            &SimModel::WorkStealing { steal_half: true },
+            &event_cfg(4),
+        );
+        let spans = r.events.iter().flat_map(|s| emx_obs::task_spans(s));
+        let busy: u64 = spans.map(|(_, start, end)| end - start).sum();
+        let fraction = busy as f64 / (4 * virt_ns(r.makespan)) as f64;
+        assert!(fraction > 0.85, "stealing keeps everyone busy: {fraction}");
+    }
+
+    #[test]
+    fn partial_buckets_render_fractional_glyphs() {
+        // Worker 0 is busy for 30 % of the makespan, worker 1 for all of it.
+        let r = simulate(&[0.3, 1.0], &SimModel::Static(vec![0, 1]), &event_cfg(2));
+        let strips = |width| emx_obs::render_timeline(&r.events, virt_ns(r.makespan), width, 4);
+        assert_eq!(strips(1), "w0   |▅|\nw1   |#|\n");
+        assert_eq!(strips(10), "w0   |###·······|\nw1   |##########|\n");
+    }
+
+    #[test]
+    fn event_past_makespan_extends_span() {
+        // Strips asked for over half the makespan still cover the whole run.
+        let r = simulate(&[0.5, 2.0], &SimModel::Static(vec![0, 1]), &event_cfg(2));
+        let s = emx_obs::render_timeline(&r.events, virt_ns(r.makespan / 2.0), 4, 4);
+        assert_eq!(s, "w0   |#···|\nw1   |####|\n");
+    }
+
+    #[test]
     fn static_sim_emits_task_events_in_virtual_time() {
         let costs: Vec<f64> = (1..=8).map(|i| i as f64 * 1e-6).collect();
         let owners = block_assignment(8, 2);
@@ -1825,10 +1871,7 @@ mod tests {
         let costs = vec![1.0; 32];
         let dt = 2.5;
         let plan = FaultPlan::fault_free().with_rank_failure(1, dt);
-        let cfg = SimConfig {
-            trace: true,
-            ..event_cfg(4)
-        };
+        let cfg = event_cfg(4);
         for model in [
             SimModel::Static(block_assignment(32, 4)),
             SimModel::Counter { chunk: 2 },
@@ -1847,7 +1890,6 @@ mod tests {
                 done.clone()
                     .for_each(|e| ends[e.arg as usize].push(w as u32));
                 assert_eq!(done.count(), r.sim.tasks[w], "{name}: rank {w}");
-                assert_eq!(r.sim.traces[w].len(), r.sim.tasks[w], "{name}: rank {w}");
             }
             // Exactly one completion per task, on the rank `assignment`
             // names — for the task killed mid-run, the survivor that
@@ -2002,7 +2044,6 @@ mod tests {
             },
         ] {
             let mut cal = SimConfig::new(8);
-            cal.trace = true;
             cal.events = true;
             let mut heap = cal.clone();
             heap.queue = QueueKind::Heap;

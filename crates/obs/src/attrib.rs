@@ -33,6 +33,7 @@
 
 use crate::json::Json;
 use crate::ring::{EventKind, ProfEvent, RingSet};
+use crate::timeline::task_spans;
 
 /// One worker's share of wall time, split into blame categories (all in
 /// nanoseconds), plus its event tallies.
@@ -291,19 +292,16 @@ fn blame_worker(worker: usize, stream: &[ProfEvent], wall_ns: u64) -> WorkerBlam
         worker,
         ..WorkerBlame::default()
     };
-    let mut task_open: Option<u64> = None;
+    for (_, t0, t1) in task_spans(stream) {
+        b.compute_ns += t1.saturating_sub(t0);
+        b.tasks += 1;
+    }
     let mut fetch_open: Option<u64> = None;
     let mut merge_open: Option<u64> = None;
     let mut hunt_open: Option<u64> = None;
     for e in stream {
         match e.kind {
-            EventKind::TaskStart => task_open = Some(e.t_ns),
-            EventKind::TaskEnd => {
-                if let Some(t0) = task_open.take() {
-                    b.compute_ns += e.t_ns.saturating_sub(t0);
-                    b.tasks += 1;
-                }
-            }
+            EventKind::TaskStart | EventKind::TaskEnd => {}
             EventKind::CounterFetchStart => fetch_open = Some(e.t_ns),
             EventKind::CounterFetchEnd => {
                 if let Some(t0) = fetch_open.take() {
@@ -352,17 +350,12 @@ fn critical_path(events: &[Vec<ProfEvent>]) -> (u64, u64) {
     // merge intervals by start time recovers the order.
     let mut merges: Vec<(u64, u64, usize, usize)> = Vec::new(); // (t0, dur, acc, other)
     for (w, stream) in events.iter().enumerate() {
-        let mut task_open: Option<u64> = None;
+        for (_, t0, t1) in task_spans(stream) {
+            cpl[w] = (cpl[w].0 + t1.saturating_sub(t0), cpl[w].1 + 1);
+        }
         let mut merge_open: Option<(u64, u64)> = None; // (t0, other)
         for e in stream {
             match e.kind {
-                EventKind::TaskStart => task_open = Some(e.t_ns),
-                EventKind::TaskEnd => {
-                    if let Some(t0) = task_open.take() {
-                        cpl[w].0 += e.t_ns.saturating_sub(t0);
-                        cpl[w].1 += 1;
-                    }
-                }
                 EventKind::MergeStart => merge_open = Some((e.t_ns, e.arg)),
                 EventKind::MergeEnd => {
                     if let Some((t0, other)) = merge_open.take() {

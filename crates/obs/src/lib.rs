@@ -21,6 +21,9 @@
 //! * [`chrome`] — Chrome trace-event JSON (the `chrome://tracing` /
 //!   Perfetto format, which speedscope also imports) built from the same
 //!   event streams: the one trace format.
+//! * [`task_spans`] — the per-task intervals of one of those streams,
+//!   the source of every measured task cost; [`render_timeline`] draws
+//!   them as per-worker text occupancy strips.
 //! * [`export`] — JSONL metric snapshots, stamped with a schema version,
 //!   experiment id and git-describe string.
 //! * [`json`] — the minimal JSON value type backing the exporters (the
@@ -47,6 +50,7 @@ pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod ring;
+mod timeline;
 
 pub use attrib::{Attribution, AttributionDiff, WorkerBlame};
 pub use chrome::ChromeTrace;
@@ -56,6 +60,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
 };
 pub use ring::{EventKind, EventRing, ProfEvent, RingSet, RingSnapshot, RingWriter};
+pub use timeline::{render_timeline, task_spans};
 
 /// Common imports.
 pub mod prelude {

@@ -10,8 +10,9 @@
 //!   single-task or batch steals),
 //!
 //! with per-worker statistics ([`ExecutionReport`]: utilization,
-//! busy-time imbalance, steal/counter overheads), optional per-task
-//! tracing, injectable per-core performance variability
+//! busy-time imbalance, steal/counter overheads), optional observability
+//! ([`RuntimeObs`]: metrics and per-worker event rings, the one per-task
+//! capture), injectable per-core performance variability
 //! ([`Variability`]) modelling energy-induced speed differences, and
 //! deterministic fault injection ([`faults`]: poisoned tasks caught and
 //! re-enqueued) — see `docs/FAULT_MODEL.md`.
@@ -39,15 +40,13 @@ pub mod model;
 pub mod obs;
 pub mod pool;
 pub mod report;
-pub mod timeline;
 pub mod variability;
 
 pub use faults::{FaultInjection, PoisonSpec};
 pub use model::{block_owner, ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
 pub use obs::{publish_report_gauges, RuntimeObs};
 pub use pool::Executor;
-pub use report::{ExecutionReport, TaskEvent, WorkerStats};
-pub use timeline::{render_timeline, utilization_curve};
+pub use report::{ExecutionReport, WorkerStats};
 pub use variability::Variability;
 
 /// Common imports.
@@ -56,7 +55,6 @@ pub mod prelude {
     pub use crate::model::{ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
     pub use crate::obs::{publish_report_gauges, RuntimeObs};
     pub use crate::pool::Executor;
-    pub use crate::report::{ExecutionReport, TaskEvent, WorkerStats};
-    pub use crate::timeline::{render_timeline, utilization_curve};
+    pub use crate::report::{ExecutionReport, WorkerStats};
     pub use crate::variability::Variability;
 }

@@ -177,7 +177,6 @@ mod tests {
                 },
                 WorkerStats::default(),
             ],
-            traces: Vec::new(),
         };
         let m = MetricsRegistry::new();
         publish_report_gauges(&m, "sb", &report);

@@ -10,7 +10,7 @@
 use crate::faults::{propagate, run_poisonable, FaultInjection, FaultState};
 use crate::model::{ChunkRule, PolicyKind, StealConfig, VictimPolicy};
 use crate::obs::{dur_ns, RuntimeObs, WorkerObs};
-use crate::report::{ExecutionReport, TaskEvent, WorkerStats};
+use crate::report::{ExecutionReport, WorkerStats};
 use crate::variability::Variability;
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use emx_obs::EventKind;
@@ -28,10 +28,9 @@ pub struct Executor {
     pub model: PolicyKind,
     /// Performance-variability injection.
     pub variability: Variability,
-    /// Record per-task event traces (adds small overhead).
-    pub trace: bool,
     /// Observability attachment; `None` (the default) keeps the task
-    /// loop free of metric atomics and event rings.
+    /// loop free of metric atomics and event rings. Its rings are the
+    /// one per-task capture: `TaskStart`/`TaskEnd` per executed task.
     pub obs: Option<RuntimeObs>,
     /// Fault injection (poisoned tasks); `None` (the default) keeps the
     /// task loop free of the catch-unwind wrapper.
@@ -39,15 +38,14 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Creates an executor with no variability, tracing off and no
-    /// observability attached.
+    /// Creates an executor with no variability and no observability
+    /// attached.
     pub fn new(workers: usize, model: impl Into<PolicyKind>) -> Executor {
         assert!(workers > 0, "need at least one worker");
         Executor {
             workers,
             model: model.into(),
             variability: Variability::None,
-            trace: false,
             obs: None,
             faults: None,
         }
@@ -213,23 +211,12 @@ impl Executor {
         let start = Instant::now();
         let mut local = init(0);
         let obs = self.worker_obs(0);
-        let mut ctx = WorkerCtx::new(0, 1, self.variability, self.trace, start, obs);
+        let mut ctx = WorkerCtx::new(0, 1, self.variability, start, obs);
         ctx.faults = self.fault_state(ntasks);
         for i in 0..ntasks {
             ctx.run_task(i, &mut local, task);
         }
-        let wall = start.elapsed();
-        (
-            vec![local],
-            ExecutionReport {
-                model: self.model.name().to_string(),
-                workers: 1,
-                tasks: ntasks,
-                wall,
-                worker_stats: vec![ctx.stats],
-                traces: vec![ctx.events],
-            },
-        )
+        self.assemble(ntasks, start.elapsed(), vec![(local, ctx.stats)])
     }
 
     fn run_static<L>(
@@ -257,17 +244,16 @@ impl Executor {
                     let init = &init;
                     let task = &task;
                     let variability = self.variability;
-                    let trace = self.trace;
                     let obs = self.worker_obs(w);
                     let faults = fstate.clone();
                     s.spawn(move || {
                         let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
+                        let mut ctx = WorkerCtx::new(w, p, variability, start, obs);
                         ctx.faults = faults;
                         for i in list {
                             ctx.run_task(i, &mut local, task);
                         }
-                        (local, ctx.stats, ctx.events)
+                        (local, ctx.stats)
                     })
                 })
                 .collect();
@@ -300,12 +286,11 @@ impl Executor {
                     let init = &init;
                     let task = &task;
                     let variability = self.variability;
-                    let trace = self.trace;
                     let obs = self.worker_obs(w);
                     let faults = fstate.clone();
                     s.spawn(move || {
                         let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
+                        let mut ctx = WorkerCtx::new(w, p, variability, start, obs);
                         ctx.faults = faults;
                         loop {
                             let t_fetch = ctx.obs_mark();
@@ -323,7 +308,7 @@ impl Executor {
                                 ctx.run_task(i, &mut local, task);
                             }
                         }
-                        (local, ctx.stats, ctx.events)
+                        (local, ctx.stats)
                     })
                 })
                 .collect();
@@ -356,12 +341,11 @@ impl Executor {
                     let init = &init;
                     let task = &task;
                     let variability = self.variability;
-                    let trace = self.trace;
                     let obs = self.worker_obs(w);
                     let faults = fstate.clone();
                     s.spawn(move || {
                         let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
+                        let mut ctx = WorkerCtx::new(w, p, variability, start, obs);
                         ctx.faults = faults;
                         loop {
                             // Claim what the tapering rule dictates, via
@@ -378,7 +362,7 @@ impl Executor {
                             loop {
                                 let cur = next.load(Ordering::Acquire);
                                 if cur >= ntasks {
-                                    return (local, ctx.stats, ctx.events);
+                                    return (local, ctx.stats);
                                 }
                                 let remaining = ntasks - cur;
                                 let chunk = rule.claim(remaining, p);
@@ -444,13 +428,12 @@ impl Executor {
                     let init = &init;
                     let task = &task;
                     let variability = self.variability;
-                    let trace = self.trace;
                     let cfg = cfg.clone();
                     let obs = self.worker_obs(w);
                     let faults = fstate.clone();
                     s.spawn(move || {
                         let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
+                        let mut ctx = WorkerCtx::new(w, p, variability, start, obs);
                         ctx.faults = faults;
                         let mut rng = worker_stream(cfg.rng_seed, w);
                         'outer: loop {
@@ -545,7 +528,7 @@ impl Executor {
                                 }
                             }
                         }
-                        (local, ctx.stats, ctx.events)
+                        (local, ctx.stats)
                     })
                 })
                 .collect();
@@ -561,40 +544,30 @@ impl Executor {
         &self,
         ntasks: usize,
         wall: Duration,
-        results: Vec<(L, WorkerStats, Vec<TaskEvent>)>,
+        results: Vec<(L, WorkerStats)>,
     ) -> (Vec<L>, ExecutionReport) {
-        let mut locals = Vec::with_capacity(results.len());
-        let mut worker_stats = Vec::with_capacity(results.len());
-        let mut traces = Vec::with_capacity(results.len());
-        for (l, st, ev) in results {
-            locals.push(l);
-            worker_stats.push(st);
-            traces.push(ev);
-        }
+        let (locals, worker_stats): (Vec<L>, Vec<WorkerStats>) = results.into_iter().unzip();
         (
             locals,
             ExecutionReport {
                 model: self.model.name().to_string(),
-                workers: self.workers,
+                workers: worker_stats.len(),
                 tasks: ntasks,
                 wall,
                 worker_stats,
-                traces,
             },
         )
     }
 }
 
-/// Per-worker execution context: stats, trace buffer, variability clock,
-/// optional observability handles.
+/// Per-worker execution context: stats, variability clock, optional
+/// observability handles.
 struct WorkerCtx {
     worker: usize,
     nworkers: usize,
     variability: Variability,
-    trace: bool,
     start: Instant,
     stats: WorkerStats,
-    events: Vec<TaskEvent>,
     obs: Option<WorkerObs>,
     faults: Option<Arc<FaultState>>,
 }
@@ -604,7 +577,6 @@ impl WorkerCtx {
         worker: usize,
         nworkers: usize,
         variability: Variability,
-        trace: bool,
         start: Instant,
         obs: Option<WorkerObs>,
     ) -> WorkerCtx {
@@ -612,10 +584,8 @@ impl WorkerCtx {
             worker,
             nworkers,
             variability,
-            trace,
             start,
             stats: WorkerStats::default(),
-            events: Vec::new(),
             obs,
             faults: None,
         }
@@ -696,7 +666,7 @@ impl WorkerCtx {
     }
 
     /// Post-task accounting: busy time, variability stretch,
-    /// obs metrics, trace events, and fault-recovery bookkeeping.
+    /// obs metrics and ring events, and fault-recovery bookkeeping.
     #[inline]
     fn account(&mut self, i: usize, t0: Duration, t1: Duration) {
         let dur = t1.saturating_sub(t0);
@@ -713,22 +683,13 @@ impl WorkerCtx {
             self.stats.busy += pad;
             self.stats.padded += pad;
         }
-        if self.trace || self.obs.is_some() {
+        if let Some(o) = self.obs.as_mut() {
             let end = self.start.elapsed();
-            if let Some(o) = self.obs.as_mut() {
-                o.tasks.inc();
-                o.task_duration.record(dur_ns(end.saturating_sub(t0)));
-                if let Some(ring) = o.ring.as_mut() {
-                    ring.record(EventKind::TaskStart, i as u64, dur_ns(t0));
-                    ring.record(EventKind::TaskEnd, i as u64, dur_ns(end));
-                }
-            }
-            if self.trace {
-                self.events.push(TaskEvent {
-                    task: i,
-                    start: t0,
-                    end,
-                });
+            o.tasks.inc();
+            o.task_duration.record(dur_ns(end.saturating_sub(t0)));
+            if let Some(ring) = o.ring.as_mut() {
+                ring.record(EventKind::TaskStart, i as u64, dur_ns(t0));
+                ring.record(EventKind::TaskEnd, i as u64, dur_ns(end));
             }
         }
         if let Some(state) = &self.faults {
@@ -1079,18 +1040,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_every_task() {
-        let mut ex = Executor::new(2, PolicyKind::StaticCyclic);
-        ex.trace = true;
-        let (_, report) = ex.run(20, |_| (), |_, _| {});
-        let total: usize = report.traces.iter().map(|t| t.len()).sum();
-        assert_eq!(total, 20);
-        for t in report.traces.iter().flatten() {
-            assert!(t.end >= t.start);
-        }
-    }
-
-    #[test]
     fn variability_pads_busy_time() {
         let mut ex = Executor::new(1, PolicyKind::Serial);
         ex.variability = Variability::SlowCores {
@@ -1424,42 +1373,27 @@ mod tests {
 
         #[test]
         fn rings_capture_every_task_for_every_model() {
-            use emx_obs::{EventKind, RingSet};
+            use emx_obs::{task_spans, RingSet};
             let n = 120;
             for model in all_models(n) {
+                let name = model.name();
                 let reg = Arc::new(MetricsRegistry::new());
                 let rings = RingSet::new(3, 4096);
                 let ex = Executor::new(3, model.clone())
                     .with_obs(RuntimeObs::new(reg).with_rings(rings.clone()));
                 let (_, report) = ex.run(n, |_| 0u64, |i, l| *l += i as u64);
                 assert_eq!(report.total_tasks_run(), n);
-                assert_eq!(rings.total_overwritten(), 0, "model {}", model.name());
-                let per = rings.events_per_worker();
+                assert_eq!(rings.total_overwritten(), 0, "model {name}");
                 // Every task index appears exactly once as a start/end
                 // pair across all workers, timestamps monotone per ring.
-                let mut started = vec![0u32; n];
-                let mut ended = vec![0u32; n];
-                for stream in &per {
-                    let mut last = 0u64;
-                    for e in stream {
-                        assert!(
-                            e.t_ns >= last,
-                            "model {}: timestamps not monotone",
-                            model.name()
-                        );
-                        last = e.t_ns;
-                        match e.kind {
-                            EventKind::TaskStart => started[e.arg as usize] += 1,
-                            EventKind::TaskEnd => ended[e.arg as usize] += 1,
-                            _ => {}
-                        }
-                    }
+                let mut seen = vec![0u32; n];
+                for stream in rings.events_per_worker() {
+                    let monotone = stream.windows(2).all(|e| e[0].t_ns <= e[1].t_ns);
+                    assert!(monotone, "model {name}: timestamps not monotone");
+                    task_spans(&stream).for_each(|(i, ..)| seen[i] += 1);
                 }
-                assert!(
-                    started.iter().all(|&c| c == 1) && ended.iter().all(|&c| c == 1),
-                    "model {}: lost or duplicated task events",
-                    model.name()
-                );
+                let once = seen.iter().all(|&c| c == 1);
+                assert!(once, "model {name}: lost or duplicated task events");
             }
         }
 

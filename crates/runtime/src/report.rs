@@ -28,17 +28,6 @@ pub struct WorkerStats {
     pub recovered_tasks: u64,
 }
 
-/// One traced task execution (when tracing is on).
-#[derive(Debug, Clone, Copy)]
-pub struct TaskEvent {
-    /// Task index.
-    pub task: usize,
-    /// Start offset from run begin.
-    pub start: Duration,
-    /// End offset from run begin.
-    pub end: Duration,
-}
-
 /// Full result of one executor run.
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
@@ -52,8 +41,6 @@ pub struct ExecutionReport {
     pub wall: Duration,
     /// Per-worker statistics.
     pub worker_stats: Vec<WorkerStats>,
-    /// Per-worker event traces (empty unless tracing was enabled).
-    pub traces: Vec<Vec<TaskEvent>>,
 }
 
 impl ExecutionReport {
@@ -117,40 +104,6 @@ impl ExecutionReport {
     pub fn total_tasks_run(&self) -> usize {
         self.worker_stats.iter().map(|w| w.tasks).sum()
     }
-
-    /// Measured duration of each task, by task index (requires tracing;
-    /// untraced tasks yield `None`). This is the input to the
-    /// persistence-based load balancer: costs measured in iteration `k`
-    /// drive the assignment for iteration `k+1`.
-    pub fn task_durations(&self) -> Vec<Option<Duration>> {
-        let mut out = vec![None; self.tasks];
-        for ev in self.traces.iter().flatten() {
-            if ev.task < out.len() {
-                out[ev.task] = Some(ev.end.saturating_sub(ev.start));
-            }
-        }
-        out
-    }
-
-    /// Which worker ran each task, reconstructed from the traces
-    /// (requires tracing; `None` otherwise). For deterministic policies
-    /// this must equal the policy's `initial_partition` and the
-    /// simulator's replay — the cross-substrate consistency tests rely
-    /// on it.
-    pub fn task_assignment(&self) -> Option<Vec<u32>> {
-        let mut out = vec![u32::MAX; self.tasks];
-        for (w, trace) in self.traces.iter().enumerate() {
-            for ev in trace {
-                if ev.task < out.len() {
-                    out[ev.task] = w as u32;
-                }
-            }
-        }
-        if out.contains(&u32::MAX) {
-            return None;
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +124,6 @@ mod tests {
                     ..Default::default()
                 })
                 .collect(),
-            traces: Vec::new(),
         }
     }
 

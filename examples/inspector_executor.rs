@@ -1,9 +1,10 @@
 //! Inspector–executor SCF: persistence-based load balancing.
 //!
 //! The paper's iterative-application play: the first SCF iteration runs
-//! a naive static partition with tracing (the *inspector*), every later
-//! iteration re-balances from the measured per-task costs (persistence)
-//! and runs the tuned static assignment (the *executor*). No dynamic
+//! a naive static partition with profiling rings attached (the
+//! *inspector*), every later iteration re-balances from the per-task
+//! costs measured on those rings (persistence) and runs the tuned static
+//! assignment (the *executor*). No dynamic
 //! scheduling is needed once the costs are known — this is the execution
 //! model that made Global-Arrays codes competitive with work stealing
 //! on iteration-stable workloads.
@@ -14,6 +15,7 @@ use emx_balance::prelude::{movement, rebalance, PersistenceConfig, Problem};
 use emx_chem::prelude::*;
 use emx_core::prelude::{fmt3, ParallelFock};
 use emx_linalg::Matrix;
+use emx_obs::task_spans;
 use std::sync::Arc;
 
 fn main() {
@@ -45,20 +47,20 @@ fn main() {
         let history_ref = &mut history;
         rhf_with(&bm, &cfg, |density: &Matrix| {
             iteration += 1;
-            let mut ex = emx_runtime::Executor::new(
-                workers,
-                emx_runtime::PolicyKind::StaticAssigned(Arc::new(assignment_ref.clone())),
-            );
-            ex.trace = true;
-            let (g, report) = pf.execute(density, &ex);
+            let kind = emx_runtime::PolicyKind::StaticAssigned(Arc::new(assignment_ref.clone()));
+            let ntasks = pf.ntasks();
+            let (g, _, profile) = pf.execute_profiled(density, workers, kind, 2 * ntasks + 16);
 
             // Inspector: measured per-task costs drive the rebalance
-            // for the next iteration.
-            let costs: Vec<f64> = report
-                .task_durations()
-                .into_iter()
-                .map(|d| d.expect("traced").as_secs_f64())
-                .collect();
+            // for the next iteration. A lossy capture is refused.
+            assert_eq!(profile.attribution.overwritten, 0, "rings hold the build");
+            let spans: Vec<_> = profile.events.iter().flat_map(|s| task_spans(s)).collect();
+            assert_eq!(spans.len(), ntasks, "one span per task");
+            let mut costs = vec![f64::NAN; ntasks];
+            for (task, t0, t1) in spans {
+                costs[task] = (t1 - t0) as f64 * 1e-9;
+            }
+            assert!(costs.iter().all(|c| !c.is_nan()), "every task measured");
             let problem = Problem::new(costs, workers);
             let imbalance_before = problem.imbalance(assignment_ref);
             let next = rebalance(&problem, assignment_ref, &persistence);

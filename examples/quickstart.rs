@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use emx_core::prelude::*;
+use emx_obs::render_timeline;
 
 fn main() {
     let molecule = Molecule::water();
@@ -51,14 +52,16 @@ fn main() {
         last.total_steals()
     );
 
-    // One traced build to visualize where the time goes.
+    // One profiled build to visualize where the time goes: its ring
+    // events, drawn as one strip per worker.
     let pairs = ScreenedPairs::build(&bm, 1e-12);
     let pf = ParallelFock::new(&bm, &pairs, 1e-10, 8);
-    let mut traced = Executor::new(4, PolicyKind::WorkStealing(StealConfig::default()));
-    traced.trace = true;
-    let (_, report) = pf.execute(&r_ws.density, &traced);
+    let ws = PolicyKind::WorkStealing(StealConfig::default());
+    let ring_capacity = 4 * pf.ntasks() + 1024;
+    let (_, _, profile) = pf.execute_profiled(&r_ws.density, 4, ws, ring_capacity);
     println!("\nwork-stealing timeline (# = in task body):");
-    print!("{}", render_timeline(&report, 60));
+    let wall_ns = profile.attribution.wall_ns;
+    print!("{}", render_timeline(&profile.events, wall_ns, 60, 4));
 
     println!("\nEnergies agree to machine precision across execution models.");
 }

@@ -35,15 +35,16 @@ fn deterministic_roster(ntasks: usize, workers: usize) -> Vec<PolicyKind> {
     ]
 }
 
-/// Runs `kind` on the threaded executor with tracing and returns the
-/// observed task→worker map.
+/// Runs `kind` on the threaded executor and returns the observed
+/// task→worker map: each worker's local is the list of tasks it ran.
 fn threaded_assignment(kind: &PolicyKind, ntasks: usize, workers: usize) -> Vec<u32> {
-    let mut ex = Executor::new(workers, kind.clone());
-    ex.trace = true;
-    let (_, report) = ex.run(ntasks, |_| 0u64, |i, acc| *acc += i as u64 + 1);
-    report
-        .task_assignment()
-        .expect("traced run records every task")
+    let ex = Executor::new(workers, kind.clone());
+    let (locals, _) = ex.run(ntasks, |_| Vec::new(), |i, ran| ran.push(i));
+    let mut owners = vec![u32::MAX; ntasks];
+    for (w, ran) in locals.iter().enumerate() {
+        ran.iter().for_each(|&i| owners[i] = w as u32);
+    }
+    owners
 }
 
 #[test]

@@ -484,7 +484,7 @@ pub fn e7_overheads(threads: &[usize]) -> Table {
             ]);
         }
         // Shared-counter fetch throughput under contention: the claim
-        // `run_counter` issues, without the tasks.
+        // `claim_fixed` issues, without the tasks.
         let counter = AtomicUsize::new(0);
         let per_thread = 200_000u64;
         let t0 = std::time::Instant::now();

@@ -15,6 +15,7 @@ use crate::variability::Variability;
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use emx_obs::EventKind;
 use emx_sched::{random_victim, round_robin_victim, worker_stream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,16 +72,32 @@ impl Executor {
             .map(|f| Arc::new(FaultState::new(ntasks, f)))
     }
 
-    /// Resolves worker `w`'s metric handles, including the fault
-    /// handles when this executor injects faults.
-    fn worker_obs(&self, w: usize) -> Option<WorkerObs> {
-        self.obs.as_ref().map(|o| {
+    /// Worker `w`'s context among `p`: the run's clock and fault state,
+    /// and its metric handles (with the fault handles when this
+    /// executor injects faults).
+    fn worker_ctx(
+        &self,
+        w: usize,
+        p: usize,
+        start: Instant,
+        faults: Option<Arc<FaultState>>,
+    ) -> WorkerCtx {
+        let obs = self.obs.as_ref().map(|o| {
             let mut wo = WorkerObs::for_worker(o, w as u32);
-            if self.faults.is_some() {
+            if faults.is_some() {
                 wo.attach_fault_handles(o);
             }
             wo
-        })
+        });
+        WorkerCtx {
+            worker: w,
+            nworkers: p,
+            variability: self.variability,
+            start,
+            stats: WorkerStats::default(),
+            obs,
+            faults,
+        }
     }
 
     /// Runs `ntasks` tasks. `init(w)` builds worker `w`'s local state;
@@ -100,30 +117,62 @@ impl Executor {
         FInit: Fn(usize) -> L + Sync,
         FTask: Fn(usize, &mut L) + Sync,
     {
-        let outcome = match &self.model {
-            PolicyKind::Serial => self.run_serial(ntasks, &init, &task),
-            PolicyKind::StaticBlock
-            | PolicyKind::StaticCyclic
-            | PolicyKind::StaticAssigned(_)
-            | PolicyKind::PersistenceBased(_) => {
-                let owners = self
-                    .model
-                    .initial_partition(ntasks, self.workers)
-                    .expect("static policy has a partition");
-                self.run_static(ntasks, owners, &init, &task)
+        assert!(self.workers > 0, "need at least one worker");
+        let p = self.workers;
+        // The simulator's three families: a policy with an initial
+        // partition runs owner lists, one with a chunk rule a shared
+        // counter, and the rest the deques. `Serial` runs inline on the
+        // calling thread, so the serial baseline pays no spawn.
+        let (locals, report) = if let PolicyKind::Serial = self.model {
+            let start = Instant::now();
+            let mut local = init(0);
+            let mut ctx = self.worker_ctx(0, 1, start, self.fault_state(ntasks));
+            for i in 0..ntasks {
+                ctx.run_task(i, &mut local, &task);
             }
-            PolicyKind::DynamicCounter { chunk } => {
-                assert!(*chunk > 0, "chunk must be positive");
-                self.run_counter(ntasks, *chunk, &init, &task)
+            self.assemble(ntasks, start.elapsed(), vec![(local, ctx.stats)])
+        } else if let Some(owners) = self.model.initial_partition(ntasks, p) {
+            let mut lists: Vec<Vec<usize>> = vec![Vec::new(); p];
+            for (i, &w) in owners.iter().enumerate() {
+                lists[w as usize].push(i);
             }
-            PolicyKind::Guided { .. } | PolicyKind::GuidedAdaptive { .. } => {
-                let rule = self.model.chunk_rule().expect("guided policy has a rule");
-                rule.validate();
-                self.run_guided(ntasks, rule, &init, &task)
+            self.scoped(ntasks, lists, &init, |ctx, list, local| {
+                for i in list {
+                    ctx.run_task(i, local, &task);
+                }
+            })
+        } else if let Some(rule) = self.model.chunk_rule() {
+            rule.validate();
+            let next = AtomicUsize::new(0);
+            self.scoped(ntasks, vec![(); p], &init, |ctx, (), local| loop {
+                let t_fetch = ctx.obs_mark();
+                let claimed = match rule {
+                    ChunkRule::Fixed(chunk) => claim_fixed(&next, chunk, ntasks),
+                    ChunkRule::Tapering { .. } => claim_tapering(&next, rule, p, ntasks),
+                };
+                let Some(chunk) = claimed else { break };
+                ctx.stats.counter_fetches += 1;
+                ctx.obs_counter_fetch(t_fetch, chunk.start);
+                for i in chunk {
+                    ctx.run_task(i, local, &task);
+                }
+            })
+        } else {
+            let PolicyKind::WorkStealing(cfg) = &self.model else {
+                unreachable!("{}: no partition, chunk rule or deques", self.model.name())
+            };
+            // Seed the deques on the calling thread (each Worker handle
+            // then moves into its owning thread).
+            let deques: Vec<Deque<usize>> = (0..p).map(|_| Deque::new_lifo()).collect();
+            let stealers: Vec<Stealer<usize>> = deques.iter().map(|d| d.stealer()).collect();
+            for (i, &owner) in cfg.seed.owners(ntasks, p).iter().enumerate() {
+                deques[owner as usize].push(i);
             }
-            PolicyKind::WorkStealing(cfg) => self.run_stealing(ntasks, cfg, &init, &task),
+            let remaining = AtomicUsize::new(ntasks);
+            self.scoped(ntasks, deques, &init, |ctx, deque, local| {
+                run_stealing(ctx, &deque, &stealers, &remaining, cfg, local, &task)
+            })
         };
-        let (locals, report) = outcome;
         assert_eq!(
             report.total_tasks_run(),
             ntasks,
@@ -202,57 +251,34 @@ impl Executor {
         (reduced, report)
     }
 
-    fn run_serial<L>(
+    /// The one spawn site: a scoped thread per seed (an owner list,
+    /// nothing, or a deque), in which worker `w` builds its local with
+    /// `init(w)` and runs `body` over its seed; then the join and the
+    /// report.
+    fn scoped<L, S>(
         &self,
         ntasks: usize,
+        seeds: Vec<S>,
         init: &(impl Fn(usize) -> L + Sync),
-        task: &(impl Fn(usize, &mut L) + Sync),
-    ) -> (Vec<L>, ExecutionReport) {
-        let start = Instant::now();
-        let mut local = init(0);
-        let obs = self.worker_obs(0);
-        let mut ctx = WorkerCtx::new(0, 1, self.variability, start, obs);
-        ctx.faults = self.fault_state(ntasks);
-        for i in 0..ntasks {
-            ctx.run_task(i, &mut local, task);
-        }
-        self.assemble(ntasks, start.elapsed(), vec![(local, ctx.stats)])
-    }
-
-    fn run_static<L>(
-        &self,
-        ntasks: usize,
-        owners: Vec<u32>,
-        init: &(impl Fn(usize) -> L + Sync),
-        task: &(impl Fn(usize, &mut L) + Sync),
+        body: impl Fn(&mut WorkerCtx, S, &mut L) + Sync,
     ) -> (Vec<L>, ExecutionReport)
     where
         L: Send,
+        S: Send,
     {
-        let p = self.workers;
-        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); p];
-        for (i, &w) in owners.iter().enumerate() {
-            lists[w as usize].push(i);
-        }
-        let fstate = self.fault_state(ntasks);
+        let p = seeds.len();
+        let faults = self.fault_state(ntasks);
         let start = Instant::now();
+        let body = &body;
         let results = std::thread::scope(|s| {
-            let handles: Vec<_> = lists
+            let handles: Vec<_> = seeds
                 .into_iter()
                 .enumerate()
-                .map(|(w, list)| {
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let obs = self.worker_obs(w);
-                    let faults = fstate.clone();
+                .map(|(w, seed)| {
+                    let mut ctx = self.worker_ctx(w, p, start, faults.clone());
                     s.spawn(move || {
                         let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, start, obs);
-                        ctx.faults = faults;
-                        for i in list {
-                            ctx.run_task(i, &mut local, task);
-                        }
+                        body(&mut ctx, seed, &mut local);
                         (local, ctx.stats)
                     })
                 })
@@ -260,282 +286,7 @@ impl Executor {
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        self.assemble(ntasks, start.elapsed(), results)
-    }
-
-    fn run_counter<L>(
-        &self,
-        ntasks: usize,
-        chunk: usize,
-        init: &(impl Fn(usize) -> L + Sync),
-        task: &(impl Fn(usize, &mut L) + Sync),
-    ) -> (Vec<L>, ExecutionReport)
-    where
-        L: Send,
-    {
-        let p = self.workers;
-        let next = AtomicUsize::new(0);
-        let fstate = self.fault_state(ntasks);
-        let start = Instant::now();
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|w| {
-                    let next = &next;
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let obs = self.worker_obs(w);
-                    let faults = fstate.clone();
-                    s.spawn(move || {
-                        let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, start, obs);
-                        ctx.faults = faults;
-                        loop {
-                            let t_fetch = ctx.obs_mark();
-                            // Protocol `runtime-counter-dispatch`
-                            // (docs/protocols.toml): Relaxed claim —
-                            // task indices are data-independent, the
-                            // fetch_add only needs atomicity.
-                            let begin = next.fetch_add(chunk, Ordering::Relaxed);
-                            if begin >= ntasks {
-                                break;
-                            }
-                            ctx.stats.counter_fetches += 1;
-                            ctx.obs_counter_fetch(t_fetch, begin);
-                            for i in begin..(begin + chunk).min(ntasks) {
-                                ctx.run_task(i, &mut local, task);
-                            }
-                        }
-                        (local, ctx.stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        self.assemble(ntasks, start.elapsed(), results)
-    }
-
-    fn run_guided<L>(
-        &self,
-        ntasks: usize,
-        rule: ChunkRule,
-        init: &(impl Fn(usize) -> L + Sync),
-        task: &(impl Fn(usize, &mut L) + Sync),
-    ) -> (Vec<L>, ExecutionReport)
-    where
-        L: Send,
-    {
-        let p = self.workers;
-        let next = AtomicUsize::new(0);
-        let fstate = self.fault_state(ntasks);
-        let start = Instant::now();
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|w| {
-                    let next = &next;
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let obs = self.worker_obs(w);
-                    let faults = fstate.clone();
-                    s.spawn(move || {
-                        let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, start, obs);
-                        ctx.faults = faults;
-                        loop {
-                            // Claim what the tapering rule dictates, via
-                            // CAS (the claim size depends on the current
-                            // counter value, so fetch_add alone is not
-                            // enough).
-                            let t_fetch = ctx.obs_mark();
-                            let begin;
-                            let end;
-                            // Protocol `runtime-guided-claim`
-                            // (docs/protocols.toml): Acquire read +
-                            // AcqRel CAS, each claim's Release side
-                            // pairs with the next claimant's load.
-                            loop {
-                                let cur = next.load(Ordering::Acquire);
-                                if cur >= ntasks {
-                                    return (local, ctx.stats);
-                                }
-                                let remaining = ntasks - cur;
-                                let chunk = rule.claim(remaining, p);
-                                match next.compare_exchange_weak(
-                                    cur,
-                                    cur + chunk,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                ) {
-                                    Ok(_) => {
-                                        begin = cur;
-                                        end = cur + chunk;
-                                        break;
-                                    }
-                                    Err(_) => continue,
-                                }
-                            }
-                            ctx.stats.counter_fetches += 1;
-                            ctx.obs_counter_fetch(t_fetch, begin);
-                            for i in begin..end {
-                                ctx.run_task(i, &mut local, task);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        self.assemble(ntasks, start.elapsed(), results)
-    }
-
-    fn run_stealing<L>(
-        &self,
-        ntasks: usize,
-        cfg: &StealConfig,
-        init: &(impl Fn(usize) -> L + Sync),
-        task: &(impl Fn(usize, &mut L) + Sync),
-    ) -> (Vec<L>, ExecutionReport)
-    where
-        L: Send,
-    {
-        let p = self.workers;
-        // Seed the deques on the main thread (the Worker handle is then
-        // moved into its owning thread).
-        let deques: Vec<Deque<usize>> = (0..p).map(|_| Deque::new_lifo()).collect();
-        let stealers: Vec<Stealer<usize>> = deques.iter().map(|d| d.stealer()).collect();
-        for (i, &owner) in cfg.seed.owners(ntasks, p).iter().enumerate() {
-            deques[owner as usize].push(i);
-        }
-        let remaining = AtomicUsize::new(ntasks);
-        let fstate = self.fault_state(ntasks);
-        let start = Instant::now();
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = deques
-                .into_iter()
-                .enumerate()
-                .map(|(w, deque)| {
-                    let stealers = &stealers;
-                    let remaining = &remaining;
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let cfg = cfg.clone();
-                    let obs = self.worker_obs(w);
-                    let faults = fstate.clone();
-                    s.spawn(move || {
-                        let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, start, obs);
-                        ctx.faults = faults;
-                        let mut rng = worker_stream(cfg.rng_seed, w);
-                        'outer: loop {
-                            // Drain the local deque first. A task whose
-                            // panic was caught goes back on the deque
-                            // (where a thief may pick it up) instead of
-                            // wedging this worker.
-                            //
-                            // Completions are batched in a worker-local
-                            // count and published as one decrement when
-                            // the deque runs dry — the NXTVAL-claims
-                            // analogue for the termination counter. The
-                            // invariant: a worker never idle-waits on
-                            // `remaining` with unflushed completions, so
-                            // peers' termination detection stays exact.
-                            let mut done = 0usize;
-                            while let Some(i) = deque.pop() {
-                                if ctx.try_run_task(i, &mut local, task) {
-                                    done += 1;
-                                } else {
-                                    deque.push(i);
-                                }
-                            }
-                            // Protocol `runtime-ws-termination`
-                            // (docs/protocols.toml): Release
-                            // decrements publish completed work; the
-                            // idle loop's Acquire load of zero is the
-                            // only exit signal.
-                            if done > 0 {
-                                remaining.fetch_sub(done, Ordering::Release);
-                            }
-                            // Steal until we obtain work or everything is
-                            // done. `spins` is the hunt's failed probes: a
-                            // thief can make thousands while a peer
-                            // finishes its last task, so they are counted
-                            // here and reach the profiling ring as one
-                            // number when the hunt closes, never as an
-                            // event each.
-                            let mut spins = 0u32;
-                            let idle_from = ctx.obs_mark();
-                            loop {
-                                if remaining.load(Ordering::Acquire) == 0 {
-                                    ctx.obs_idle_end(idle_from, spins);
-                                    break 'outer;
-                                }
-                                if ctx.fault_aborted() {
-                                    // A peer is propagating the panic of
-                                    // a task that exhausted its retries;
-                                    // `remaining` will never reach zero,
-                                    // so exit instead of spinning (the
-                                    // scope join re-raises the panic).
-                                    ctx.obs_idle_end(idle_from, spins);
-                                    break 'outer;
-                                }
-                                if p == 1 {
-                                    // No victims exist; the remaining
-                                    // check above is the only exit.
-                                    std::hint::spin_loop();
-                                    continue;
-                                }
-                                let victim = match cfg.victim {
-                                    VictimPolicy::Random => random_victim(rng.next(), w, p),
-                                    VictimPolicy::RoundRobin => {
-                                        round_robin_victim(w, spins as u64, p)
-                                    }
-                                };
-                                ctx.stats.steal_attempts += 1;
-                                let got = if cfg.steal_batch {
-                                    stealers[victim].steal_batch_and_pop(&deque)
-                                } else {
-                                    stealers[victim].steal()
-                                };
-                                match got {
-                                    Steal::Success(i) => {
-                                        ctx.stats.steals += 1;
-                                        ctx.obs_steal_success(idle_from, spins, victim);
-                                        if ctx.try_run_task(i, &mut local, task) {
-                                            remaining.fetch_sub(1, Ordering::Release);
-                                        } else {
-                                            deque.push(i);
-                                        }
-                                        continue 'outer;
-                                    }
-                                    Steal::Empty | Steal::Retry => {
-                                        spins += 1;
-                                        if spins % (4 * p as u32) == 0 {
-                                            std::thread::yield_now();
-                                        } else {
-                                            std::hint::spin_loop();
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        (local, ctx.stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
+                .collect()
         });
         self.assemble(ntasks, start.elapsed(), results)
     }
@@ -560,6 +311,140 @@ impl Executor {
     }
 }
 
+/// Claims the next `chunk` tasks off a fixed-chunk shared counter (the
+/// paper's NXTVAL); `None` once the counter has passed `ntasks`.
+fn claim_fixed(next: &AtomicUsize, chunk: usize, ntasks: usize) -> Option<Range<usize>> {
+    // Protocol `runtime-counter-dispatch` (docs/protocols.toml): Relaxed
+    // claim — task indices are data-independent, the fetch_add only
+    // needs atomicity.
+    let begin = next.fetch_add(chunk, Ordering::Relaxed);
+    (begin < ntasks).then(|| begin..(begin + chunk).min(ntasks))
+}
+
+/// Claims what the tapering `rule` grants at the counter's current
+/// value; `None` once the counter has reached `ntasks`. The claim size
+/// depends on that value, so it takes a CAS, not a fetch_add.
+fn claim_tapering(
+    next: &AtomicUsize,
+    rule: ChunkRule,
+    workers: usize,
+    ntasks: usize,
+) -> Option<Range<usize>> {
+    // Protocol `runtime-guided-claim` (docs/protocols.toml): Acquire
+    // read + AcqRel CAS, each claim's Release side pairs with the next
+    // claimant's load.
+    loop {
+        let cur = next.load(Ordering::Acquire);
+        if cur >= ntasks {
+            return None;
+        }
+        let end = cur + rule.claim(ntasks - cur, workers);
+        if next
+            .compare_exchange_weak(cur, end, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            return Some(cur..end);
+        }
+    }
+}
+
+/// One work-stealing worker: drains its own deque, then hunts victims
+/// until `remaining` reaches zero or a peer aborts the run.
+fn run_stealing<L>(
+    ctx: &mut WorkerCtx,
+    deque: &Deque<usize>,
+    stealers: &[Stealer<usize>],
+    remaining: &AtomicUsize,
+    cfg: &StealConfig,
+    local: &mut L,
+    task: &impl Fn(usize, &mut L),
+) {
+    let (w, p) = (ctx.worker, ctx.nworkers);
+    let mut rng = worker_stream(cfg.rng_seed, w);
+    'outer: loop {
+        // Drain the local deque first. A task whose panic was caught
+        // goes back on the deque (where a thief may pick it up) instead
+        // of wedging this worker.
+        //
+        // Completions are batched in a worker-local count and published
+        // as one decrement when the deque runs dry — the NXTVAL-claims
+        // analogue for the termination counter. The invariant: a worker
+        // never idle-waits on `remaining` with unflushed completions, so
+        // peers' termination detection stays exact.
+        let mut done = 0usize;
+        while let Some(i) = deque.pop() {
+            if ctx.try_run_task(i, local, task) {
+                done += 1;
+            } else {
+                deque.push(i);
+            }
+        }
+        // Protocol `runtime-ws-termination` (docs/protocols.toml):
+        // Release decrements publish completed work; the idle loop's
+        // Acquire load of zero is the only exit signal.
+        if done > 0 {
+            remaining.fetch_sub(done, Ordering::Release);
+        }
+        // Steal until we obtain work or everything is done. `spins` is
+        // the hunt's failed probes: a thief can make thousands while a
+        // peer finishes its last task, so they are counted here and
+        // reach the profiling ring as one number when the hunt closes,
+        // never as an event each.
+        let mut spins = 0u32;
+        let idle_from = ctx.obs_mark();
+        loop {
+            if remaining.load(Ordering::Acquire) == 0 {
+                ctx.obs_idle_end(idle_from, spins);
+                return;
+            }
+            if ctx.fault_aborted() {
+                // A peer is propagating the panic of a task that
+                // exhausted its retries; `remaining` will never reach
+                // zero, so exit instead of spinning (the scope join
+                // re-raises the panic).
+                ctx.obs_idle_end(idle_from, spins);
+                return;
+            }
+            if p == 1 {
+                // No victims exist; the remaining check above is the
+                // only exit.
+                std::hint::spin_loop();
+                continue;
+            }
+            let victim = match cfg.victim {
+                VictimPolicy::Random => random_victim(rng.next(), w, p),
+                VictimPolicy::RoundRobin => round_robin_victim(w, spins as u64, p),
+            };
+            ctx.stats.steal_attempts += 1;
+            let got = if cfg.steal_batch {
+                stealers[victim].steal_batch_and_pop(deque)
+            } else {
+                stealers[victim].steal()
+            };
+            match got {
+                Steal::Success(i) => {
+                    ctx.stats.steals += 1;
+                    ctx.obs_steal_success(idle_from, spins, victim);
+                    if ctx.try_run_task(i, local, task) {
+                        remaining.fetch_sub(1, Ordering::Release);
+                    } else {
+                        deque.push(i);
+                    }
+                    continue 'outer;
+                }
+                Steal::Empty | Steal::Retry => {
+                    spins += 1;
+                    if spins % (4 * p as u32) == 0 {
+                        std::thread::yield_now();
+                    } else {
+                        std::hint::spin_loop();
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Per-worker execution context: stats, variability clock, optional
 /// observability handles.
 struct WorkerCtx {
@@ -573,24 +458,6 @@ struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    fn new(
-        worker: usize,
-        nworkers: usize,
-        variability: Variability,
-        start: Instant,
-        obs: Option<WorkerObs>,
-    ) -> WorkerCtx {
-        WorkerCtx {
-            worker,
-            nworkers,
-            variability,
-            start,
-            stats: WorkerStats::default(),
-            obs,
-            faults: None,
-        }
-    }
-
     /// True when some worker is propagating a permanently-failing
     /// task's panic and the run can never complete normally.
     #[inline]
@@ -1077,6 +944,82 @@ mod tests {
     fn bad_assignment_target_panics() {
         let ex = Executor::new(2, PolicyKind::StaticAssigned(Arc::new(vec![5; 3])));
         let _ = ex.run(3, |_| (), |_, _| {});
+    }
+
+    /// `Executor`'s fields are public, so a struct literal can skip
+    /// `Executor::new`'s worker check; `run` must refuse it itself.
+    fn zero_workers(model: PolicyKind) -> Executor {
+        Executor {
+            workers: 0,
+            model,
+            variability: Variability::None,
+            obs: None,
+            faults: None,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn zero_workers_refused_for_owner_lists() {
+        let _ = zero_workers(PolicyKind::StaticBlock).run(4, |_| (), |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn zero_workers_refused_for_the_counter() {
+        // With no tasks the counter used to run zero threads and fail
+        // only in `run_reduced`, indexing the missing root local.
+        let ex = zero_workers(PolicyKind::DynamicCounter { chunk: 1 });
+        let _ = ex.run_reduced(0, |_| 0u64, |_, _| {}, |a, b| *a += b);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn zero_workers_refused_for_the_deques() {
+        let ex = zero_workers(PolicyKind::WorkStealing(StealConfig::default()));
+        let _ = ex.run(4, |_| (), |_, _| {});
+    }
+
+    #[test]
+    fn serial_runs_on_the_calling_thread() {
+        // The serial baseline must not pay a spawn: every task runs on
+        // the thread that called `run`.
+        let caller = std::thread::current().id();
+        let ex = Executor::new(4, PolicyKind::Serial);
+        let (locals, _) = ex.run(
+            5,
+            |_| Vec::new(),
+            |_, ids: &mut Vec<std::thread::ThreadId>| ids.push(std::thread::current().id()),
+        );
+        assert_eq!(locals[0], vec![caller; 5]);
+    }
+
+    #[test]
+    fn counter_fetches_replay_the_chunk_rule() {
+        // One worker claims exactly what `ChunkRule::claim` grants from
+        // `remaining = n` down to zero, whichever claim fn serves it.
+        let n = 1000;
+        for (model, rule) in [
+            (PolicyKind::DynamicCounter { chunk: 1 }, ChunkRule::Fixed(1)),
+            (PolicyKind::DynamicCounter { chunk: 7 }, ChunkRule::Fixed(7)),
+            (
+                PolicyKind::Guided { min_chunk: 1 },
+                ChunkRule::Tapering { k: 2, min: 1 },
+            ),
+            (
+                PolicyKind::GuidedAdaptive { k: 4, min_chunk: 2 },
+                ChunkRule::Tapering { k: 4, min: 2 },
+            ),
+        ] {
+            assert_eq!(model.chunk_rule(), Some(rule));
+            let (mut remaining, mut claims) = (n, 0u64);
+            while remaining > 0 {
+                remaining -= rule.claim(remaining, 1);
+                claims += 1;
+            }
+            let (_, r) = Executor::new(1, model).run(n, |_| (), |_, _| {});
+            assert_eq!(r.total_counter_fetches(), claims, "{rule:?}");
+        }
     }
 
     #[test]

@@ -242,19 +242,25 @@ fn loom_counter_overshoot_is_idempotent() {
 
 /// The real counter executor under repeated perturbed schedules: the
 /// tasks the workers ran are a disjoint exact cover of the range, for a
-/// chunk that divides it and one that overshoots its end. (A stress
+/// fixed chunk that divides it, one that overshoots its end, and both
+/// tapering rules (the two claim fns feed one counter loop). (A stress
 /// repeat like the stealing canary above, not an interleaving proof.)
 #[test]
 fn loom_executor_counter_claims_are_a_disjoint_exact_cover() {
     use emx_runtime::pool::Executor;
     use emx_sched::PolicyKind;
     loom::model(|| {
-        for chunk in [2, 5] {
-            let exec = Executor::new(3, PolicyKind::DynamicCounter { chunk });
+        for model in [
+            PolicyKind::DynamicCounter { chunk: 2 },
+            PolicyKind::DynamicCounter { chunk: 5 },
+            PolicyKind::Guided { min_chunk: 1 },
+            PolicyKind::GuidedAdaptive { k: 4, min_chunk: 2 },
+        ] {
+            let exec = Executor::new(3, model.clone());
             let (locals, _report) = exec.run(24, |_| Vec::new(), |i, ran| ran.push(i));
             let mut all: Vec<usize> = locals.into_iter().flatten().collect();
             all.sort_unstable();
-            assert_eq!(all, (0..24).collect::<Vec<_>>(), "chunk {chunk}");
+            assert_eq!(all, (0..24).collect::<Vec<_>>(), "{model:?}");
         }
     });
 }

@@ -1,8 +1,8 @@
 //! E7 — runtime-overhead microbenchmarks (real code paths).
 //!
 //! Pins the cost of the mechanisms the execution models are built from:
-//! per-task dispatch of each scheduler and the ERI compute kernel
-//! itself at different shell classes.
+//! per-task dispatch of each scheduler, the ERI compute kernel itself
+//! at different shell classes, and one serial Fock build.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use emx_chem::basis::{BasisSet, BasisedMolecule};
@@ -60,10 +60,10 @@ fn bench_eri(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_post_hf_kernels(c: &mut Criterion) {
+fn bench_fock_build(c: &mut Criterion) {
     use emx_chem::prelude::*;
     use emx_linalg::Matrix;
-    let mut group = c.benchmark_group("e7_post_hf_kernels");
+    let mut group = c.benchmark_group("e7_fock_build");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2))
@@ -76,7 +76,6 @@ fn bench_post_hf_kernels(c: &mut Criterion) {
         0.3 / (1.0 + (i as f64 - j as f64).abs())
     });
     d.symmetrize();
-    // The UHF iteration runs two generalized J/K builds per step.
     group.bench_function("rhf-fock-build", |b| {
         b.iter(|| {
             let mut g = Matrix::zeros(bm.nbf, bm.nbf);
@@ -87,24 +86,8 @@ fn bench_post_hf_kernels(c: &mut Criterion) {
             black_box(g.frobenius_norm())
         })
     });
-    group.bench_function("uhf-jk-build", |b| {
-        b.iter(|| {
-            let mut g = Matrix::zeros(bm.nbf, bm.nbf);
-            let mut scratch = fb.scratch();
-            for t in &tasks {
-                fb.execute_jk(t, &d, &d, 1.0, &mut g, &mut scratch);
-            }
-            black_box(g.frobenius_norm())
-        })
-    });
-    // The MP2 AO→MO transform — the N⁵ workload family.
-    let ao = emx_chem::mp2::full_eri_tensor(&bm);
-    let c_id = Matrix::identity(bm.nbf);
-    group.bench_function("mp2-ao-to-mo", |b| {
-        b.iter(|| black_box(emx_chem::mp2::ao_to_mo(&ao, &c_id).len()))
-    });
     group.finish();
 }
 
-criterion_group!(benches, bench_dispatch, bench_eri, bench_post_hf_kernels);
+criterion_group!(benches, bench_dispatch, bench_eri, bench_fock_build);
 criterion_main!(benches);

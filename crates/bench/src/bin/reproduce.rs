@@ -633,10 +633,6 @@ fn validate_chemistry() -> Table {
         "Validation: kernel results vs literature",
         &["quantity", "measured", "reference"],
     );
-    let run = |mol: &Molecule, basis: BasisSet| {
-        let bm = BasisedMolecule::assign(mol, basis);
-        (rhf(&bm, &ScfConfig::default()), bm)
-    };
     let cases: Vec<(&str, Molecule, BasisSet, f64)> = vec![
         (
             "E(H2, STO-3G, R=1.4)",
@@ -698,7 +694,7 @@ fn validate_chemistry() -> Table {
     // regressed — it fails the run rather than printing a wrong table.
     const E_TOL: f64 = 6e-5;
     for (name, mol, basis, lit) in cases {
-        let (r, _) = run(&mol, basis);
+        let r = rhf(&BasisedMolecule::assign(&mol, basis), &ScfConfig::default());
         assert!(r.converged, "{name} did not converge");
         assert!(
             (r.energy - lit).abs() < E_TOL,
@@ -711,50 +707,6 @@ fn validate_chemistry() -> Table {
             format!("{lit:.4} Ha"),
         ]);
     }
-    // UHF anchors: one-electron H atom (exact in the basis) and the H₂
-    // dissociation limit (spin-symmetry breaking → 2·E(H)).
-    {
-        let mut h_atom = Molecule::new();
-        h_atom.push(Element::H, [0.0; 3]);
-        let bm = BasisedMolecule::assign(&h_atom, BasisSet::Sto3g);
-        let r = emx_chem::uhf::uhf(&bm, 2, &ScfConfig::default());
-        assert!(r.converged);
-        t.push(vec![
-            "E_UHF(H atom, STO-3G)".into(),
-            format!("{:.4} Ha", r.energy),
-            "-0.4666 Ha (exact in basis)".into(),
-        ]);
-        let bm2 = BasisedMolecule::assign(&Molecule::h2(6.0), BasisSet::Sto3g);
-        let r2 = emx_chem::uhf::uhf(&bm2, 1, &ScfConfig::default());
-        assert!(r2.converged);
-        t.push(vec![
-            "E_UHF(H2, R=6.0)".into(),
-            format!("{:.4} Ha", r2.energy),
-            "-0.9332 Ha (= 2·E_H)".into(),
-        ]);
-    }
-
-    // Water dipole, Mulliken charges and MP2 correlation (STO-3G).
-    let (r, bm) = run(&Molecule::water(), BasisSet::Sto3g);
-    let e2 = emx_chem::mp2::mp2_energy(&bm, &r);
-    t.push(vec![
-        "E2_MP2(H2O, STO-3G)".into(),
-        format!("{e2:.4} Ha"),
-        "~-0.036 Ha".into(),
-    ]);
-    let mu = dipole_moment(&bm, &r.density);
-    let debye = (mu[0] * mu[0] + mu[1] * mu[1] + mu[2] * mu[2]).sqrt() * AU_TO_DEBYE;
-    t.push(vec![
-        "mu(H2O, STO-3G)".into(),
-        format!("{debye:.3} D"),
-        "1.71 D".into(),
-    ]);
-    let q = mulliken_charges(&bm, &r.density);
-    t.push(vec![
-        "q_Mulliken(O, STO-3G)".into(),
-        format!("{:+.3} e", q[0]),
-        "-0.37 e".into(),
-    ]);
     t
 }
 

@@ -45,27 +45,6 @@ impl Element {
             Element::O => 8.0,
         }
     }
-
-    /// One/two-letter symbol.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            Element::H => "H",
-            Element::C => "C",
-            Element::N => "N",
-            Element::O => "O",
-        }
-    }
-
-    /// Parses a symbol (case-insensitive).
-    pub fn from_symbol(s: &str) -> Option<Element> {
-        match s.trim().to_ascii_uppercase().as_str() {
-            "H" => Some(Element::H),
-            "C" => Some(Element::C),
-            "N" => Some(Element::N),
-            "O" => Some(Element::O),
-            _ => None,
-        }
-    }
 }
 
 /// Identifier of a built-in basis set.
@@ -495,9 +474,7 @@ mod tests {
     #[test]
     fn element_properties() {
         assert_eq!(Element::O.charge(), 8.0);
-        assert_eq!(Element::from_symbol("h"), Some(Element::H));
-        assert_eq!(Element::from_symbol("Xx"), None);
-        assert_eq!(Element::C.symbol(), "C");
+        assert_eq!(Element::C.charge(), 6.0);
     }
 
     #[test]

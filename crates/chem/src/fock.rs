@@ -129,7 +129,8 @@ impl<'a> FockBuilder<'a> {
         g_local: &mut Matrix,
         scratch: &mut EriScratch,
     ) -> u64 {
-        self.execute_jk(task, density, density, 0.5, g_local, scratch)
+        let survives = |ket| self.pairs.survives(task.bra, ket, self.tau);
+        self.execute_kets(task, survives, density, g_local, scratch)
     }
 
     /// The pre-batching task executor: one scalar
@@ -156,14 +157,14 @@ impl<'a> FockBuilder<'a> {
             }
             let ket_pair = &self.pairs.pairs[ket];
             let block = eri_quartet_into(scratch, bra_pair, ket_pair, &self.bm.shells);
-            self.scatter(bra_pair, ket_pair, block, density, density, 0.5, g_local);
+            self.scatter(bra_pair, ket_pair, block, density, g_local);
             done += 1;
         }
         done
     }
 
     /// Scatters one quartet block into `g` using 8-fold symmetry:
-    /// `G += J(pj) − k_scale·K(pk)` (RHF is `(P, P, ½)`).
+    /// `G += J(P) − ½·K(P)`.
     ///
     /// Shell-level uniqueness comes from the triangular task loop
     /// (`a ≥ b`, `c ≥ d`, bra pair index ≥ ket pair index); component
@@ -184,15 +185,12 @@ impl<'a> FockBuilder<'a> {
     ///
     /// Returns the number of permutational images applied — the
     /// old-vs-scratch equivalence tests compare these counts.
-    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
     fn scatter(
         &self,
         bra: &crate::shellpair::ShellPair,
         ket: &crate::shellpair::ShellPair,
         block: &[f64],
-        pj: &Matrix,
-        pk: &Matrix,
-        k_scale: f64,
+        density: &Matrix,
         g: &mut Matrix,
     ) -> u64 {
         debug_assert!(bra.a >= bra.b && ket.a >= ket.b, "pair list not canonical");
@@ -201,7 +199,7 @@ impl<'a> FockBuilder<'a> {
         let nc = |l| cartesian_components(l).len();
         let same_pair = bra.a == ket.a && bra.b == ket.b;
         let n = g.cols();
-        let (g, pj, pk) = (g.as_mut_slice(), pj.as_slice(), pk.as_slice());
+        let (g, p) = (g.as_mut_slice(), density.as_slice());
 
         let mut images = 0;
         let mut idx = 0;
@@ -225,11 +223,11 @@ impl<'a> FockBuilder<'a> {
                             // applying the two naive updates once per
                             // distinct image reproduces the unrestricted
                             // four-index sums exactly:
-                            //   Coulomb   G[ab] += Pj[cd]·(ab|cd)
-                            //   Exchange  G[ac] −= k·Pk[bd]·(ab|cd)
+                            //   Coulomb   G[ab] += P[cd]·(ab|cd)
+                            //   Exchange  G[ac] −= ½·P[bd]·(ab|cd)
                             let [a, b, c, d] = IMAGES[k as usize].map(|i| q[i]);
-                            g[a * n + b] += pj[c * n + d] * v;
-                            g[a * n + c] -= k_scale * pk[b * n + d] * v;
+                            g[a * n + b] += p[c * n + d] * v;
+                            g[a * n + c] -= 0.5 * p[b * n + d] * v;
                         }
                         images += distinct.len() as u64;
                     }
@@ -250,42 +248,19 @@ impl<'a> FockBuilder<'a> {
         g
     }
 
-    /// Executes one task with *separate* Coulomb and exchange densities:
-    /// `G += J(d_j) − k_scale·K(d_k)`.
-    ///
-    /// The RHF build is the special case `(d_j, d_k, k_scale) =
-    /// (P, P, ½)`; the UHF spin Focks use `(Pᵅ+Pᵝ, Pᵅ, 1)` and
-    /// `(Pᵅ+Pᵝ, Pᵝ, 1)`.
-    pub fn execute_jk(
-        &self,
-        task: &FockTask,
-        d_j: &Matrix,
-        d_k: &Matrix,
-        k_scale: f64,
-        g_local: &mut Matrix,
-        scratch: &mut EriScratch,
-    ) -> u64 {
-        let survives = |ket| self.pairs.survives(task.bra, ket, self.tau);
-        self.execute_kets(task, survives, d_j, d_k, k_scale, g_local, scratch)
-    }
-
     /// The batched executor: stages the kets of `task` that `keep` admits
     /// into the scratch's ket list, evaluates them in one kernel call,
     /// and scatters their blocks in canonical ket order. Returns how
     /// many quartets it computed.
-    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
     fn execute_kets(
         &self,
         task: &FockTask,
         keep: impl Fn(usize) -> bool,
-        d_j: &Matrix,
-        d_k: &Matrix,
-        k_scale: f64,
+        density: &Matrix,
         g_local: &mut Matrix,
         scratch: &mut EriScratch,
     ) -> u64 {
-        debug_assert_eq!(d_j.shape(), (self.bm.nbf, self.bm.nbf));
-        debug_assert_eq!(d_k.shape(), (self.bm.nbf, self.bm.nbf));
+        debug_assert_eq!(density.shape(), (self.bm.nbf, self.bm.nbf));
         debug_assert_eq!(g_local.shape(), (self.bm.nbf, self.bm.nbf));
         let mut kets = std::mem::take(&mut scratch.ket_buf);
         kets.clear();
@@ -299,7 +274,7 @@ impl<'a> FockBuilder<'a> {
         for (i, &ket) in kets.iter().enumerate() {
             let ket_pair = &self.pairs.pairs[ket as usize];
             let block = scratch.ket_block(i);
-            self.scatter(bra_pair, ket_pair, block, d_j, d_k, k_scale, g_local);
+            self.scatter(bra_pair, ket_pair, block, density, g_local);
         }
         let done = kets.len() as u64;
         scratch.ket_buf = kets;
@@ -347,7 +322,7 @@ impl<'a> FockBuilder<'a> {
             let dfactor = dmax[task.bra].max(dmax[ket]);
             self.pairs.q[task.bra] * self.pairs.q[ket] * dfactor >= self.tau
         };
-        self.execute_kets(task, keep, density, density, 0.5, g_local, scratch)
+        self.execute_kets(task, keep, density, g_local, scratch)
     }
 }
 
@@ -390,32 +365,6 @@ fn distinct_images([mu, nu, la, si]: [usize; 4]) -> &'static [u8] {
     DISTINCT_IMAGES[class]
 }
 
-/// Reference `G` built from the naive four-index loop over the full
-/// materialized ERI tensor (no symmetry in the contraction, no
-/// screening). The tensor comes from [`crate::mp2::full_eri_tensor`],
-/// which uses only the *scalar* quartet kernel — so the `serial_matches
-/// _naive_reference_*` tests are end-to-end batched-vs-scalar checks.
-/// Exponential in patience — test-sized molecules only.
-pub fn g_matrix_reference(bm: &BasisedMolecule, density: &Matrix) -> Matrix {
-    let n = bm.nbf;
-    let eri = crate::mp2::full_eri_tensor(bm);
-    let at = |m: usize, u: usize, l: usize, s: usize| ((m * n + u) * n + l) * n + s;
-    let mut g = Matrix::zeros(n, n);
-    for mu in 0..n {
-        for nu in 0..n {
-            let mut s = 0.0;
-            for la in 0..n {
-                for si in 0..n {
-                    s += density[(la, si)]
-                        * (eri[at(mu, nu, la, si)] - 0.5 * eri[at(mu, la, nu, si)]);
-                }
-            }
-            g[(mu, nu)] = s;
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,6 +382,80 @@ mod tests {
         let mut d = Matrix::from_fn(n, n, |i, j| 0.3 / (1.0 + (i as f64 - j as f64).abs()));
         d.symmetrize();
         d
+    }
+
+    /// The full AO ERI tensor `(μν|λσ)`, row-major over four indices
+    /// (`nbf⁴` doubles). Each canonical quartet of a threshold-0 pair
+    /// list is evaluated once through the *scalar* kernel and written to
+    /// all 8 permutational images, so the tensor is exactly symmetric and
+    /// independent of the batched path.
+    fn full_eri_tensor(bm: &BasisedMolecule) -> Vec<f64> {
+        let n = bm.nbf;
+        let mut eri = vec![0.0; n * n * n * n];
+        let at = |m: usize, u: usize, l: usize, s: usize| ((m * n + u) * n + l) * n + s;
+        let pairs = ScreenedPairs::build(bm, 0.0);
+        let mut scratch = EriScratch::new();
+        for pi in 0..pairs.len() {
+            let bra = &pairs.pairs[pi];
+            for pj in 0..=pi {
+                let ket = &pairs.pairs[pj];
+                let block = eri_quartet_into(&mut scratch, bra, ket, &bm.shells);
+                let (na, nb) = (bm.shells[bra.a].ncart(), bm.shells[bra.b].ncart());
+                let (nc, nd) = (bm.shells[ket.a].ncart(), bm.shells[ket.b].ncart());
+                let (oa, ob, oc, od) = (
+                    bm.shell_offsets[bra.a],
+                    bm.shell_offsets[bra.b],
+                    bm.shell_offsets[ket.a],
+                    bm.shell_offsets[ket.b],
+                );
+                let mut i = 0;
+                for mu in oa..oa + na {
+                    for nu in ob..ob + nb {
+                        for la in oc..oc + nc {
+                            for si in od..od + nd {
+                                let v = block[i];
+                                i += 1;
+                                // All 8 images; duplicate writes are
+                                // idempotent (same canonical value).
+                                eri[at(mu, nu, la, si)] = v;
+                                eri[at(nu, mu, la, si)] = v;
+                                eri[at(mu, nu, si, la)] = v;
+                                eri[at(nu, mu, si, la)] = v;
+                                eri[at(la, si, mu, nu)] = v;
+                                eri[at(si, la, mu, nu)] = v;
+                                eri[at(la, si, nu, mu)] = v;
+                                eri[at(si, la, nu, mu)] = v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        eri
+    }
+
+    /// Reference `G` from the naive four-index loop over
+    /// [`full_eri_tensor`] (no symmetry in the contraction, no
+    /// screening), so the `serial_matches_naive_reference_*` tests are
+    /// end-to-end batched-vs-scalar checks. Test-sized molecules only.
+    fn g_matrix_reference(bm: &BasisedMolecule, density: &Matrix) -> Matrix {
+        let n = bm.nbf;
+        let eri = full_eri_tensor(bm);
+        let at = |m: usize, u: usize, l: usize, s: usize| ((m * n + u) * n + l) * n + s;
+        let mut g = Matrix::zeros(n, n);
+        for mu in 0..n {
+            for nu in 0..n {
+                let mut s = 0.0;
+                for la in 0..n {
+                    for si in 0..n {
+                        s += density[(la, si)]
+                            * (eri[at(mu, nu, la, si)] - 0.5 * eri[at(mu, la, nu, si)]);
+                    }
+                }
+                g[(mu, nu)] = s;
+            }
+        }
+        g
     }
 
     #[test]
@@ -537,24 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn jk_build_reduces_to_rhf_build() {
-        // execute_jk(P, P, ½) must equal the RHF build to the last bit.
-        let (bm, pairs) = setup(&Molecule::water());
-        let fb = FockBuilder::new(&bm, &pairs, 1e-10);
-        let d = mock_density(bm.nbf);
-        let mut g_rhf = Matrix::zeros(bm.nbf, bm.nbf);
-        let mut g_jk = Matrix::zeros(bm.nbf, bm.nbf);
-        let mut scratch = fb.scratch();
-        for t in fb.tasks(5) {
-            fb.execute(&t, &d, &mut g_rhf, &mut scratch);
-            fb.execute_jk(&t, &d, &d, 0.5, &mut g_jk, &mut scratch);
-        }
-        for (a, b) in g_rhf.as_slice().iter().zip(g_jk.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn image_table_matches_the_search_it_replaced() {
         // The distinct images of every canonical (μν|λσ) over 0..6, in
         // order, against a dedup search over all eight.
@@ -587,30 +592,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn jk_pure_coulomb_and_pure_exchange_split() {
-        // J-only plus (−K)-only equals the combined build (linearity).
-        let (bm, pairs) = setup(&Molecule::h2(1.4));
-        let fb = FockBuilder::new(&bm, &pairs, 0.0);
-        let d = mock_density(bm.nbf);
-        let zero = Matrix::zeros(bm.nbf, bm.nbf);
-        let mut j_only = Matrix::zeros(bm.nbf, bm.nbf);
-        let mut k_only = Matrix::zeros(bm.nbf, bm.nbf);
-        let mut combined = Matrix::zeros(bm.nbf, bm.nbf);
-        let mut scratch = fb.scratch();
-        for t in fb.tasks(usize::MAX) {
-            fb.execute_jk(&t, &d, &zero, 1.0, &mut j_only, &mut scratch);
-            fb.execute_jk(&t, &zero, &d, 1.0, &mut k_only, &mut scratch);
-            fb.execute_jk(&t, &d, &d, 1.0, &mut combined, &mut scratch);
-        }
-        let sum = j_only.add(&k_only).unwrap();
-        assert!(sum.max_abs_diff(&combined) < 1e-13);
-        // J of a positive density against itself is positive on the
-        // diagonal; K enters with a negative sign.
-        assert!(j_only[(0, 0)] > 0.0);
-        assert!(k_only[(0, 0)] < 0.0);
     }
 
     #[test]
@@ -666,7 +647,7 @@ mod tests {
                 let ket_pair = &fb.pairs.pairs[ket];
                 let block =
                     crate::eri::eri_quartet_alloc_reference(bra_pair, ket_pair, &fb.bm.shells);
-                images += fb.scatter(bra_pair, ket_pair, &block, d, d, 0.5, &mut g);
+                images += fb.scatter(bra_pair, ket_pair, &block, d, &mut g);
                 quartets += 1;
             }
         }
@@ -687,7 +668,7 @@ mod tests {
                 let ket_pair = &fb.pairs.pairs[ket];
                 let block =
                     crate::eri::eri_quartet_into(&mut scratch, bra_pair, ket_pair, &fb.bm.shells);
-                images += fb.scatter(bra_pair, ket_pair, block, d, d, 0.5, &mut g);
+                images += fb.scatter(bra_pair, ket_pair, block, d, &mut g);
                 quartets += 1;
             }
         }

@@ -4,8 +4,8 @@
 //! whose Fock build is the case-study kernel of the execution-model
 //! reproduction:
 //!
-//! * [`molecule`] — geometries and workload generators (water clusters,
-//!   alkanes, random clusters);
+//! * [`molecule`] — built-in geometries and workload generators (water
+//!   clusters, alkanes, benzene);
 //! * [`basis`] — contracted Gaussian shells, STO-3G and 6-31G data;
 //! * [`boys`], [`md`] — Boys function and McMurchie–Davidson machinery;
 //! * [`oneint`], [`eri`] — one- and two-electron integrals
@@ -41,29 +41,22 @@ pub mod eribatch;
 pub mod fock;
 pub mod md;
 pub mod molecule;
-pub mod mp2;
 pub mod oneint;
-pub mod properties;
 pub mod scf;
 pub mod screening;
 pub mod shellpair;
 pub mod synthetic;
 pub mod tasks;
-pub mod uhf;
 
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::basis::{BasisSet, BasisedMolecule, Element, Shell};
     pub use crate::fock::{FockBuilder, FockTask};
     pub use crate::molecule::Molecule;
-    pub use crate::mp2::{ao_to_mo, full_eri_tensor, mp2_energy};
-    pub use crate::oneint::{dipole, dipole_moment, AU_TO_DEBYE};
-    pub use crate::properties::{mulliken_charges, mulliken_electron_count};
     pub use crate::scf::{
         rhf, rhf_incremental, rhf_with, IncrementalStats, IterationPhases, ScfConfig, ScfResult,
     };
     pub use crate::screening::{ScreenedPairs, ScreeningStats};
     pub use crate::synthetic::{busy_work, calibrate_lognormal, generate_costs, CostModel};
     pub use crate::tasks::{imbalance, makespan_lower_bound, CostStats};
-    pub use crate::uhf::{spin_density, uhf, UhfResult};
 }

@@ -8,8 +8,8 @@
 //! * [`Molecule::alkane`] — linear CₙH₂ₙ₊₂ chains, elongated systems
 //!   where Schwarz screening kills most far-apart quartets and makes the
 //!   task-cost distribution extremely skewed;
-//! * [`Molecule::random_cluster`] — seeded random H/C/N/O clusters with a
-//!   minimum-distance constraint, for property tests and fuzzing.
+//! * [`Molecule::benzene`] — the aromatic ring whose contracted sp shells
+//!   make the Boys function and Hermite `R` tensor dominate.
 
 use crate::basis::Element;
 use rand::rngs::StdRng;
@@ -193,112 +193,6 @@ impl Molecule {
         }
         m
     }
-
-    /// Serializes to the XYZ file format (coordinates in Ångström).
-    pub fn to_xyz(&self, comment: &str) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.natoms());
-        let _ = writeln!(out, "{}", comment.replace('\n', " "));
-        for a in &self.atoms {
-            let _ = writeln!(
-                out,
-                "{} {:.8} {:.8} {:.8}",
-                a.element.symbol(),
-                a.position[0] / ANGSTROM,
-                a.position[1] / ANGSTROM,
-                a.position[2] / ANGSTROM
-            );
-        }
-        out
-    }
-
-    /// Parses the XYZ file format (coordinates in Ångström). Returns a
-    /// description of the first malformed line on error.
-    pub fn from_xyz(text: &str) -> Result<Molecule, String> {
-        let mut lines = text.lines();
-        let count: usize = lines
-            .next()
-            .ok_or("empty file")?
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad atom count: {e}"))?;
-        let _comment = lines.next().ok_or("missing comment line")?;
-        let mut m = Molecule::new();
-        for i in 0..count {
-            let line = lines
-                .next()
-                .ok_or_else(|| format!("missing atom line {i}"))?;
-            let mut it = line.split_whitespace();
-            let sym = it.next().ok_or_else(|| format!("empty atom line {i}"))?;
-            let element = Element::from_symbol(sym)
-                .ok_or_else(|| format!("unsupported element '{sym}' on line {i}"))?;
-            let mut coord = [0.0; 3];
-            for c in &mut coord {
-                *c = it
-                    .next()
-                    .ok_or_else(|| format!("missing coordinate on line {i}"))?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad coordinate on line {i}: {e}"))?
-                    * ANGSTROM;
-            }
-            m.push(element, coord);
-        }
-        Ok(m)
-    }
-
-    /// A seeded random cluster of `n` atoms drawn from H/C/N/O (H-rich),
-    /// rejection-sampled so no two atoms sit closer than 1.4 Bohr.
-    pub fn random_cluster(n: usize, seed: u64) -> Molecule {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_0002);
-        let box_side = (n as f64).cbrt() * 3.0 + 2.0;
-        let mut m = Molecule::new();
-        let mut guard = 0;
-        while m.natoms() < n {
-            guard += 1;
-            assert!(
-                guard < 100_000,
-                "random_cluster: placement did not converge"
-            );
-            let p = [
-                rng.random_range(0.0..box_side),
-                rng.random_range(0.0..box_side),
-                rng.random_range(0.0..box_side),
-            ];
-            let ok = m.atoms.iter().all(|a| dist2(a.position, p) > 1.4 * 1.4);
-            if !ok {
-                continue;
-            }
-            let el = match rng.random_range(0..10) {
-                0..=5 => Element::H,
-                6..=7 => Element::C,
-                8 => Element::N,
-                _ => Element::O,
-            };
-            m.push(el, p);
-        }
-        m
-    }
-
-    /// Geometric bounding-box diagonal (Bohr) — a quick size proxy.
-    pub fn extent(&self) -> f64 {
-        if self.atoms.is_empty() {
-            return 0.0;
-        }
-        let mut lo = [f64::INFINITY; 3];
-        let mut hi = [f64::NEG_INFINITY; 3];
-        for a in &self.atoms {
-            for d in 0..3 {
-                lo[d] = lo[d].min(a.position[d]);
-                hi[d] = hi[d].max(a.position[d]);
-            }
-        }
-        dist2(lo, hi).sqrt()
-    }
-}
-
-fn dist2(a: [f64; 3], b: [f64; 3]) -> f64 {
-    (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)
 }
 
 /// A 3×3 rotation matrix drawn uniformly-ish from random Euler angles.
@@ -332,6 +226,10 @@ fn rotate(r: &[[f64; 3]; 3], v: [f64; 3]) -> [f64; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn dist2(a: [f64; 3], b: [f64; 3]) -> f64 {
+        (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)
+    }
 
     #[test]
     fn water_geometry() {
@@ -387,9 +285,12 @@ mod tests {
 
     #[test]
     fn alkane_is_elongated() {
-        let short = Molecule::alkane(2).extent();
-        let long = Molecule::alkane(10).extent();
-        assert!(long > 3.0 * short);
+        // The C₁–Cₙ distance grows with the chain.
+        let ends = |n: usize| {
+            let m = Molecule::alkane(n);
+            dist2(m.atoms[0].position, m.atoms[n - 1].position).sqrt()
+        };
+        assert!(ends(10) > 3.0 * ends(2));
     }
 
     #[test]
@@ -406,65 +307,5 @@ mod tests {
         assert!((dch - 1.084 * ANGSTROM).abs() < 1e-10, "CH = {dch}");
         // Planar.
         assert!(b.atoms.iter().all(|a| a.position[2] == 0.0));
-    }
-
-    #[test]
-    fn xyz_roundtrip() {
-        let m = Molecule::water_cluster(2, 9);
-        let text = m.to_xyz("two waters");
-        let back = Molecule::from_xyz(&text).unwrap();
-        assert_eq!(back.natoms(), m.natoms());
-        for (a, b) in m.atoms.iter().zip(&back.atoms) {
-            assert_eq!(a.element, b.element);
-            for d in 0..3 {
-                assert!((a.position[d] - b.position[d]).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn xyz_parse_errors_are_descriptive() {
-        assert!(Molecule::from_xyz("").unwrap_err().contains("empty"));
-        assert!(Molecule::from_xyz("x\ncomment\n")
-            .unwrap_err()
-            .contains("atom count"));
-        assert!(Molecule::from_xyz("1\nc\nXx 0 0 0")
-            .unwrap_err()
-            .contains("unsupported"));
-        assert!(Molecule::from_xyz("1\nc\nH 0 0")
-            .unwrap_err()
-            .contains("missing coordinate"));
-        assert!(Molecule::from_xyz("2\nc\nH 0 0 0\n")
-            .unwrap_err()
-            .contains("missing atom line"));
-    }
-
-    #[test]
-    fn random_cluster_respects_min_distance() {
-        let m = Molecule::random_cluster(30, 42);
-        assert_eq!(m.natoms(), 30);
-        for (i, a) in m.atoms.iter().enumerate() {
-            for b in &m.atoms[i + 1..] {
-                assert!(dist2(a.position, b.position) > 1.4 * 1.4 - 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn random_cluster_deterministic() {
-        let a = Molecule::random_cluster(10, 1);
-        let b = Molecule::random_cluster(10, 1);
-        for (x, y) in a.atoms.iter().zip(&b.atoms) {
-            assert_eq!(x.position, y.position);
-            assert_eq!(x.element, y.element);
-        }
-    }
-
-    #[test]
-    fn extent_of_empty_and_single() {
-        assert_eq!(Molecule::new().extent(), 0.0);
-        let mut m = Molecule::new();
-        m.push(Element::H, [1.0, 2.0, 3.0]);
-        assert_eq!(m.extent(), 0.0);
     }
 }

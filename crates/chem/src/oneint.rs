@@ -128,79 +128,6 @@ pub fn core_hamiltonian(bm: &BasisedMolecule) -> Matrix {
         .expect("T and V shapes match")
 }
 
-/// Electric-dipole integral matrices `⟨μ| x |ν⟩, ⟨μ| y |ν⟩, ⟨μ| z |ν⟩`
-/// about the origin.
-///
-/// Uses the Hermite-moment identity `∫ x Λ_t dx = √(π/p)·(P_x δ_{t0} +
-/// δ_{t1})`: the dipole 1-D factor is `E₁^{ij} + P_x·E₀^{ij}` times the
-/// plain overlaps in the other two directions.
-pub fn dipole(bm: &BasisedMolecule) -> [Matrix; 3] {
-    let mut out = [
-        Matrix::zeros(bm.nbf, bm.nbf),
-        Matrix::zeros(bm.nbf, bm.nbf),
-        Matrix::zeros(bm.nbf, bm.nbf),
-    ];
-    let shells = &bm.shells;
-    for (a, sa) in shells.iter().enumerate() {
-        for (b, sb) in shells.iter().enumerate().skip(a) {
-            let pair = ShellPair::build(a, sa, b, sb, 0);
-            let carts_a = sa.cartesians();
-            let carts_b = sb.cartesians();
-            let (oa, ob) = (bm.shell_offsets[a], bm.shell_offsets[b]);
-            for pp in &pair.prims {
-                let pref = pp.coef * (PI / pp.p).powf(1.5);
-                for (ia, &ca) in carts_a.iter().enumerate() {
-                    for (ib, &cb) in carts_b.iter().enumerate() {
-                        let norm = sa.component_norm(ca) * sb.component_norm(cb);
-                        let (ax, ay, az) = ca;
-                        let (bx, by, bz) = cb;
-                        let s = [
-                            pp.ex.at(ax, bx, 0),
-                            pp.ey.at(ay, by, 0),
-                            pp.ez.at(az, bz, 0),
-                        ];
-                        let m = [
-                            pp.ex.at(ax, bx, 1) + pp.center[0] * s[0],
-                            pp.ey.at(ay, by, 1) + pp.center[1] * s[1],
-                            pp.ez.at(az, bz, 1) + pp.center[2] * s[2],
-                        ];
-                        let vals = [m[0] * s[1] * s[2], s[0] * m[1] * s[2], s[0] * s[1] * m[2]];
-                        for (d, &v) in vals.iter().enumerate() {
-                            let val = pref * v * norm;
-                            out[d][(oa + ia, ob + ib)] += val;
-                            if a != b {
-                                out[d][(ob + ib, oa + ia)] += val;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Conversion factor: atomic units of dipole moment → Debye.
-pub const AU_TO_DEBYE: f64 = 2.541_746_473;
-
-/// Total molecular dipole vector (a.u.) for a density matrix `P`:
-/// `μ = Σ_A Z_A R_A − Σ_{μν} P_{μν} ⟨μ|r|ν⟩`.
-pub fn dipole_moment(bm: &BasisedMolecule, density: &Matrix) -> [f64; 3] {
-    let ints = dipole(bm);
-    let mut mu = [0.0; 3];
-    for d in 0..3 {
-        let electronic = density.dot(&ints[d]).expect("shapes match");
-        let nuclear: f64 = bm
-            .charges
-            .iter()
-            .zip(&bm.positions)
-            .map(|(&z, r)| z * r[d])
-            .sum();
-        mu[d] = nuclear - electronic;
-    }
-    mu
-}
-
 /// Shared driver: loops over unique shell pairs, lets `fill` accumulate
 /// the pair block, then scatters it (and its transpose) into the matrix.
 fn build_pairwise(
@@ -367,53 +294,6 @@ mod tests {
         let t = kinetic(&bm);
         let et = jacobi_eigen(&t, 1e-12, 200).unwrap();
         assert!(et.values.iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn dipole_integrals_antisymmetric_under_inversion() {
-        // ⟨s|x|s⟩ between two s functions mirrored through the origin
-        // flips sign when the geometry is inverted.
-        let mut m1 = Molecule::new();
-        m1.push(crate::basis::Element::H, [0.0, 0.0, 0.7]);
-        m1.push(crate::basis::Element::H, [0.0, 0.0, -0.7]);
-        let bm = BasisedMolecule::assign(&m1, BasisSet::Sto3g);
-        let d = dipole(&bm);
-        // ⟨0|z|0⟩ = +c, ⟨1|z|1⟩ = −c by symmetry; x and y vanish.
-        assert!((d[2][(0, 0)] + d[2][(1, 1)]).abs() < 1e-12);
-        assert!(d[2][(0, 0)] > 0.0);
-        assert!(d[0][(0, 0)].abs() < 1e-14);
-        assert!(d[1][(0, 1)].abs() < 1e-14);
-    }
-
-    #[test]
-    fn dipole_translation_rule() {
-        // Shifting the molecule by T shifts ⟨μ|r|ν⟩ by T·S.
-        let bm0 = water_sto3g();
-        let mut shifted = Molecule::water();
-        for a in &mut shifted.atoms {
-            a.position[2] += 2.5;
-        }
-        let bm1 = BasisedMolecule::assign(&shifted, BasisSet::Sto3g);
-        let s = overlap(&bm0);
-        let d0 = dipole(&bm0);
-        let d1 = dipole(&bm1);
-        let expected = d0[2].add(&s.scaled(2.5)).unwrap();
-        assert!(d1[2].max_abs_diff(&expected) < 1e-10);
-        // x/y are untouched.
-        assert!(d1[0].max_abs_diff(&d0[0]) < 1e-10);
-    }
-
-    #[test]
-    fn water_dipole_reasonable() {
-        // RHF/STO-3G water dipole ≈ 1.7 D; with our C₂ᵥ geometry the
-        // moment lies along z with x/y ≈ 0.
-        use crate::scf::{rhf, ScfConfig};
-        let bm = water_sto3g();
-        let r = rhf(&bm, &ScfConfig::default());
-        let mu = dipole_moment(&bm, &r.density);
-        let debye = (mu[0] * mu[0] + mu[1] * mu[1] + mu[2] * mu[2]).sqrt() * AU_TO_DEBYE;
-        assert!(mu[0].abs() < 1e-6 && mu[1].abs() < 1e-6, "symmetry: {mu:?}");
-        assert!((debye - 1.71).abs() < 0.15, "dipole {debye} D");
     }
 
     #[test]

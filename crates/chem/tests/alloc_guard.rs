@@ -2,8 +2,8 @@
 //!
 //! A counting `#[global_allocator]` wrapper proves the scratch-buffer
 //! rework actually removed the per-quartet heap traffic: once a warmed
-//! [`EriScratch`] exists, executing every Fock task — plain, J/K and
-//! density-screened, all through the batched SoA kernel, plus the
+//! [`EriScratch`] exists, executing every Fock task — plain and
+//! density-screened, both through the batched SoA kernel, plus the
 //! retained scalar arm — performs **zero** allocations. The batched
 //! path stages its surviving-ket list and per-ket output blocks in the
 //! scratch too (`mem::take`/restore around the kernel call), so the
@@ -101,7 +101,6 @@ fn fock_execute_paths_are_allocation_free() {
     let n = count_allocs(|| {
         for t in &tasks {
             fb.execute(t, &d, &mut g, &mut scratch);
-            fb.execute_jk(t, &d, &d, 0.5, &mut g, &mut scratch);
             fb.execute_density_screened(t, &delta, &dmax, &mut g, &mut scratch);
             fb.execute_scalar(t, &d, &mut g, &mut scratch);
         }

@@ -8,10 +8,10 @@
 //!   arithmetic, products, and norms.
 //! * [`eigen::jacobi_eigen`] — a cyclic Jacobi eigensolver for real
 //!   symmetric matrices (eigenvalues + orthonormal eigenvectors).
-//! * [`ortho`] — symmetric (Löwdin) and canonical orthogonalization,
-//!   i.e. `S^{-1/2}` construction from an overlap matrix.
-//! * [`lu`] — partial-pivoting LU decomposition and linear solves (used
-//!   by the DIIS convergence accelerator).
+//! * [`ortho`] — symmetric (Löwdin) orthogonalization, i.e. `S^{-1/2}`
+//!   construction from an overlap matrix.
+//! * [`lu`] — partial-pivoting LU decomposition and solve (used by the
+//!   DIIS convergence accelerator).
 //!
 //! The library is deliberately free of external dependencies so the whole
 //! reproduction builds offline; it is not intended to compete with BLAS —
@@ -34,9 +34,9 @@ pub mod matrix;
 pub mod ortho;
 
 pub use eigen::{jacobi_eigen, Eigen};
-pub use lu::{lu_decompose, lu_solve, solve, Lu};
+pub use lu::{lu_decompose, lu_solve, Lu};
 pub use matrix::Matrix;
-pub use ortho::{canonical_orthogonalizer, inverse_sqrt, symmetric_orthogonalizer};
+pub use ortho::{inverse_sqrt, symmetric_orthogonalizer};
 
 /// Errors produced by the linear-algebra routines.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,8 +1,7 @@
 //! LU decomposition with partial pivoting and linear solves.
 //!
 //! Used by the DIIS extrapolation in the SCF driver (small, dense,
-//! possibly ill-conditioned systems) and by tests that need a reference
-//! solver.
+//! possibly ill-conditioned systems).
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -13,8 +12,6 @@ pub struct Lu {
     pub lu: Matrix,
     /// Row permutation: row `i` of `P·A` is row `perm[i]` of `A`.
     pub perm: Vec<usize>,
-    /// Sign of the permutation (`+1.0` or `-1.0`), handy for determinants.
-    pub perm_sign: f64,
 }
 
 /// Factorizes a square matrix as `P·A = L·U` with partial pivoting.
@@ -28,7 +25,6 @@ pub fn lu_decompose(a: &Matrix) -> Result<Lu> {
     let n = a.rows();
     let mut lu = a.clone();
     let mut perm: Vec<usize> = (0..n).collect();
-    let mut perm_sign = 1.0;
 
     for col in 0..n {
         // Pivot selection: largest magnitude in the remaining column.
@@ -51,7 +47,6 @@ pub fn lu_decompose(a: &Matrix) -> Result<Lu> {
                 lu[(pivot_row, j)] = tmp;
             }
             perm.swap(col, pivot_row);
-            perm_sign = -perm_sign;
         }
         let pivot = lu[(col, col)];
         for r in col + 1..n {
@@ -63,11 +58,7 @@ pub fn lu_decompose(a: &Matrix) -> Result<Lu> {
             }
         }
     }
-    Ok(Lu {
-        lu,
-        perm,
-        perm_sign,
-    })
+    Ok(Lu { lu, perm })
 }
 
 /// Solves `A·x = b` given a prior factorization of `A`.
@@ -102,26 +93,6 @@ pub fn lu_solve(f: &Lu, b: &[f64]) -> Result<Vec<f64>> {
     Ok(x)
 }
 
-/// One-shot convenience: factorize and solve `A·x = b`.
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    lu_solve(&lu_decompose(a)?, b)
-}
-
-/// Determinant via LU (product of pivots times permutation sign).
-pub fn determinant(a: &Matrix) -> Result<f64> {
-    match lu_decompose(a) {
-        Ok(f) => {
-            let mut d = f.perm_sign;
-            for i in 0..f.lu.rows() {
-                d *= f.lu[(i, i)];
-            }
-            Ok(d)
-        }
-        Err(LinalgError::Singular { .. }) => Ok(0.0),
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,7 +100,7 @@ mod tests {
     #[test]
     fn solve_known_system() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let x = solve(&a, &[5.0, 10.0]).unwrap();
+        let x = lu_solve(&lu_decompose(&a).unwrap(), &[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
@@ -138,7 +109,7 @@ mod tests {
     fn solve_requires_pivoting() {
         // Zero in the (0,0) position forces a row swap.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = solve(&a, &[2.0, 3.0]).unwrap();
+        let x = lu_solve(&lu_decompose(&a).unwrap(), &[2.0, 3.0]).unwrap();
         assert_eq!(x, vec![3.0, 2.0]);
     }
 
@@ -149,7 +120,7 @@ mod tests {
             ((i * 7 + j * 13 + 3) % 17) as f64 / 17.0 + if i == j { 2.0 } else { 0.0 }
         });
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 1.0).collect();
-        let x = solve(&a, &b).unwrap();
+        let x = lu_solve(&lu_decompose(&a).unwrap(), &b).unwrap();
         let ax = a.matvec(&x).unwrap();
         for (l, r) in ax.iter().zip(&b) {
             assert!((l - r).abs() < 1e-10);
@@ -163,7 +134,6 @@ mod tests {
             lu_decompose(&a),
             Err(LinalgError::Singular { .. })
         ));
-        assert_eq!(determinant(&a).unwrap(), 0.0);
     }
 
     #[test]
@@ -176,14 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_known() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert!((determinant(&a).unwrap() + 2.0).abs() < 1e-12);
-        let i = Matrix::identity(5);
-        assert!((determinant(&i).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn rhs_length_mismatch() {
         let a = Matrix::identity(3);
         let f = lu_decompose(&a).unwrap();
@@ -193,8 +155,8 @@ mod tests {
     #[test]
     fn permutation_sign_tracked() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        // One row swap: the odd permutation [1, 0].
         let f = lu_decompose(&a).unwrap();
-        assert_eq!(f.perm_sign, -1.0);
-        assert!((determinant(&a).unwrap() + 1.0).abs() < 1e-12);
+        assert_eq!(f.perm, vec![1, 0]);
     }
 }

@@ -3,12 +3,9 @@
 //! A Gaussian atomic-orbital basis is not orthonormal: the overlap
 //! matrix `S` is symmetric positive definite but far from the identity.
 //! The Roothaan equations `F C = S C ε` are turned into a standard
-//! eigenproblem by a transformation matrix `X` with `Xᵀ S X = 1`:
-//!
-//! * **Symmetric (Löwdin)**: `X = S^{-1/2}` — preserves maximal
-//!   resemblance between transformed and original orbitals.
-//! * **Canonical**: `X = V diag(λ^{-1/2})` with small-λ columns dropped —
-//!   the right choice when the basis carries near linear dependencies.
+//! eigenproblem by the symmetric (Löwdin) transformation `X = S^{-1/2}`,
+//! which satisfies `Xᵀ S X = 1` and preserves maximal resemblance
+//! between transformed and original orbitals.
 
 use crate::eigen::jacobi_eigen;
 use crate::{LinalgError, Matrix, Result};
@@ -35,27 +32,6 @@ pub fn inverse_sqrt(s: &Matrix, floor: f64) -> Result<Matrix> {
 /// conventional eigenvalue floor for quantum-chemistry overlap matrices.
 pub fn symmetric_orthogonalizer(s: &Matrix) -> Result<Matrix> {
     inverse_sqrt(s, 1e-10)
-}
-
-/// Canonical orthogonalizer `X = V diag(λ^{-1/2})`, dropping eigenpairs
-/// with `λ <= threshold`.
-///
-/// Returns an `n × m` matrix with `m <= n` columns; `m < n` indicates the
-/// basis had (near) linear dependencies. Always satisfies `Xᵀ S X = 1_m`.
-pub fn canonical_orthogonalizer(s: &Matrix, threshold: f64) -> Result<Matrix> {
-    let e = jacobi_eigen(s, 1e-12, 100)?;
-    let kept: Vec<usize> = (0..e.values.len())
-        .filter(|&i| e.values[i] > threshold)
-        .collect();
-    let n = s.rows();
-    let mut x = Matrix::zeros(n, kept.len());
-    for (col, &i) in kept.iter().enumerate() {
-        let scale = 1.0 / e.values[i].sqrt();
-        for r in 0..n {
-            x[(r, col)] = e.vectors[(r, i)] * scale;
-        }
-    }
-    Ok(x)
 }
 
 #[cfg(test)]
@@ -108,25 +84,5 @@ mod tests {
             inverse_sqrt(&s, 1e-12),
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
-    }
-
-    #[test]
-    fn canonical_matches_symmetric_for_well_conditioned() {
-        let s = sample_spd(5);
-        let x = canonical_orthogonalizer(&s, 1e-10).unwrap();
-        assert_eq!(x.cols(), 5);
-        let t = s.congruence(&x).unwrap();
-        assert!(t.max_abs_diff(&Matrix::identity(5)) < 1e-9);
-    }
-
-    #[test]
-    fn canonical_drops_dependent_directions() {
-        // Rank-deficient "overlap": duplicate basis function -> one zero
-        // eigenvalue. Canonical orthogonalization must drop it.
-        let s = Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[1.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
-        let x = canonical_orthogonalizer(&s, 1e-8).unwrap();
-        assert_eq!(x.cols(), 2);
-        let t = s.congruence(&x).unwrap();
-        assert!(t.max_abs_diff(&Matrix::identity(2)) < 1e-9);
     }
 }

@@ -9,7 +9,9 @@
 //!    randomness (`thread_rng`, `from_entropy`, `OsRng`): any of those
 //!    would make `replay_assignment` and `simulate_with_faults`
 //!    unreproducible. Instrumentation-only exceptions would be listed
-//!    explicitly in [`WALL_CLOCK_ALLOW`] (empty today).
+//!    explicitly in [`WALL_CLOCK_ALLOW`] (empty today). A root in
+//!    [`REPLAY_PATH_ROOTS`] that cannot be read is itself a finding, so
+//!    a renamed file cannot drop out of the scan unnoticed.
 //! 2. **Experiment registration** — every experiment id matched by the
 //!    `reproduce` binary must be runnable from its default list (or be
 //!    an explicitly-listed on-demand id), and vice versa, so dead or
@@ -112,7 +114,6 @@ const NO_PAIR_REBUILD_FILES: &[&str] = &[
     "crates/chem/src/eri.rs",
     "crates/chem/src/eribatch.rs",
     "crates/chem/src/fock.rs",
-    "crates/chem/src/mp2.rs",
 ];
 
 fn repo_root() -> PathBuf {
@@ -125,11 +126,14 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn rust_sources(root: &Path, rel: &str) -> Vec<PathBuf> {
+/// The `.rs` files under `rel` (or `rel` itself if it is a file); `None`
+/// when `rel` is neither a file nor a readable directory.
+fn rust_sources(root: &Path, rel: &str) -> Option<Vec<PathBuf>> {
     let path = root.join(rel);
     if path.is_file() {
-        return vec![path];
+        return Some(vec![path]);
     }
+    std::fs::read_dir(&path).ok()?;
     let mut out = Vec::new();
     let mut stack = vec![path];
     while let Some(dir) = stack.pop() {
@@ -146,7 +150,7 @@ fn rust_sources(root: &Path, rel: &str) -> Vec<PathBuf> {
         }
     }
     out.sort();
-    out
+    Some(out)
 }
 
 /// Whether an allow entry excuses `line` of file `shown`; marks every
@@ -186,8 +190,13 @@ fn scan_for(
 ) {
     let mut used = vec![false; allow.len()];
     for rel in roots {
-        for file in rust_sources(root, rel) {
+        let Some(files) = rust_sources(root, rel) else {
+            findings.push(format!("{what}: cannot read {rel}"));
+            continue;
+        };
+        for file in files {
             let Ok(text) = std::fs::read_to_string(&file) else {
+                findings.push(format!("{what}: cannot read {}", file.display()));
                 continue;
             };
             let shown = file
@@ -749,6 +758,31 @@ mod tests {
         lint_replay_hygiene_at(&fx.0, &["crates/bad/src"], &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].contains("ambient randomness"), "{findings:?}");
+    }
+
+    #[test]
+    fn replay_hygiene_flags_a_missing_root() {
+        // A renamed or deleted entry must not drop out of the scan
+        // silently: each of the two scans reports it.
+        let fx = Fixture::new("replay-missing");
+        fx.write(
+            "crates/ok/src/lib.rs",
+            "fn f() {}
+",
+        );
+        let mut findings = Vec::new();
+        lint_replay_hygiene_at(
+            &fx.0,
+            &["crates/ok/src", "crates/gone/src/eventq.rs"],
+            &mut findings,
+        );
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        for f in &findings {
+            assert!(
+                f.contains("cannot read crates/gone/src/eventq.rs"),
+                "{findings:?}"
+            );
+        }
     }
 
     #[test]

@@ -86,13 +86,4 @@ fn main() {
         result.energy, result.iterations, result.converged
     );
     assert!((result.energy + 75.98).abs() < 0.05);
-
-    let final_q = mulliken_charges(&bm, &result.density);
-    println!(
-        "Mulliken charges: O {:+.3}, H {:+.3}, {:+.3}",
-        final_q[0], final_q[1], final_q[2]
-    );
-    let mu = dipole_moment(&bm, &result.density);
-    let debye = (mu[0] * mu[0] + mu[1] * mu[1] + mu[2] * mu[2]).sqrt() * AU_TO_DEBYE;
-    println!("dipole moment: {debye:.3} D");
 }

@@ -221,24 +221,6 @@ proptest! {
     }
 
     #[test]
-    fn xyz_roundtrip_random_molecules(
-        n in 1usize..25,
-        seed in 0u64..5000,
-    ) {
-        use emx_chem::molecule::Molecule;
-        let m = Molecule::random_cluster(n, seed);
-        let text = m.to_xyz("prop");
-        let back = Molecule::from_xyz(&text).unwrap();
-        prop_assert_eq!(back.natoms(), m.natoms());
-        for (a, b) in m.atoms.iter().zip(&back.atoms) {
-            prop_assert_eq!(a.element, b.element);
-            for d in 0..3 {
-                prop_assert!((a.position[d] - b.position[d]).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
     fn seeded_stealing_conserves_work(
         costs in cost_vector(),
         workers in 1usize..20,

@@ -1,12 +1,12 @@
 //! `fock_hotpath` measurement: the real (H₂O)₂/6-31G Fock build per
 //! policy × workers, reported as builds/second and ERI quartets/second.
 //!
-//! Unlike `sched_overhead` (empty task bodies, pure dispatch cost) this
-//! measures the production kernel end to end — screening lookups, ERI
-//! evaluation, scatter — so it is the number the kernel-perf trajectory
-//! (`results/BENCH_fock.json`) tracks across revisions. Shared between
-//! the `fock_hotpath` bench target and `reproduce fock` so both report
-//! the same workload.
+//! Unlike the benchmark's `runtime.dispatch_ns_per_task.*` (empty task
+//! bodies, pure dispatch cost) this measures the production kernel end
+//! to end — screening lookups, ERI evaluation, scatter — so it is the
+//! number the kernel-perf trajectory (`results/BENCH_fock.json`) tracks
+//! across revisions. Shared between the `fock_hotpath` bench target and
+//! `reproduce fock` so both report the same workload.
 
 use emx_chem::basis::{BasisSet, BasisedMolecule};
 use emx_chem::molecule::Molecule;

@@ -1,9 +1,9 @@
 //! # emx-bench — shared helpers for the benchmark harness
 //!
-//! The criterion benches (`benches/e*.rs`) and the `reproduce` binary
-//! regenerate every table and figure of the study; this library holds
-//! the workload constructors they share so all targets measure the same
-//! inputs.
+//! The `reproduce` binary regenerates every table and figure of the
+//! study, and the `fock_hotpath` bench tracks the kernel's throughput;
+//! this library holds the workload constructors and measurements they
+//! share so all targets measure the same inputs.
 
 use emx_chem::basis::BasisSet;
 use emx_chem::molecule::Molecule;
@@ -38,18 +38,6 @@ pub fn chem_workload_medium() -> KernelWorkload {
         1e-10,
         1.0,
         "(H2O)2/6-31G chunk=8",
-    )
-}
-
-/// A small chemistry workload for real-kernel (non-simulated) benches.
-pub fn chem_workload_small() -> KernelWorkload {
-    estimate_fock_workload(
-        &Molecule::water(),
-        BasisSet::Sto3g,
-        4,
-        1e-10,
-        1.0,
-        "H2O/STO-3G chunk=4",
     )
 }
 

@@ -232,10 +232,12 @@ fn variability_injection_does_not_change_results() {
     let d = mock_density(bm.nbf);
     let (reference, _) = pf.execute(&d, &Executor::new(1, PolicyKind::Serial));
 
+    // Both cores slowed: with one, stealing can finish this tiny build
+    // on the unpadded worker before the padded one runs a task.
     let mut ex = Executor::new(2, PolicyKind::WorkStealing(StealConfig::default()));
     ex.variability = Variability::SlowCores {
         factor: 2.0,
-        count: 1,
+        count: 2,
     };
     let (g, report) = pf.execute(&d, &ex);
     assert!(g.max_abs_diff(&reference) < 1e-11);

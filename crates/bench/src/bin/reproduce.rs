@@ -19,8 +19,8 @@
 //! Output is plain-text
 //! tables; pass `--csv DIR` to also write stamped CSV files,
 //! `--trace-out DIR` for Chrome trace JSON (one per roster policy under
-//! `profile`) and `--metrics-out FILE` for a stamped JSONL metrics
-//! snapshot (the latter two imply `obs`). A flag without its value
+//! `profile`) and `--metrics-out FILE` for the stamped JSONL records
+//! (the latter two imply `obs`). A flag without its value
 //! prints the usage and exits with status 2.
 
 use emx_balance::prelude::{movement, rebalance, PersistenceConfig, Problem};
@@ -174,10 +174,7 @@ fn main() {
             "faults" => {
                 let w = chem_workload_medium();
                 tables.push(e10_faults(&w, 16, &machine));
-                // Instrumented capture of one fail-stop stealing run:
-                // fault events flow through the emx-obs registry exactly
-                // as runtime/sim metrics do.
-                let reg = emx_obs::MetricsRegistry::new();
+                // One fail-stop stealing run, read off its fault report.
                 let ideal = w.total() / 16.0;
                 let cfg = SimConfig {
                     workers: 16,
@@ -191,17 +188,15 @@ fn main() {
                     &cfg,
                     &plan,
                 );
-                publish_fault_metrics(&reg, "faults.failstop", &r);
                 println!(
                     "[faults] fail-stop capture on {}: injected {}, detected {}, \
-                     orphaned {}, recovered {}, lost {} ({} fault metrics registered)\n",
+                     orphaned {}, recovered {}, lost {}\n",
                     w.name,
                     r.faults.injected,
                     r.faults.detected,
                     r.faults.orphaned,
                     r.faults.recovered,
                     r.faults.lost,
-                    reg.snapshot().len()
                 );
             }
             "f1" => {
@@ -548,7 +543,7 @@ fn stamped_csv(meta: &RunMeta, t: &Table) -> String {
 }
 
 /// The `obs` experiment: runs the instrumented capture and writes its
-/// Chrome traces / JSONL metrics wherever the flags point.
+/// Chrome traces / JSONL records wherever the flags point.
 fn run_obs_capture(trace_dir: Option<&str>, metrics_path: Option<&str>) {
     let capture = capture_observability("obs");
     println!(
@@ -580,7 +575,7 @@ fn run_obs_capture(trace_dir: Option<&str>, metrics_path: Option<&str>) {
                 capture.metrics_jsonl.lines().count()
             );
         }
-        None => println!("pass --metrics-out FILE to write the JSONL metrics snapshot"),
+        None => println!("pass --metrics-out FILE to write the JSONL records"),
     }
     println!();
 }

@@ -23,9 +23,8 @@ use emx_chem::basis::{BasisSet, BasisedMolecule};
 use emx_chem::molecule::Molecule;
 use emx_chem::screening::ScreenedPairs;
 use emx_core::fockexec::{FockProfile, ParallelFock};
-use emx_obs::{Attribution, MetricsRegistry, RingSet};
-use emx_runtime::{Executor, PolicyKind, RuntimeObs};
-use std::sync::Arc;
+use emx_obs::{Attribution, RingSet};
+use emx_runtime::{Executor, PolicyKind};
 use std::time::Instant;
 
 /// Ceiling on the rings-on recording overhead vs the obs-off build
@@ -195,8 +194,7 @@ pub fn recording_overhead(
 
     let off = median_secs(&Executor::new(workers, kind.clone()));
     let rings = RingSet::new(workers, PROFILE_RING_CAPACITY);
-    let obs = RuntimeObs::new(Arc::new(MetricsRegistry::new())).with_rings(rings);
-    let on = median_secs(&Executor::new(workers, kind).with_obs(obs));
+    let on = median_secs(&Executor::new(workers, kind).with_rings(rings));
 
     RecordingOverhead {
         samples,

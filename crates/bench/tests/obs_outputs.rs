@@ -1,15 +1,16 @@
 //! Shape tests for the `obs` experiment's exports: the Chrome trace
 //! JSON must be Perfetto-loadable (valid JSON, metadata tracks,
 //! monotonic slice timestamps, one `task` slice per task on `worker N`
-//! or `rank N` tracks) and the JSONL metrics snapshot must be stamped,
-//! parseable line by line, and cover the study's headline observables.
+//! or `rank N` tracks) and the JSONL records must be stamped, parseable
+//! line by line, and carry one attribution per captured run plus one
+//! record per SCF iteration.
 
 use emx_bench::capture_observability;
 use emx_chem::basis::{BasisSet, BasisedMolecule};
 use emx_chem::molecule::Molecule;
 use emx_chem::scf::ScfConfig;
 use emx_core::prelude::{ParallelFock, ScreenedPairs};
-use emx_obs::{Json, SCHEMA_VERSION};
+use emx_obs::{Attribution, Json, SCHEMA_VERSION};
 
 fn parsed_lines(jsonl: &str) -> Vec<Json> {
     jsonl
@@ -22,11 +23,7 @@ fn parsed_lines(jsonl: &str) -> Vec<Json> {
 fn metrics_jsonl_is_stamped_and_complete() {
     let capture = capture_observability("obs");
     let lines = parsed_lines(&capture.metrics_jsonl);
-    assert!(
-        lines.len() > 10,
-        "expected a rich snapshot, got {}",
-        lines.len()
-    );
+    assert_eq!(lines.len(), 1 + 3 + capture.scf_iterations);
 
     // Meta header: first line, exactly once.
     let head = &lines[0];
@@ -43,40 +40,37 @@ fn metrics_jsonl_is_stamped_and_complete() {
         .count();
     assert_eq!(metas, 1);
 
-    // Headline observables, each with the right kind.
-    let kind_of = |name: &str| -> String {
-        lines
+    // One attribution record per captured run, in order, each over
+    // its run's workers with every task attributed once.
+    let attributions: Vec<&Json> = lines
+        .iter()
+        .filter(|l| l.get("record").and_then(|r| r.as_str()) == Some("attribution"))
+        .collect();
+    let names: Vec<&str> = attributions
+        .iter()
+        .map(|l| l.get("name").unwrap().as_str().unwrap())
+        .collect();
+    assert_eq!(names, ["exec.ws", "exec.counter", "sim.ws"]);
+    let bm = BasisedMolecule::assign(&Molecule::water(), BasisSet::Sto3g);
+    let cfg = ScfConfig::default();
+    let pairs = ScreenedPairs::build(&bm, cfg.tau * 1e-2);
+    let fock_tasks = ParallelFock::new(&bm, &pairs, cfg.tau, 2).ntasks();
+    for (rec, (workers, ntasks)) in
+        attributions
             .iter()
-            .find(|l| l.get("name").and_then(|n| n.as_str()) == Some(name))
-            .unwrap_or_else(|| panic!("missing metric {name}"))
-            .get("kind")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string()
+            .zip([(4, fock_tasks), (4, fock_tasks), (8, 256)])
+    {
+        let a = Attribution::from_json(rec).expect("attribution fields");
+        assert_eq!(a.workers.len(), workers, "{}", a.policy);
+        assert_eq!(a.totals().tasks, ntasks as u64, "{}", a.policy);
+        assert_eq!(a.overwritten, 0, "{}", a.policy);
+    }
+    let steal_attempts = |i: usize| {
+        let a = Attribution::from_json(attributions[i]).unwrap();
+        a.totals().steal_attempts
     };
-    for gauge in [
-        "exec.ws.utilization",
-        "exec.ws.busy_imbalance",
-        "sim.ws.utilization",
-    ] {
-        assert_eq!(kind_of(gauge), "gauge", "{gauge}");
-    }
-    for counter in [
-        "runtime.steal_attempts",
-        "runtime.steals",
-        "runtime.counter_fetches",
-    ] {
-        assert_eq!(kind_of(counter), "counter", "{counter}");
-    }
-    for hist in [
-        "runtime.steal_latency",
-        "runtime.counter_fetch_latency",
-        "runtime.task_duration",
-        "chem.quartets_per_task",
-    ] {
-        assert_eq!(kind_of(hist), "histogram", "{hist}");
-    }
+    assert!(steal_attempts(2) > 0, "the simulated stealing run probes");
+    assert_eq!(steal_attempts(1), 0, "the counter run never steals");
 
     // SCF phase records: one per iteration, with all phase fields.
     let scf_iters: Vec<&Json> = lines

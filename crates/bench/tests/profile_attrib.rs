@@ -17,9 +17,8 @@ use emx_chem::screening::ScreenedPairs;
 use emx_core::prelude::ParallelFock;
 use emx_distsim::prelude::{simulate_policy, SimConfig};
 use emx_linalg::Matrix;
-use emx_obs::{Attribution, EventKind, MetricsRegistry, ProfEvent, RingSet};
-use emx_runtime::{Executor, PolicyKind, RuntimeObs};
-use std::sync::Arc;
+use emx_obs::{Attribution, EventKind, ProfEvent, RingSet};
+use emx_runtime::{Executor, PolicyKind};
 
 /// Gate 1: on every policy of the full roster, the per-worker
 /// compute/counter/steal/merge/idle decomposition covers each worker's
@@ -88,8 +87,7 @@ fn thread_and_simulator_task_event_schemas_agree_for_static_block() {
 
     // Real threads, rings attached.
     let rings = RingSet::new(WORKERS, 256);
-    let obs = RuntimeObs::new(Arc::new(MetricsRegistry::new())).with_rings(rings.clone());
-    let ex = Executor::new(WORKERS, kind.clone()).with_obs(obs);
+    let ex = Executor::new(WORKERS, kind.clone()).with_rings(rings.clone());
     let (_, report) = ex.run(NTASKS, |_| 0u64, |i, acc| *acc += i as u64);
     assert_eq!(report.total_tasks_run(), NTASKS);
     let thread_events = rings.events_per_worker();

@@ -15,9 +15,8 @@ use emx_chem::fock::{FockBuilder, FockTask};
 use emx_chem::scf::{rhf_with, ScfConfig, ScfResult};
 use emx_chem::screening::ScreenedPairs;
 use emx_linalg::Matrix;
-use emx_obs::{Attribution, MetricsRegistry, ProfEvent, RingSet};
-use emx_runtime::{ExecutionReport, Executor, PolicyKind, RuntimeObs};
-use std::sync::Arc;
+use emx_obs::{Attribution, ProfEvent, RingSet};
+use emx_runtime::{ExecutionReport, Executor, PolicyKind};
 use std::time::Instant;
 
 /// Everything one profiled Fock build captures beyond its result: the
@@ -99,28 +98,15 @@ impl<'a> ParallelFock<'a> {
     /// stealing reorders additions within a worker but stays within
     /// floating-point reassociation noise (≪ SCF tolerances), which the
     /// integration tests pin.
-    ///
-    /// When the executor carries observability ([`Executor::with_obs`]),
-    /// every task additionally records its computed ERI quartet count
-    /// into a `chem.quartets_per_task` histogram — the decomposition's
-    /// grain-size distribution, resolved once per build.
     pub fn execute(&self, density: &Matrix, executor: &Executor) -> (Matrix, ExecutionReport) {
         let n = density.rows();
-        let quartets = executor
-            .obs
-            .as_ref()
-            .map(|o| o.metrics.histogram("chem.quartets_per_task", "count"));
         let ((g, _), report) = executor.run_reduced(
             self.tasks.len(),
             |_| (Matrix::zeros(n, n), self.scratch()),
             |i, local: &mut (Matrix, EriScratch)| {
                 let (g_local, scratch) = local;
-                let q = self
-                    .builder
+                self.builder
                     .execute(&self.tasks[i], density, g_local, scratch);
-                if let Some(h) = &quartets {
-                    h.record(q);
-                }
             },
             |acc, other| {
                 acc.0.axpy(1.0, &other.0).expect("local G shapes match");
@@ -152,15 +138,17 @@ impl<'a> ParallelFock<'a> {
     ) -> (Matrix, ExecutionReport, FockProfile) {
         let label = kind.name();
         let rings = RingSet::new(workers, ring_capacity);
-        let obs = RuntimeObs::new(Arc::new(MetricsRegistry::new())).with_rings(rings.clone());
-        let ex = Executor::new(workers, kind).with_obs(obs);
+        let ex = Executor::new(workers, kind).with_rings(rings.clone());
         let start = Instant::now();
         let (g, report) = self.execute(density, &ex);
         let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let snaps = rings.snapshot_all();
         let overwritten: u64 = snaps.iter().map(|s| s.overwritten).sum();
         let events: Vec<Vec<ProfEvent>> = snaps.into_iter().map(|s| s.events).collect();
-        let attribution = Attribution::build_with_losses(label, wall_ns, &events, overwritten);
+        let attribution = Attribution {
+            overwritten,
+            ..Attribution::build(label, wall_ns, &events)
+        };
         (
             g,
             report,
@@ -246,35 +234,6 @@ mod tests {
         assert!(serial.converged && ws.converged);
         assert!((serial.energy - ws.energy).abs() < 1e-9);
         assert_eq!(reports.len(), ws.iterations);
-    }
-
-    #[test]
-    fn observed_executor_records_quartets_per_task() {
-        use emx_runtime::RuntimeObs;
-        let bm = water();
-        let pairs = ScreenedPairs::build(&bm, 1e-12);
-        let pf = ParallelFock::new(&bm, &pairs, 1e-10, 4);
-        let mut d = Matrix::from_fn(bm.nbf, bm.nbf, |i, j| {
-            0.2 / (1.0 + (i as f64 - j as f64).abs())
-        });
-        d.symmetrize();
-        let metrics = std::sync::Arc::new(emx_obs::MetricsRegistry::new());
-        let obs = RuntimeObs::new(metrics.clone());
-        let exec = Executor::new(2, PolicyKind::WorkStealing(StealConfig::default())).with_obs(obs);
-        let (_, report) = pf.execute(&d, &exec);
-        let entries = metrics.snapshot();
-        let h = entries
-            .iter()
-            .find(|e| e.name == "chem.quartets_per_task")
-            .unwrap();
-        match &h.value {
-            emx_obs::MetricValue::Histogram(s) => {
-                assert_eq!(s.count, pf.ntasks() as u64);
-                assert!(s.sum > 0, "a water Fock build computes quartets");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(report.total_tasks_run(), pf.ntasks());
     }
 
     #[test]

@@ -44,7 +44,6 @@ use crate::sim::{SimConfig, SimModel, SimReport, SplitMix};
 use emx_balance::prelude::{
     full_adjacency, rebalance, semi_matching, PersistenceConfig, Problem, SemiMatchConfig,
 };
-use emx_obs::MetricsRegistry;
 
 /// A scheduled fail-stop failure of one simulated rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -301,29 +300,6 @@ pub fn simulate_with_faults(
     plan: &FaultPlan,
 ) -> FaultReport {
     crate::sim::run(costs, &model.lower(cfg), cfg, plan)
-}
-
-/// Publishes the fault accounting of `report` into `metrics` under
-/// `prefix` (e.g. `distsim.faults`): one counter per [`FaultStats`]
-/// field and a histogram of recovery latency in nanoseconds.
-pub fn publish_fault_metrics(metrics: &MetricsRegistry, prefix: &str, report: &FaultReport) {
-    let f = &report.faults;
-    let add = |name: &str, unit: &str, v: u64| {
-        metrics.counter(&format!("{prefix}.{name}"), unit).add(v);
-    };
-    add("injected", "events", f.injected);
-    add("detected", "events", f.detected);
-    add("orphaned", "tasks", f.orphaned);
-    add("recovered", "tasks", f.recovered);
-    add("lost", "tasks", f.lost);
-    add("dropped_messages", "messages", f.dropped_messages);
-    add("delayed_messages", "messages", f.delayed_messages);
-    add("rpc_timeouts", "events", f.rpc_timeouts);
-    add("counter_failovers", "events", f.counter_failovers);
-    let hist = metrics.histogram(&format!("{prefix}.recovery_latency"), "ns");
-    for &lat in &f.recovery_latency {
-        hist.record((lat * 1e9) as u64);
-    }
 }
 
 /// Earliest scheduled death per worker; empty when the plan kills
@@ -786,26 +762,6 @@ mod tests {
         );
         assert_eq!(r.faults.lost, 0, "survivors must finish every task");
         assert_eq!(r.sim.tasks.iter().sum::<usize>(), 48);
-    }
-
-    #[test]
-    fn publish_metrics_snapshot_contains_fault_series() {
-        let costs = skewed(48);
-        let cfg = SimConfig::new(4);
-        let plan = FaultPlan::fault_free().with_rank_failure(1, 1e-4);
-        let r = simulate_with_faults(
-            &costs,
-            &SimModel::WorkStealing { steal_half: true },
-            &cfg,
-            &plan,
-        );
-        let metrics = MetricsRegistry::new();
-        publish_fault_metrics(&metrics, "distsim.faults", &r);
-        let snap = metrics.snapshot();
-        assert!(snap.iter().any(|e| e.name == "distsim.faults.injected"));
-        assert!(snap
-            .iter()
-            .any(|e| e.name == "distsim.faults.recovery_latency"));
     }
 
     #[test]

@@ -34,18 +34,16 @@
 pub mod eventq;
 pub mod faults;
 pub mod machine;
-pub mod obs;
 pub mod sim;
 
 /// Common imports.
 pub mod prelude {
     pub use crate::eventq::{EventQueue, QueueKind};
     pub use crate::faults::{
-        publish_fault_metrics, simulate_with_faults, CounterOutage, FaultPlan, FaultReport,
-        FaultStats, RankFailure, RecoveryPolicy,
+        simulate_with_faults, CounterOutage, FaultPlan, FaultReport, FaultStats, RankFailure,
+        RecoveryPolicy,
     };
     pub use crate::machine::{MachineModel, Topology};
-    pub use crate::obs::publish_sim_metrics;
     pub use crate::sim::{
         simulate, simulate_policy, simulate_static_with_data, DataLayout, SimConfig, SimModel,
         SimReport,

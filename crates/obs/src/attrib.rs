@@ -106,18 +106,8 @@ impl Attribution {
     /// Builds the attribution from per-worker event streams (each
     /// oldest-first, as [`RingSet::events_per_worker`] and
     /// the simulator emit them) and the harness-measured wall time.
+    /// `overwritten` is 0; a caller whose rings lost events sets it.
     pub fn build(policy: &str, wall_ns: u64, events: &[Vec<ProfEvent>]) -> Attribution {
-        Attribution::build_with_losses(policy, wall_ns, events, 0)
-    }
-
-    /// [`Attribution::build`] recording how many events were lost to
-    /// ring overwrite before the surviving window.
-    pub fn build_with_losses(
-        policy: &str,
-        wall_ns: u64,
-        events: &[Vec<ProfEvent>],
-        overwritten: u64,
-    ) -> Attribution {
         let workers: Vec<WorkerBlame> = events
             .iter()
             .enumerate()
@@ -130,7 +120,7 @@ impl Attribution {
             workers,
             critical_path_ns,
             critical_path_nodes,
-            overwritten,
+            overwritten: 0,
         }
     }
 
@@ -139,7 +129,10 @@ impl Attribution {
         let snaps = rings.snapshot_all();
         let overwritten = snaps.iter().map(|s| s.overwritten).sum();
         let events: Vec<Vec<ProfEvent>> = snaps.into_iter().map(|s| s.events).collect();
-        Attribution::build_with_losses(policy, wall_ns, &events, overwritten)
+        Attribution {
+            overwritten,
+            ..Attribution::build(policy, wall_ns, &events)
+        }
     }
 
     /// Aggregate blame over all workers (the `worker` field is the
@@ -582,7 +575,10 @@ mod tests {
             ev(EventKind::TaskStart, 0, 0),
             ev(EventKind::TaskEnd, 0, 40),
         ];
-        let a = Attribution::build_with_losses("static-block", 50, &[w0], 3);
+        let a = Attribution {
+            overwritten: 3,
+            ..Attribution::build("static-block", 50, &[w0])
+        };
         let j = a.to_json();
         let back = Attribution::from_json(&Json::parse(&j.to_json_string()).unwrap()).unwrap();
         assert_eq!(back, a);
@@ -631,7 +627,10 @@ mod tests {
             ev(EventKind::StealSuccess, 0, 50), // no hunt open
             ev(EventKind::MergeEnd, 1, 60),
         ];
-        let a = Attribution::build_with_losses("ws", 100, &[w0], 5);
+        let a = Attribution {
+            overwritten: 5,
+            ..Attribution::build("ws", 100, &[w0])
+        };
         assert_eq!(a.workers[0].compute_ns, 0);
         assert_eq!(a.workers[0].steal_ns, 0);
         assert_eq!(a.workers[0].merge_ns, 0);

@@ -46,11 +46,6 @@ impl ChromeTrace {
         self.process_names.insert(pid, name.into());
     }
 
-    /// Names one thread track.
-    pub fn set_thread_name(&mut self, pid: u32, tid: u32, name: impl Into<String>) {
-        self.thread_names.insert((pid, tid), name.into());
-    }
-
     /// Adds one complete event.
     pub fn add_span(
         &mut self,
@@ -82,7 +77,7 @@ impl ChromeTrace {
     pub fn add_event_streams(&mut self, pid: u32, track: &str, streams: &[Vec<ProfEvent>]) {
         for (w, stream) in streams.iter().enumerate() {
             let tid = w as u32;
-            self.set_thread_name(pid, tid, format!("{track} {w}"));
+            self.thread_names.insert((pid, tid), format!("{track} {w}"));
             let (mut task, mut fetch, mut merge, mut hunt) = (None, None, None, None);
             for e in stream {
                 let closed = match e.kind {

@@ -28,15 +28,11 @@
 //! | `IdleEnd`           | 0              | hunt ends without a steal      |
 //! | `MergeStart/MergeEnd` | other slot   | pairwise reduction-tree merge  |
 //!
-//! A hunt costs a ring O(1) events however long it lasts. The
-//! simulator, whose probes are few and cost no host time to record,
-//! writes a `StealAttempt` and a `StealFail`/`StealSuccess` for each
-//! and `IdleStart` with `arg` 0. A real thief makes thousands of failed
-//! probes while a peer finishes its last task, which as an event each
-//! wrap the ring over the worker's own tasks; the thread runtime counts
-//! them and writes the hunt when it closes: `IdleStart` stamped with the
-//! time the hunt began and carrying the failed count, then either the
-//! winning `StealAttempt` + `StealSuccess` or `IdleEnd`.
+//! A hunt costs a ring O(1) events however long it lasts: the thread
+//! runtime counts a thief's failed probes and, when the hunt closes,
+//! writes `IdleStart` (stamped at the hunt's start, carrying the count)
+//! and the winning `StealAttempt` + `StealSuccess`, or `IdleEnd`. The
+//! simulator's probes are few, so it writes one event pair per probe.
 //!
 //! ## Slot protocol
 //!
@@ -305,16 +301,17 @@ impl RingWriter {
         slot.seq.store(2 * n + 2, Ordering::Release);
         self.ring.head.store(n + 1, Ordering::Release);
     }
-
-    /// The ring this writer feeds.
-    pub fn ring(&self) -> &Arc<EventRing> {
-        &self.ring
-    }
 }
 
 /// One ring per worker — the unit the runtime and simulator attach.
 pub struct RingSet {
     rings: Vec<Arc<EventRing>>,
+}
+
+impl std::fmt::Debug for RingSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RingSet({} workers)", self.rings.len())
+    }
 }
 
 impl RingSet {
@@ -324,11 +321,6 @@ impl RingSet {
         Arc::new(RingSet {
             rings: (0..workers).map(|_| EventRing::new(capacity)).collect(),
         })
-    }
-
-    /// Number of per-worker rings.
-    pub fn workers(&self) -> usize {
-        self.rings.len()
     }
 
     /// The producer handle for `worker`. Panics on an out-of-range

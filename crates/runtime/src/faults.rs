@@ -23,7 +23,7 @@
 //! seeded hashes.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Which tasks are poisoned (panic once when first executed).
@@ -81,7 +81,6 @@ pub(crate) struct FaultState {
     poisoned: Vec<bool>,
     tripped: Vec<AtomicBool>,
     attempts: Vec<AtomicU32>,
-    first_fail_ns: Vec<AtomicU64>,
     aborted: AtomicBool,
     pub(crate) max_retries: u32,
 }
@@ -108,7 +107,6 @@ impl FaultState {
             poisoned,
             tripped: (0..ntasks).map(|_| AtomicBool::new(false)).collect(),
             attempts: (0..ntasks).map(|_| AtomicU32::new(0)).collect(),
-            first_fail_ns: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
             aborted: AtomicBool::new(false),
             max_retries: cfg.max_retries,
         }
@@ -133,7 +131,7 @@ impl FaultState {
         self.aborted.load(Ordering::Acquire)
     }
 
-    // The four bookkeeping fns below are protocol
+    // The three bookkeeping fns below are protocol
     // `runtime-fault-counters` (docs/protocols.toml): Relaxed per-task
     // cells read for reporting after the run, never used to publish
     // task data. The fns are enumerated in the manifest on purpose —
@@ -149,50 +147,22 @@ impl FaultState {
         self.attempts[i].load(Ordering::Relaxed)
     }
 
-    /// Records one caught panic at `now_ns` (offset from run start) and
-    /// returns the new attempt count.
-    pub(crate) fn record_failure(&self, i: usize, now_ns: u64) -> u32 {
-        let _ = self.first_fail_ns[i].compare_exchange(
-            0,
-            now_ns.max(1),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
+    /// Records one caught panic of task `i` and returns the new attempt
+    /// count.
+    pub(crate) fn record_failure(&self, i: usize) -> u32 {
         self.attempts[i].fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Offset (ns from run start) of the first caught panic of task `i`.
-    pub(crate) fn first_fail_ns(&self, i: usize) -> u64 {
-        self.first_fail_ns[i].load(Ordering::Relaxed)
-    }
-}
-
-/// A panic caught by the fault wrapper, tagged with whether it was the
-/// injected poison (fired before the task body) or a genuine panic from
-/// the task body itself — the distinction keeps the
-/// `runtime.faults.injected` metric honest.
-pub(crate) struct CaughtPanic {
-    /// The unwind payload, for re-raising after `max_retries`.
-    pub(crate) payload: Box<dyn std::any::Any + Send>,
-    /// True when the panic was the armed poison, not the task body.
-    pub(crate) injected: bool,
-}
-
-impl std::fmt::Debug for CaughtPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CaughtPanic")
-            .field("injected", &self.injected)
-            .finish_non_exhaustive()
     }
 }
 
 /// Runs `f` under a poison check for task `i`: panics (to be caught by
-/// the worker) when the task is poisoned and has not fired yet.
+/// the worker) when the task is poisoned and has not fired yet. A caught
+/// panic — the poison or a genuine one from `f` — comes back as its
+/// unwind payload, for re-raising after `max_retries`.
 pub(crate) fn run_poisonable<R>(
     state: &FaultState,
     i: usize,
     f: impl FnOnce() -> R,
-) -> Result<R, CaughtPanic> {
+) -> Result<R, Box<dyn std::any::Any + Send>> {
     let poison = state.arm_poison(i);
     catch_unwind(AssertUnwindSafe(move || {
         if poison {
@@ -200,12 +170,6 @@ pub(crate) fn run_poisonable<R>(
         }
         f()
     }))
-    // The poison panics before `f` runs, so a caught panic with the
-    // poison armed is by construction the injected one.
-    .map_err(|payload| CaughtPanic {
-        payload,
-        injected: poison,
-    })
 }
 
 /// Re-raises a payload from a task that exhausted its retries.
@@ -262,13 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn failure_bookkeeping_counts_and_timestamps() {
+    fn failure_bookkeeping_counts_attempts() {
         let st = FaultState::new(3, &FaultInjection::default());
         assert_eq!(st.attempts(1), 0);
-        assert_eq!(st.record_failure(1, 500), 1);
-        assert_eq!(st.record_failure(1, 900), 2);
+        assert_eq!(st.record_failure(1), 1);
+        assert_eq!(st.record_failure(1), 2);
         assert_eq!(st.attempts(1), 2);
-        assert_eq!(st.first_fail_ns(1), 500, "first failure time is kept");
+        assert_eq!(st.attempts(0), 0, "counts are per task");
     }
 
     #[test]
@@ -276,7 +240,8 @@ mod tests {
         let cfg = FaultInjection::poison_tasks(vec![0]);
         let st = FaultState::new(1, &cfg);
         let caught = run_poisonable(&st, 0, || 42).expect_err("poison must fire");
-        assert!(caught.injected, "the armed poison is an injected fault");
+        let msg = caught.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(msg, "injected fault: poisoned task 0");
         assert_eq!(
             run_poisonable(&st, 0, || 42).expect("retry must succeed"),
             42
@@ -284,11 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn genuine_task_panic_is_not_marked_injected() {
+    fn genuine_task_panic_is_caught() {
         let st = FaultState::new(1, &FaultInjection::default());
         let caught =
             run_poisonable(&st, 0, || -> i32 { panic!("task body bug") }).expect_err("must catch");
-        assert!(!caught.injected, "a task-body panic was not injected");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"task body bug"));
     }
 
     #[test]

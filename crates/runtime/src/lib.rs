@@ -10,9 +10,9 @@
 //!   single-task or batch steals),
 //!
 //! with per-worker statistics ([`ExecutionReport`]: utilization,
-//! busy-time imbalance, steal/counter overheads), optional observability
-//! ([`RuntimeObs`]: metrics and per-worker event rings, the one per-task
-//! capture), injectable per-core performance variability
+//! busy-time imbalance, steal/counter overheads, caught panics), optional
+//! per-worker profiling event rings ([`Executor::with_rings`], the one
+//! per-task capture), injectable per-core performance variability
 //! ([`Variability`]) modelling energy-induced speed differences, and
 //! deterministic fault injection ([`faults`]: poisoned tasks caught and
 //! re-enqueued) — see `docs/FAULT_MODEL.md`.
@@ -37,14 +37,12 @@
 
 pub mod faults;
 pub mod model;
-pub mod obs;
 pub mod pool;
 pub mod report;
 pub mod variability;
 
 pub use faults::{FaultInjection, PoisonSpec};
 pub use model::{block_owner, ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
-pub use obs::{publish_report_gauges, RuntimeObs};
 pub use pool::Executor;
 pub use report::{ExecutionReport, WorkerStats};
 pub use variability::Variability;
@@ -53,7 +51,6 @@ pub use variability::Variability;
 pub mod prelude {
     pub use crate::faults::{FaultInjection, PoisonSpec};
     pub use crate::model::{ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
-    pub use crate::obs::{publish_report_gauges, RuntimeObs};
     pub use crate::pool::Executor;
     pub use crate::report::{ExecutionReport, WorkerStats};
     pub use crate::variability::Variability;

@@ -9,11 +9,10 @@
 
 use crate::faults::{propagate, run_poisonable, FaultInjection, FaultState};
 use crate::model::{ChunkRule, PolicyKind, StealConfig, VictimPolicy};
-use crate::obs::{dur_ns, RuntimeObs, WorkerObs};
 use crate::report::{ExecutionReport, WorkerStats};
 use crate::variability::Variability;
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
-use emx_obs::EventKind;
+use emx_obs::{EventKind, RingSet, RingWriter};
 use emx_sched::{random_victim, round_robin_victim, worker_stream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,32 +28,34 @@ pub struct Executor {
     pub model: PolicyKind,
     /// Performance-variability injection.
     pub variability: Variability,
-    /// Observability attachment; `None` (the default) keeps the task
-    /// loop free of metric atomics and event rings. Its rings are the
-    /// one per-task capture: `TaskStart`/`TaskEnd` per executed task.
-    pub obs: Option<RuntimeObs>,
+    /// Per-worker profiling event rings; `None` (the default) keeps
+    /// the task loop free of event clocks. Worker `w` writes ring `w`
+    /// (`TaskStart`/`TaskEnd` per executed task, plus its hunts, counter
+    /// fetches and reduction merges); drain with
+    /// [`RingSet::snapshot_all`] after the run.
+    pub rings: Option<Arc<RingSet>>,
     /// Fault injection (poisoned tasks); `None` (the default) keeps the
     /// task loop free of the catch-unwind wrapper.
     pub faults: Option<FaultInjection>,
 }
 
 impl Executor {
-    /// Creates an executor with no variability and no observability
-    /// attached.
+    /// Creates an executor with no variability and no rings attached.
     pub fn new(workers: usize, model: impl Into<PolicyKind>) -> Executor {
         assert!(workers > 0, "need at least one worker");
         Executor {
             workers,
             model: model.into(),
             variability: Variability::None,
-            obs: None,
+            rings: None,
             faults: None,
         }
     }
 
-    /// Attaches observability (builder style).
-    pub fn with_obs(mut self, obs: RuntimeObs) -> Executor {
-        self.obs = Some(obs);
+    /// Attaches per-worker profiling rings (builder style): three atomic
+    /// stores per event, no allocation, overwrite-oldest when full.
+    pub fn with_rings(mut self, rings: Arc<RingSet>) -> Executor {
+        self.rings = Some(rings);
         self
     }
 
@@ -73,8 +74,7 @@ impl Executor {
     }
 
     /// Worker `w`'s context among `p`: the run's clock and fault state,
-    /// and its metric handles (with the fault handles when this
-    /// executor injects faults).
+    /// and its ring writer when rings are attached.
     fn worker_ctx(
         &self,
         w: usize,
@@ -82,20 +82,13 @@ impl Executor {
         start: Instant,
         faults: Option<Arc<FaultState>>,
     ) -> WorkerCtx {
-        let obs = self.obs.as_ref().map(|o| {
-            let mut wo = WorkerObs::for_worker(o, w as u32);
-            if faults.is_some() {
-                wo.attach_fault_handles(o);
-            }
-            wo
-        });
         WorkerCtx {
             worker: w,
             nworkers: p,
             variability: self.variability,
             start,
             stats: WorkerStats::default(),
-            obs,
+            ring: self.rings.as_ref().map(|r| r.writer(w)),
             faults,
         }
     }
@@ -211,10 +204,8 @@ impl Executor {
         // Merge events land in the absorbing worker's profiling ring,
         // stamped on the run's timeline: the workers have joined, so the
         // merge phase continues from `report.wall` on a fresh clock.
-        let rings = self.obs.as_ref().and_then(|o| o.rings.clone());
-        let merge_clock = rings
-            .as_ref()
-            .map(|_| (Instant::now(), dur_ns(report.wall)));
+        let rings = self.rings.as_ref();
+        let merge_clock = rings.map(|_| (Instant::now(), dur_ns(report.wall)));
         let merge_ns = |clock: &Option<(Instant, u64)>| {
             clock
                 .as_ref()
@@ -226,7 +217,7 @@ impl Executor {
             let mut i = 0;
             while i + stride < n {
                 let other = slots[i + stride].take().expect("slot consumed once");
-                let mut writer = rings.as_ref().map(|r| {
+                let mut writer = rings.map(|r| {
                     let mut w = r.writer(i);
                     w.record(
                         EventKind::MergeStart,
@@ -446,14 +437,16 @@ fn run_stealing<L>(
 }
 
 /// Per-worker execution context: stats, variability clock, optional
-/// observability handles.
+/// ring writer.
 struct WorkerCtx {
     worker: usize,
     nworkers: usize,
     variability: Variability,
     start: Instant,
     stats: WorkerStats,
-    obs: Option<WorkerObs>,
+    /// Producer handle into this worker's profiling ring (`None` when
+    /// the run has no rings attached — then no event clock is read).
+    ring: Option<RingWriter>,
     faults: Option<Arc<FaultState>>,
 }
 
@@ -493,16 +486,11 @@ impl WorkerCtx {
                 self.account(i, t0, t1);
                 true
             }
-            Err(caught) => {
+            Err(payload) => {
                 // The failed attempt still consumed this worker's time.
                 self.stats.busy += t1.saturating_sub(t0);
                 self.stats.panics_caught += 1;
-                if caught.injected {
-                    if let Some(fh) = self.obs.as_ref().and_then(|o| o.faults.as_ref()) {
-                        fh.injected.inc();
-                    }
-                }
-                let n = state.record_failure(i, dur_ns(t1));
+                let n = state.record_failure(i);
                 if n > state.max_retries {
                     eprintln!(
                         "[emx-runtime] worker {}: task {i} panicked {n} times, propagating",
@@ -512,7 +500,7 @@ impl WorkerCtx {
                     // see the run is over — it will never reach zero
                     // once this worker unwinds.
                     state.abort();
-                    propagate(caught.payload);
+                    propagate(payload);
                 }
                 eprintln!(
                     "[emx-runtime] worker {}: caught panic in task {i} (attempt {n}), re-enqueueing",
@@ -532,8 +520,8 @@ impl WorkerCtx {
         self.account(i, t0, t1);
     }
 
-    /// Post-task accounting: busy time, variability stretch,
-    /// obs metrics and ring events, and fault-recovery bookkeeping.
+    /// Post-task accounting: busy time, variability stretch, ring
+    /// events, and fault-recovery bookkeeping.
     #[inline]
     fn account(&mut self, i: usize, t0: Duration, t1: Duration) {
         let dur = t1.saturating_sub(t0);
@@ -550,64 +538,47 @@ impl WorkerCtx {
             self.stats.busy += pad;
             self.stats.padded += pad;
         }
-        if let Some(o) = self.obs.as_mut() {
+        if let Some(ring) = self.ring.as_mut() {
             let end = self.start.elapsed();
-            o.tasks.inc();
-            o.task_duration.record(dur_ns(end.saturating_sub(t0)));
-            if let Some(ring) = o.ring.as_mut() {
-                ring.record(EventKind::TaskStart, i as u64, dur_ns(t0));
-                ring.record(EventKind::TaskEnd, i as u64, dur_ns(end));
-            }
+            ring.record(EventKind::TaskStart, i as u64, dur_ns(t0));
+            ring.record(EventKind::TaskEnd, i as u64, dur_ns(end));
         }
         if let Some(state) = &self.faults {
             if state.attempts(i) > 0 {
                 self.stats.recovered_tasks += 1;
-                let first = state.first_fail_ns(i);
-                if let Some(fh) = self.obs.as_ref().and_then(|o| o.faults.as_ref()) {
-                    fh.recovered.inc();
-                    fh.recovery_latency
-                        .record(dur_ns(self.start.elapsed()).saturating_sub(first));
-                }
             }
         }
     }
 
-    /// Timestamp for a latency interval — `None` when obs is off, so the
-    /// hot loops never read the clock just for instrumentation.
+    /// Timestamp for a ring interval — `None` when no rings are
+    /// attached, so the hot loops never read the clock just for
+    /// instrumentation.
     #[inline]
     fn obs_mark(&self) -> Option<Duration> {
-        if self.obs.is_some() {
+        if self.ring.is_some() {
             Some(self.start.elapsed())
         } else {
             None
         }
     }
 
-    /// Counts one productive shared-counter fetch and records its
-    /// latency from `mark` (the instant just before the atomic claim);
-    /// `begin` is the first task index the fetch returned.
+    /// Records one productive shared-counter fetch as a ring round trip
+    /// from `mark` (the instant just before the atomic claim); `begin`
+    /// is the first task index the fetch returned.
     #[inline]
     fn obs_counter_fetch(&mut self, mark: Option<Duration>, begin: usize) {
-        if let Some(o) = self.obs.as_mut() {
-            o.counter_fetches.inc();
-            if let Some(from) = mark {
-                let now = self.start.elapsed();
-                o.counter_fetch_latency
-                    .record(dur_ns(now.saturating_sub(from)));
-                if let Some(ring) = o.ring.as_mut() {
-                    ring.record(EventKind::CounterFetchStart, 0, dur_ns(from));
-                    ring.record(EventKind::CounterFetchEnd, begin as u64, dur_ns(now));
-                }
-            }
+        if let (Some(ring), Some(from)) = (self.ring.as_mut(), mark) {
+            let now = self.start.elapsed();
+            ring.record(EventKind::CounterFetchStart, 0, dur_ns(from));
+            ring.record(EventKind::CounterFetchEnd, begin as u64, dur_ns(now));
         }
     }
 
     /// Records a successful steal that `failed_probes` fruitless probes
-    /// preceded: the latency histogram gets the time from running out
-    /// of local work (`idle_from`) to acquiring the stolen task, and the
-    /// same interval becomes a hunt on the event ring — `IdleStart`
-    /// (stamped `idle_from`, carrying the failed count), the winning
-    /// `StealAttempt`, `StealSuccess`.
+    /// preceded: the time from running out of local work (`idle_from`)
+    /// to acquiring the stolen task becomes a hunt on the event ring —
+    /// `IdleStart` (stamped `idle_from`, carrying the failed count), the
+    /// winning `StealAttempt`, `StealSuccess`.
     #[inline]
     fn obs_steal_success(
         &mut self,
@@ -615,18 +586,11 @@ impl WorkerCtx {
         failed_probes: u32,
         victim: usize,
     ) {
-        if let Some(o) = self.obs.as_mut() {
-            o.steal_attempts.add(failed_probes as u64 + 1);
-            o.steals.inc();
-            if let Some(from) = idle_from {
-                let now = self.start.elapsed();
-                o.steal_latency.record(dur_ns(now.saturating_sub(from)));
-                if let Some(ring) = o.ring.as_mut() {
-                    ring.record(EventKind::IdleStart, failed_probes as u64, dur_ns(from));
-                    ring.record(EventKind::StealAttempt, victim as u64, dur_ns(now));
-                    ring.record(EventKind::StealSuccess, victim as u64, dur_ns(now));
-                }
-            }
+        if let (Some(ring), Some(from)) = (self.ring.as_mut(), idle_from) {
+            let now = self.start.elapsed();
+            ring.record(EventKind::IdleStart, failed_probes as u64, dur_ns(from));
+            ring.record(EventKind::StealAttempt, victim as u64, dur_ns(now));
+            ring.record(EventKind::StealSuccess, victim as u64, dur_ns(now));
         }
     }
 
@@ -636,17 +600,18 @@ impl WorkerCtx {
     /// `idle_from`, carrying the count) and `IdleEnd`.
     #[inline]
     fn obs_idle_end(&mut self, idle_from: Option<Duration>, failed_probes: u32) {
-        if let Some(o) = self.obs.as_mut() {
-            o.steal_attempts.add(failed_probes as u64);
-            if let Some(from) = idle_from {
-                let now = self.start.elapsed();
-                if let Some(ring) = o.ring.as_mut() {
-                    ring.record(EventKind::IdleStart, failed_probes as u64, dur_ns(from));
-                    ring.record(EventKind::IdleEnd, 0, dur_ns(now));
-                }
-            }
+        if let (Some(ring), Some(from)) = (self.ring.as_mut(), idle_from) {
+            let now = self.start.elapsed();
+            ring.record(EventKind::IdleStart, failed_probes as u64, dur_ns(from));
+            ring.record(EventKind::IdleEnd, 0, dur_ns(now));
         }
     }
+}
+
+/// `Duration` → saturating nanoseconds for ring timestamps.
+#[inline]
+fn dur_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -953,7 +918,7 @@ mod tests {
             workers: 0,
             model,
             variability: Variability::None,
-            obs: None,
+            rings: None,
             faults: None,
         }
     }
@@ -1090,6 +1055,29 @@ mod tests {
         }
 
         #[test]
+        fn genuine_panics_are_caught_and_recovered() {
+            use std::sync::atomic::AtomicBool;
+            // Task 7 panics once from its own body, not from an injected
+            // poison: it is caught and retried like one.
+            let tripped = AtomicBool::new(false);
+            let ex = Executor::new(2, PolicyKind::DynamicCounter { chunk: 4 })
+                .with_faults(FaultInjection::default());
+            let (locals, report) = ex.run(
+                20,
+                |_| 0u64,
+                |i, l| {
+                    if i == 7 && !tripped.swap(true, Ordering::Relaxed) {
+                        panic!("one-shot genuine failure");
+                    }
+                    *l += i as u64;
+                },
+            );
+            assert_eq!(locals.iter().sum::<u64>(), (0..20u64).sum());
+            assert_eq!(report.total_panics_caught(), 1);
+            assert_eq!(report.total_recovered_tasks(), 1);
+        }
+
+        #[test]
         #[should_panic(expected = "worker panicked")]
         fn exhausted_retries_propagate() {
             let mut fi = FaultInjection::poison_tasks(vec![2]);
@@ -1151,158 +1139,14 @@ mod tests {
 
     mod obs {
         use super::*;
-        use crate::obs::RuntimeObs;
-        use emx_obs::{MetricValue, MetricsRegistry};
-
-        fn metric_counter(reg: &MetricsRegistry, name: &str) -> u64 {
-            match reg
-                .snapshot()
-                .into_iter()
-                .find(|e| e.name == name)
-                .map(|e| e.value)
-            {
-                Some(MetricValue::Counter(v)) => v,
-                other => panic!("metric {name}: {other:?}"),
-            }
-        }
-
-        #[test]
-        fn no_obs_attached_means_registry_untouched() {
-            // The zero-cost contract: an executor without obs must not
-            // register or update any metric — the shared registry stays
-            // empty no matter how many tasks run.
-            let reg = Arc::new(MetricsRegistry::new());
-            let ex = Executor::new(4, PolicyKind::WorkStealing(StealConfig::default()));
-            assert!(ex.obs.is_none());
-            let _ = ex.run(500, |_| 0u64, |i, l| *l += i as u64);
-            assert!(reg.snapshot().is_empty());
-        }
-
-        #[test]
-        fn counter_model_metrics_match_report() {
-            let reg = Arc::new(MetricsRegistry::new());
-            let ex = Executor::new(2, PolicyKind::DynamicCounter { chunk: 10 })
-                .with_obs(RuntimeObs::new(reg.clone()));
-            let (_, report) = ex.run(100, |_| (), |_, _| {});
-            assert_eq!(metric_counter(&reg, "runtime.tasks"), 100);
-            assert_eq!(
-                metric_counter(&reg, "runtime.counter_fetches"),
-                report.total_counter_fetches()
-            );
-            match reg
-                .snapshot()
-                .into_iter()
-                .find(|e| e.name == "runtime.counter_fetch_latency")
-                .map(|e| e.value)
-            {
-                Some(MetricValue::Histogram(h)) => {
-                    assert_eq!(h.count, report.total_counter_fetches())
-                }
-                other => panic!("latency histogram missing: {other:?}"),
-            }
-        }
-
-        #[test]
-        fn stealing_metrics_and_spans_recorded() {
-            // Same skewed setup as stealing_happens_under_skew, with obs.
-            // (One task span per task is the ring's job:
-            // rings_capture_every_task_for_every_model.)
-            let map: Arc<Vec<u32>> = Arc::new(vec![0; 64]);
-            let reg = Arc::new(MetricsRegistry::new());
-            let mut ex = Executor::new(
-                4,
-                PolicyKind::WorkStealing(StealConfig {
-                    seed: SeedPartition::Assigned(map),
-                    ..StealConfig::default()
-                }),
-            )
-            .with_obs(RuntimeObs::new(reg.clone()));
-            ex.variability = Variability::SlowCores {
-                factor: 5.0,
-                count: 1,
-            };
-            let (_, report) = ex.run(
-                64,
-                |_| (),
-                |_, _| {
-                    std::hint::black_box(emx_busy(50_000));
-                },
-            );
-            assert_eq!(
-                metric_counter(&reg, "runtime.steals"),
-                report.total_steals()
-            );
-            let attempts: u64 = report.worker_stats.iter().map(|w| w.steal_attempts).sum();
-            assert_eq!(metric_counter(&reg, "runtime.steal_attempts"), attempts);
-            if report.total_steals() > 0 {
-                match reg
-                    .snapshot()
-                    .into_iter()
-                    .find(|e| e.name == "runtime.steal_latency")
-                    .map(|e| e.value)
-                {
-                    Some(MetricValue::Histogram(h)) => assert_eq!(h.count, report.total_steals()),
-                    other => panic!("steal latency missing: {other:?}"),
-                }
-            }
-        }
-
-        #[test]
-        fn fault_metrics_published_when_faults_attached() {
-            use crate::faults::FaultInjection;
-            let reg = Arc::new(MetricsRegistry::new());
-            let ex = Executor::new(2, PolicyKind::DynamicCounter { chunk: 4 })
-                .with_obs(RuntimeObs::new(reg.clone()))
-                .with_faults(FaultInjection::poison_tasks(vec![3, 9]));
-            let (_, report) = ex.run(20, |_| 0u64, |i, l| *l += i as u64);
-            assert_eq!(report.total_panics_caught(), 2);
-            assert_eq!(metric_counter(&reg, "runtime.faults.injected"), 2);
-            assert_eq!(metric_counter(&reg, "runtime.faults.recovered"), 2);
-            match reg
-                .snapshot()
-                .into_iter()
-                .find(|e| e.name == "runtime.faults.recovery_latency")
-                .map(|e| e.value)
-            {
-                Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 2),
-                other => panic!("recovery latency missing: {other:?}"),
-            }
-        }
-
-        #[test]
-        fn genuine_panics_are_not_counted_as_injected() {
-            use crate::faults::FaultInjection;
-            use std::sync::atomic::AtomicBool;
-            // Task 7 panics once from its own body: it is caught and
-            // recovered, but it was not injected — the injected counter
-            // must stay at zero.
-            let reg = Arc::new(MetricsRegistry::new());
-            let tripped = AtomicBool::new(false);
-            let ex = Executor::new(2, PolicyKind::DynamicCounter { chunk: 4 })
-                .with_obs(RuntimeObs::new(reg.clone()))
-                .with_faults(FaultInjection::default());
-            let (_, report) = ex.run(
-                20,
-                |_| 0u64,
-                |i, l| {
-                    if i == 7 && !tripped.swap(true, Ordering::Relaxed) {
-                        panic!("one-shot genuine failure");
-                    }
-                    *l += i as u64;
-                },
-            );
-            assert_eq!(report.total_panics_caught(), 1);
-            assert_eq!(metric_counter(&reg, "runtime.faults.injected"), 0);
-            assert_eq!(metric_counter(&reg, "runtime.faults.recovered"), 1);
-        }
+        use emx_obs::{task_spans, Attribution, EventKind, RingSet};
 
         #[test]
         fn obs_does_not_change_results() {
             let n = 300;
             let expected: u64 = (0..n as u64).sum();
             for model in all_models(n) {
-                let reg = Arc::new(MetricsRegistry::new());
-                let ex = Executor::new(3, model.clone()).with_obs(RuntimeObs::new(reg));
+                let ex = Executor::new(3, model.clone()).with_rings(RingSet::new(3, 4096));
                 let (locals, report) = ex.run(n, |_| 0u64, |i, l| *l += i as u64);
                 assert_eq!(
                     locals.iter().sum::<u64>(),
@@ -1314,30 +1158,110 @@ mod tests {
             }
         }
 
+        /// Runs `ex` over `n` tasks with fresh rings, checks that the
+        /// rings hold every task exactly once with monotone timestamps,
+        /// and that every count read off them is the report's: per
+        /// worker, `Attribution`'s tasks, steals and steal attempts, and
+        /// the `CounterFetchEnd` events against `counter_fetches`.
+        fn rings_match_report(
+            ex: Executor,
+            n: usize,
+            task: impl Fn(usize, &mut ()) + Sync,
+        ) -> ExecutionReport {
+            let name = ex.model.name();
+            let rings = RingSet::new(ex.workers, 4096);
+            let (_, report) = ex.with_rings(rings.clone()).run(n, |_| (), task);
+            assert_eq!(report.total_tasks_run(), n);
+            assert_eq!(rings.total_overwritten(), 0, "model {name}");
+            let streams = rings.events_per_worker();
+            let mut seen = vec![0u32; n];
+            for stream in &streams {
+                let monotone = stream.windows(2).all(|e| e[0].t_ns <= e[1].t_ns);
+                assert!(monotone, "model {name}: timestamps not monotone");
+                task_spans(stream).for_each(|(i, ..)| seen[i] += 1);
+            }
+            let once = seen.iter().all(|&c| c == 1);
+            assert!(once, "model {name}: lost or duplicated task events");
+            let a = Attribution::from_rings(name, dur_ns(report.wall), &rings);
+            let idle = WorkerStats::default();
+            for (w, (blame, stream)) in a.workers.iter().zip(&streams).enumerate() {
+                let st = report.worker_stats.get(w).unwrap_or(&idle);
+                assert_eq!(blame.tasks, st.tasks as u64, "model {name} worker {w}");
+                assert_eq!(blame.steals, st.steals, "model {name} worker {w}");
+                assert_eq!(
+                    blame.steal_attempts, st.steal_attempts,
+                    "model {name} worker {w}"
+                );
+                let fetches = stream
+                    .iter()
+                    .filter(|e| e.kind == EventKind::CounterFetchEnd)
+                    .count();
+                assert_eq!(
+                    fetches as u64, st.counter_fetches,
+                    "model {name} worker {w}"
+                );
+            }
+            report
+        }
+
         #[test]
         fn rings_capture_every_task_for_every_model() {
-            use emx_obs::{task_spans, RingSet};
             let n = 120;
             for model in all_models(n) {
-                let name = model.name();
-                let reg = Arc::new(MetricsRegistry::new());
-                let rings = RingSet::new(3, 4096);
-                let ex = Executor::new(3, model.clone())
-                    .with_obs(RuntimeObs::new(reg).with_rings(rings.clone()));
-                let (_, report) = ex.run(n, |_| 0u64, |i, l| *l += i as u64);
-                assert_eq!(report.total_tasks_run(), n);
-                assert_eq!(rings.total_overwritten(), 0, "model {name}");
-                // Every task index appears exactly once as a start/end
-                // pair across all workers, timestamps monotone per ring.
-                let mut seen = vec![0u32; n];
-                for stream in rings.events_per_worker() {
-                    let monotone = stream.windows(2).all(|e| e[0].t_ns <= e[1].t_ns);
-                    assert!(monotone, "model {name}: timestamps not monotone");
-                    task_spans(&stream).for_each(|(i, ..)| seen[i] += 1);
-                }
-                let once = seen.iter().all(|&c| c == 1);
-                assert!(once, "model {name}: lost or duplicated task events");
+                rings_match_report(Executor::new(3, model), n, |_, _| {});
             }
+        }
+
+        #[test]
+        fn counter_model_metrics_match_report() {
+            let rings = RingSet::new(2, 4096);
+            let ex = Executor::new(2, PolicyKind::DynamicCounter { chunk: 10 })
+                .with_rings(rings.clone());
+            let (_, report) = ex.run(100, |_| (), |_, _| {});
+            let a = Attribution::from_rings("dynamic-counter", dur_ns(report.wall), &rings);
+            let tasks: u64 = a.workers.iter().map(|w| w.tasks).sum();
+            assert_eq!(tasks, 100);
+            // Every fetch is a closed Start/End round trip on the ring.
+            let events: Vec<_> = rings.events_per_worker().into_iter().flatten().collect();
+            for kind in [EventKind::CounterFetchStart, EventKind::CounterFetchEnd] {
+                let count = events.iter().filter(|e| e.kind == kind).count();
+                assert_eq!(count as u64, report.total_counter_fetches(), "{kind:?}");
+            }
+        }
+
+        #[test]
+        fn stealing_metrics_and_spans_recorded() {
+            // All work seeded to worker 0, which also runs 5× slow (the
+            // setup of `stealing_happens_under_skew`), so the steal and
+            // steal-attempt counts compared are not all zero.
+            let map: Arc<Vec<u32>> = Arc::new(vec![0; 64]);
+            let mut ex = Executor::new(
+                4,
+                PolicyKind::WorkStealing(StealConfig {
+                    seed: SeedPartition::Assigned(map),
+                    ..StealConfig::default()
+                }),
+            );
+            ex.variability = Variability::SlowCores {
+                factor: 5.0,
+                count: 1,
+            };
+            let report = rings_match_report(ex, 64, |_, _| {
+                std::hint::black_box(emx_busy(50_000));
+            });
+            assert!(report.total_steals() > 0, "{:?}", report.worker_stats);
+        }
+
+        #[test]
+        fn fault_metrics_published_when_faults_attached() {
+            use crate::faults::FaultInjection;
+            // Failed attempts leave no ring events: each poisoned task
+            // still shows up exactly once, from its recovered run.
+            let ex = Executor::new(2, PolicyKind::DynamicCounter { chunk: 4 })
+                .with_faults(FaultInjection::poison_tasks(vec![3, 9]));
+            let report = rings_match_report(ex, 20, |_, _| {});
+            assert_eq!(report.total_panics_caught(), 2);
+            assert_eq!(report.total_recovered_tasks(), 2);
         }
 
         /// A thief's fruitless probes reach the ring as a count on the
@@ -1346,12 +1270,10 @@ mod tests {
         /// times over and take the thief's own `TaskStart/End` with them.
         #[test]
         fn a_long_hunt_costs_its_ring_a_constant_number_of_events() {
-            use emx_obs::{Attribution, RingSet};
             let (n, p) = (8, 2);
             let rings = RingSet::new(p, 4096);
-            let ex = Executor::new(p, PolicyKind::WorkStealing(StealConfig::default())).with_obs(
-                RuntimeObs::new(Arc::new(MetricsRegistry::new())).with_rings(rings.clone()),
-            );
+            let ex = Executor::new(p, PolicyKind::WorkStealing(StealConfig::default()))
+                .with_rings(rings.clone());
             let (_, report) = ex.run(
                 n,
                 |_| (),
@@ -1384,11 +1306,9 @@ mod tests {
 
         #[test]
         fn counter_model_rings_record_fetch_round_trips() {
-            use emx_obs::{EventKind, RingSet};
-            let reg = Arc::new(MetricsRegistry::new());
             let rings = RingSet::new(2, 4096);
             let ex = Executor::new(2, PolicyKind::DynamicCounter { chunk: 10 })
-                .with_obs(RuntimeObs::new(reg).with_rings(rings.clone()));
+                .with_rings(rings.clone());
             let (_, report) = ex.run(100, |_| (), |_, _| {});
             let fetch_ends: usize = rings
                 .events_per_worker()
@@ -1401,12 +1321,9 @@ mod tests {
 
         #[test]
         fn run_reduced_rings_record_the_pairwise_merge_tree() {
-            use emx_obs::{EventKind, RingSet};
             let p = 5;
-            let reg = Arc::new(MetricsRegistry::new());
             let rings = RingSet::new(p, 4096);
-            let ex = Executor::new(p, PolicyKind::StaticBlock)
-                .with_obs(RuntimeObs::new(reg).with_rings(rings.clone()));
+            let ex = Executor::new(p, PolicyKind::StaticBlock).with_rings(rings.clone());
             let (sum, _) = ex.run_reduced(50, |_| 0u64, |i, l| *l += i as u64, |a, b| *a += b);
             assert_eq!(sum, (0..50u64).sum());
             // Stride-doubling for 5 workers: (0,1), (2,3), (0,2), (0,4).

@@ -20,8 +20,9 @@
 //! tables; pass `--csv DIR` to also write stamped CSV files,
 //! `--trace-out DIR` for Chrome trace JSON (one per roster policy under
 //! `profile`) and `--metrics-out FILE` for the stamped JSONL records
-//! (the latter two imply `obs`). A flag without its value
-//! prints the usage and exits with status 2.
+//! (the latter two imply `obs`). A flag without its value, or an
+//! unknown experiment id, prints the usage and exits with status 2
+//! before any experiment runs.
 
 use emx_balance::prelude::{movement, rebalance, PersistenceConfig, Problem};
 use emx_bench::{
@@ -35,18 +36,119 @@ use emx_obs::{git_describe_string, render_timeline, ChromeTrace, RunMeta, SCHEMA
 const USAGE: &str = "usage: reproduce [EXPERIMENT ...] [--csv DIR] [--trace-out DIR] \
                      [--metrics-out FILE]";
 
+/// What an experiment may read besides its own inputs.
+struct Ctx {
+    machine: MachineModel,
+    trace_dir: Option<String>,
+    metrics_path: Option<String>,
+}
+
+/// An experiment's body: prints what it reports, returns its tables.
+type Run = fn(&Ctx) -> Vec<Table>;
+
+/// Every experiment, declared once: its id, whether `all` runs it, and
+/// its body. `all` runs the default ones in table order, which also
+/// numbers the CSVs.
+const EXPERIMENTS: &[(&str, bool, Run)] = &[
+    ("validate", true, |_| vec![validate_chemistry()]),
+    ("e1", true, |c| {
+        let w = chem_workload_medium();
+        vec![e1_scaling(&w, &[1, 2, 4, 8, 16, 32, 64], &c.machine)]
+    }),
+    ("e2", true, run_e2),
+    ("e3", true, |c| {
+        let w = measure_fock_workload(
+            &Molecule::water_cluster(2, 5),
+            BasisSet::Sto3g,
+            8,
+            1e-10,
+            "(H2O)2/STO-3G",
+        );
+        vec![
+            e3_balancer_quality(&w, &[4, 8, 16, 32]),
+            e3_comm_aware(&w, 16, &c.machine, 1 << 16),
+        ]
+    }),
+    ("e4", true, |_| {
+        vec![e4_partition_cost(&[1_000, 4_000, 16_000, 64_000], 16, 7)]
+    }),
+    ("e5", true, run_e5),
+    ("e6", true, |c| {
+        let uniform = synthetic_workload(
+            CostModel::Uniform { scale: 1.0 },
+            4096,
+            3,
+            4.0,
+            "uniform-4096",
+        );
+        let w = chem_workload_medium();
+        vec![
+            e6_variability(&uniform, 16, &c.machine),
+            e6_variability(&w, 16, &c.machine),
+        ]
+    }),
+    ("e7", true, |_| vec![e7_overheads(&[1, 2, 4])]),
+    ("e8", true, |c| {
+        let w = synthetic_workload_large(100_000);
+        vec![e8_distributed(
+            &w,
+            &[64, 256, 1024, 4096, 16_384],
+            &c.machine,
+        )]
+    }),
+    ("e9", true, |c| {
+        let base = chem_workload_medium();
+        vec![
+            e9_weak_scaling(&base, &[4, 16, 64, 256, 1024], 128, &c.machine),
+            overhead_decomposition(&base, 64, &c.machine),
+        ]
+    }),
+    ("faults", true, run_faults),
+    ("f1", true, |c| {
+        figure_timelines(&c.machine);
+        Vec::new()
+    }),
+    ("obs", true, |c| {
+        run_obs_capture(c.trace_dir.as_deref(), c.metrics_path.as_deref());
+        Vec::new()
+    }),
+    ("ablations", true, |c| {
+        let m = &c.machine;
+        vec![
+            ablation_steal_policy(m),
+            ablation_counter_chunk(m),
+            ablation_group_counters(m),
+            ablation_hierarchical_stealing(m),
+            ablation_screening_skew(),
+            ablation_seed_partition(),
+            ablation_persistence_warmup(),
+            ablation_incremental_drift(),
+            ablation_hybrid_seeding(m),
+        ]
+    }),
+    ("smoke", false, |c| vec![smoke_full_roster(&c.machine)]),
+    ("fock", false, |_| vec![fock_kernel_throughput()]),
+    ("profile", false, |c| {
+        vec![run_profile(c.trace_dir.as_deref())]
+    }),
+    ("distsim", false, |_| vec![run_distsim()]),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut ctx = Ctx {
+        machine: MachineModel::default(),
+        trace_dir: None,
+        metrics_path: None,
+    };
     let mut csv_dir: Option<String> = None;
-    let mut trace_dir: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         let slot = match a.as_str() {
             "--csv" => &mut csv_dir,
-            "--trace-out" => &mut trace_dir,
-            "--metrics-out" => &mut metrics_path,
+            "--trace-out" => &mut ctx.trace_dir,
+            "--metrics-out" => &mut ctx.metrics_path,
             _ => {
                 wanted.push(a.to_lowercase());
                 continue;
@@ -60,177 +162,33 @@ fn main() {
             }
         }
     }
+    // A typo'd id must fail the run before anything runs, not after.
+    let run_of = |id: &str| EXPERIMENTS.iter().find(|e| e.0 == id).map(|e| e.2);
+    if let Some(bad) = wanted.iter().find(|w| *w != "all" && run_of(w).is_none()) {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        eprintln!(
+            "unknown experiment id: {bad} (known: all {})\n{USAGE}",
+            ids.join(" ")
+        );
+        std::process::exit(2);
+    }
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = vec![
-            "validate",
-            "e1",
-            "e2",
-            "e3",
-            "e4",
-            "e5",
-            "e6",
-            "e7",
-            "e8",
-            "e9",
-            "faults",
-            "f1",
-            "obs",
-            "ablations",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        wanted = EXPERIMENTS
+            .iter()
+            .filter(|e| e.1)
+            .map(|e| e.0.to_string())
+            .collect();
     }
     // The export flags are requests for the instrumented capture.
-    if (trace_dir.is_some() || metrics_path.is_some()) && !wanted.iter().any(|w| w == "obs") {
+    if (ctx.trace_dir.is_some() || ctx.metrics_path.is_some()) && !wanted.iter().any(|w| w == "obs")
+    {
         wanted.push("obs".to_string());
     }
 
-    let machine = MachineModel::default();
-    let mut tables: Vec<Table> = Vec::new();
-
-    for exp in &wanted {
-        match exp.as_str() {
-            "validate" => {
-                tables.push(validate_chemistry());
-            }
-            "e1" => {
-                let w = chem_workload_medium();
-                tables.push(e1_scaling(&w, &[1, 2, 4, 8, 16, 32, 64], &machine));
-            }
-            "e2" => {
-                let w = chem_workload_medium();
-                let h = e2_headline(&w, 16, &machine);
-                tables.push(h.table);
-                println!(
-                    "[e2] work stealing improves {:.0}% over naive block partitioning and \
-                     {:.0}% over the best static partition (paper: ~50% over its static \
-                     baseline — between the two readings)\n",
-                    (h.vs_block - 1.0) * 100.0,
-                    (h.vs_best_static - 1.0) * 100.0
-                );
-            }
-            "e3" => {
-                let w = measure_fock_workload(
-                    &Molecule::water_cluster(2, 5),
-                    BasisSet::Sto3g,
-                    8,
-                    1e-10,
-                    "(H2O)2/STO-3G",
-                );
-                tables.push(e3_balancer_quality(&w, &[4, 8, 16, 32]));
-                tables.push(e3_comm_aware(&w, 16, &machine, 1 << 16));
-            }
-            "e4" => {
-                tables.push(e4_partition_cost(&[1_000, 4_000, 16_000, 64_000], 16, 7));
-            }
-            "e5" => {
-                let mol = Molecule::water_cluster(2, 42);
-                let workloads: Vec<(usize, KernelWorkload)> = [1usize, 2, 8, 32, 128, usize::MAX]
-                    .into_iter()
-                    .map(|chunk| {
-                        let w = estimate_fock_workload(
-                            &mol,
-                            BasisSet::SixThirtyOneG,
-                            chunk,
-                            1e-10,
-                            1.0,
-                            format!("chunk={chunk}"),
-                        );
-                        (chunk, w)
-                    })
-                    .collect();
-                tables.push(e5_granularity(&workloads, 64, &machine));
-            }
-            "e6" => {
-                let uniform = synthetic_workload(
-                    CostModel::Uniform { scale: 1.0 },
-                    4096,
-                    3,
-                    4.0,
-                    "uniform-4096",
-                );
-                tables.push(e6_variability(&uniform, 16, &machine));
-                let w = chem_workload_medium();
-                tables.push(e6_variability(&w, 16, &machine));
-            }
-            "e7" => {
-                tables.push(e7_overheads(&[1, 2, 4]));
-            }
-            "e8" => {
-                let w = synthetic_workload_large(100_000);
-                tables.push(e8_distributed(&w, &[64, 256, 1024, 4096, 16_384], &machine));
-            }
-            "e9" => {
-                let base = chem_workload_medium();
-                tables.push(e9_weak_scaling(
-                    &base,
-                    &[4, 16, 64, 256, 1024],
-                    128,
-                    &machine,
-                ));
-                tables.push(overhead_decomposition(&base, 64, &machine));
-            }
-            "faults" => {
-                let w = chem_workload_medium();
-                tables.push(e10_faults(&w, 16, &machine));
-                // One fail-stop stealing run, read off its fault report.
-                let ideal = w.total() / 16.0;
-                let cfg = SimConfig {
-                    workers: 16,
-                    machine,
-                    ..SimConfig::new(16)
-                };
-                let plan = FaultPlan::fault_free().with_rank_failure(3, 0.25 * ideal);
-                let r = simulate_with_faults(
-                    &w.costs,
-                    &SimModel::WorkStealing { steal_half: true },
-                    &cfg,
-                    &plan,
-                );
-                println!(
-                    "[faults] fail-stop capture on {}: injected {}, detected {}, \
-                     orphaned {}, recovered {}, lost {}\n",
-                    w.name,
-                    r.faults.injected,
-                    r.faults.detected,
-                    r.faults.orphaned,
-                    r.faults.recovered,
-                    r.faults.lost,
-                );
-            }
-            "f1" => {
-                figure_timelines(&machine);
-            }
-            "obs" => {
-                run_obs_capture(trace_dir.as_deref(), metrics_path.as_deref());
-            }
-            "smoke" => {
-                tables.push(smoke_full_roster(&machine));
-            }
-            "fock" => {
-                tables.push(fock_kernel_throughput());
-            }
-            "profile" => {
-                tables.push(run_profile(trace_dir.as_deref()));
-            }
-            "distsim" => {
-                tables.push(run_distsim());
-            }
-            "ablations" => {
-                tables.push(ablation_steal_policy(&machine));
-                tables.push(ablation_counter_chunk(&machine));
-                tables.push(ablation_group_counters(&machine));
-                tables.push(ablation_hierarchical_stealing(&machine));
-                tables.push(ablation_screening_skew());
-                tables.push(ablation_seed_partition());
-                tables.push(ablation_persistence_warmup());
-                tables.push(ablation_incremental_drift());
-                tables.push(ablation_hybrid_seeding(&machine));
-            }
-            other => eprintln!("unknown experiment id: {other}"),
-        }
-    }
+    let tables: Vec<Table> = wanted
+        .iter()
+        .flat_map(|id| run_of(id).expect("validated above")(&ctx))
+        .collect();
 
     for t in &tables {
         println!("{t}");
@@ -253,6 +211,68 @@ fn main() {
         }
         std::process::exit(1);
     }
+}
+
+fn run_e2(c: &Ctx) -> Vec<Table> {
+    let w = chem_workload_medium();
+    let h = e2_headline(&w, 16, &c.machine);
+    println!(
+        "[e2] work stealing improves {:.0}% over naive block partitioning and \
+         {:.0}% over the best static partition (paper: ~50% over its static \
+         baseline — between the two readings)\n",
+        (h.vs_block - 1.0) * 100.0,
+        (h.vs_best_static - 1.0) * 100.0
+    );
+    vec![h.table]
+}
+
+fn run_e5(c: &Ctx) -> Vec<Table> {
+    let mol = Molecule::water_cluster(2, 42);
+    let workloads: Vec<(usize, KernelWorkload)> = [1usize, 2, 8, 32, 128, usize::MAX]
+        .into_iter()
+        .map(|chunk| {
+            let w = estimate_fock_workload(
+                &mol,
+                BasisSet::SixThirtyOneG,
+                chunk,
+                1e-10,
+                1.0,
+                format!("chunk={chunk}"),
+            );
+            (chunk, w)
+        })
+        .collect();
+    vec![e5_granularity(&workloads, 64, &c.machine)]
+}
+
+fn run_faults(c: &Ctx) -> Vec<Table> {
+    let w = chem_workload_medium();
+    let table = e10_faults(&w, 16, &c.machine);
+    // One fail-stop stealing run, read off its fault report.
+    let ideal = w.total() / 16.0;
+    let cfg = SimConfig {
+        workers: 16,
+        machine: c.machine,
+        ..SimConfig::new(16)
+    };
+    let plan = FaultPlan::fault_free().with_rank_failure(3, 0.25 * ideal);
+    let r = simulate_with_faults(
+        &w.costs,
+        &SimModel::WorkStealing { steal_half: true },
+        &cfg,
+        &plan,
+    );
+    println!(
+        "[faults] fail-stop capture on {}: injected {}, detected {}, \
+         orphaned {}, recovered {}, lost {}\n",
+        w.name,
+        r.faults.injected,
+        r.faults.detected,
+        r.faults.orphaned,
+        r.faults.recovered,
+        r.faults.lost,
+    );
+    vec![table]
 }
 
 /// The `fock` experiment — a quick console view of the real (H₂O)₂/6-31G

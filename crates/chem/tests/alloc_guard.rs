@@ -4,7 +4,11 @@
 //! rework actually removed the per-quartet heap traffic: once a warmed
 //! [`EriScratch`] exists, executing every Fock task — plain and
 //! density-screened, both through the batched SoA kernel, plus the
-//! retained scalar arm — performs **zero** allocations. The batched
+//! retained scalar arm — performs **zero** allocations, on water in
+//! 6-31G and in 6-31G* (whose oxygen d shell reaches the kernel's
+//! l ≥ 2 branches). This is the guard against a per-call `Vec` or a
+//! shell-pair rebuild (`ShellPair::build`, `HermiteE::build`) in the
+//! quartet loop: both allocate. The batched
 //! path stages its surviving-ket list and per-ket output blocks in the
 //! scratch too (`mem::take`/restore around the kernel call), so the
 //! guard would catch a regression in that plumbing as well. The same
@@ -76,8 +80,15 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 #[test]
 fn fock_execute_paths_are_allocation_free() {
     // Split-valence basis: resizing scratch across quartet shapes is
-    // exactly where a hidden re-allocation would hide.
-    let bm = BasisedMolecule::assign(&Molecule::water(), BasisSet::SixThirtyOneG);
+    // exactly where a hidden re-allocation would hide. 6-31G* adds the
+    // oxygen d shell, so the kernel's l ≥ 2 branches run too.
+    for basis in [BasisSet::SixThirtyOneG, BasisSet::SixThirtyOneGStar] {
+        check_execute_paths(basis);
+    }
+}
+
+fn check_execute_paths(basis: BasisSet) {
+    let bm = BasisedMolecule::assign(&Molecule::water(), basis);
     let pairs = ScreenedPairs::build(&bm, 1e-12);
     let fb = FockBuilder::new(&bm, &pairs, 1e-10);
     let tasks = fb.tasks(4);
@@ -106,8 +117,10 @@ fn fock_execute_paths_are_allocation_free() {
         }
     });
     assert_eq!(
-        n, 0,
-        "Fock hot path allocated {n} times with a warmed scratch"
+        n,
+        0,
+        "Fock hot path allocated {n} times with a warmed scratch ({})",
+        basis.name()
     );
 
     // The profiling rings hold the same guarantee with recording on:
@@ -123,6 +136,11 @@ fn fock_execute_paths_are_allocation_free() {
             writer.record(EventKind::TaskEnd, i as u64, start + 100);
         }
     });
-    assert_eq!(n, 0, "ring recording allocated {n} times in the loop");
+    assert_eq!(
+        n,
+        0,
+        "ring recording allocated {n} times in the loop ({})",
+        basis.name()
+    );
     assert_eq!(ring.recorded(), 2 * tasks.len() as u64);
 }

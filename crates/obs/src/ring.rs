@@ -282,7 +282,7 @@ impl RingWriter {
     ///
     /// Protocol `seqlock-ring` role `writer` (docs/protocols.toml):
     /// the exact store/fence sequence below is pinned by the manifest
-    /// and checked by `cargo xtask lint`.
+    /// and checked by emx-srclint, which `cargo xtask lint` runs.
     #[inline]
     pub fn record(&mut self, kind: EventKind, arg: u64, t_ns: u64) {
         let n = self.next;

@@ -22,6 +22,10 @@
 //!    Release-publishing partner role ([`UnpairedAcquire`]); every
 //!    `unsafe` without a `// SAFETY:` comment — test code included —
 //!    is [`MissingSafetyComment`].
+//! 5. **Forbidden paths.** A path of a [`FORBIDDEN`] row in the code
+//!    that row covers is [`ForbiddenPath`]; so is a root that names no
+//!    scanned file ([`missing_roots`]), since a renamed file must not
+//!    drop out of the scan unnoticed.
 //!
 //! [`UnmanagedOrdering`]: ViolationKind::UnmanagedOrdering
 //! [`UndeclaredSite`]: ViolationKind::UndeclaredSite
@@ -30,6 +34,7 @@
 //! [`ManifestStale`]: ViolationKind::ManifestStale
 //! [`UnpairedAcquire`]: ViolationKind::UnpairedAcquire
 //! [`MissingSafetyComment`]: ViolationKind::MissingSafetyComment
+//! [`ForbiddenPath`]: ViolationKind::ForbiddenPath
 
 use crate::extract::{AtomicSite, Inventory};
 use crate::manifest::{Manifest, Protocol, Rule};
@@ -38,14 +43,112 @@ use crate::report::{Report, Violation, ViolationKind};
 /// Orderings that publish on the write side.
 const RELEASING: &[&str] = &["Release", "AcqRel", "SeqCst"];
 
+/// One row of the forbidden-path table: token paths that must not
+/// appear in the code of any file under `roots`.
+pub struct Forbidden {
+    /// Row name, reported as the violation's policy.
+    pub name: &'static str,
+    /// Repo-relative files or directories the row covers.
+    pub roots: &'static [&'static str],
+    /// The forbidden paths, `::`-separated. Each matches a run of code
+    /// tokens, never text inside a comment or a string literal.
+    pub paths: &'static [&'static str],
+    /// Whether test code under the roots is covered too.
+    pub tests_too: bool,
+    /// Why the paths are forbidden there; ends every finding.
+    pub why: &'static str,
+}
+
+impl Forbidden {
+    /// Whether the row covers the repo-relative file `rel`.
+    pub fn covers(&self, rel: &str) -> bool {
+        self.roots.iter().any(|r| under(r, rel))
+    }
+}
+
+fn under(root: &str, rel: &str) -> bool {
+    rel.strip_prefix(root)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
+/// The forbidden-path table.
+pub const FORBIDDEN: &[Forbidden] = &[
+    Forbidden {
+        name: "replay-hygiene",
+        roots: &[
+            "crates/sched/src",
+            "crates/distsim/src/sim.rs",
+            "crates/distsim/src/faults.rs",
+            "crates/distsim/src/eventq.rs",
+            "crates/balance/src",
+        ],
+        paths: &[
+            "Instant::now",
+            "SystemTime",
+            "thread_rng",
+            "from_entropy",
+            "OsRng",
+            "rand::random",
+        ],
+        tests_too: true,
+        why: "a wall-clock read or ambient entropy makes `replay_assignment` \
+              and `simulate_with_faults` unreproducible",
+    },
+    Forbidden {
+        name: "event-core",
+        roots: &["crates/distsim/src/sim.rs", "crates/distsim/src/faults.rs"],
+        paths: &["BinaryHeap"],
+        tests_too: false,
+        why: "the simulator loops schedule through `EventQueue`, which keeps \
+              the total (time, seq) order; the heap oracle lives behind it in \
+              eventq.rs",
+    },
+];
+
 /// Runs every check; the returned report is clean iff the workspace
-/// conforms to the manifest.
+/// conforms to the manifest and the forbidden-path table.
 pub fn check(inv: &Inventory, manifest: &Manifest) -> Report {
     let mut report = Report::default();
     check_sites(inv, manifest, &mut report);
     check_rules(inv, manifest, &mut report);
     check_unsafe(inv, &mut report);
+    check_forbidden(inv, &mut report);
     report
+}
+
+fn check_forbidden(inv: &Inventory, report: &mut Report) {
+    for s in &inv.forbidden {
+        let row = &FORBIDDEN[s.row];
+        if row.tests_too || !s.in_test {
+            report.violations.push(Violation::new(
+                row.name,
+                ViolationKind::ForbiddenPath,
+                format!("{}:{}", s.file, s.line),
+                format!("`{}`: {}", s.path, row.why),
+            ));
+        }
+    }
+}
+
+/// One [`ForbiddenPath`] finding per [`FORBIDDEN`] root under which
+/// `inv` scanned no file. Only a whole-workspace inventory can answer
+/// this, so [`check`] leaves it to [`crate::run`].
+///
+/// [`ForbiddenPath`]: ViolationKind::ForbiddenPath
+pub fn missing_roots(inv: &Inventory) -> Vec<Violation> {
+    FORBIDDEN
+        .iter()
+        .flat_map(|row| row.roots.iter().map(move |r| (row, *r)))
+        .filter(|(_, r)| !inv.comments.keys().any(|f| under(r, f)))
+        .map(|(row, r)| {
+            Violation::new(
+                row.name,
+                ViolationKind::ForbiddenPath,
+                r,
+                "root names no scanned file (renamed or deleted?)",
+            )
+        })
+        .collect()
 }
 
 fn rule_matches(rule: &Rule, site: &AtomicSite) -> bool {

@@ -13,6 +13,8 @@
 //!   `Vec::swap` without type inference;
 //! * an [`UnsafeSite`] for every `unsafe` keyword (block, fn, impl,
 //!   trait), tagged with whether a `// SAFETY:` comment sits on it;
+//! * a [`ForbiddenSite`] for every run of code tokens that spells a
+//!   path of the [`FORBIDDEN`] table in a file under that row's roots;
 //! * the enclosing function name (tracked by `fn` items and brace
 //!   depth) and whether the site is test code (under a `tests/`
 //!   directory, or at/after the file's first top-level
@@ -25,7 +27,9 @@
 //! silently dropped.
 //!
 //! [`Ordering`]: std::sync::atomic::Ordering
+//! [`FORBIDDEN`]: crate::check::FORBIDDEN
 
+use crate::check::FORBIDDEN;
 use crate::lex::{lex, Comment, Spanned, Tok};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -108,6 +112,21 @@ pub struct UnsafeSite {
     pub in_test: bool,
 }
 
+/// One occurrence of a forbidden token path in a file its row covers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ForbiddenSite {
+    /// Index of the row in [`FORBIDDEN`].
+    pub row: usize,
+    /// The path as the table spells it (`Instant::now`).
+    pub path: &'static str,
+    /// Repo-relative path.
+    pub file: String,
+    /// 1-based line of the path's first token.
+    pub line: usize,
+    /// True for test code.
+    pub in_test: bool,
+}
+
 /// The extracted concurrency surface of the workspace.
 #[derive(Debug, Default)]
 pub struct Inventory {
@@ -115,7 +134,10 @@ pub struct Inventory {
     pub sites: Vec<AtomicSite>,
     /// Every `unsafe` occurrence, in (file, line) order.
     pub unsafes: Vec<UnsafeSite>,
-    /// Comments per file (for `// relaxed-ok:` justification lookup).
+    /// Every forbidden-path occurrence, in (file, row, line) order.
+    pub forbidden: Vec<ForbiddenSite>,
+    /// Comments per file (for `// relaxed-ok:` justification lookup);
+    /// every scanned file has an entry.
     pub comments: BTreeMap<String, Vec<Comment>>,
     /// Number of files scanned.
     pub files_scanned: usize,
@@ -201,16 +223,17 @@ fn crate_of(rel: &str) -> String {
 }
 
 /// First line (1-based) at which test code starts: the file's first
-/// `#[cfg(test)]` attribute at the start of a (trimmed) line — the
-/// workspace convention keeps test modules below all production code —
-/// or `usize::MAX` when the file has none. Files under a `tests/`
-/// directory are test code in full.
+/// top-level (unindented) `#[cfg(test)]` attribute — the workspace
+/// convention keeps test modules below all production code, while an
+/// indented one (a test-only field or method) sits inside production
+/// code — or `usize::MAX` when the file has none. Files under a
+/// `tests/` directory are test code in full.
 fn test_boundary(rel: &str, text: &str) -> usize {
     if rel.split('/').any(|seg| seg == "tests") {
         return 0;
     }
     for (i, line) in text.lines().enumerate() {
-        if line.trim_start().starts_with("#[cfg(test)]") {
+        if line.starts_with("#[cfg(test)]") {
             return i + 1;
         }
     }
@@ -307,7 +330,41 @@ pub fn scan_file(rel: &str, text: &str, inv: &mut Inventory) {
         i += 1;
     }
 
+    for (row, f) in FORBIDDEN.iter().enumerate().filter(|(_, f)| f.covers(rel)) {
+        for (i, t) in toks.iter().enumerate() {
+            for &path in f.paths.iter().filter(|p| path_at(toks, i, p)) {
+                inv.forbidden.push(ForbiddenSite {
+                    row,
+                    path,
+                    file: rel.to_string(),
+                    line: t.line,
+                    in_test: t.line >= test_from,
+                });
+            }
+        }
+    }
+
     inv.comments.insert(rel.to_string(), lexed.comments);
+}
+
+/// Whether the code tokens from index `i` spell `path`: its
+/// `::`-separated identifiers with `:` `:` between them.
+fn path_at(toks: &[Spanned], i: usize, path: &str) -> bool {
+    let mut j = i;
+    for (k, seg) in path.split("::").enumerate() {
+        if k > 0 {
+            let sep = toks.get(j..j + 2).map(|w| [&w[0].tok, &w[1].tok]);
+            if sep != Some([&Tok::Punct(':'), &Tok::Punct(':')]) {
+                return false;
+            }
+            j += 2;
+        }
+        match toks.get(j).map(|t| &t.tok) {
+            Some(Tok::Ident(id)) if id == seg => j += 1,
+            _ => return false,
+        }
+    }
+    true
 }
 
 /// Declared atomic types in this token stream:
@@ -554,12 +611,17 @@ mod tests {
     #[test]
     fn cfg_test_boundary_marks_test_sites() {
         let src = "
+struct Q {
+    #[cfg(test)]
+    totals: u64,
+}
 fn prod(n: &AtomicU64) { n.load(Ordering::Relaxed); }
 #[cfg(test)]
 mod tests {
     fn t(n: &AtomicU64) { n.load(Ordering::Relaxed); }
 }
 ";
+        // The indented test-only field does not end production code.
         let inv = scan(src);
         assert_eq!(inv.sites.len(), 2);
         assert!(!inv.sites[0].in_test);

@@ -1,5 +1,5 @@
-//! emx-srclint — static analysis of the workspace's concurrency
-//! surface.
+//! emx-srclint — static analysis of the workspace source, and the
+//! repository's lint wall.
 //!
 //! The repo's execution-model infrastructure (shared counters, the
 //! seqlock event ring, the work-stealing pool) is exactly where
@@ -8,9 +8,16 @@
 //! ([`extract`]) that models every atomic operation and `unsafe`
 //! occurrence in the workspace source, and a checker ([`check`])
 //! verifies the model against the declared memory-protocol manifest
-//! `docs/protocols.toml` ([`manifest`]). Findings are [`Violation`]s of
-//! seven [`ViolationKind`]s, collected into a [`Report`] that
-//! serializes to the JSON shape CI archives.
+//! `docs/protocols.toml` ([`manifest`]). The same tokens carry the
+//! forbidden-path table ([`check::FORBIDDEN`]): no wall clock or
+//! ambient randomness in the replay paths, no raw `BinaryHeap` in the
+//! simulator loops. Findings are [`Violation`]s of eight
+//! [`ViolationKind`]s, collected into a [`Report`] that serializes to
+//! the JSON shape CI archives.
+//!
+//! The crate's binary is the lint wall, `cargo xtask lint [--json
+//! PATH]` (an alias in `.cargo/config.toml`): this pass plus the
+//! doc-link check of the markdown files.
 //!
 //! The pass proves it can fail: a mutation self-test ([`selftest`])
 //! re-introduces the bug classes the reviews
@@ -46,14 +53,16 @@ pub struct Outcome {
 }
 
 /// Scans the workspace under `root` (the repository root), loads
-/// `docs/protocols.toml`, and checks one against the other.
+/// `docs/protocols.toml`, and checks the source against it and against
+/// the forbidden-path table.
 pub fn run(root: &Path) -> Result<Outcome, String> {
     let manifest = manifest::Manifest::load(&root.join(MANIFEST_PATH))?;
     let inventory = extract::scan_workspace(root);
     if inventory.files_scanned == 0 {
         return Err(format!("no Rust sources under {}", root.display()));
     }
-    let report = check::check(&inventory, &manifest);
+    let mut report = check::check(&inventory, &manifest);
+    report.violations.extend(check::missing_roots(&inventory));
     Ok(Outcome {
         inventory,
         manifest,

@@ -36,6 +36,10 @@ pub enum ViolationKind {
     /// A manifest rule matched no source site at all — the code moved
     /// and the declared protocol went stale.
     ManifestStale,
+    /// A path of the forbidden-path table (`Instant::now` in a replay
+    /// path, `BinaryHeap` in a simulator loop) in code its row covers,
+    /// or a row root that names no scanned file.
+    ForbiddenPath,
 }
 
 impl ViolationKind {
@@ -49,6 +53,7 @@ impl ViolationKind {
             ViolationKind::UndeclaredSite => "undeclared-site",
             ViolationKind::UnpairedAcquire => "unpaired-acquire",
             ViolationKind::ManifestStale => "manifest-stale",
+            ViolationKind::ForbiddenPath => "forbidden-path",
         }
     }
 }

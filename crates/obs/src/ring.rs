@@ -52,15 +52,7 @@
 //! mid-read. The ring head counts every event ever recorded; drains
 //! report how many were overwritten so analysis can refuse to trust a
 //! truncated window.
-//!
-//! Under `RUSTFLAGS="--cfg loom"` the ring's atomics and fences route
-//! through `loom::sync::atomic`, so the loom harnesses
-//! (`runtime/tests/loom_rings.rs`) perturb the schedule at every atomic
-//! access of this protocol, not just at explicit yields.
 
-#[cfg(loom)]
-use loom::sync::atomic::{fence, AtomicU64, Ordering};
-#[cfg(not(loom))]
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -436,38 +428,155 @@ mod tests {
         assert_eq!(snap.events[1].kind, EventKind::TaskEnd);
     }
 
-    #[test]
-    fn snapshot_while_writing_never_tears() {
-        // A writer loops recording (i, 2*i) pairs while a reader
-        // snapshots continuously: every surviving event must satisfy
-        // t_ns == 2*arg — a torn slot would break the pairing.
+    /// The `i`-th event of every writer in the concurrent tests below is
+    /// `(TaskStart, arg = i, t_ns = 2i + 1)`. A slot read half from one
+    /// event and half from another breaks the pairing; a slot read after
+    /// the writer lapped it carries an `arg` past the snapshot's window.
+    fn record_nth(w: &mut RingWriter, i: u64) {
+        w.record(EventKind::TaskStart, i, 2 * i + 1);
+    }
+
+    /// Asserts that `snap` holds only whole events, in record order, all
+    /// from the window `overwritten .. overwritten + capacity` it claims.
+    fn check_window(snap: &RingSnapshot, capacity: usize) {
+        let end = snap.overwritten + capacity as u64;
+        for e in &snap.events {
+            assert_eq!(e.kind, EventKind::TaskStart, "foreign kind: {e:?}");
+            assert_eq!(e.t_ns, 2 * e.arg + 1, "torn event: {e:?}");
+            assert!(
+                (snap.overwritten..end).contains(&e.arg),
+                "event {} outside the window {}..{end}",
+                e.arg,
+                snap.overwritten
+            );
+        }
+        for pair in snap.events.windows(2) {
+            assert!(pair[0].arg < pair[1].arg, "out of order: {pair:?}");
+        }
+    }
+
+    /// Snapshots `ring` with `check` while another thread records up to
+    /// `max` events into it, until `raced` snapshots saw the head move
+    /// under them (the snapshots that could tear), `limit` snapshots in
+    /// all, or the writer's last event. Returns how many events the
+    /// writer recorded.
+    fn race_reader_against_writer(
+        ring: &Arc<EventRing>,
+        max: u64,
+        raced: u32,
+        limit: u32,
+        mut check: impl FnMut(&RingSnapshot),
+    ) -> u64 {
         use std::sync::atomic::AtomicBool;
-        let ring = EventRing::new(8);
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let ring = Arc::clone(&ring);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut w = ring.writer();
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    w.record(EventKind::TaskStart, i, 2 * i);
-                    i += 1;
-                }
-            })
-        };
-        for _ in 0..2000 {
-            let snap = ring.snapshot();
-            for e in &snap.events {
-                assert_eq!(e.t_ns, 2 * e.arg, "torn event: {e:?}");
-            }
-            // Events are in record order within one snapshot.
-            for pair in snap.events.windows(2) {
-                assert!(pair[0].arg < pair[1].arg);
+        /// Stops the writer however the reader leaves, so a failed
+        /// check fails the test instead of hanging the scope's join.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
             }
         }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let mut w = ring.writer();
+                let mut i = 0;
+                while i < max && !stop.load(Ordering::Relaxed) {
+                    record_nth(&mut w, i);
+                    i += 1;
+                }
+                i
+            });
+            let stop_writer = StopOnDrop(&stop);
+            while ring.recorded() == 0 {
+                std::hint::spin_loop();
+            }
+            let (mut seen, mut taken) = (0, 0);
+            while seen < raced && taken < limit && ring.recorded() < max {
+                let before = ring.recorded();
+                let snap = ring.snapshot();
+                if ring.recorded() != before {
+                    seen += 1;
+                }
+                taken += 1;
+                check(&snap);
+            }
+            drop(stop_writer);
+            writer.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn snapshot_while_writing_never_tears() {
+        // A 4-slot ring lapped continuously under the reader: slots
+        // caught mid-overwrite are skipped, never read torn or from a
+        // later lap (the sequence re-check in `snapshot`), and no
+        // survivor predates the loss count.
+        let ring = EventRing::new(4);
+        let n = race_reader_against_writer(&ring, u64::MAX, 20_000, 2_000_000, |snap| {
+            check_window(snap, 4)
+        });
+        // With the writer joined nothing is in flight: the snapshot is
+        // exactly the newest four events.
+        let snap = ring.snapshot();
+        assert_eq!(snap.overwritten, n - 4);
+        let args: Vec<u64> = snap.events.iter().map(|e| e.arg).collect();
+        assert_eq!(args, (n - 4..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn snapshot_during_writes_without_wraparound_is_a_whole_prefix() {
+        // The writer fills the ring exactly once, so every event below
+        // the head a snapshot read is complete: each snapshot is exactly
+        // `0..len`, and the last one holds all of them.
+        const CAP: usize = 2048;
+        let ring = EventRing::new(CAP);
+        let n = race_reader_against_writer(&ring, CAP as u64, u32::MAX, u32::MAX, |snap| {
+            check_window(snap, CAP);
+            assert_eq!(snap.overwritten, 0);
+            let args: Vec<u64> = snap.events.iter().map(|e| e.arg).collect();
+            assert_eq!(args, (0..args.len() as u64).collect::<Vec<_>>());
+        });
+        assert_eq!(n, CAP as u64);
+        let args: Vec<u64> = ring.snapshot().events.iter().map(|e| e.arg).collect();
+        assert_eq!(args, (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn writer_handoff_under_concurrent_drain() {
+        // The runtime's sequential handoff (a worker's writer, then the
+        // merge phase's) while another thread drains: the second writer
+        // continues the sequence, so snapshots only grow and stay whole.
+        const FIRST: u64 = 3000;
+        const SECOND: u64 = 2000;
+        let ring = EventRing::new(8192);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut max_seen = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let snap = ring.snapshot();
+                    check_window(&snap, ring.capacity());
+                    assert_eq!(snap.overwritten, 0);
+                    assert!(snap.events.len() >= max_seen, "snapshot shrank");
+                    max_seen = snap.events.len();
+                }
+            });
+            let mut w = ring.writer();
+            for i in 0..FIRST {
+                record_nth(&mut w, i);
+            }
+            let mut w = ring.writer();
+            for i in FIRST..FIRST + SECOND {
+                record_nth(&mut w, i);
+            }
+            done.store(true, Ordering::Relaxed);
+            reader.join().unwrap();
+        });
+        let snap = ring.snapshot();
+        check_window(&snap, ring.capacity());
+        assert_eq!(snap.events.len() as u64, FIRST + SECOND);
+        assert_eq!(ring.recorded(), FIRST + SECOND);
     }
 
     #[test]

@@ -305,9 +305,9 @@ impl Executor {
 /// Claims the next `chunk` tasks off a fixed-chunk shared counter (the
 /// paper's NXTVAL); `None` once the counter has passed `ntasks`.
 fn claim_fixed(next: &AtomicUsize, chunk: usize, ntasks: usize) -> Option<Range<usize>> {
-    // Protocol `runtime-counter-dispatch` (docs/protocols.toml): Relaxed
-    // claim — task indices are data-independent, the fetch_add only
-    // needs atomicity.
+    // Protocol `runtime-counter-claim` role `fixed` (docs/protocols.toml):
+    // Relaxed claim — task indices are data-independent, the fetch_add
+    // only needs atomicity.
     let begin = next.fetch_add(chunk, Ordering::Relaxed);
     (begin < ntasks).then(|| begin..(begin + chunk).min(ntasks))
 }
@@ -321,9 +321,9 @@ fn claim_tapering(
     workers: usize,
     ntasks: usize,
 ) -> Option<Range<usize>> {
-    // Protocol `runtime-guided-claim` (docs/protocols.toml): Acquire
-    // read + AcqRel CAS, each claim's Release side pairs with the next
-    // claimant's load.
+    // Protocol `runtime-counter-claim` role `tapering`
+    // (docs/protocols.toml): Acquire read + AcqRel CAS, each claim's
+    // Release side pairs with the next claimant's load.
     loop {
         let cur = next.load(Ordering::Acquire);
         if cur >= ntasks {

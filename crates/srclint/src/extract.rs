@@ -682,7 +682,7 @@ fn f() {
     fn tests_directory_files_are_all_test_code() {
         let mut inv = Inventory::default();
         scan_file(
-            "crates/runtime/tests/loom_x.rs",
+            "crates/runtime/tests/x.rs",
             "fn f(n: &AtomicU64) { n.load(Ordering::Acquire); }",
             &mut inv,
         );

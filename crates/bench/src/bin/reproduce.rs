@@ -117,8 +117,6 @@ const EXPERIMENTS: &[(&str, bool, Run)] = &[
         vec![
             ablation_steal_policy(m),
             ablation_counter_chunk(m),
-            ablation_group_counters(m),
-            ablation_hierarchical_stealing(m),
             ablation_screening_skew(),
             ablation_seed_partition(),
             ablation_persistence_warmup(),
@@ -720,89 +718,6 @@ fn validate_chemistry() -> Table {
             name.into(),
             format!("{:.4} Ha", r.energy),
             format!("{lit:.4} Ha"),
-        ]);
-    }
-    t
-}
-
-/// Ablation: hybrid counter topologies — one global counter vs grouped
-/// counters vs full stealing at scale.
-fn ablation_group_counters(machine: &MachineModel) -> Table {
-    let w = synthetic_workload_large(16_384);
-    let p = 256;
-    let mut m = *machine;
-    m.counter_service = 2e-6;
-    let cfg = emx_distsim::sim::SimConfig {
-        workers: p,
-        machine: m,
-        ..emx_distsim::sim::SimConfig::new(p)
-    };
-    let mut t = Table::new(
-        "Ablation: counter topology (simulated, P=256)",
-        &["scheduler", "makespan", "fetches", "utilization"],
-    );
-    let mut run = |name: &str, model: SimModel| {
-        let r = simulate(&w.costs, &model, &cfg);
-        t.push(vec![
-            name.into(),
-            fmt_secs(r.makespan),
-            r.counter_fetches.to_string(),
-            fmt3(r.utilization()),
-        ]);
-    };
-    run("global counter (c=8)", SimModel::Counter { chunk: 8 });
-    run("guided", SimModel::Guided { min_chunk: 1 });
-    for groups in [4usize, 16, 64] {
-        run(
-            &format!("{groups} group counters (c=8)"),
-            SimModel::GroupCounters { groups, chunk: 8 },
-        );
-    }
-    run("work stealing", SimModel::WorkStealing { steal_half: true });
-    run(
-        "static-block",
-        SimModel::Static(block_owners(w.ntasks(), p)),
-    );
-    t
-}
-
-/// Ablation: hierarchical (node-local-first) stealing vs flat random
-/// stealing as remote steals get more expensive.
-fn ablation_hierarchical_stealing(machine: &MachineModel) -> Table {
-    let w = synthetic_workload_large(16_384);
-    let p = 256;
-    let mut t = Table::new(
-        "Ablation: hierarchical vs flat stealing (simulated, P=256, 16 workers/node)",
-        &[
-            "remote steal latency",
-            "flat",
-            "hierarchical",
-            "hier steals",
-        ],
-    );
-    for lat_us in [6.0f64, 50.0, 400.0] {
-        let mut m = *machine;
-        m.steal_latency = lat_us * 1e-6;
-        let cfg = emx_distsim::sim::SimConfig {
-            workers: p,
-            machine: m,
-            ..emx_distsim::sim::SimConfig::new(p)
-        };
-        let flat = simulate(&w.costs, &SimModel::WorkStealing { steal_half: true }, &cfg);
-        let hier = simulate(
-            &w.costs,
-            &SimModel::HierarchicalStealing {
-                steal_half: true,
-                node_size: 16,
-                remote_factor: 20.0,
-            },
-            &cfg,
-        );
-        t.push(vec![
-            format!("{lat_us} us"),
-            fmt_secs(flat.makespan),
-            fmt_secs(hier.makespan),
-            hier.steals.to_string(),
         ]);
     }
     t

@@ -31,7 +31,7 @@ pub fn distsim_smoke() -> bool {
 /// Aggregate calendar throughput must be at least this multiple of the
 /// heap oracle's (host-independent: both run on the same machine in the
 /// same process): the production backend may not lose to its oracle.
-/// The sort-on-open calendar stamps 1.9–2.1× at 10⁴–10⁵ ranks
+/// The sort-on-open calendar stamps 1.7–2.1× at 10⁴–10⁵ ranks
 /// (`results/BENCH_distsim.json`), ten smoke runs on a noisy two-core
 /// host read 1.60–2.07, and `benchmark/`'s `distsim.heap_over_calendar`
 /// is 1.5–1.8 at both 2 and 128 tasks a rank; the per-bucket-heap
@@ -131,17 +131,13 @@ impl DistsimBenchReport {
 }
 
 /// The full scheduling-model roster at `n` tasks on `p` ranks — the
-/// same nine models the oracle-equivalence suite pins.
+/// same seven models the oracle-equivalence suite pins.
 fn roster(n: usize, p: usize) -> Vec<SimModel> {
     let owners: Vec<u32> = (0..n).map(|i| (i * p / n.max(1)) as u32).collect();
     vec![
         SimModel::Static(owners.clone()),
         SimModel::Counter { chunk: 4 },
         SimModel::Guided { min_chunk: 2 },
-        SimModel::GroupCounters {
-            groups: 8,
-            chunk: 4,
-        },
         SimModel::HierCounters {
             chunk: 4,
             node_size: 32,
@@ -151,11 +147,6 @@ fn roster(n: usize, p: usize) -> Vec<SimModel> {
         SimModel::SeededStealing {
             owners,
             steal_half: true,
-        },
-        SimModel::HierarchicalStealing {
-            steal_half: true,
-            node_size: 32,
-            remote_factor: 8.0,
         },
         SimModel::TopologyStealing { steal_half: true },
     ]
@@ -289,7 +280,7 @@ mod tests {
         // Unit-test sizes (debug builds); the reproduce arm runs the
         // real 10⁴–10⁵ sweep in release.
         let report = distsim_measure_at(&[64, 256], 2, 1);
-        assert_eq!(report.rows.len(), 2 * 9, "roster × rank counts");
+        assert_eq!(report.rows.len(), 2 * 7, "roster × rank counts");
         for r in &report.rows {
             assert!(r.events >= r.ntasks as u64, "{}: event floor", r.model);
             assert!(r.calendar_wall_secs > 0.0 && r.heap_wall_secs > 0.0);

@@ -78,8 +78,6 @@ mod tests {
         "Overhead decomposition on (H2O)2/6-31G chunk 8 at P=8",
         "Ablation: steal granularity (simulated, P=64)",
         "Ablation: shared-counter chunk size (simulated, P=256)",
-        "Ablation: counter topology (simulated, P=256)",
-        "Ablation: hierarchical vs flat stealing (simulated, P=256, 16 workers/node)",
         "Ablation: screening threshold vs task-cost skew (C8H18/STO-3G)",
         "Ablation: work-stealing seed partition (real threads, P=2)",
         "Ablation: persistence rebalancer warm-up (P=16)",

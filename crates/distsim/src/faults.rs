@@ -118,8 +118,9 @@ pub struct FaultPlan {
     pub delay_prob: f64,
     /// Extra latency (s) applied to delayed messages.
     pub delay: f64,
-    /// Optional shared-counter host outage (applies to the group-0
-    /// counter under `GroupCounters`).
+    /// Optional shared-counter host outage (applies to the one counter
+    /// of `Counter` and `Guided`, and to the root of a `HierCounters`
+    /// tree).
     pub counter_outage: Option<CounterOutage>,
     /// No-response deadline (s) for counter fetches and steal round
     /// trips: a dropped request or dead victim costs the sender this
@@ -583,10 +584,12 @@ mod tests {
 
     #[test]
     fn fully_dead_group_orphans_its_range_to_other_groups() {
-        // Workers 0,1 form group 0 (range 0..20), workers 2,3 group 1
-        // (range 20..40). Killing all of group 0 must orphan group 0's
-        // unclaimed range onto the global recovery queue — survivors in
-        // group 1 finish it, so nothing is lost.
+        // A two-leaf counter tree: workers 0,1 share leaf 0, workers 2,3
+        // leaf 1, and each leaf refills 10-task blocks from the root.
+        // Both ranks of leaf 0 die mid-claim at 2.5 with 8..10 of the
+        // leaf's block unclaimed: that residue must join their two
+        // claims on the global recovery queue — survivors on leaf 1
+        // finish it, so nothing is lost.
         let costs = vec![1.0; 40];
         let p = 4;
         let cfg = SimConfig {
@@ -596,22 +599,18 @@ mod tests {
         let plan = FaultPlan::fault_free()
             .with_rank_failure(0, 2.5)
             .with_rank_failure(1, 2.5);
-        let model = SimModel::GroupCounters {
-            groups: 2,
+        let model = SimModel::HierCounters {
             chunk: 2,
+            node_size: 2,
+            parent_chunk: 10,
         };
         let r = simulate_with_faults(&costs, &model, &cfg, &plan);
-        assert_eq!(r.faults.lost, 0, "dead group's range must be recovered");
+        assert_eq!(r.faults.lost, 0, "dead leaf's block must be recovered");
         assert_eq!(r.faults.recovered, r.faults.orphaned);
+        assert_eq!(r.faults.orphaned, 2 + 2 + 2, "two claims and the residue");
         assert_eq!(r.sim.tasks.iter().sum::<usize>(), 40);
-        assert!(
-            r.sim.tasks[0] + r.sim.tasks[1] < 20,
-            "group 0 died before finishing its range"
-        );
-        assert!(
-            r.sim.tasks[2] + r.sim.tasks[3] > 20,
-            "group 1 survivors must absorb group 0's residual work"
-        );
+        assert_eq!(r.sim.tasks[0] + r.sim.tasks[1], 4, "two chunks before 2.5");
+        assert_eq!(r.sim.tasks[2] + r.sim.tasks[3], 36);
     }
 
     #[test]

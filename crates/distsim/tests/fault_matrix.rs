@@ -1,6 +1,6 @@
 //! Regression matrix for orphan redistribution: every
-//! [`RecoveryPolicy`] × a fully-dead counter group (and the other
-//! fully-dead-subset shapes a redistribution pass must survive), then
+//! [`RecoveryPolicy`] × a fully-dead leaf of a counter tree (and the
+//! other fully-dead-subset shapes a redistribution pass must survive), then
 //! the whole model roster × seven fault scenarios × every policy.
 //!
 //! The invariants: work conservation (`executed + lost = total`), zero
@@ -20,6 +20,17 @@ fn cfg() -> SimConfig {
     SimConfig {
         machine: MachineModel::ideal(),
         ..SimConfig::new(P)
+    }
+}
+
+/// A two-leaf counter tree on the four ranks: ranks 0 and 1 share leaf
+/// 0, ranks 2 and 3 leaf 1, and a dry leaf refills 10 tasks from the
+/// root. A leaf whose ranks all die orphans its unclaimed block.
+fn two_leaf_tree() -> SimModel {
+    SimModel::HierCounters {
+        chunk: 2,
+        node_size: 2,
+        parent_chunk: 10,
     }
 }
 
@@ -55,16 +66,13 @@ fn assert_degraded_invariants(r: &FaultReport, plan: &FaultPlan, label: &str) {
     }
 }
 
-/// Group 0 (ranks 0 and 1, range 0..20) dies entirely, early, under
-/// every recovery policy: its whole residual range must land on the
-/// survivors of group 1, with identical accounting across reruns.
+/// Leaf 0 (ranks 0 and 1) dies entirely, mid-claim, under every
+/// recovery policy: its two claims and the rest of its block must land
+/// on the survivors of leaf 1, with identical accounting across reruns.
 #[test]
 fn fully_dead_group_recovers_under_every_policy() {
     let costs = vec![1.0; NTASKS];
-    let model = SimModel::GroupCounters {
-        groups: 2,
-        chunk: 2,
-    };
+    let model = two_leaf_tree();
     for policy in policies() {
         let plan = FaultPlan::fault_free()
             .with_rank_failure(0, 2.5)
@@ -73,13 +81,14 @@ fn fully_dead_group_recovers_under_every_policy() {
         let label = format!("group-dead/{}", policy.name());
         let r = simulate_with_faults(&costs, &model, &cfg(), &plan);
         assert_degraded_invariants(&r, &plan, &label);
-        assert!(
-            r.sim.tasks[0] + r.sim.tasks[1] < 20,
-            "{label}: dead group cannot have finished its range"
+        assert_eq!(
+            r.faults.orphaned, 6,
+            "{label}: two claims and the block's unclaimed 8..10"
         );
-        assert!(
-            r.sim.tasks[2] + r.sim.tasks[3] > 20,
-            "{label}: survivors must absorb the dead group's residue"
+        assert_eq!(
+            r.sim.tasks[2] + r.sim.tasks[3],
+            NTASKS - 4,
+            "{label}: survivors must absorb the dead leaf's residue"
         );
         // The degraded run is deterministic per policy.
         let again = simulate_with_faults(&costs, &model, &cfg(), &plan);
@@ -91,25 +100,23 @@ fn fully_dead_group_recovers_under_every_policy() {
     }
 }
 
-/// The same matrix with the group dying at t=0, before it claims
-/// anything: the entire 0..20 range is orphaned in one batch — the
-/// worst case for a redistribution pass.
+/// The same matrix with the leaf dying inside its first tasks, before
+/// it completes anything: the entire first block, 0..10, is orphaned —
+/// the worst case for a redistribution pass.
 #[test]
 fn group_dead_at_start_orphans_entire_range_under_every_policy() {
     let costs = vec![1.0; NTASKS];
-    let model = SimModel::GroupCounters {
-        groups: 2,
-        chunk: 2,
-    };
+    let model = two_leaf_tree();
     for policy in policies() {
         let plan = FaultPlan::fault_free()
-            .with_rank_failure(0, 0.0)
-            .with_rank_failure(1, 0.0)
+            .with_rank_failure(0, 0.5)
+            .with_rank_failure(1, 0.5)
             .with_recovery(policy);
         let label = format!("group-dead-at-start/{}", policy.name());
         let r = simulate_with_faults(&costs, &model, &cfg(), &plan);
         assert_degraded_invariants(&r, &plan, &label);
-        assert_eq!(r.sim.tasks[0] + r.sim.tasks[1], 0, "{label}: dead at t=0");
+        assert_eq!(r.faults.orphaned, 10, "{label}: the whole first block");
+        assert_eq!(r.sim.tasks[0] + r.sim.tasks[1], 0, "{label}: dead at 0.5");
         assert_eq!(
             r.sim.tasks[2] + r.sim.tasks[3],
             NTASKS,
@@ -144,15 +151,13 @@ fn static_block_owner_death_and_reorphaning_under_every_policy() {
     }
 }
 
-/// All groups fully dead: with no survivors anywhere, every policy must
-/// report the unexecuted residue as lost — and exactly that residue.
+/// Both leaves fully dead: with no survivors anywhere, every policy
+/// must report the unexecuted residue as lost — and exactly that
+/// residue, orphaned blocks and the root's unclaimed range alike.
 #[test]
 fn all_groups_dead_loses_exactly_the_residue_under_every_policy() {
     let costs = vec![1.0; NTASKS];
-    let model = SimModel::GroupCounters {
-        groups: 2,
-        chunk: 2,
-    };
+    let model = two_leaf_tree();
     for policy in policies() {
         let plan = FaultPlan::fault_free()
             .with_rank_failure(0, 2.5)
@@ -173,16 +178,13 @@ fn all_groups_dead_loses_exactly_the_residue_under_every_policy() {
     }
 }
 
-/// Dead group with message chaos layered on top: recovery must still
+/// Dead leaf with message chaos layered on top: recovery must still
 /// conserve work when the redistribution-era messages themselves drop
 /// and stall.
 #[test]
 fn dead_group_with_message_faults_still_conserves_work() {
     let costs = vec![1.0; NTASKS];
-    let model = SimModel::GroupCounters {
-        groups: 2,
-        chunk: 2,
-    };
+    let model = two_leaf_tree();
     for policy in policies() {
         let plan = FaultPlan::fault_free()
             .with_rank_failure(0, 2.5)

@@ -370,11 +370,8 @@ fn run_stealing<L>(
                 deque.push(i);
             }
         }
-        // Protocol `runtime-ws-termination` (docs/protocols.toml):
-        // Release decrements publish completed work; the idle loop's
-        // Acquire load of zero is the only exit signal.
         if done > 0 {
-            remaining.fetch_sub(done, Ordering::Release);
+            publish_completions(remaining, done);
         }
         // Steal until we obtain work or everything is done. `spins` is
         // the hunt's failed probes: a thief can make thousands while a
@@ -417,7 +414,7 @@ fn run_stealing<L>(
                     ctx.stats.steals += 1;
                     ctx.obs_steal_success(idle_from, spins, victim);
                     if ctx.try_run_task(i, local, task) {
-                        remaining.fetch_sub(1, Ordering::Release);
+                        publish_completions(remaining, 1);
                     } else {
                         deque.push(i);
                     }
@@ -433,6 +430,26 @@ fn run_stealing<L>(
                 }
             }
         }
+    }
+}
+
+/// Publishes `done` completed tasks to the work-stealing termination
+/// counter `remaining`. More completions than tasks left means some task
+/// completed twice: a wrapped counter would never read zero and every
+/// peer would spin forever, so the counter is stored to zero, which
+/// releases them, and the excess is raised as a panic that the scope
+/// join re-raises.
+fn publish_completions(remaining: &AtomicUsize, done: usize) {
+    // Protocol `runtime-ws-termination` (docs/protocols.toml): Release
+    // decrements publish completed work; the idle loop's Acquire load of
+    // zero is the only exit signal.
+    let left = remaining.fetch_sub(done, Ordering::Release);
+    if left < done {
+        remaining.store(0, Ordering::Release);
+        panic!(
+            "work stealing: {done} completions with {left} tasks left, {} completed twice",
+            done - left
+        );
     }
 }
 
@@ -985,6 +1002,20 @@ mod tests {
             let (_, r) = Executor::new(1, model).run(n, |_| (), |_, _| {});
             assert_eq!(r.total_counter_fetches(), claims, "{rule:?}");
         }
+    }
+
+    #[test]
+    fn a_double_completion_releases_peers_and_panics() {
+        let remaining = AtomicUsize::new(3);
+        publish_completions(&remaining, 2);
+        assert_eq!(remaining.load(Ordering::Relaxed), 1);
+        // Two more completions than tasks left: the counter must read
+        // zero (peers exit) instead of wrapping, and the call must fail.
+        let err = std::panic::catch_unwind(|| publish_completions(&remaining, 3))
+            .expect_err("a completion past zero must panic");
+        assert_eq!(remaining.load(Ordering::Relaxed), 0, "peers released");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("2 completed twice"), "{msg}");
     }
 
     #[test]

@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn driven_chunks_partition_the_range() {
-        // Drive each rule the way CounterPolicy does: chunks must be
+        // Drive each rule the way a shared counter does: chunks must be
         // non-zero, disjoint, in order, and cover 0..n exactly — no
         // zero-size and no duplicate chunks for any (n, P) shape,
         // including n == 0 and P > n.

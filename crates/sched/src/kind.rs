@@ -104,8 +104,8 @@ impl PolicyKind {
 
     /// Whether the task→worker assignment is fully determined before
     /// execution (independent of timing). For deterministic policies the
-    /// simulator, the thread executor and [`crate::replay_assignment`]
-    /// must all produce identical assignments.
+    /// simulator and the thread executor must both reproduce
+    /// [`PolicyKind::initial_partition`].
     pub fn is_deterministic(&self) -> bool {
         !self.is_dynamic()
     }

@@ -11,18 +11,16 @@
 //!   parsing, classification, and the experiment rosters;
 //! * [`ChunkRule`] — the single source of truth for how a counter fetch
 //!   sizes its claim (fixed chunks vs the guided `remaining/(k·P)` taper);
-//! * [`SchedulePolicy`] — the substrate-agnostic policy trait (initial
-//!   partition, `next_task(worker) -> Claim`, completion/rebalance hooks)
-//!   plus sequential reference implementations and [`replay_assignment`],
-//!   the deterministic replayer cross-substrate tests compare against;
 //! * [`partition`] and [`rng`] — the partition maps and the splitmix64
 //!   victim-selection streams both substrates reproduce bit-for-bit.
 //!
 //! The thread runtime (`emx-runtime`) executes these policies with real
 //! atomics and Chase–Lev deques; the discrete-event simulator
-//! (`emx-distsim`) replays the same objects in virtual time. Both consume
-//! this crate, so adding an execution model here makes it appear in every
-//! experiment on both substrates.
+//! (`emx-distsim`) replays the same descriptions in virtual time. There
+//! is no third, sequential implementation: for a deterministic policy
+//! [`PolicyKind::initial_partition`] is the assignment both substrates
+//! must reproduce. Both consume this crate, so adding an execution model
+//! here makes it appear in every experiment on both substrates.
 //!
 //! ## Example
 //!
@@ -42,11 +40,9 @@
 pub mod chunk;
 pub mod kind;
 pub mod partition;
-pub mod policy;
 pub mod rng;
 
 pub use chunk::ChunkRule;
 pub use kind::{PolicyKind, SeedPartition, StealConfig, VictimPolicy};
 pub use partition::{block_owner, block_partition, cyclic_partition};
-pub use policy::{build_policy, replay_assignment, Claim, SchedulePolicy};
 pub use rng::{random_victim, round_robin_victim, worker_stream, SplitMix64};

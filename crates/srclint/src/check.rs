@@ -91,8 +91,9 @@ pub const FORBIDDEN: &[Forbidden] = &[
             "rand::random",
         ],
         tests_too: true,
-        why: "a wall-clock read or ambient entropy makes `replay_assignment` \
-              and `simulate_with_faults` unreproducible",
+        why: "a wall-clock read or ambient entropy makes `PolicyKind::initial_partition`, \
+              `SeedPartition::owners`, the balancers and `simulate_with_faults` \
+              unreproducible",
     },
     Forbidden {
         name: "event-core",

@@ -267,7 +267,7 @@ mod tests {
     /// outside its roots.
     #[test]
     fn scanner_flags_seeded_violations() {
-        const REPLAY: &str = "crates/sched/src/policy.rs";
+        const REPLAY: &str = "crates/sched/src/kind.rs";
         const SIM: &str = "crates/distsim/src/sim.rs";
         // (file, source, findings as `row@line`)
         let cases: &[(&str, &str, &[&str])] = &[

@@ -13,9 +13,8 @@
 //! [[protocol.rule]]
 //! role      = "publish"
 //! file      = "crates/runtime/src/pool.rs"
-//! fn        = "run_stealing"
-//! ops       = ["fetch_sub"]
-//! orderings = ["fetch_sub Release"]
+//! fn        = "publish_completions"
+//! sequence  = ["fetch_sub Release", "store Release"]
 //!
 //! [[protocol.rule]]
 //! role      = "check"

@@ -186,19 +186,15 @@ fn simulated_rank_failure_loses_no_tasks_in_any_model() {
         SimModel::Static(owners.clone()),
         SimModel::Counter { chunk: 4 },
         SimModel::Guided { min_chunk: 1 },
-        SimModel::GroupCounters {
-            groups: 2,
+        SimModel::HierCounters {
             chunk: 4,
+            node_size: 4,
+            parent_chunk: 32,
         },
         SimModel::WorkStealing { steal_half: true },
         SimModel::SeededStealing {
             owners: owners.clone(),
             steal_half: true,
-        },
-        SimModel::HierarchicalStealing {
-            steal_half: true,
-            node_size: 4,
-            remote_factor: 4.0,
         },
     ];
     for model in &models {

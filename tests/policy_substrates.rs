@@ -1,11 +1,11 @@
 //! Cross-substrate policy equality tests.
 //!
-//! The whole point of `emx-sched` is that one policy object drives both
-//! substrates. These tests pin that contract:
+//! The whole point of `emx-sched` is that one policy description drives
+//! both substrates. These tests pin that contract:
 //!
 //! * deterministic policies produce the *identical* task→worker
-//!   assignment on real threads, in the discrete-event simulator, and
-//!   from the pure replay driver;
+//!   assignment on real threads and in the discrete-event simulator:
+//!   the one reference is [`PolicyKind::initial_partition`];
 //! * every policy in the full roster runs to completion on both
 //!   substrates with every task executed exactly once.
 
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use emx_distsim::sim::{simulate_policy, SimConfig};
 use emx_runtime::{Executor, PolicyKind};
-use emx_sched::{replay_assignment, StealConfig};
+use emx_sched::StealConfig;
 
 const NTASKS: usize = 23;
 const WORKERS: usize = 4;
@@ -54,9 +54,6 @@ fn deterministic_policies_agree_on_assignment() {
         let expected = kind
             .initial_partition(NTASKS, WORKERS)
             .expect("deterministic policy has a partition");
-
-        let replayed = replay_assignment(&kind, NTASKS, WORKERS);
-        assert_eq!(replayed, expected, "replay driver diverged for {kind}");
 
         let threaded = threaded_assignment(&kind, NTASKS, WORKERS);
         assert_eq!(threaded, expected, "thread executor diverged for {kind}");
@@ -159,13 +156,20 @@ fn work_stealing_round_robin_victims_run_on_both_substrates() {
     assert_eq!(report.assignment.len(), NTASKS);
 }
 
+/// Threads and the simulator's replay both equal the partition at every
+/// worker count from 1 to 6, not only at [`WORKERS`].
 #[test]
 fn replay_matches_threads_for_every_worker_count() {
     for workers in 1..=6 {
+        let costs = skewed_costs(NTASKS);
         for kind in deterministic_roster(NTASKS, workers) {
-            let expected = replay_assignment(&kind, NTASKS, workers);
+            let expected = kind
+                .initial_partition(NTASKS, workers)
+                .expect("deterministic policy has a partition");
             let threaded = threaded_assignment(&kind, NTASKS, workers);
-            assert_eq!(threaded, expected, "{kind} at p={workers}");
+            assert_eq!(threaded, expected, "threads: {kind} at p={workers}");
+            let sim = simulate_policy(&costs, &kind, &SimConfig::new(workers));
+            assert_eq!(sim.assignment, expected, "simulator: {kind} at p={workers}");
         }
     }
 }

@@ -98,7 +98,7 @@ proptest! {
         workers in 1usize..40,
         model_pick in 0usize..5,
         chunk in 1usize..32,
-        groups in 1usize..6,
+        node_size in 1usize..6,
     ) {
         let n = costs.len();
         let model = match model_pick {
@@ -107,7 +107,7 @@ proptest! {
             ),
             1 => SimModel::Counter { chunk },
             2 => SimModel::Guided { min_chunk: chunk },
-            3 => SimModel::GroupCounters { groups, chunk },
+            3 => SimModel::HierCounters { chunk, node_size, parent_chunk: 4 * chunk },
             _ => SimModel::WorkStealing { steal_half: true },
         };
         let r = simulate(&costs, &model, &SimConfig::new(workers));

@@ -801,7 +801,7 @@ fn ablation_screening_skew() -> Table {
 }
 
 /// Ablation: initial seed partition of the stealing deques (real
-/// threads; steals required to fix a bad seed).
+/// threads; the steals each seed needs on a skewed task set).
 fn ablation_seed_partition() -> Table {
     use emx_runtime::prelude::*;
     let mut t = Table::new(
@@ -812,10 +812,6 @@ fn ablation_seed_partition() -> Table {
     for (name, seed) in [
         ("block", SeedPartition::Block),
         ("cyclic", SeedPartition::Cyclic),
-        (
-            "all-on-worker-0",
-            SeedPartition::Assigned(std::sync::Arc::new(vec![0; 2048])),
-        ),
     ] {
         let ex = Executor::new(
             2,
@@ -931,36 +927,21 @@ fn ablation_hybrid_seeding(machine: &MachineModel) -> Table {
 /// iterations — the execution-model assumption behind persistence-based
 /// balancing erodes, while work stealing is indifferent.
 ///
-/// The table tracks, for an incremental SCF on butane: the surviving
-/// quartets, ‖ΔD‖, and the load imbalance of (a) the assignment frozen
-/// from the first incremental iteration vs (b) an assignment re-derived
-/// from each iteration's actual costs.
+/// The table tracks the first ten builds of an incremental SCF on
+/// butane (a full rebuild at builds 0 and 8, ΔD-screened builds between):
+/// the surviving quartets, ‖ΔD‖, and the load imbalance of (a) the
+/// assignment frozen from the first incremental build vs (b) an
+/// assignment re-derived from each build's actual costs.
 fn ablation_incremental_drift() -> Table {
     use emx_chem::prelude::*;
-    use emx_linalg::{jacobi_eigen, symmetric_orthogonalizer, Matrix};
+    use emx_core::prelude::{balance, BalancerKind};
 
     let bm = BasisedMolecule::assign(&Molecule::alkane(4), BasisSet::Sto3g);
-    let tau = 1e-8;
-    let pairs = ScreenedPairs::build(&bm, tau * 1e-2);
-    let fb = FockBuilder::new(&bm, &pairs, tau);
-    let tasks = fb.tasks(usize::MAX);
-    let p_workers = 8;
-
-    // Plain Roothaan incremental loop, collecting per-task quartets.
-    let s = emx_chem::oneint::overlap(&bm);
-    let h = emx_chem::oneint::core_hamiltonian(&bm);
-    let x = symmetric_orthogonalizer(&s).expect("SPD overlap");
-    let nocc = bm.nelectrons() / 2;
-    let mut density = {
-        let hp = h.congruence(&x).expect("shapes");
-        let e = jacobi_eigen(&hp, 1e-12, 100).expect("eigen");
-        let c = x.matmul(&e.vectors).expect("shapes");
-        emx_chem::scf::density_from_mos(&c, nocc)
+    let cfg = ScfConfig {
+        tau: 1e-8,
+        ..ScfConfig::default()
     };
-    let mut g = Matrix::zeros(bm.nbf, bm.nbf);
-    let mut d_prev = Matrix::zeros(bm.nbf, bm.nbf);
-    let mut scratch = fb.scratch();
-
+    let p_workers = 8;
     let mut t = Table::new(
         "Ablation: incremental-Fock cost drift vs persistence balancing (C4H10, P=8)",
         &[
@@ -972,61 +953,29 @@ fn ablation_incremental_drift() -> Table {
         ],
     );
     let mut frozen: Option<Vec<u32>> = None;
-    for iter in 0..10 {
-        let delta = density.sub(&d_prev).expect("shapes");
-        let dmax = fb.pair_density_max(&delta);
-        let mut per_task = Vec::with_capacity(tasks.len());
-        for task in &tasks {
-            per_task.push(
-                fb.execute_density_screened(task, &delta, &dmax, &mut g, &mut scratch) as f64,
-            );
+    rhf_incremental(&bm, &cfg, |build, dnorm, quartets| {
+        if build >= 10 {
+            return;
         }
-        d_prev = density.clone();
-        let quartets: f64 = per_task.iter().sum();
+        let per_task: Vec<f64> = quartets.iter().map(|&q| q as f64).collect();
         let problem = Problem::new(per_task.clone(), p_workers);
+        let (retuned, _) = balance(BalancerKind::SemiMatching, &per_task, p_workers, None);
         // Freeze the assignment computed from the FIRST incremental
-        // iteration's costs (iteration 1 — iteration 0 is the full
-        // build that persistence schemes calibrate on).
-        if iter == 1 {
-            frozen = Some({
-                let (a, _) = emx_core::prelude::balance(
-                    emx_core::prelude::BalancerKind::SemiMatching,
-                    &per_task,
-                    p_workers,
-                    None,
-                );
-                a
-            });
+        // build's costs (build 1 — build 0 is the full build that
+        // persistence schemes calibrate on).
+        if build == 1 {
+            frozen = Some(retuned.clone());
         }
-        let frozen_imb = frozen
-            .as_ref()
-            .map(|a| fmt3(problem.imbalance(a)))
-            .unwrap_or_else(|| "-".into());
-        let (retuned, _) = emx_core::prelude::balance(
-            emx_core::prelude::BalancerKind::SemiMatching,
-            &per_task,
-            p_workers,
-            None,
-        );
         t.push(vec![
-            iter.to_string(),
-            (quartets as u64).to_string(),
-            fmt3(delta.max_abs()),
-            frozen_imb,
+            build.to_string(),
+            quartets.iter().sum::<u64>().to_string(),
+            fmt3(dnorm),
+            frozen
+                .as_ref()
+                .map_or_else(|| "-".into(), |a| fmt3(problem.imbalance(a))),
             fmt3(problem.imbalance(&retuned)),
         ]);
-
-        // Damped Roothaan step (50 % mixing) so ΔD decays monotonically
-        // and the drift is visible within a few iterations.
-        let f = h.add(&g).expect("shapes");
-        let fp = f.congruence(&x).expect("shapes");
-        let e = jacobi_eigen(&fp, 1e-12, 100).expect("eigen");
-        let c = x.matmul(&e.vectors).expect("shapes");
-        let fresh = emx_chem::scf::density_from_mos(&c, nocc);
-        let mut mixed = fresh.scaled(0.5);
-        mixed.axpy(0.5, &density).expect("shapes");
-        density = mixed;
-    }
+    });
     t
 }
 

@@ -121,7 +121,7 @@ fn profile_workload(smoke: bool) -> (BasisedMolecule, ScreenedPairs, &'static st
 }
 
 /// Runs the roster with rings attached and measures recording overhead.
-/// Full mode: the 8-policy [`PolicyKind::full_roster`] at `workers`,
+/// Full mode: the 7-policy [`PolicyKind::full_roster`] at `workers`,
 /// 5 overhead samples. Smoke: [`PolicyKind::profile_roster`], 2 samples.
 pub fn profile_fock_roster(workers: usize, smoke: bool) -> ProfileReport {
     let (bm, pairs, molecule, basis) = profile_workload(smoke);

@@ -84,7 +84,7 @@ pub struct ScfResult {
 
 /// Builds the closed-shell density `P = 2 Σᵢ^{occ} C·Cᵀ` from the MO
 /// coefficients (columns) and the number of doubly-occupied orbitals.
-pub fn density_from_mos(c: &Matrix, nocc: usize) -> Matrix {
+fn density_from_mos(c: &Matrix, nocc: usize) -> Matrix {
     let n = c.rows();
     let mut p = Matrix::zeros(n, n);
     for i in 0..n {
@@ -225,87 +225,51 @@ pub fn rhf_with(
     }
 }
 
-/// Per-iteration statistics of an incremental SCF run.
-#[derive(Debug, Clone)]
-pub struct IncrementalStats {
-    /// Quartets actually computed in each iteration (shrinks as ΔD
-    /// converges).
-    pub quartets_per_iteration: Vec<u64>,
-    /// ‖ΔD‖∞ per iteration.
-    pub delta_norms: Vec<f64>,
-}
-
 /// RHF with **incremental Fock builds**: `G_k = G_{k−1} + G(ΔD_k)` with
-/// density-weighted screening on ΔD.
+/// density-weighted screening on ΔD, run as one stateful `G` builder
+/// inside [`rhf_with`].
 ///
-/// Physically identical to [`rhf`] within the screening tolerance, but
-/// the *work per task changes every iteration* — the returned
-/// [`IncrementalStats`] quantify the drift the execution-model study's
-/// persistence assumption has to survive.
+/// Every eighth build (from the first) rebuilds `G` from scratch, since
+/// the skipped ΔD contributions accumulate as bias in `G`; the others
+/// screen on ΔD. The recursion tracks `G(P)` for whatever density the
+/// loop hands it, so DIIS — which only extrapolates `F` — runs as in
+/// [`rhf`]. Screening on ΔD limits the reachable convergence, so the
+/// thresholds are floored at `e_tol = 1e-8`, `d_tol = 1e-6`.
 ///
-/// Note: DIIS extrapolates the Fock matrix away from `H + G(P)`, which
-/// would break the simple `G` recursion, so this driver uses plain
-/// Roothaan iterations with a slightly higher iteration cap.
-pub fn rhf_incremental(bm: &BasisedMolecule, config: &ScfConfig) -> (ScfResult, IncrementalStats) {
-    let nelec = bm.nelectrons();
-    assert!(
-        nelec % 2 == 0,
-        "RHF requires an even electron count, got {nelec}"
-    );
-    let nocc = nelec / 2;
-
-    let s = overlap(bm);
-    let h = core_hamiltonian(bm);
-    let x = symmetric_orthogonalizer(&s).expect("overlap must be positive definite");
+/// The *work per task changes every build*: `observe(build, ‖ΔD‖∞,
+/// quartets)` receives the per-task quartet counts of each build, the
+/// drift the execution-model study's persistence assumption has to
+/// survive.
+pub fn rhf_incremental(
+    bm: &BasisedMolecule,
+    config: &ScfConfig,
+    mut observe: impl FnMut(usize, f64, &[u64]),
+) -> ScfResult {
+    const REBUILD_EVERY: usize = 8;
     let pairs = ScreenedPairs::build(bm, config.tau * 1e-2);
     let fock_builder = FockBuilder::new(bm, &pairs, config.tau);
     let tasks = fock_builder.tasks(usize::MAX);
-
-    let mut p = {
-        let hp = h.congruence(&x).expect("congruence shapes");
-        let e = jacobi_eigen(&hp, 1e-12, 100).expect("Hcore diagonalization");
-        let c = x.matmul(&e.vectors).expect("back-transform");
-        density_from_mos(&c, nocc)
-    };
-
-    let enuc = bm.nuclear_repulsion();
+    let mut scratch = fock_builder.scratch();
     let mut g = Matrix::zeros(bm.nbf, bm.nbf);
     let mut p_prev = Matrix::zeros(bm.nbf, bm.nbf);
-    let mut e_old = 0.0;
-    let mut history = Vec::new();
-    let mut quartets_per_iteration = Vec::new();
-    let mut delta_norms = Vec::new();
-    let mut orbital_energies = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-
-    // Incremental screening accumulates the skipped contributions as
-    // bias in G; production codes therefore rebuild from scratch
-    // periodically. Eight is a conventional cadence.
-    const REBUILD_EVERY: usize = 8;
-    let mut phase_timings = Vec::new();
-    let mut scratch = fock_builder.scratch();
-    for it in 0..config.max_iter * 2 {
-        iterations = it + 1;
-        let mut phases = IterationPhases::default();
-        let iter_start = std::time::Instant::now();
-        let rebuild = it % REBUILD_EVERY == 0;
-        let quartets = if rebuild {
+    let mut quartets = vec![0u64; tasks.len()];
+    let mut build = 0;
+    let config = ScfConfig {
+        e_tol: config.e_tol.max(1e-8),
+        d_tol: config.d_tol.max(1e-6),
+        ..config.clone()
+    };
+    rhf_with(bm, &config, |p| {
+        let delta = p.sub(&p_prev).expect("shapes");
+        if build % REBUILD_EVERY == 0 {
             g.fill_zero();
-            let mut q = 0;
-            for task in &tasks {
-                q += fock_builder.execute(task, &p, &mut g, &mut scratch);
+            for (q, task) in quartets.iter_mut().zip(&tasks) {
+                *q = fock_builder.execute(task, p, &mut g, &mut scratch);
             }
-            delta_norms.push(p.sub(&p_prev).expect("shapes").max_abs());
-            q
         } else {
-            // Incremental build on the density change.
-            let delta = p.sub(&p_prev).expect("shapes");
-            delta_norms.push(delta.max_abs());
             let dmax = fock_builder.pair_density_max(&delta);
-            let mut q = 0;
-            for task in &tasks {
-                q += fock_builder.execute_density_screened(
+            for (q, task) in quartets.iter_mut().zip(&tasks) {
+                *q = fock_builder.execute_density_screened(
                     task,
                     &delta,
                     &dmax,
@@ -313,53 +277,12 @@ pub fn rhf_incremental(bm: &BasisedMolecule, config: &ScfConfig) -> (ScfResult, 
                     &mut scratch,
                 );
             }
-            q
-        };
-        quartets_per_iteration.push(quartets);
-        phases.fock = iter_start.elapsed();
-        p_prev = p.clone();
-
-        let f = h.add(&g).expect("F = H + G");
-        let e_elec = 0.5 * p.dot(&h.add(&f).expect("H+F")).expect("energy trace");
-        history.push(e_elec + enuc);
-
-        let diag_start = std::time::Instant::now();
-        let fp = f.congruence(&x).expect("F transform");
-        let eig = jacobi_eigen(&fp, 1e-12, 100).expect("Fock diagonalization");
-        let c = x.matmul(&eig.vectors).expect("back-transform");
-        let p_new = density_from_mos(&c, nocc);
-        phases.diag = diag_start.elapsed();
-        orbital_energies = eig.values.clone();
-
-        let de = (e_elec + enuc - e_old).abs();
-        let dp = rms_diff(&p_new, &p);
-        e_old = e_elec + enuc;
-        p = p_new;
-        phases.total = iter_start.elapsed();
-        phase_timings.push(phases);
-        if it > 0 && de < config.e_tol.max(1e-8) && dp < config.d_tol.max(1e-6) {
-            converged = true;
-            break;
         }
-    }
-
-    (
-        ScfResult {
-            energy: e_old,
-            electronic_energy: e_old - enuc,
-            nuclear_repulsion: enuc,
-            iterations,
-            converged,
-            orbital_energies,
-            density: p,
-            energy_history: history,
-            phase_timings,
-        },
-        IncrementalStats {
-            quartets_per_iteration,
-            delta_norms,
-        },
-    )
+        observe(build, delta.max_abs(), &quartets);
+        build += 1;
+        p_prev = p.clone();
+        g.clone()
+    })
 }
 
 /// Root-mean-square elementwise difference.
@@ -406,6 +329,16 @@ mod tests {
     /// The validation table's tolerance: literature energies are quoted
     /// to 4 decimals, plus convergence slack.
     const E_TOL: f64 = 6e-5;
+
+    /// Per-build records of an incremental run: `(build, ‖ΔD‖∞,
+    /// per-task quartets)`.
+    type Builds = Vec<(usize, f64, Vec<u64>)>;
+
+    fn run_incremental(bm: &BasisedMolecule, cfg: &ScfConfig) -> (ScfResult, Builds) {
+        let mut builds = Vec::new();
+        let r = rhf_incremental(bm, cfg, |b, dnorm, q| builds.push((b, dnorm, q.to_vec())));
+        (r, builds)
+    }
 
     fn run(mol: &Molecule, basis: BasisSet, diis: bool) -> ScfResult {
         let bm = BasisedMolecule::assign(mol, basis);
@@ -485,7 +418,7 @@ mod tests {
     fn incremental_scf_matches_regular() {
         let bm = BasisedMolecule::assign(&Molecule::water(), BasisSet::Sto3g);
         let regular = rhf(&bm, &ScfConfig::default());
-        let (incremental, stats) = rhf_incremental(&bm, &ScfConfig::default());
+        let (incremental, builds) = run_incremental(&bm, &ScfConfig::default());
         assert!(
             incremental.converged,
             "history {:?}",
@@ -498,8 +431,9 @@ mod tests {
             regular.energy
         );
         // ΔD norms decay as SCF converges.
-        assert!(stats.delta_norms.last().unwrap() < &1e-3);
-        assert!(stats.delta_norms[0] > 10.0 * stats.delta_norms.last().unwrap());
+        let last = builds.last().unwrap().1;
+        assert!(last < 1e-3, "last ‖ΔD‖ {last}");
+        assert!(builds[0].1 > 10.0 * last);
     }
 
     #[test]
@@ -524,7 +458,7 @@ mod tests {
                 ..ScfConfig::default()
             },
         );
-        let (incremental, stats) = rhf_incremental(&bm, &cfg);
+        let (incremental, builds) = run_incremental(&bm, &cfg);
         assert!(
             incremental.converged,
             "history {:?}",
@@ -536,13 +470,9 @@ mod tests {
             incremental.energy,
             regular.energy
         );
-        let first = stats.quartets_per_iteration[0];
-        let last = *stats.quartets_per_iteration.last().unwrap();
-        assert!(
-            last < first,
-            "quartet counts should shrink: {:?}",
-            stats.quartets_per_iteration
-        );
+        let totals: Vec<u64> = builds.iter().map(|(_, _, q)| q.iter().sum()).collect();
+        let (first, last) = (totals[0], *totals.last().unwrap());
+        assert!(last < first, "quartet counts should shrink: {totals:?}");
     }
 
     #[test]
@@ -590,10 +520,44 @@ mod tests {
     #[test]
     fn incremental_stats_shapes() {
         let bm = BasisedMolecule::assign(&Molecule::h2(1.4), BasisSet::Sto3g);
-        let (r, stats) = rhf_incremental(&bm, &ScfConfig::default());
-        assert_eq!(stats.quartets_per_iteration.len(), r.iterations);
-        assert_eq!(stats.delta_norms.len(), r.iterations);
+        let (r, builds) = run_incremental(&bm, &ScfConfig::default());
+        // One observed build per iteration, numbered from zero, each
+        // with one quartet count per task.
+        assert_eq!(builds.len(), r.iterations);
+        let ntasks = builds[0].2.len();
+        for (i, (b, dnorm, q)) in builds.iter().enumerate() {
+            assert_eq!(*b, i);
+            assert!(dnorm.is_finite() && *dnorm >= 0.0);
+            assert_eq!(q.len(), ntasks);
+        }
         assert!((r.energy + 1.1167).abs() < 1e-3);
+    }
+
+    #[test]
+    fn incremental_scf_converges_on_butane() {
+        // Plain Roothaan iterations oscillate between two energies on
+        // this system, so the ΔD builder must run under DIIS — which it
+        // can, since its recursion tracks G(P) whatever density the loop
+        // hands it.
+        let bm = BasisedMolecule::assign(&Molecule::alkane(4), BasisSet::Sto3g);
+        let cfg = ScfConfig {
+            tau: 1e-8,
+            ..ScfConfig::default()
+        };
+        let regular = rhf(&bm, &cfg);
+        let (incremental, builds) = run_incremental(&bm, &cfg);
+        assert!(
+            incremental.converged,
+            "history {:?}",
+            incremental.energy_history
+        );
+        assert!(
+            (incremental.energy - regular.energy).abs() < 1e-6,
+            "incremental {} vs regular {}",
+            incremental.energy,
+            regular.energy
+        );
+        assert_eq!(builds.len(), incremental.iterations);
     }
 
     #[test]
@@ -643,7 +607,7 @@ mod tests {
             assert!(ph.total >= ph.diag);
             assert!(ph.total > std::time::Duration::ZERO);
         }
-        let (ri, _) = rhf_incremental(
+        let (ri, _) = run_incremental(
             &BasisedMolecule::assign(&Molecule::h2(1.4), BasisSet::Sto3g),
             &ScfConfig::default(),
         );

@@ -23,11 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 fn sim_models(ntasks: usize, workers: usize, chunk: usize) -> Vec<(String, SimModel)> {
     let mut out: Vec<(String, SimModel)> = PolicyKind::comparison_roster(chunk)
         .into_iter()
-        .map(|(label, kind)| {
-            let model = SimModel::from_policy(&kind, ntasks, workers)
-                .expect("comparison roster maps onto the simulator");
-            (label, model)
-        })
+        .map(|(label, kind)| (label, SimModel::from_policy(&kind, ntasks, workers)))
         .collect();
     // Simulator-only scale models (no PolicyKind mapping): the
     // hierarchical NXTVAL tree and topology-aware stealing, the two
@@ -642,9 +638,11 @@ fn fault_models(ntasks: usize, workers: usize) -> Vec<(String, SimModel, Recover
             // static-cyclic and guided are not part of the E10 lineup.
             _ => continue,
         };
-        let model = SimModel::from_policy(&kind, ntasks, workers)
-            .expect("comparison roster maps onto the simulator");
-        out.push((label, model, recovery));
+        out.push((
+            label,
+            SimModel::from_policy(&kind, ntasks, workers),
+            recovery,
+        ));
     }
     out.push((
         "stealing+persist".into(),

@@ -28,10 +28,7 @@ use crate::faults::{
 use crate::machine::MachineModel;
 use emx_obs::{EventKind, ProfEvent};
 use emx_runtime::Variability;
-use emx_sched::{
-    random_victim, round_robin_victim, ChunkRule, PolicyKind, SeedPartition, VictimPolicy,
-};
-use std::borrow::Cow;
+use emx_sched::{random_victim, ChunkRule, PolicyKind, SeedPartition};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -115,45 +112,41 @@ impl SimModel {
 
     /// Maps a substrate-agnostic [`PolicyKind`] onto the simulator's
     /// model vocabulary, materializing static partitions for `ntasks`
-    /// tasks on `workers` workers. Returns `None` for policies the
-    /// `SimModel` enum cannot express (guided-adaptive chunking,
-    /// round-robin victims) — use [`simulate_policy`] for those, which
-    /// replays any registry policy directly. The reverse direction has
-    /// no mapping either: `SeededStealing`, `HierCounters` and
-    /// `TopologyStealing` are simulator-only extensions.
-    pub fn from_policy(kind: &PolicyKind, ntasks: usize, workers: usize) -> Option<SimModel> {
+    /// tasks on `workers` workers. The reverse direction has no mapping:
+    /// `SeededStealing`, `HierCounters` and `TopologyStealing` are
+    /// simulator-only extensions.
+    pub fn from_policy(kind: &PolicyKind, ntasks: usize, workers: usize) -> SimModel {
         match kind {
             PolicyKind::Serial
             | PolicyKind::StaticBlock
             | PolicyKind::StaticCyclic
             | PolicyKind::StaticAssigned(_)
-            | PolicyKind::PersistenceBased(_) => {
-                Some(SimModel::Static(kind.initial_partition(ntasks, workers)?))
-            }
-            PolicyKind::DynamicCounter { chunk } => Some(SimModel::Counter { chunk: *chunk }),
-            PolicyKind::Guided { min_chunk } => Some(SimModel::Guided {
+            | PolicyKind::PersistenceBased(_) => SimModel::Static(
+                kind.initial_partition(ntasks, workers)
+                    .expect("static policy has a partition"),
+            ),
+            PolicyKind::DynamicCounter { chunk } => SimModel::Counter { chunk: *chunk },
+            PolicyKind::Guided { min_chunk } => SimModel::Guided {
                 min_chunk: *min_chunk,
-            }),
-            PolicyKind::GuidedAdaptive { .. } => None,
-            PolicyKind::WorkStealing(cfg) => match (&cfg.seed, cfg.victim) {
-                (SeedPartition::Block, VictimPolicy::Random) => Some(SimModel::WorkStealing {
+            },
+            PolicyKind::WorkStealing(cfg) => match &cfg.seed {
+                SeedPartition::Block => SimModel::WorkStealing {
                     steal_half: cfg.steal_batch,
-                }),
-                (seed, VictimPolicy::Random) => Some(SimModel::SeededStealing {
+                },
+                seed => SimModel::SeededStealing {
                     owners: seed.owners(ntasks, workers),
                     steal_half: cfg.steal_batch,
-                }),
-                (_, VictimPolicy::RoundRobin) => None,
+                },
             },
         }
     }
 }
 
-/// What a [`SimModel`] or a [`PolicyKind`] asks of the simulator: the
-/// arguments of one of the three family loops.
+/// What a [`SimModel`] asks of the simulator: the arguments of one of
+/// the three family loops.
 pub(crate) enum Family<'a> {
     /// Fixed assignment `owners[task] = worker`.
-    Static { owners: Cow<'a, [u32]> },
+    Static { owners: &'a [u32] },
     /// One shared counter handing out `rule`-sized claims or, with
     /// `tree = Some((leaves, block))`, that many leaf counters of a
     /// counter tree, each claiming `block`-task ranges from a root
@@ -168,8 +161,7 @@ pub(crate) enum Family<'a> {
     Stealing {
         steal_half: bool,
         levels: Vec<(usize, f64)>,
-        seed_owners: Option<Cow<'a, [u32]>>,
-        victim: VictimPolicy,
+        seed_owners: Option<&'a [u32]>,
     },
 }
 
@@ -186,21 +178,14 @@ impl SimModel {
             Family::Stealing {
                 steal_half,
                 levels,
-                seed_owners: seed_owners.map(Cow::Borrowed),
-                victim: VictimPolicy::Random,
+                seed_owners,
             }
         }
         match self {
-            SimModel::Static(owners) => Family::Static {
-                owners: Cow::Borrowed(owners),
-            },
+            SimModel::Static(owners) => Family::Static { owners },
             SimModel::Counter { chunk } => counter(ChunkRule::Fixed(*chunk), None),
             SimModel::Guided { min_chunk } => {
-                let rule = ChunkRule::Tapering {
-                    k: 2,
-                    min: *min_chunk,
-                };
-                counter(rule, None)
+                counter(ChunkRule::Tapering { min: *min_chunk }, None)
             }
             SimModel::HierCounters {
                 chunk,
@@ -331,16 +316,7 @@ pub(crate) fn run(
             steal_half,
             levels,
             seed_owners,
-            victim,
-        } => simulate_stealing(
-            costs,
-            *steal_half,
-            levels,
-            seed_owners.as_deref(),
-            *victim,
-            cfg,
-            plan,
-        ),
+        } => simulate_stealing(costs, *steal_half, levels, *seed_owners, cfg, plan),
     }
 }
 
@@ -364,40 +340,16 @@ fn topo_levels(m: &MachineModel) -> Vec<(usize, f64)> {
 /// the same policy objects the thread runtime executes, in virtual time.
 /// Static policies replay their partition; counter-family policies
 /// replay their [`ChunkRule`] against the simulated shared counter;
-/// work stealing replays the configured seed partition, victim policy
-/// and batch size (victim draws come from [`SimConfig::seed`], the
-/// simulator's RNG convention).
+/// work stealing replays the configured seed partition and batch size
+/// (victim draws come from [`SimConfig::seed`], the simulator's RNG
+/// convention).
 pub fn simulate_policy(costs: &[f64], kind: &PolicyKind, cfg: &SimConfig) -> SimReport {
     assert!(cfg.workers > 0, "need at least one worker");
-    let n = costs.len();
-    let family = match kind {
-        PolicyKind::Serial
-        | PolicyKind::StaticBlock
-        | PolicyKind::StaticCyclic
-        | PolicyKind::StaticAssigned(_)
-        | PolicyKind::PersistenceBased(_) => Family::Static {
-            owners: Cow::Owned(
-                kind.initial_partition(n, cfg.workers)
-                    .expect("static policy has a partition"),
-            ),
-        },
-        PolicyKind::DynamicCounter { .. }
-        | PolicyKind::Guided { .. }
-        | PolicyKind::GuidedAdaptive { .. } => Family::Counter {
-            rule: kind.chunk_rule().expect("counter-family policy"),
-            tree: None,
-        },
-        PolicyKind::WorkStealing(scfg) => Family::Stealing {
-            steal_half: scfg.steal_batch,
-            levels: Vec::new(),
-            seed_owners: match &scfg.seed {
-                SeedPartition::Block => None,
-                other => Some(Cow::Owned(other.owners(n, cfg.workers))),
-            },
-            victim: scfg.victim,
-        },
-    };
-    run(costs, &family, cfg, &FaultPlan::fault_free()).sim
+    simulate(
+        costs,
+        &SimModel::from_policy(kind, costs.len(), cfg.workers),
+        cfg,
+    )
 }
 
 /// Effective duration of `cost` started at time `t` on `worker`.
@@ -900,7 +852,6 @@ fn simulate_stealing(
     steal_half: bool,
     levels: &[(usize, f64)],
     seed_owners: Option<&[u32]>,
-    victim_policy: VictimPolicy,
     cfg: &SimConfig,
     plan: &FaultPlan,
 ) -> FaultReport {
@@ -939,15 +890,12 @@ fn simulate_stealing(
     // others: fail-stop bookkeeping, consecutive failed attempts (for
     // backoff), the "hunting for work" flag (event emission only:
     // IdleStart on entering the hunt, StealSuccess/IdleEnd on leaving),
-    // the "waiting for the detector" flag and the round-robin scan
-    // position.
+    // and the "waiting for the detector" flag.
     let mut live = (!plan.rank_failures.is_empty()).then(|| Liveness::new(costs, &queues, plan));
     let backs_off = plan.backoff_base > 0.0;
     let mut failures = vec![0u32; if backs_off { p } else { 0 }];
     let mut hunting = vec![false; if cfg.events { p } else { 0 }];
     let mut parked = vec![false; if live.is_some() { p } else { 0 }];
-    let round_robin = victim_policy == VictimPolicy::RoundRobin;
-    let mut rr_attempts = vec![0u64; if round_robin { p } else { 0 }];
     let mut steals = 0u64;
     let mut attempts = 0u64;
     let mut makespan = 0.0f64;
@@ -1088,10 +1036,6 @@ fn simulate_stealing(
         let (victim, latency) = choice.unwrap_or_else(|| {
             let anyone = if p == 1 {
                 w
-            } else if round_robin {
-                let v = round_robin_victim(w, rr_attempts[w], p);
-                rr_attempts[w] += 1;
-                v
             } else if let Some(live) = &live {
                 live.victim(&mut rng, w)
             } else {

@@ -6,8 +6,8 @@
 //!
 //! * static block / cyclic / balancer-assigned partitioning,
 //! * NXTVAL-style dynamic shared-counter self-scheduling (with chunking),
-//! * work stealing on Chase–Lev deques (random or round-robin victims,
-//!   single-task or batch steals),
+//! * work stealing on Chase–Lev deques (random victims, single-task or
+//!   batch steals),
 //!
 //! with per-worker statistics ([`ExecutionReport`]: utilization,
 //! busy-time imbalance, steal/counter overheads, caught panics), optional
@@ -42,7 +42,7 @@ pub mod report;
 pub mod variability;
 
 pub use faults::{FaultInjection, PoisonSpec};
-pub use model::{block_owner, ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
+pub use model::{block_owner, ChunkRule, PolicyKind, SeedPartition, StealConfig};
 pub use pool::Executor;
 pub use report::{ExecutionReport, WorkerStats};
 pub use variability::Variability;
@@ -50,7 +50,7 @@ pub use variability::Variability;
 /// Common imports.
 pub mod prelude {
     pub use crate::faults::{FaultInjection, PoisonSpec};
-    pub use crate::model::{ChunkRule, PolicyKind, SeedPartition, StealConfig, VictimPolicy};
+    pub use crate::model::{ChunkRule, PolicyKind, SeedPartition, StealConfig};
     pub use crate::pool::Executor;
     pub use crate::report::{ExecutionReport, WorkerStats};
     pub use crate::variability::Variability;

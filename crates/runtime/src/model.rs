@@ -7,7 +7,7 @@
 
 pub use emx_sched::{
     block_owner, block_partition, cyclic_partition, ChunkRule, PolicyKind, SeedPartition,
-    StealConfig, VictimPolicy,
+    StealConfig,
 };
 
 #[cfg(test)]

@@ -8,12 +8,12 @@
 //! what lets one kernel run unchanged under every execution model.
 
 use crate::faults::{propagate, run_poisonable, FaultInjection, FaultState};
-use crate::model::{ChunkRule, PolicyKind, StealConfig, VictimPolicy};
+use crate::model::{ChunkRule, PolicyKind, StealConfig};
 use crate::report::{ExecutionReport, WorkerStats};
 use crate::variability::Variability;
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use emx_obs::{EventKind, RingSet, RingWriter};
-use emx_sched::{random_victim, round_robin_victim, worker_stream};
+use emx_sched::{random_victim, worker_stream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -351,7 +351,7 @@ fn run_stealing<L>(
     task: &impl Fn(usize, &mut L),
 ) {
     let (w, p) = (ctx.worker, ctx.nworkers);
-    let mut rng = worker_stream(cfg.rng_seed, w);
+    let mut rng = worker_stream(w);
     'outer: loop {
         // Drain the local deque first. A task whose panic was caught
         // goes back on the deque (where a thief may pick it up) instead
@@ -399,10 +399,7 @@ fn run_stealing<L>(
                 std::hint::spin_loop();
                 continue;
             }
-            let victim = match cfg.victim {
-                VictimPolicy::Random => random_victim(rng.next(), w, p),
-                VictimPolicy::RoundRobin => round_robin_victim(w, spins as u64, p),
-            };
+            let victim = random_victim(rng.next(), w, p);
             ctx.stats.steal_attempts += 1;
             let got = if cfg.steal_batch {
                 stealers[victim].steal_batch_and_pop(deque)
@@ -647,10 +644,8 @@ mod tests {
             PolicyKind::DynamicCounter { chunk: 7 },
             PolicyKind::Guided { min_chunk: 1 },
             PolicyKind::Guided { min_chunk: 4 },
-            PolicyKind::GuidedAdaptive { k: 4, min_chunk: 2 },
             PolicyKind::WorkStealing(StealConfig::default()),
             PolicyKind::WorkStealing(StealConfig {
-                victim: VictimPolicy::RoundRobin,
                 steal_batch: false,
                 ..StealConfig::default()
             }),
@@ -986,11 +981,11 @@ mod tests {
             (PolicyKind::DynamicCounter { chunk: 7 }, ChunkRule::Fixed(7)),
             (
                 PolicyKind::Guided { min_chunk: 1 },
-                ChunkRule::Tapering { k: 2, min: 1 },
+                ChunkRule::Tapering { min: 1 },
             ),
             (
-                PolicyKind::GuidedAdaptive { k: 4, min_chunk: 2 },
-                ChunkRule::Tapering { k: 4, min: 2 },
+                PolicyKind::Guided { min_chunk: 2 },
+                ChunkRule::Tapering { min: 2 },
             ),
         ] {
             assert_eq!(model.chunk_rule(), Some(rule));

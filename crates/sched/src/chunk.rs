@@ -10,14 +10,10 @@
 pub enum ChunkRule {
     /// Fixed chunk of the given size (classic NXTVAL chunking).
     Fixed(usize),
-    /// Tapering (guided) chunks: each fetch claims `remaining/(k·P)`
+    /// Tapering (guided) chunks: each fetch claims `remaining/(2·P)`
     /// tasks, floored at `min` — large chunks early to amortize the
-    /// counter, small chunks late to balance the tail. Guided
-    /// self-scheduling is `k = 2`; larger `k` hands out smaller chunks
-    /// sooner (more balance, more fetches).
+    /// counter, small chunks late to balance the tail.
     Tapering {
-        /// Taper divisor multiplier (≥ 1); guided self-scheduling uses 2.
-        k: u32,
         /// Smallest chunk a fetch may claim (≥ 1).
         min: usize,
     },
@@ -27,7 +23,7 @@ impl ChunkRule {
     /// Number of tasks the next fetch claims, given `remaining`
     /// unclaimed tasks served to `workers` workers. Never exceeds
     /// `remaining`, and is never zero while work remains — even for a
-    /// rule that skipped [`ChunkRule::validate`] (`min = 0`, `k = 0`,
+    /// rule that skipped [`ChunkRule::validate`] (`min = 0`,
     /// `workers > remaining`), a claim of zero with tasks outstanding
     /// would spin the counter loop forever without progress.
     pub fn claim(&self, remaining: usize, workers: usize) -> usize {
@@ -36,22 +32,17 @@ impl ChunkRule {
         }
         match *self {
             ChunkRule::Fixed(c) => c.max(1),
-            ChunkRule::Tapering { k, min } => {
-                (remaining / ((k as usize).max(1) * workers.max(1))).max(min.max(1))
-            }
+            ChunkRule::Tapering { min } => (remaining / (2 * workers.max(1))).max(min.max(1)),
         }
         .min(remaining)
     }
 
-    /// Panics unless the rule's parameters are usable (positive chunk,
-    /// floor and divisor) — called once per run by both substrates.
+    /// Panics unless the rule's parameters are usable (positive chunk
+    /// and floor) — called once per run by both substrates.
     pub fn validate(&self) {
         match *self {
             ChunkRule::Fixed(c) => assert!(c > 0, "chunk must be positive"),
-            ChunkRule::Tapering { k, min } => {
-                assert!(k > 0, "taper divisor must be positive");
-                assert!(min > 0, "min_chunk must be positive");
-            }
+            ChunkRule::Tapering { min } => assert!(min > 0, "min_chunk must be positive"),
         }
     }
 }
@@ -70,7 +61,7 @@ mod tests {
 
     #[test]
     fn guided_tapers_to_the_floor() {
-        let r = ChunkRule::Tapering { k: 2, min: 1 };
+        let r = ChunkRule::Tapering { min: 1 };
         // remaining/(2·4) early, the floor late.
         assert_eq!(r.claim(4096, 4), 512);
         assert_eq!(r.claim(16, 4), 2);
@@ -79,25 +70,17 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_k_shrinks_chunks() {
-        let guided = ChunkRule::Tapering { k: 2, min: 1 };
-        let adaptive = ChunkRule::Tapering { k: 8, min: 1 };
-        assert!(adaptive.claim(4096, 4) < guided.claim(4096, 4));
-        assert_eq!(adaptive.claim(4096, 4), 4096 / (8 * 4));
-    }
-
-    #[test]
     fn min_floor_is_respected_but_never_overshoots() {
-        let r = ChunkRule::Tapering { k: 2, min: 16 };
+        let r = ChunkRule::Tapering { min: 16 };
         assert_eq!(r.claim(40, 8), 16);
         assert_eq!(r.claim(7, 8), 7);
     }
 
     #[test]
     fn floor_boundary_is_exact() {
-        // Divisor k·P = 8, floor 4: the taper formula crosses the floor
+        // Divisor 2·P = 8, floor 4: the taper formula crosses the floor
         // exactly at remaining = 32.
-        let r = ChunkRule::Tapering { k: 2, min: 4 };
+        let r = ChunkRule::Tapering { min: 4 };
         assert_eq!(r.claim(40, 4), 5); // above the boundary: remaining/8
         assert_eq!(r.claim(32, 4), 4); // at the boundary: quotient == min
         assert_eq!(r.claim(31, 4), 4); // below: quotient 3 floored to min
@@ -110,7 +93,7 @@ mod tests {
         // min = 0 skipped validate(): the claim must still be ≥ 1 while
         // work remains, or the counter loop would spin forever on
         // zero-size chunks.
-        let r = ChunkRule::Tapering { k: 2, min: 0 };
+        let r = ChunkRule::Tapering { min: 0 };
         assert_eq!(r.claim(3, 4), 1, "tail claim must not collapse to zero");
         assert_eq!(r.claim(1, 64), 1, "workers > tasks must not starve");
         assert_eq!(r.claim(0, 4), 0, "no work, no claim");
@@ -121,9 +104,7 @@ mod tests {
 
     #[test]
     fn zero_taper_divisor_does_not_divide_by_zero() {
-        let r = ChunkRule::Tapering { k: 0, min: 2 };
-        assert_eq!(r.claim(16, 4), 4); // k clamped to 1: 16/(1·4)
-        let w = ChunkRule::Tapering { k: 2, min: 2 };
+        let w = ChunkRule::Tapering { min: 2 };
         assert_eq!(w.claim(16, 0), 8); // workers clamped to 1: 16/(2·1)
     }
 
@@ -135,9 +116,9 @@ mod tests {
         // including n == 0 and P > n.
         for rule in [
             ChunkRule::Fixed(3),
-            ChunkRule::Tapering { k: 2, min: 1 },
-            ChunkRule::Tapering { k: 4, min: 5 },
-            ChunkRule::Tapering { k: 2, min: 0 }, // unvalidated
+            ChunkRule::Tapering { min: 1 },
+            ChunkRule::Tapering { min: 5 },
+            ChunkRule::Tapering { min: 0 }, // unvalidated
         ] {
             for (n, p) in [(0usize, 4usize), (1, 8), (7, 16), (96, 4), (13, 13)] {
                 let mut next = 0;
@@ -168,6 +149,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "min_chunk must be positive")]
     fn zero_min_chunk_is_rejected() {
-        ChunkRule::Tapering { k: 2, min: 0 }.validate();
+        ChunkRule::Tapering { min: 0 }.validate();
     }
 }

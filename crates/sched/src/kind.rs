@@ -41,16 +41,6 @@ pub enum PolicyKind {
         /// Smallest chunk a fetch may claim.
         min_chunk: usize,
     },
-    /// Adaptive guided self-scheduling: like [`PolicyKind::Guided`] but
-    /// with a configurable taper — each fetch claims `remaining/(k·P)`
-    /// tasks, floored at `min_chunk`. Larger `k` trades extra counter
-    /// fetches for a finer balanced tail.
-    GuidedAdaptive {
-        /// Taper divisor multiplier (`k = 2` reproduces plain guided).
-        k: u32,
-        /// Smallest chunk a fetch may claim.
-        min_chunk: usize,
-    },
     /// Work stealing over per-worker deques.
     WorkStealing(StealConfig),
     /// Persistence-based assignment: a static owner map produced by
@@ -70,7 +60,6 @@ impl PolicyKind {
             PolicyKind::StaticAssigned(_) => "static-assigned",
             PolicyKind::DynamicCounter { .. } => "dynamic-counter",
             PolicyKind::Guided { .. } => "guided",
-            PolicyKind::GuidedAdaptive { .. } => "guided-adaptive",
             PolicyKind::WorkStealing(_) => "work-stealing",
             PolicyKind::PersistenceBased(_) => "persistence-based",
         }
@@ -85,7 +74,6 @@ impl PolicyKind {
             "static-assigned",
             "dynamic-counter",
             "guided",
-            "guided-adaptive",
             "work-stealing",
             "persistence-based",
         ]
@@ -97,7 +85,6 @@ impl PolicyKind {
             self,
             PolicyKind::DynamicCounter { .. }
                 | PolicyKind::Guided { .. }
-                | PolicyKind::GuidedAdaptive { .. }
                 | PolicyKind::WorkStealing(_)
         )
     }
@@ -137,13 +124,7 @@ impl PolicyKind {
     pub fn chunk_rule(&self) -> Option<ChunkRule> {
         match *self {
             PolicyKind::DynamicCounter { chunk } => Some(ChunkRule::Fixed(chunk)),
-            PolicyKind::Guided { min_chunk } => Some(ChunkRule::Tapering {
-                k: 2,
-                min: min_chunk,
-            }),
-            PolicyKind::GuidedAdaptive { k, min_chunk } => {
-                Some(ChunkRule::Tapering { k, min: min_chunk })
-            }
+            PolicyKind::Guided { min_chunk } => Some(ChunkRule::Tapering { min: min_chunk }),
             _ => None,
         }
     }
@@ -201,10 +182,6 @@ impl PolicyKind {
         let mut out = vec![("serial".into(), PolicyKind::Serial)];
         out.extend(PolicyKind::comparison_roster(chunk));
         out.push((
-            "guided-adaptive".into(),
-            PolicyKind::GuidedAdaptive { k: 4, min_chunk: 1 },
-        ));
-        out.push((
             "persistence-based".into(),
             PolicyKind::persistence_from_costs(costs, workers),
         ));
@@ -236,9 +213,6 @@ impl fmt::Display for PolicyKind {
         match self {
             PolicyKind::DynamicCounter { chunk } => write!(f, "dynamic-counter:{chunk}"),
             PolicyKind::Guided { min_chunk } => write!(f, "guided:{min_chunk}"),
-            PolicyKind::GuidedAdaptive { k, min_chunk } => {
-                write!(f, "guided-adaptive:{k}:{min_chunk}")
-            }
             other => f.write_str(other.name()),
         }
     }
@@ -259,9 +233,8 @@ impl std::error::Error for ParsePolicyError {}
 impl FromStr for PolicyKind {
     type Err = ParsePolicyError;
 
-    /// Parses `name[:param[:param]]`: `serial`, `static-block`,
-    /// `static-cyclic`, `dynamic-counter[:chunk]`, `guided[:min_chunk]`,
-    /// `guided-adaptive[:k[:min_chunk]]`, `work-stealing`.
+    /// Parses `name[:param]`: `serial`, `static-block`, `static-cyclic`,
+    /// `dynamic-counter[:chunk]`, `guided[:min_chunk]`, `work-stealing`.
     /// `static-assigned` and `persistence-based` carry owner maps and
     /// must be constructed programmatically.
     fn from_str(s: &str) -> Result<PolicyKind, ParsePolicyError> {
@@ -281,10 +254,6 @@ impl FromStr for PolicyKind {
             "static-cyclic" => PolicyKind::StaticCyclic,
             "dynamic-counter" => PolicyKind::DynamicCounter { chunk: num(1)? },
             "guided" => PolicyKind::Guided { min_chunk: num(1)? },
-            "guided-adaptive" => PolicyKind::GuidedAdaptive {
-                k: num(4)? as u32,
-                min_chunk: num(1)?,
-            },
             "work-stealing" => PolicyKind::WorkStealing(StealConfig::default()),
             "static-assigned" | "persistence-based" => {
                 return Err(ParsePolicyError(format!(
@@ -310,21 +279,15 @@ impl FromStr for PolicyKind {
 pub struct StealConfig {
     /// How tasks are seeded into the deques before execution.
     pub seed: SeedPartition,
-    /// Victim selection policy.
-    pub victim: VictimPolicy,
     /// Steal a batch (about half the victim's deque) instead of one task.
     pub steal_batch: bool,
-    /// RNG seed for random victim selection (reproducibility).
-    pub rng_seed: u64,
 }
 
 impl Default for StealConfig {
     fn default() -> Self {
         StealConfig {
             seed: SeedPartition::Block,
-            victim: VictimPolicy::Random,
             steal_batch: true,
-            rng_seed: 0x57ea1,
         }
     }
 }
@@ -359,15 +322,6 @@ impl SeedPartition {
     }
 }
 
-/// Victim selection for steals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VictimPolicy {
-    /// Uniformly random victim (classic).
-    Random,
-    /// Cyclic scan starting from the thief's right neighbour.
-    RoundRobin,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,10 +336,6 @@ mod tests {
         );
         assert_eq!(PolicyKind::Guided { min_chunk: 1 }.name(), "guided");
         assert_eq!(
-            PolicyKind::GuidedAdaptive { k: 4, min_chunk: 1 }.name(),
-            "guided-adaptive"
-        );
-        assert_eq!(
             PolicyKind::WorkStealing(StealConfig::default()).name(),
             "work-stealing"
         );
@@ -398,6 +348,7 @@ mod tests {
     #[test]
     fn every_canonical_name_is_a_policy_name() {
         // The canonical list and the variants cannot drift apart.
+        assert_eq!(PolicyKind::canonical_names().len(), 8);
         let costs = vec![1.0; 12];
         for (_, kind) in PolicyKind::full_roster(&costs, 3, 4) {
             assert!(
@@ -416,7 +367,6 @@ mod tests {
             "static-cyclic",
             "dynamic-counter:8",
             "guided:2",
-            "guided-adaptive:4:2",
             "work-stealing",
         ] {
             let kind: PolicyKind = s.parse().expect(s);
@@ -430,11 +380,8 @@ mod tests {
             "dynamic-counter".parse::<PolicyKind>().unwrap(),
             PolicyKind::DynamicCounter { chunk: 1 }
         ));
-        assert!(matches!(
-            "guided-adaptive".parse::<PolicyKind>().unwrap(),
-            PolicyKind::GuidedAdaptive { k: 4, min_chunk: 1 }
-        ));
-        assert!("nope".parse::<PolicyKind>().is_err());
+        let err = "nope".parse::<PolicyKind>().unwrap_err();
+        assert!(err.to_string().starts_with("unknown policy"), "{err}");
         assert!("static-assigned".parse::<PolicyKind>().is_err());
         assert!("guided:x".parse::<PolicyKind>().is_err());
         assert!("guided:1:2".parse::<PolicyKind>().is_err());
@@ -447,7 +394,6 @@ mod tests {
         assert!(!PolicyKind::PersistenceBased(Arc::new(vec![0, 0])).is_dynamic());
         assert!(PolicyKind::DynamicCounter { chunk: 1 }.is_dynamic());
         assert!(PolicyKind::Guided { min_chunk: 1 }.is_dynamic());
-        assert!(PolicyKind::GuidedAdaptive { k: 4, min_chunk: 1 }.is_dynamic());
         assert!(PolicyKind::WorkStealing(StealConfig::default()).is_dynamic());
         assert!(PolicyKind::StaticCyclic.is_deterministic());
     }
@@ -501,11 +447,7 @@ mod tests {
         );
         assert_eq!(
             PolicyKind::Guided { min_chunk: 2 }.chunk_rule(),
-            Some(ChunkRule::Tapering { k: 2, min: 2 })
-        );
-        assert_eq!(
-            PolicyKind::GuidedAdaptive { k: 8, min_chunk: 1 }.chunk_rule(),
-            Some(ChunkRule::Tapering { k: 8, min: 1 })
+            Some(ChunkRule::Tapering { min: 2 })
         );
         assert_eq!(PolicyKind::StaticBlock.chunk_rule(), None);
     }
@@ -534,7 +476,7 @@ mod tests {
         // block partition it starts from and stay in range.
         let costs: Vec<f64> = (1..=32).map(|i| i as f64).collect();
         let roster = PolicyKind::full_roster(&costs, 4, 8);
-        assert_eq!(roster.len(), 8);
+        assert_eq!(roster.len(), 7);
         assert_eq!(roster[0].0, "serial");
         let (_, persistence) = roster.last().unwrap();
         let owners = persistence.initial_partition(32, 4).unwrap();

@@ -6,11 +6,11 @@
 //!
 //! * [`PolicyKind`] — the registry enum naming every model of the paper's
 //!   spectrum (serial, static block/cyclic/assigned, shared-counter
-//!   self-scheduling, guided and adaptive-guided self-scheduling, work
-//!   stealing, persistence-based assignment), with canonical names,
-//!   parsing, classification, and the experiment rosters;
+//!   self-scheduling, guided self-scheduling, work stealing,
+//!   persistence-based assignment), with canonical names, parsing,
+//!   classification, and the experiment rosters;
 //! * [`ChunkRule`] — the single source of truth for how a counter fetch
-//!   sizes its claim (fixed chunks vs the guided `remaining/(k·P)` taper);
+//!   sizes its claim (fixed chunks vs the guided `remaining/(2·P)` taper);
 //! * [`partition`] and [`rng`] — the partition maps and the splitmix64
 //!   victim-selection streams both substrates reproduce bit-for-bit.
 //!
@@ -27,8 +27,8 @@
 //! ```
 //! use emx_sched::PolicyKind;
 //!
-//! let kind: PolicyKind = "guided-adaptive:4:2".parse().unwrap();
-//! assert_eq!(kind.name(), "guided-adaptive");
+//! let kind: PolicyKind = "guided:2".parse().unwrap();
+//! assert_eq!(kind.name(), "guided");
 //! assert!(kind.is_dynamic());
 //! // Static policies fix the task→worker map before execution:
 //! let owners = PolicyKind::StaticCyclic.initial_partition(5, 2).unwrap();
@@ -43,6 +43,6 @@ pub mod partition;
 pub mod rng;
 
 pub use chunk::ChunkRule;
-pub use kind::{PolicyKind, SeedPartition, StealConfig, VictimPolicy};
+pub use kind::{PolicyKind, SeedPartition, StealConfig};
 pub use partition::{block_owner, block_partition, cyclic_partition};
-pub use rng::{random_victim, round_robin_victim, worker_stream, SplitMix64};
+pub use rng::{random_victim, worker_stream, SplitMix64};

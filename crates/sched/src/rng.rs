@@ -39,9 +39,10 @@ impl SplitMix64 {
 }
 
 /// The thread runtime's per-worker victim stream: worker `w` draws from
-/// `seed ^ w·φ64` (golden-ratio spacing keeps the streams decorrelated).
-pub fn worker_stream(seed: u64, worker: usize) -> SplitMix64 {
-    SplitMix64::new(seed ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+/// `0x57ea1 ^ w·φ64` (golden-ratio spacing keeps the streams
+/// decorrelated).
+pub fn worker_stream(worker: usize) -> SplitMix64 {
+    SplitMix64::new(0x57ea1 ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Maps a raw 64-bit draw to a uniformly random victim in `0..p`
@@ -54,13 +55,6 @@ pub fn random_victim(draw: u64, thief: usize, p: usize) -> usize {
         v += 1;
     }
     v
-}
-
-/// Round-robin victim: the `attempt`-th try of `thief` scans cyclically
-/// starting from its right neighbour. Requires `p > 1`.
-pub fn round_robin_victim(thief: usize, attempt: u64, p: usize) -> usize {
-    debug_assert!(p > 1);
-    (thief + 1 + (attempt as usize) % (p - 1)) % p
 }
 
 #[cfg(test)]
@@ -102,19 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_scans_neighbours_in_order() {
-        let p = 4;
-        let order: Vec<usize> = (0..6).map(|a| round_robin_victim(1, a, p)).collect();
-        assert_eq!(order, vec![2, 3, 0, 2, 3, 0]);
-        for &v in &order {
-            assert_ne!(v, 1);
-        }
-    }
-
-    #[test]
     fn worker_streams_differ_per_worker() {
-        let a = worker_stream(0x57ea1, 0).next();
-        let b = worker_stream(0x57ea1, 1).next();
+        let a = worker_stream(0).next();
+        let b = worker_stream(1).next();
         assert_ne!(a, b);
     }
 }

@@ -24,11 +24,9 @@ fn all_models(ntasks: usize, workers: usize) -> Vec<PolicyKind> {
         PolicyKind::DynamicCounter { chunk: 1 },
         PolicyKind::DynamicCounter { chunk: 5 },
         PolicyKind::Guided { min_chunk: 1 },
-        PolicyKind::GuidedAdaptive { k: 4, min_chunk: 2 },
         PolicyKind::persistence_from_costs(&vec![1.0; ntasks], workers),
         PolicyKind::WorkStealing(StealConfig::default()),
         PolicyKind::WorkStealing(StealConfig {
-            victim: VictimPolicy::RoundRobin,
             steal_batch: false,
             ..StealConfig::default()
         }),
@@ -82,7 +80,6 @@ fn full_scf_energy_invariant_under_execution_model() {
         (2, PolicyKind::StaticCyclic, 4),
         (3, PolicyKind::DynamicCounter { chunk: 2 }, 2),
         (4, PolicyKind::Guided { min_chunk: 1 }, 2),
-        (3, PolicyKind::GuidedAdaptive { k: 4, min_chunk: 1 }, 2),
         (
             4,
             PolicyKind::persistence_from_costs(&vec![1.0; ntasks_c2], 4),

@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use emx_distsim::sim::{simulate_policy, SimConfig};
 use emx_runtime::{Executor, PolicyKind};
-use emx_sched::StealConfig;
 
 const NTASKS: usize = 23;
 const WORKERS: usize = 4;
@@ -105,7 +104,7 @@ fn full_roster_runs_in_simulator_exactly_once() {
 }
 
 #[test]
-fn the_roster_is_nine_names_and_the_removed_fifth_model_is_not_one() {
+fn the_roster_is_eight_names_and_removed_models_are_not_ones() {
     let names = [
         "serial",
         "static-block",
@@ -113,7 +112,6 @@ fn the_roster_is_nine_names_and_the_removed_fifth_model_is_not_one() {
         "static-assigned",
         "dynamic-counter",
         "guided",
-        "guided-adaptive",
         "work-stealing",
         "persistence-based",
     ];
@@ -135,25 +133,6 @@ fn the_roster_is_nine_names_and_the_removed_fifth_model_is_not_one() {
             names.join(", ")
         )
     );
-}
-
-#[test]
-fn work_stealing_round_robin_victims_run_on_both_substrates() {
-    // RoundRobin victim selection is a threads-first feature; the
-    // simulator replays it too via `simulate_policy`.
-    let kind = PolicyKind::WorkStealing(StealConfig {
-        victim: emx_runtime::VictimPolicy::RoundRobin,
-        ..StealConfig::default()
-    });
-    let costs = skewed_costs(NTASKS);
-    let want: u64 = (1..=NTASKS as u64).sum();
-
-    let ex = Executor::new(WORKERS, kind.clone());
-    let (locals, _) = ex.run(NTASKS, |_| 0u64, |i, acc| *acc += i as u64 + 1);
-    assert_eq!(locals.iter().sum::<u64>(), want);
-
-    let report = simulate_policy(&costs, &kind, &SimConfig::new(WORKERS));
-    assert_eq!(report.assignment.len(), NTASKS);
 }
 
 /// Threads and the simulator's replay both equal the partition at every

@@ -17,19 +17,15 @@ fn cost_vector() -> impl Strategy<Value = Vec<f64>> {
 
 /// Maps a proptest-drawn index onto the full `PolicyKind` roster so the
 /// executor invariants cover every registered policy.
-fn policy_pick(pick: usize, n: usize, workers: usize, chunk: usize, k: u32) -> PolicyKind {
+fn policy_pick(pick: usize, n: usize, workers: usize, chunk: usize) -> PolicyKind {
     match pick {
         0 => PolicyKind::StaticBlock,
         1 => PolicyKind::StaticCyclic,
         2 => PolicyKind::DynamicCounter { chunk },
         3 => PolicyKind::WorkStealing(StealConfig::default()),
         4 => PolicyKind::Guided { min_chunk: chunk },
-        5 => PolicyKind::GuidedAdaptive {
-            k,
-            min_chunk: chunk,
-        },
-        6 => PolicyKind::Serial,
-        7 => PolicyKind::persistence_from_costs(
+        5 => PolicyKind::Serial,
+        6 => PolicyKind::persistence_from_costs(
             &(0..n).map(|i| 1.0 + (i % 5) as f64).collect::<Vec<_>>(),
             workers,
         ),
@@ -46,11 +42,10 @@ proptest! {
     fn executor_runs_each_task_exactly_once(
         n in 1usize..150,
         workers in 1usize..5,
-        model_pick in 0usize..9,
+        model_pick in 0usize..8,
         chunk in 1usize..9,
-        k in 1u32..8,
     ) {
-        let model = policy_pick(model_pick, n, workers, chunk, k);
+        let model = policy_pick(model_pick, n, workers, chunk);
         let ex = Executor::new(workers, model);
         let (locals, report) = ex.run(n, |_| vec![0u8; n], |i, l: &mut Vec<u8>| l[i] += 1);
         let mut counts = vec![0u32; n];
@@ -67,15 +62,14 @@ proptest! {
     fn executor_recovers_poisoned_task_under_every_policy(
         n in 1usize..120,
         workers in 1usize..5,
-        model_pick in 0usize..9,
+        model_pick in 0usize..8,
         chunk in 1usize..9,
-        k in 1u32..8,
         poison_seed in 0usize..1000,
     ) {
         // One poisoned task (panics once, is caught and re-run): the
         // run must still complete with exactly-once semantics and the
         // recovery must be accounted for.
-        let model = policy_pick(model_pick, n, workers, chunk, k);
+        let model = policy_pick(model_pick, n, workers, chunk);
         let poisoned = poison_seed % n;
         let ex = Executor::new(workers, model)
             .with_faults(FaultInjection::poison_tasks(vec![poisoned]));

@@ -45,27 +45,22 @@ pub struct HgpConfig {
     /// the mean part weight when the vertex weights allow it (a vertex
     /// heavier than that is a part of its own).
     pub epsilon: f64,
-    /// RNG seed (fully deterministic given the seed).
-    pub seed: u64,
-    /// Stop coarsening below this many vertices.
-    pub coarsen_until: usize,
-    /// FM passes per uncoarsening level.
-    pub fm_passes: usize,
-    /// Random restarts for the initial partition.
-    pub initial_tries: usize,
 }
 
 impl Default for HgpConfig {
     fn default() -> Self {
-        HgpConfig {
-            epsilon: 0.05,
-            seed: 0x9a27,
-            coarsen_until: 64,
-            fm_passes: 3,
-            initial_tries: 6,
-        }
+        HgpConfig { epsilon: 0.05 }
     }
 }
+
+/// RNG seed of the whole partition (fully deterministic).
+const SEED: u64 = 0x9a27;
+/// Stop coarsening below this many vertices.
+const COARSEN_UNTIL: usize = 64;
+/// FM passes per uncoarsening level.
+const FM_PASSES: usize = 3;
+/// Random restarts for the initial partition.
+const INITIAL_TRIES: usize = 6;
 
 /// Partitions `hg` into `k` parts; returns `parts[v] ∈ 0..k`.
 pub fn partition(hg: &Hypergraph, k: usize, cfg: &HgpConfig) -> Vec<u32> {
@@ -94,29 +89,27 @@ pub(crate) fn partition_counted(hg: &Hypergraph, k: usize, cfg: &HgpConfig) -> (
     assert!(k >= 1, "k must be at least 1");
     let total: f64 = hg.vwts.iter().sum();
     let mut run = Run {
-        cfg,
         max_part: (1.0 + cfg.epsilon) * total / k as f64,
         parts: vec![0u32; hg.nv()],
         work: Work::default(),
     };
     if k > 1 && hg.nv() > 0 {
         let ids: Vec<usize> = (0..hg.nv()).collect();
-        run.recurse(hg, &ids, k, 0, cfg.seed);
+        run.recurse(hg, &ids, k, 0, SEED);
         run.relieve(hg, k);
     }
     (run.parts, run.work)
 }
 
 /// What every bisection of one `partition` call shares.
-struct Run<'a> {
-    cfg: &'a HgpConfig,
+struct Run {
     /// Heaviest part the k-way tolerance allows.
     max_part: f64,
     parts: Vec<u32>,
     work: Work,
 }
 
-impl Run<'_> {
+impl Run {
     /// Pairwise repair of what recursive bisection could not balance
     /// (cut minimisation likes to gather the heavy vertices in one
     /// branch, whose last bisections then have too few vertices to
@@ -135,7 +128,7 @@ impl Run<'_> {
             if loads[hi] <= self.max_part || alone || hi == lo {
                 return;
             }
-            let seed = self.cfg.seed ^ (attempt + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let seed = SEED ^ (attempt + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let relieved = self.rebisect(hg, [hi, lo], [loads[hi], loads[lo]], seed);
             tried = if relieved { 0 } else { tried + 1 };
         }
@@ -150,7 +143,7 @@ impl Run<'_> {
             target0: half,
             slack: (self.max_part - half).max(0.0),
         };
-        let sides = multilevel_bisect(&sub, &band, self.cfg, seed, &mut self.work);
+        let sides = multilevel_bisect(&sub, &band, seed, &mut self.work);
         let w0: f64 = (0..ids.len())
             .filter(|&i| sides[i] == 0)
             .map(|i| sub.vwts[i])
@@ -176,7 +169,7 @@ impl Run<'_> {
             target0: f * total,
             slack: eps * f.min(1.0 - f) * total,
         };
-        let mut sides = multilevel_bisect(sub, &band, self.cfg, seed, &mut self.work);
+        let mut sides = multilevel_bisect(sub, &band, seed, &mut self.work);
         fill_short_side(sub, &mut sides, ks);
 
         for s in 0..2 {
@@ -320,19 +313,13 @@ impl Band {
 }
 
 /// One multilevel bisection: returns side (0/1) per vertex.
-fn multilevel_bisect(
-    hg: &Hypergraph,
-    band: &Band,
-    cfg: &HgpConfig,
-    seed: u64,
-    work: &mut Work,
-) -> Vec<u8> {
+fn multilevel_bisect(hg: &Hypergraph, band: &Band, seed: u64, work: &mut Work) -> Vec<u8> {
     let mut rng = Rng::new(seed ^ 0xc0a53);
     let total: f64 = hg.vwts.iter().sum();
     // FM can carry a vertex across a centred band only if it weighs at
     // most the band's width, so matching builds nothing heavier — down
-    // to the weight coarsening to `coarsen_until` vertices needs.
-    let max_vertex = (2.0 * band.slack).max(total / cfg.coarsen_until.max(1) as f64);
+    // to the weight coarsening to `COARSEN_UNTIL` vertices needs.
+    let max_vertex = (2.0 * band.slack).max(total / COARSEN_UNTIL as f64);
 
     // --- Coarsening ---
     // `levels[i]` is level i with its map to level i + 1; `current` is
@@ -340,7 +327,7 @@ fn multilevel_bisect(
     let mut levels: Vec<(Hypergraph, Incidence, Vec<u32>)> = Vec::new();
     let mut current = hg.clone();
     let mut inc = Incidence::new(&current);
-    while current.nv() > cfg.coarsen_until {
+    while current.nv() > COARSEN_UNTIL {
         let (map, coarse_nv) = heavy_connectivity_matching(&current, &inc, max_vertex, &mut rng);
         let coarse = contract(&current, &map, coarse_nv);
         // Stalled: a level that keeps 95 % of the vertices or of the
@@ -356,10 +343,10 @@ fn multilevel_bisect(
 
     // --- Initial partition on the coarsest level: feasible before cheap ---
     let mut best: Option<((f64, f64), Vec<u8>)> = None;
-    for _ in 0..cfg.initial_tries.max(1) {
+    for _ in 0..INITIAL_TRIES {
         let sides = grow_bisection(&current, &inc, band.target0, &mut rng);
         let mut fm = Refiner::new(&current, &inc, band, sides);
-        fm.refine(cfg, work);
+        fm.refine(work);
         let score = (band.excess(fm.w0), fm.cut());
         if best.as_ref().is_none_or(|(b, _)| score < *b) {
             best = Some((score, fm.side));
@@ -371,7 +358,7 @@ fn multilevel_bisect(
     for (fine, inc, map) in levels.iter().rev() {
         let projected = map.iter().map(|&c| sides[c as usize]).collect();
         let mut fm = Refiner::new(fine, inc, band, projected);
-        fm.refine(cfg, work);
+        fm.refine(work);
         sides = fm.side;
     }
     sides
@@ -557,10 +544,10 @@ impl<'a> Refiner<'a> {
     }
 
     /// FM passes until one fails to improve.
-    fn refine(&mut self, cfg: &HgpConfig, work: &mut Work) {
+    fn refine(&mut self, work: &mut Work) {
         work.levels += 1;
         work.level_pins += self.inc.nets.len();
-        for _ in 0..cfg.fm_passes {
+        for _ in 0..FM_PASSES {
             if !self.pass(work) {
                 break;
             }

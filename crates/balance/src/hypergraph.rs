@@ -67,17 +67,6 @@ impl Hypergraph {
         self.nets.iter().map(|n| n.len()).sum()
     }
 
-    /// Vertex→net incidence lists.
-    pub fn vertex_nets(&self) -> Vec<Vec<u32>> {
-        let mut inc = vec![Vec::new(); self.nv()];
-        for (ni, net) in self.nets.iter().enumerate() {
-            for &v in net {
-                inc[v as usize].push(ni as u32);
-            }
-        }
-        inc
-    }
-
     /// Per-part vertex weight of a partition.
     pub fn part_weights(&self, parts: &[u32], k: usize) -> Vec<f64> {
         assert_eq!(parts.len(), self.nv(), "partition length mismatch");
@@ -181,15 +170,6 @@ mod tests {
         assert_eq!(hg.nets.len(), 2);
         assert_eq!(hg.nets[0], vec![0, 1]);
         assert_eq!(hg.nets[1], vec![1, 2]);
-    }
-
-    #[test]
-    fn vertex_nets_incidence() {
-        let hg = sample();
-        let inc = hg.vertex_nets();
-        assert_eq!(inc[2], vec![0, 1]);
-        assert_eq!(inc[5], vec![2]);
-        assert!(inc[0] == vec![0]);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub mod prelude {
     pub use crate::hpartition::{partition, HgpConfig};
     pub use crate::hypergraph::Hypergraph;
     pub use crate::kk::karmarkar_karp;
-    pub use crate::lpt::{list_schedule, lpt};
-    pub use crate::persistence::{rebalance, PersistenceConfig};
+    pub use crate::lpt::lpt;
+    pub use crate::persistence::rebalance;
     pub use crate::problem::{is_valid, movement, Assignment, Problem};
     pub use crate::semimatching::{
         full_adjacency, optimal_semi_matching_unit, semi_matching, Adjacency, SemiMatchConfig,

@@ -55,24 +55,6 @@ pub fn lpt(problem: &Problem) -> Assignment {
     assignment
 }
 
-/// Plain list scheduling in *given* task order (no sort) — equivalent to
-/// what an online shared-counter scheduler achieves with perfect
-/// information, used as an ablation baseline.
-pub fn list_schedule(problem: &Problem) -> Assignment {
-    let mut loads = vec![0.0f64; problem.workers];
-    let mut assignment = vec![0u32; problem.ntasks()];
-    for (t, &w) in problem.weights.iter().enumerate() {
-        let (best, _) = loads
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("NaN").then(a.0.cmp(&b.0)))
-            .expect("workers > 0");
-        assignment[t] = best as u32;
-        loads[best] += w;
-    }
-    assignment
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,16 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn lpt_beats_or_matches_arrival_order_on_adversarial_input() {
-        // Classic adversarial case for plain list scheduling.
-        let weights = vec![1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0];
-        let p = Problem::new(weights, 3);
-        let a_lpt = lpt(&p);
-        let a_ls = list_schedule(&p);
-        assert!(p.makespan(&a_lpt) <= p.makespan(&a_ls) + 1e-12);
-    }
-
-    #[test]
     fn deterministic() {
         let p = Problem::new(vec![5.0, 5.0, 5.0, 1.0], 2);
         assert_eq!(lpt(&p), lpt(&p));
@@ -147,6 +119,5 @@ mod tests {
     fn empty_task_list() {
         let p = Problem::new(vec![], 3);
         assert!(lpt(&p).is_empty());
-        assert!(list_schedule(&p).is_empty());
     }
 }

@@ -12,32 +12,17 @@
 
 use crate::problem::{Assignment, Problem};
 
-/// Persistence rebalancer configuration.
-#[derive(Debug, Clone)]
-pub struct PersistenceConfig {
-    /// Stop migrating once `max load ≤ target_imbalance · mean load`.
-    pub target_imbalance: f64,
-    /// Hard cap on migrated tasks per rebalance (bounds migration cost).
-    pub max_moves: usize,
-}
-
-impl Default for PersistenceConfig {
-    fn default() -> Self {
-        PersistenceConfig {
-            target_imbalance: 1.05,
-            max_moves: usize::MAX,
-        }
-    }
-}
+/// Migration stops once `max load ≤ TARGET_IMBALANCE · mean load`.
+const TARGET_IMBALANCE: f64 = 1.05;
 
 /// Rebalances `previous` using measured `problem.weights`.
 ///
 /// Greedy donor→acceptor migration: repeatedly take the most-loaded
 /// worker and move its best-fitting task (the largest task that does not
 /// push the least-loaded worker above the mean) to the least-loaded
-/// worker. Stops at the imbalance target, the move cap, or when no move
-/// improves the makespan.
-pub fn rebalance(problem: &Problem, previous: &[u32], config: &PersistenceConfig) -> Assignment {
+/// worker. Stops at the imbalance target or when no move improves the
+/// makespan.
+pub fn rebalance(problem: &Problem, previous: &[u32]) -> Assignment {
     assert_eq!(
         previous.len(),
         problem.ntasks(),
@@ -64,10 +49,9 @@ pub fn rebalance(problem: &Problem, previous: &[u32], config: &PersistenceConfig
         });
     }
 
-    let mut moves = 0;
-    while moves < config.max_moves {
+    loop {
         let (hi, lo) = extremes(&loads);
-        if loads[hi] <= config.target_imbalance * mean || hi == lo {
+        if loads[hi] <= TARGET_IMBALANCE * mean || hi == lo {
             break;
         }
         // Largest task on `hi` that still helps: moving t helps the
@@ -93,7 +77,6 @@ pub fn rebalance(problem: &Problem, previous: &[u32], config: &PersistenceConfig
             .binary_search_by(|&x| problem.weights[x].partial_cmp(&w).expect("NaN weight"))
             .unwrap_or_else(|e| e);
         tasks_of[lo].insert(ins, t);
-        moves += 1;
     }
     assignment
 }
@@ -121,7 +104,7 @@ mod tests {
     fn balanced_input_is_untouched() {
         let p = Problem::new(vec![1.0; 8], 4);
         let prev = vec![0, 0, 1, 1, 2, 2, 3, 3];
-        let out = rebalance(&p, &prev, &PersistenceConfig::default());
+        let out = rebalance(&p, &prev);
         assert_eq!(out, prev);
     }
 
@@ -130,36 +113,18 @@ mod tests {
         // All tasks on worker 0.
         let p = Problem::new(vec![1.0; 12], 3);
         let prev = vec![0; 12];
-        let out = rebalance(&p, &prev, &PersistenceConfig::default());
+        let out = rebalance(&p, &prev);
         let loads = p.loads(&out);
         assert!(p.imbalance(&out) <= 1.05, "loads {loads:?}");
     }
 
     #[test]
-    fn movement_is_bounded_by_cap() {
-        let p = Problem::new(vec![1.0; 100], 4);
-        let prev = vec![0; 100];
-        let cfg = PersistenceConfig {
-            max_moves: 10,
-            ..Default::default()
-        };
-        let out = rebalance(&p, &prev, &cfg);
-        assert!(movement(&prev, &out) <= 10);
-    }
-
-    #[test]
     fn minimal_migration_for_small_skew() {
-        // Worker 0 has one extra unit task; a single move fixes it.
+        // Worker 0 has one extra unit task; moving it only swaps the
+        // roles, so at most one task moves.
         let p = Problem::new(vec![1.0; 9], 2);
         let prev = vec![0, 0, 0, 0, 0, 1, 1, 1, 1];
-        let out = rebalance(
-            &p,
-            &prev,
-            &PersistenceConfig {
-                target_imbalance: 1.2,
-                ..Default::default()
-            },
-        );
+        let out = rebalance(&p, &prev);
         assert!(movement(&prev, &out) <= 1);
     }
 
@@ -172,7 +137,7 @@ mod tests {
             let p = Problem::new(weights, 5);
             let prev: Vec<u32> = (0..40).map(|i| ((seed as usize + i) % 5) as u32).collect();
             let before = p.makespan(&prev);
-            let out = rebalance(&p, &prev, &PersistenceConfig::default());
+            let out = rebalance(&p, &prev);
             assert!(p.makespan(&out) <= before + 1e-9, "seed {seed}");
         }
     }
@@ -181,7 +146,7 @@ mod tests {
     fn zero_total_weight_is_noop() {
         let p = Problem::new(vec![0.0; 4], 2);
         let prev = vec![0, 0, 0, 0];
-        assert_eq!(rebalance(&p, &prev, &PersistenceConfig::default()), prev);
+        assert_eq!(rebalance(&p, &prev), prev);
     }
 
     #[test]
@@ -189,7 +154,7 @@ mod tests {
         // One task dominates; no migration helps, so nothing moves much.
         let p = Problem::new(vec![100.0, 1.0, 1.0], 2);
         let prev = vec![0, 0, 1];
-        let out = rebalance(&p, &prev, &PersistenceConfig::default());
+        let out = rebalance(&p, &prev);
         // Task 0 stays (moving it to the other worker would not reduce
         // the max beyond what the small task movements achieve).
         let loads = p.loads(&out);

@@ -6,41 +6,35 @@
 //! ```
 //!
 //! Experiment ids follow `DESIGN.md` (E1–E8) plus `faults` (fault
-//! injection, see `docs/FAULT_MODEL.md`), `ablations`, `obs`
-//! (an instrumented capture of the whole stack), `smoke`
-//! (CI's fast check: the full policy roster through both substrates),
-//! `profile` (ring-captured blame attribution of the real Fock
-//! build per policy, stamping `results/BENCH_obs.json` — see
-//! `docs/OBSERVABILITY.md`; `EMX_PROFILE_SMOKE=1` shrinks it for CI)
-//! and `distsim` (the simulator event core at 10⁴–10⁵ ranks, calendar
-//! queue vs the binary-heap oracle, stamping
-//! `results/BENCH_distsim.json` — see `docs/ARCHITECTURE.md`;
-//! `EMX_DISTSIM_SMOKE=1` shrinks it for CI).
-//! Output is plain-text
-//! tables; pass `--csv DIR` to also write stamped CSV files,
-//! `--trace-out DIR` for Chrome trace JSON (one per roster policy under
-//! `profile`) and `--metrics-out FILE` for the stamped JSONL records
-//! (the latter two imply `obs`). A flag without its value, or an
-//! unknown experiment id, prints the usage and exits with status 2
-//! before any experiment runs.
+//! injection, see `docs/FAULT_MODEL.md`), `f1` (utilization
+//! timelines), `ablations`, `smoke` (CI's fast check: the full policy
+//! roster through both substrates), `profile` (ring-captured blame
+//! attribution of the real Fock build per policy, stamping
+//! `results/BENCH_obs.json` — see `docs/OBSERVABILITY.md`;
+//! `EMX_PROFILE_SMOKE=1` shrinks it for CI) and `distsim` (the
+//! simulator event core at 10⁴–10⁵ ranks, calendar queue vs the
+//! binary-heap oracle, stamping `results/BENCH_distsim.json` — see
+//! `docs/ARCHITECTURE.md`; `EMX_DISTSIM_SMOKE=1` shrinks it for CI).
+//! Output is plain-text tables; pass `--csv DIR` to also write stamped
+//! CSV files and, with `profile`, `--trace-out DIR` for one Chrome
+//! trace JSON per roster policy. A flag without its value, an unknown
+//! experiment id, or `--trace-out` without `profile` prints the usage
+//! and exits with status 2 before any experiment runs.
 
-use emx_balance::prelude::{movement, rebalance, PersistenceConfig, Problem};
-use emx_bench::{
-    block_owners, capture_observability, chem_workload_medium, synthetic_workload_large,
-};
+use emx_balance::prelude::{movement, rebalance, Problem};
+use emx_bench::{block_owners, chem_workload_medium, synthetic_workload_large};
 use emx_chem::synthetic::CostModel;
 use emx_core::prelude::*;
 use emx_distsim::machine::MachineModel;
-use emx_obs::{git_describe_string, render_timeline, ChromeTrace, RunMeta, SCHEMA_VERSION};
+use emx_obs::{git_describe_string, render_timeline, ChromeTrace, RunMeta};
 
-const USAGE: &str = "usage: reproduce [EXPERIMENT ...] [--csv DIR] [--trace-out DIR] \
-                     [--metrics-out FILE]";
+const USAGE: &str =
+    "usage: reproduce [EXPERIMENT ...] [--csv DIR] [--trace-out DIR (with profile)]";
 
 /// What an experiment may read besides its own inputs.
 struct Ctx {
     machine: MachineModel,
     trace_dir: Option<String>,
-    metrics_path: Option<String>,
 }
 
 /// An experiment's body: prints what it reports, returns its tables.
@@ -108,24 +102,19 @@ const EXPERIMENTS: &[(&str, bool, Run)] = &[
         figure_timelines(&c.machine);
         Vec::new()
     }),
-    ("obs", true, |c| {
-        run_obs_capture(c.trace_dir.as_deref(), c.metrics_path.as_deref());
-        Vec::new()
-    }),
     ("ablations", true, |c| {
         let m = &c.machine;
         vec![
             ablation_steal_policy(m),
             ablation_counter_chunk(m),
             ablation_screening_skew(),
-            ablation_seed_partition(),
+            ablation_seed_partition(m),
             ablation_persistence_warmup(),
             ablation_incremental_drift(),
             ablation_hybrid_seeding(m),
         ]
     }),
     ("smoke", false, |c| vec![smoke_full_roster(&c.machine)]),
-    ("fock", false, |_| vec![fock_kernel_throughput()]),
     ("profile", false, |c| {
         vec![run_profile(c.trace_dir.as_deref())]
     }),
@@ -137,7 +126,6 @@ fn main() {
     let mut ctx = Ctx {
         machine: MachineModel::default(),
         trace_dir: None,
-        metrics_path: None,
     };
     let mut csv_dir: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
@@ -146,7 +134,6 @@ fn main() {
         let slot = match a.as_str() {
             "--csv" => &mut csv_dir,
             "--trace-out" => &mut ctx.trace_dir,
-            "--metrics-out" => &mut ctx.metrics_path,
             _ => {
                 wanted.push(a.to_lowercase());
                 continue;
@@ -177,10 +164,9 @@ fn main() {
             .map(|e| e.0.to_string())
             .collect();
     }
-    // The export flags are requests for the instrumented capture.
-    if (ctx.trace_dir.is_some() || ctx.metrics_path.is_some()) && !wanted.iter().any(|w| w == "obs")
-    {
-        wanted.push("obs".to_string());
+    if ctx.trace_dir.is_some() && !wanted.iter().any(|w| w == "profile") {
+        eprintln!("--trace-out needs the profile experiment\n{USAGE}");
+        std::process::exit(2);
     }
 
     let tables: Vec<Table> = wanted
@@ -271,29 +257,6 @@ fn run_faults(c: &Ctx) -> Vec<Table> {
         r.faults.lost,
     );
     vec![table]
-}
-
-/// The `fock` experiment — a quick console view of the real (H₂O)₂/6-31G
-/// Fock-build throughput per policy (the full trajectory lives in the
-/// `fock_hotpath` bench, which also stamps `results/BENCH_fock.json`).
-fn fock_kernel_throughput() -> Table {
-    let report = emx_bench::fock_hotpath_measure(2, &[1, 2]);
-    let mut t = Table::new(
-        format!(
-            "Fock kernel throughput on {}/{} ({} tasks, {} quartets/build)",
-            report.molecule, report.basis, report.ntasks, report.quartets_per_build
-        ),
-        &["policy", "workers", "builds/s", "quartets/s"],
-    );
-    for row in &report.rows {
-        t.push(vec![
-            row.policy.clone(),
-            row.workers.to_string(),
-            format!("{:.2}", row.builds_per_sec),
-            format!("{:.0}", row.quartets_per_sec),
-        ]);
-    }
-    t
 }
 
 /// The `profile` experiment — the always-on profiling pipeline end to
@@ -560,44 +523,6 @@ fn stamped_csv(meta: &RunMeta, t: &Table) -> String {
     )
 }
 
-/// The `obs` experiment: runs the instrumented capture and writes its
-/// Chrome traces / JSONL records wherever the flags point.
-fn run_obs_capture(trace_dir: Option<&str>, metrics_path: Option<&str>) {
-    let capture = capture_observability("obs");
-    println!(
-        "## obs: instrumented capture (schema v{SCHEMA_VERSION}, {} SCF iterations, {} trace files)",
-        capture.scf_iterations,
-        capture.traces.len()
-    );
-    match trace_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).expect("create trace dir");
-            for (stem, json) in &capture.traces {
-                let path = format!("{dir}/{stem}.trace.json");
-                std::fs::write(&path, json).expect("write trace");
-                println!("wrote {path} (load in Perfetto / chrome://tracing)");
-            }
-        }
-        None => println!("pass --trace-out DIR to write Chrome trace JSON"),
-    }
-    match metrics_path {
-        Some(path) => {
-            if let Some(parent) = std::path::Path::new(path).parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent).expect("create metrics dir");
-                }
-            }
-            std::fs::write(path, &capture.metrics_jsonl).expect("write metrics");
-            println!(
-                "wrote {path} ({} records)",
-                capture.metrics_jsonl.lines().count()
-            );
-        }
-        None => println!("pass --metrics-out FILE to write the JSONL records"),
-    }
-    println!();
-}
-
 /// Figure F1: per-worker utilization timelines, static vs work stealing
 /// at P = 16 on the measured chemistry workload — the study's
 /// utilization picture in text form.
@@ -800,39 +725,34 @@ fn ablation_screening_skew() -> Table {
     t
 }
 
-/// Ablation: initial seed partition of the stealing deques (real
-/// threads; the steals each seed needs on a skewed task set).
-fn ablation_seed_partition() -> Table {
-    use emx_runtime::prelude::*;
+/// Ablation: initial seed partition of the stealing deques (simulated,
+/// P=16): the steals each seed needs on the skewed chemistry workload.
+fn ablation_seed_partition(machine: &MachineModel) -> Table {
+    let w = chem_workload_medium();
+    let p = 16;
     let mut t = Table::new(
-        "Ablation: work-stealing seed partition (real threads, P=2)",
-        &["seed", "steals", "attempts", "utilization"],
+        "Ablation: work-stealing seed partition (simulated, P=16)",
+        &["seed", "makespan", "steals", "attempts", "utilization"],
     );
-    let n = 2048;
+    let cfg = SimConfig {
+        workers: p,
+        machine: *machine,
+        ..SimConfig::new(p)
+    };
     for (name, seed) in [
         ("block", SeedPartition::Block),
         ("cyclic", SeedPartition::Cyclic),
     ] {
-        let ex = Executor::new(
-            2,
-            PolicyKind::WorkStealing(StealConfig {
-                seed,
-                ..StealConfig::default()
-            }),
-        );
-        let (_, r) = ex.run(
-            n,
-            |_| 0.0f64,
-            |i, acc| *acc += emx_chem::synthetic::busy_work(50 + (i % 97) as u64),
-        );
+        let kind = PolicyKind::WorkStealing(StealConfig {
+            seed,
+            ..StealConfig::default()
+        });
+        let r = simulate_policy(&w.costs, &kind, &cfg);
         t.push(vec![
             name.into(),
-            r.total_steals().to_string(),
-            r.worker_stats
-                .iter()
-                .map(|w| w.steal_attempts)
-                .sum::<u64>()
-                .to_string(),
+            fmt_secs(r.makespan),
+            r.steals.to_string(),
+            r.steal_attempts.to_string(),
             fmt3(r.utilization()),
         ]);
     }
@@ -988,14 +908,10 @@ fn ablation_persistence_warmup() -> Table {
         &["iteration", "imbalance", "migrated-tasks"],
     );
     let mut assignment = block_owners(w.ntasks(), p);
-    let cfg = PersistenceConfig {
-        target_imbalance: 1.05,
-        max_moves: usize::MAX,
-    };
     for iter in 0..5 {
         let problem = Problem::new(w.costs.clone(), p);
         let before = assignment.clone();
-        assignment = rebalance(&problem, &assignment, &cfg);
+        assignment = rebalance(&problem, &assignment);
         t.push(vec![
             iter.to_string(),
             fmt3(problem.imbalance(&assignment)),

@@ -5,8 +5,7 @@
 //! bodies, pure dispatch cost) this measures the production kernel end
 //! to end — screening lookups, ERI evaluation, scatter — so it is the
 //! number the kernel-perf trajectory (`results/BENCH_fock.json`) tracks
-//! across revisions. Shared between the `fock_hotpath` bench target and
-//! `reproduce fock` so both report the same workload.
+//! across revisions; the `fock_hotpath` bench target runs it.
 
 use emx_chem::basis::{BasisSet, BasisedMolecule};
 use emx_chem::molecule::Molecule;

@@ -12,7 +12,6 @@ use emx_core::prelude::*;
 
 pub mod distsimbench;
 pub mod fockbench;
-pub mod obscapture;
 pub mod profbench;
 pub mod slug;
 
@@ -20,8 +19,6 @@ pub use distsimbench::{
     bench_distsim_json, distsim_measure, distsim_smoke, DistsimBenchReport, DistsimBenchRow,
     DISTSIM_FLOOR_RATIO,
 };
-pub use fockbench::{fock_hotpath_measure, FockBenchReport, FockBenchRow};
-pub use obscapture::{capture_observability, ObsCapture};
 pub use profbench::{
     bench_obs_json, profile_fock_roster, profile_smoke, PolicyProfile, ProfileReport,
     RecordingOverhead, OVERHEAD_CEILING_FRAC,

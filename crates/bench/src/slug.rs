@@ -79,7 +79,7 @@ mod tests {
         "Ablation: steal granularity (simulated, P=64)",
         "Ablation: shared-counter chunk size (simulated, P=256)",
         "Ablation: screening threshold vs task-cost skew (C8H18/STO-3G)",
-        "Ablation: work-stealing seed partition (real threads, P=2)",
+        "Ablation: work-stealing seed partition (simulated, P=16)",
         "Ablation: persistence rebalancer warm-up (P=16)",
         "Ablation: incremental-Fock cost drift vs persistence balancing (C4H10, P=8)",
         "Ablation: balancer-seeded (hybrid) work stealing, quartet-level tasks",

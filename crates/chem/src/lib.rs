@@ -55,6 +55,6 @@ pub mod prelude {
     pub use crate::molecule::Molecule;
     pub use crate::scf::{rhf, rhf_incremental, rhf_with, IterationPhases, ScfConfig, ScfResult};
     pub use crate::screening::{ScreenedPairs, ScreeningStats};
-    pub use crate::synthetic::{busy_work, calibrate_lognormal, generate_costs, CostModel};
+    pub use crate::synthetic::{generate_costs, CostModel};
     pub use crate::tasks::{imbalance, makespan_lower_bound, CostStats};
 }

@@ -1,9 +1,9 @@
 //! Restricted Hartree–Fock SCF driver.
 //!
-//! A textbook closed-shell Roothaan procedure with optional DIIS
-//! acceleration. The SCF loop is the *consumer* of the Fock-build kernel
-//! that the execution-model study schedules: each iteration performs one
-//! full task-set execution, so per-iteration wall time is exactly the
+//! A textbook closed-shell Roothaan procedure with DIIS acceleration.
+//! The SCF loop is the *consumer* of the Fock-build kernel that the
+//! execution-model study schedules: each iteration performs one full
+//! task-set execution, so per-iteration wall time is exactly the
 //! quantity the paper's experiments measure.
 
 use crate::basis::BasisedMolecule;
@@ -21,10 +21,6 @@ pub struct ScfConfig {
     pub e_tol: f64,
     /// Convergence threshold on the density RMS change.
     pub d_tol: f64,
-    /// Enable DIIS convergence acceleration.
-    pub diis: bool,
-    /// Maximum DIIS subspace size.
-    pub diis_size: usize,
     /// Schwarz quartet threshold for the Fock builds.
     pub tau: f64,
 }
@@ -35,17 +31,17 @@ impl Default for ScfConfig {
             max_iter: 100,
             e_tol: 1e-9,
             d_tol: 1e-7,
-            diis: true,
-            diis_size: 6,
             tau: 1e-10,
         }
     }
 }
 
-/// Wall-clock breakdown of one SCF iteration — the observability layer
-/// exports these as `scf_iter` records; the paper's discussion of where
-/// iteration time goes (Fock build vs. everything else) reads straight
-/// off them.
+/// Maximum DIIS subspace size.
+const DIIS_SIZE: usize = 6;
+
+/// Wall-clock breakdown of one SCF iteration — the paper's discussion
+/// of where iteration time goes (Fock build vs. everything else) reads
+/// straight off them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IterationPhases {
     /// Two-electron (Fock `G`) build — the parallel kernel under study.
@@ -166,27 +162,25 @@ pub fn rhf_with(
         let e_elec = 0.5 * p.dot(&h.add(&f).expect("H+F")).expect("energy trace");
         history.push(e_elec + enuc);
 
+        // DIIS error e = FPS − SPF, expressed in the orthonormal basis so
+        // its norm is meaningful.
         let diis_start = std::time::Instant::now();
-        if config.diis {
-            // DIIS error e = FPS − SPF, expressed in the orthonormal
-            // basis so its norm is meaningful.
-            let fps = f.matmul(&p).expect("FP").matmul(&s).expect("FPS");
-            let spf = s.matmul(&p).expect("SP").matmul(&f).expect("SPF");
-            let err = fps
-                .sub(&spf)
-                .expect("FPS-SPF")
-                .congruence(&x)
-                .expect("error transform");
-            diis_f.push(f.clone());
-            diis_e.push(err);
-            if diis_f.len() > config.diis_size {
-                diis_f.remove(0);
-                diis_e.remove(0);
-            }
-            if diis_f.len() >= 2 {
-                if let Some(fd) = diis_extrapolate(&diis_f, &diis_e) {
-                    f = fd;
-                }
+        let fps = f.matmul(&p).expect("FP").matmul(&s).expect("FPS");
+        let spf = s.matmul(&p).expect("SP").matmul(&f).expect("SPF");
+        let err = fps
+            .sub(&spf)
+            .expect("FPS-SPF")
+            .congruence(&x)
+            .expect("error transform");
+        diis_f.push(f.clone());
+        diis_e.push(err);
+        if diis_f.len() > DIIS_SIZE {
+            diis_f.remove(0);
+            diis_e.remove(0);
+        }
+        if diis_f.len() >= 2 {
+            if let Some(fd) = diis_extrapolate(&diis_f, &diis_e) {
+                f = fd;
             }
         }
         phases.diis = diis_start.elapsed();
@@ -340,30 +334,25 @@ mod tests {
         (r, builds)
     }
 
-    fn run(mol: &Molecule, basis: BasisSet, diis: bool) -> ScfResult {
-        let bm = BasisedMolecule::assign(mol, basis);
-        let cfg = ScfConfig {
-            diis,
-            ..ScfConfig::default()
-        };
-        rhf(&bm, &cfg)
+    fn run(mol: &Molecule, basis: BasisSet) -> ScfResult {
+        rhf(&BasisedMolecule::assign(mol, basis), &ScfConfig::default())
     }
 
     #[test]
     fn h2_sto3g_total_energy() {
         // Szabo & Ostlund: E(RHF/STO-3G, R = 1.4 a₀) = −1.1167 Eh, and
         // −1.1267 Eh in 6-31G; pinned at the validation table's 6e-5.
-        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g, true);
+        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g);
         assert!(r.converged, "did not converge: {:?}", r.energy_history);
         assert!((r.energy + 1.1167).abs() < E_TOL, "E = {}", r.energy);
-        let r = run(&Molecule::h2(1.4), BasisSet::SixThirtyOneG, true);
+        let r = run(&Molecule::h2(1.4), BasisSet::SixThirtyOneG);
         assert!(r.converged, "did not converge: {:?}", r.energy_history);
         assert!((r.energy + 1.1267).abs() < E_TOL, "E = {}", r.energy);
     }
 
     #[test]
     fn h2_nuclear_repulsion_split() {
-        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g, true);
+        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g);
         assert!((r.nuclear_repulsion - 1.0 / 1.4).abs() < 1e-12);
         assert!((r.electronic_energy + r.nuclear_repulsion - r.energy).abs() < 1e-12);
     }
@@ -376,7 +365,7 @@ mod tests {
         // (0.9572 Å, 104.52°) sits 3.0 mEh higher at −74.9629. Mixing
         // the two was a long-standing validation-table bug; the tight
         // tolerances here keep the pairing honest.
-        let exp = run(&Molecule::water(), BasisSet::Sto3g, true);
+        let exp = run(&Molecule::water(), BasisSet::Sto3g);
         assert!(exp.converged);
         assert!(
             (exp.energy - (-74.962929)).abs() < 5e-5,
@@ -384,7 +373,7 @@ mod tests {
             exp.energy
         );
 
-        let opt = run(&Molecule::water_sto3g_opt(), BasisSet::Sto3g, true);
+        let opt = run(&Molecule::water_sto3g_opt(), BasisSet::Sto3g);
         assert!(opt.converged);
         assert!(
             (opt.energy - (-74.965901)).abs() < 5e-5,
@@ -400,8 +389,8 @@ mod tests {
     #[test]
     fn water_631g_lower_than_sto3g() {
         // The variational principle: a bigger basis gives a lower energy.
-        let small = run(&Molecule::water(), BasisSet::Sto3g, true);
-        let big = run(&Molecule::water(), BasisSet::SixThirtyOneG, true);
+        let small = run(&Molecule::water(), BasisSet::Sto3g);
+        let big = run(&Molecule::water(), BasisSet::SixThirtyOneG);
         assert!(big.converged);
         assert!(
             big.energy < small.energy,
@@ -564,7 +553,7 @@ mod tests {
     fn water_631gstar_total_energy() {
         // RHF/6-31G* (Cartesian 6d) water at the experimental geometry:
         // −76.0105 Eh (−76.0107 belongs to the basis's optimized one).
-        let r = run(&Molecule::water(), BasisSet::SixThirtyOneGStar, true);
+        let r = run(&Molecule::water(), BasisSet::SixThirtyOneGStar);
         assert!(r.converged);
         assert!((r.energy + 76.0105).abs() < E_TOL, "E = {}", r.energy);
     }
@@ -580,17 +569,8 @@ mod tests {
     }
 
     #[test]
-    fn diis_accelerates_or_matches() {
-        let with = run(&Molecule::water(), BasisSet::Sto3g, true);
-        let without = run(&Molecule::water(), BasisSet::Sto3g, false);
-        assert!(with.converged && without.converged);
-        assert!((with.energy - without.energy).abs() < 1e-6);
-        assert!(with.iterations <= without.iterations + 2);
-    }
-
-    #[test]
     fn energy_history_is_recorded() {
-        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g, true);
+        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g);
         assert_eq!(r.energy_history.len(), r.iterations);
         // Final history entry equals the reported energy.
         assert!((r.energy_history.last().unwrap() - r.energy).abs() < 1e-10);
@@ -598,7 +578,7 @@ mod tests {
 
     #[test]
     fn phase_timings_cover_every_iteration() {
-        let r = run(&Molecule::water(), BasisSet::Sto3g, true);
+        let r = run(&Molecule::water(), BasisSet::Sto3g);
         assert_eq!(r.phase_timings.len(), r.iterations);
         for ph in &r.phase_timings {
             // Phases are sub-intervals of the iteration.
@@ -625,7 +605,7 @@ mod tests {
 
     #[test]
     fn orbital_energies_water_shape() {
-        let r = run(&Molecule::water(), BasisSet::Sto3g, true);
+        let r = run(&Molecule::water(), BasisSet::Sto3g);
         assert_eq!(r.orbital_energies.len(), 7);
         // Core O(1s) orbital should be deeply bound (≈ −20.2 Eh).
         assert!(r.orbital_energies[0] < -18.0);

@@ -4,10 +4,7 @@
 //! models over hundreds of configurations with real integrals would be
 //! needlessly slow. This module generates task-cost vectors whose
 //! *distribution* matches what the inspector measures on the real kernel
-//! (heavily right-skewed, approximately log-normal with a long tail),
-//! plus a deterministic [`busy_work`] kernel that burns a controlled
-//! number of floating-point operations so real-thread experiments get
-//! tasks of precisely known cost.
+//! (heavily right-skewed, approximately log-normal with a long tail).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,65 +63,11 @@ pub fn generate_costs(model: CostModel, n: usize, seed: u64) -> Vec<f64> {
     }
 }
 
-/// Fits a log-normal [`CostModel`] to measured costs (method of moments
-/// in log space). Zero or negative costs are clamped to the smallest
-/// positive measurement.
-///
-/// This is how benches calibrate the synthetic sweeps to the real
-/// kernel: run one inspector pass, fit, then generate arbitrarily many
-/// matched workloads.
-pub fn calibrate_lognormal(measured: &[f64]) -> CostModel {
-    assert!(
-        !measured.is_empty(),
-        "cannot calibrate from no measurements"
-    );
-    let floor = measured
-        .iter()
-        .cloned()
-        .filter(|&c| c > 0.0)
-        .fold(f64::INFINITY, f64::min)
-        .min(1.0);
-    let logs: Vec<f64> = measured.iter().map(|&c| c.max(floor).ln()).collect();
-    let mu = logs.iter().sum::<f64>() / logs.len() as f64;
-    let var = logs.iter().map(|l| (l - mu) * (l - mu)).sum::<f64>() / logs.len() as f64;
-    CostModel::LogNormal {
-        mu,
-        sigma: var.sqrt(),
-    }
-}
-
 /// Box–Muller standard normal deviate.
 fn standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.random_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Burns approximately `units` cost units of CPU (one unit ≈ 16 FLOPs of
-/// dependent arithmetic) and returns a value that must be consumed so
-/// the optimizer cannot elide the loop.
-///
-/// Deterministic, allocation-free, and with a strictly serial dependency
-/// chain — wall time scales linearly in `units` regardless of
-/// vectorization.
-#[inline(never)]
-pub fn busy_work(units: u64) -> f64 {
-    let mut x = 1.000_000_1f64;
-    for _ in 0..units {
-        // 16 dependent flops per iteration.
-        x = x * 1.000_000_3 + 0.000_000_7;
-        x = x * 0.999_999_9 + 0.000_000_1;
-        x = x * 1.000_000_1 - 0.000_000_2;
-        x = x * 0.999_999_7 + 0.000_000_4;
-        x = x * 1.000_000_2 - 0.000_000_3;
-        x = x * 0.999_999_8 + 0.000_000_6;
-        x = x * 1.000_000_4 - 0.000_000_5;
-        x = x * 0.999_999_6 + 0.000_000_8;
-        if x > 2.0 {
-            x -= 1.0;
-        }
-    }
-    x
 }
 
 #[cfg(test)]
@@ -184,40 +127,5 @@ mod tests {
     fn triangular_ramp() {
         let c = generate_costs(CostModel::Triangular { scale: 2.0 }, 4, 0);
         assert_eq!(c, vec![2.0, 4.0, 6.0, 8.0]);
-    }
-
-    #[test]
-    fn calibration_recovers_parameters() {
-        let truth = CostModel::LogNormal {
-            mu: 3.0,
-            sigma: 1.2,
-        };
-        let sample = generate_costs(truth, 20_000, 5);
-        match calibrate_lognormal(&sample) {
-            CostModel::LogNormal { mu, sigma } => {
-                assert!((mu - 3.0).abs() < 0.05, "mu {mu}");
-                assert!((sigma - 1.2).abs() < 0.05, "sigma {sigma}");
-            }
-            other => panic!("wrong model {other:?}"),
-        }
-    }
-
-    #[test]
-    fn calibration_handles_zeros() {
-        match calibrate_lognormal(&[0.0, 1.0, 2.0]) {
-            CostModel::LogNormal { mu, sigma } => {
-                assert!(mu.is_finite() && sigma.is_finite());
-            }
-            other => panic!("wrong model {other:?}"),
-        }
-    }
-
-    #[test]
-    fn busy_work_returns_finite_and_scales() {
-        let v = busy_work(1000);
-        assert!(v.is_finite());
-        assert!(v > 0.0);
-        // Zero units is a no-op that still returns the seed value.
-        assert!((busy_work(0) - 1.000_000_1).abs() < 1e-12);
     }
 }

@@ -83,12 +83,6 @@ impl CostStats {
             gini,
         }
     }
-
-    /// Convenience for integer cost units.
-    pub fn from_u64(costs: &[u64]) -> CostStats {
-        let f: Vec<f64> = costs.iter().map(|&c| c as f64).collect();
-        CostStats::from_costs(&f)
-    }
 }
 
 /// The theoretical makespan lower bound for `p` workers:
@@ -174,12 +168,5 @@ mod tests {
         assert_eq!(imbalance(&[4.0, 0.0]), 2.0);
         assert_eq!(imbalance(&[]), 1.0);
         assert_eq!(imbalance(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn u64_conversion_matches() {
-        let a = CostStats::from_u64(&[1, 2, 3]);
-        let b = CostStats::from_costs(&[1.0, 2.0, 3.0]);
-        assert_eq!(a, b);
     }
 }

@@ -41,9 +41,7 @@
 
 use crate::eventq::{RankQueues, WorkTracker};
 use crate::sim::{SimConfig, SimModel, SimReport, SplitMix};
-use emx_balance::prelude::{
-    full_adjacency, rebalance, semi_matching, PersistenceConfig, Problem, SemiMatchConfig,
-};
+use emx_balance::prelude::{full_adjacency, rebalance, semi_matching, Problem, SemiMatchConfig};
 
 /// A scheduled fail-stop failure of one simulated rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -358,7 +356,7 @@ pub(crate) fn assign_orphans(
                 .map_or(0, |(k, _)| k);
             let previous = vec![least as u32; n];
             let problem = Problem::new(weights.to_vec(), s);
-            let assignment = rebalance(&problem, &previous, &PersistenceConfig::default());
+            let assignment = rebalance(&problem, &previous);
             assignment.iter().map(|&x| x as usize).collect()
         }
     }

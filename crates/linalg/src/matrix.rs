@@ -118,7 +118,7 @@ impl Matrix {
 
     /// Mutably borrow row `i` as a slice.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 

@@ -47,7 +47,7 @@ impl ChromeTrace {
     }
 
     /// Adds one complete event.
-    pub fn add_span(
+    fn add_span(
         &mut self,
         pid: u32,
         tid: u32,

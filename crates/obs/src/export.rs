@@ -1,40 +1,22 @@
-//! JSONL run records, stamped and schema-versioned.
+//! The identity stamp on every exported file.
 //!
-//! Every exported JSONL file is self-describing: the first record carries
-//! the schema version, the experiment id and a git-describe string, so a
-//! results directory can be read years later without the producing binary.
-//!
-//! ## JSONL schema (version 2)
-//!
-//! One JSON object per line, discriminated by `"record"`:
-//!
-//! * `{"record":"meta","schema_version":2,"experiment":…,"git":…}` —
-//!   always the first line, exactly once.
-//! * `{"record":"attribution","name":…,"policy":…,"wall_ns":…,…}` —
-//!   one captured run's [`Attribution::to_json`](crate::Attribution::to_json)
-//!   fields under a producer-chosen `name`: per-worker blame
-//!   nanoseconds and task / steal / steal-attempt counts.
-//! * Producer-specific records (e.g. `"record":"scf_iter"`) may follow;
-//!   consumers must skip unknown `record` values.
-//!
-//! Version 1's `"record":"metric"` lines came from a metrics registry
-//! that counted every task, steal and fetch a second time beside the
-//! rings; version 2 reads those counts off the rings instead. The
-//! version increments only on breaking changes to the records above.
+//! Each stamped CSV (`reproduce --csv`) and `results/BENCH_*.json` file
+//! carries the schema version, the experiment id and a git-describe
+//! string, so a results directory can be read years later without the
+//! producing binary. The version increments only on breaking changes to
+//! those files' layout.
 
-use crate::json::Json;
-
-/// Version of the JSONL schema documented in this module.
+/// Version of the stamped file layout.
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// Identity stamp attached to every exported file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
-    /// Experiment id (`e2`, `obs`, `validate`, …).
+    /// Experiment id (`e2`, `profile`, `validate`, …).
     pub experiment_id: String,
     /// `git describe` output of the producing tree (or `"unknown"`).
     pub git_describe: String,
-    /// Schema version of the emitted records.
+    /// Schema version of the stamped file.
     pub schema_version: u32,
 }
 
@@ -46,16 +28,6 @@ impl RunMeta {
             git_describe: git_describe.into(),
             schema_version: SCHEMA_VERSION,
         }
-    }
-
-    /// The `"record":"meta"` JSONL header line.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("record", Json::Str("meta".into())),
-            ("schema_version", Json::Num(self.schema_version as f64)),
-            ("experiment", Json::Str(self.experiment_id.clone())),
-            ("git", Json::Str(self.git_describe.clone())),
-        ])
     }
 }
 
@@ -73,43 +45,9 @@ pub fn git_describe_string() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Serializes `records` to JSONL behind the meta header line.
-pub fn to_jsonl(meta: &RunMeta, records: &[Json]) -> String {
-    let mut out = String::new();
-    for record in std::iter::once(&meta.to_json()).chain(records) {
-        out.push_str(&record.to_json_string());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jsonl_has_meta_first_and_parses() {
-        let meta = RunMeta::new("e2", "abc1234");
-        let text = to_jsonl(
-            &meta,
-            &[
-                Json::obj(vec![("record", Json::Str("attribution".into()))]),
-                Json::obj(vec![("record", Json::Str("scf_iter".into()))]),
-            ],
-        );
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let head = Json::parse(lines[0]).unwrap();
-        assert_eq!(head.get("record").unwrap().as_str(), Some("meta"));
-        assert_eq!(head.get("schema_version").unwrap().as_f64(), Some(2.0));
-        assert_eq!(head.get("experiment").unwrap().as_str(), Some("e2"));
-        let records: Vec<Json> = lines[1..].iter().map(|l| Json::parse(l).unwrap()).collect();
-        let kinds: Vec<_> = records
-            .iter()
-            .map(|r| r.get("record").unwrap().as_str())
-            .collect();
-        assert_eq!(kinds, [Some("attribution"), Some("scf_iter")]);
-    }
 
     #[test]
     fn git_describe_never_empty() {

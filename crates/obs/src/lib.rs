@@ -19,16 +19,15 @@
 //! * [`task_spans`] — the per-task intervals of one of those streams,
 //!   the source of every measured task cost; [`render_timeline`] draws
 //!   them as per-worker text occupancy strips.
-//! * [`export`] — JSONL run records (attributions, per-iteration SCF
-//!   phases), stamped with a schema version, experiment id and
-//!   git-describe string.
-//! * [`json`] — the minimal JSON value type backing the exporters (the
-//!   workspace builds offline, so no serde).
+//! * [`export`] — the stamp on every exported file: a schema version,
+//!   experiment id and git-describe string.
+//! * [`json`] — the minimal JSON value type backing the trace and the
+//!   stamped attributions (the workspace builds offline, so no serde).
 //!
 //! ## Example
 //!
 //! ```
-//! use emx_obs::{to_jsonl, Attribution, EventKind, RingSet, RunMeta};
+//! use emx_obs::{Attribution, EventKind, Json, RingSet};
 //!
 //! // Two workers, each writing its own ring (timestamps in ns).
 //! let rings = RingSet::new(2, 64);
@@ -46,8 +45,9 @@
 //! let a = Attribution::from_rings("work-stealing", 1_000, &rings);
 //! assert_eq!(a.totals().tasks, 2);
 //! assert_eq!((a.workers[1].steals, a.workers[1].steal_attempts), (1, 4));
-//! let jsonl = to_jsonl(&RunMeta::new("demo", "v0"), &[a.to_json()]);
-//! assert_eq!(jsonl.lines().count(), 2);
+//! // The same blame, as stamped into `results/BENCH_obs.json`.
+//! let back = Attribution::from_json(&Json::parse(&a.to_json().to_json_string()).unwrap());
+//! assert_eq!(back.unwrap().totals().steal_attempts, 4);
 //! ```
 
 pub mod attrib;
@@ -59,7 +59,7 @@ mod timeline;
 
 pub use attrib::{Attribution, AttributionDiff, WorkerBlame};
 pub use chrome::ChromeTrace;
-pub use export::{git_describe_string, to_jsonl, RunMeta, SCHEMA_VERSION};
+pub use export::{git_describe_string, RunMeta, SCHEMA_VERSION};
 pub use json::Json;
 pub use ring::{EventKind, EventRing, ProfEvent, RingSet, RingSnapshot, RingWriter};
 pub use timeline::{render_timeline, task_spans};

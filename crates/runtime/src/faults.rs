@@ -22,6 +22,7 @@
 //! Everything is deterministic: poison sets are explicit task lists or
 //! seeded hashes.
 
+use crate::variability::unit_hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -175,16 +176,6 @@ pub(crate) fn run_poisonable<R>(
 /// Re-raises a payload from a task that exhausted its retries.
 pub(crate) fn propagate(payload: Box<dyn std::any::Any + Send>) -> ! {
     resume_unwind(payload)
-}
-
-/// Deterministic hash of `(seed, x)` to `[0, 1)` (splitmix64 finalizer,
-/// same construction as the variability model's per-core hash).
-fn unit_hash(seed: u64, x: u64) -> f64 {
-    let mut z = seed.wrapping_add(x.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

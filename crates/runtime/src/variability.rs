@@ -78,8 +78,9 @@ impl Variability {
     }
 }
 
-/// Deterministic hash of `(seed, x)` to a unit interval value.
-fn unit_hash(seed: u64, x: u64) -> f64 {
+/// Deterministic hash of `(seed, x)` to `[0, 1)`: the per-core factors
+/// here and the poison draws of `faults` both read it.
+pub(crate) fn unit_hash(seed: u64, x: u64) -> f64 {
     // splitmix64 finalizer.
     let mut z = seed.wrapping_add(x.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -132,15 +132,11 @@ impl PolicyKind {
     /// Builds a persistence-based policy for `costs` on `workers`
     /// workers: the block partition plays the role of the previous
     /// iteration's assignment and is rebalanced against the measured (or
-    /// estimated) costs with the default persistence configuration.
+    /// estimated) costs.
     pub fn persistence_from_costs(costs: &[f64], workers: usize) -> PolicyKind {
         let previous = block_partition(costs.len(), workers);
         let problem = emx_balance::prelude::Problem::new(costs.to_vec(), workers);
-        let assignment = emx_balance::persistence::rebalance(
-            &problem,
-            &previous,
-            &emx_balance::persistence::PersistenceConfig::default(),
-        );
+        let assignment = emx_balance::persistence::rebalance(&problem, &previous);
         PolicyKind::PersistenceBased(Arc::new(assignment))
     }
 

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example inspector_executor`
 
-use emx_balance::prelude::{movement, rebalance, PersistenceConfig, Problem};
+use emx_balance::prelude::{movement, rebalance, Problem};
 use emx_chem::prelude::*;
 use emx_core::prelude::{fmt3, ParallelFock};
 use emx_linalg::Matrix;
@@ -33,10 +33,6 @@ fn main() {
     let mut assignment: Vec<u32> = (0..pf.ntasks())
         .map(|i| emx_runtime::block_owner(i, pf.ntasks(), workers) as u32)
         .collect();
-    let persistence = PersistenceConfig {
-        target_imbalance: 1.02,
-        max_moves: usize::MAX,
-    };
 
     let cfg = ScfConfig::default();
     let mut iteration = 0usize;
@@ -63,7 +59,7 @@ fn main() {
             assert!(costs.iter().all(|c| !c.is_nan()), "every task measured");
             let problem = Problem::new(costs, workers);
             let imbalance_before = problem.imbalance(assignment_ref);
-            let next = rebalance(&problem, assignment_ref, &persistence);
+            let next = rebalance(&problem, assignment_ref);
             let moved = movement(assignment_ref, &next);
             let imbalance_after = problem.imbalance(&next);
             history_ref.push((iteration, imbalance_before, imbalance_after, moved));

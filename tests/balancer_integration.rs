@@ -123,10 +123,6 @@ fn persistence_rebalancing_converges_over_iterations() {
     let mut assignment: Vec<u32> = (0..w.ntasks())
         .map(|i| emx_runtime::block_owner(i, w.ntasks(), p) as u32)
         .collect();
-    let cfg = PersistenceConfig {
-        target_imbalance: 1.1,
-        max_moves: usize::MAX,
-    };
     let mut imbalances = Vec::new();
     for iter in 0..5 {
         // Slight deterministic drift models iteration-to-iteration noise.
@@ -138,7 +134,7 @@ fn persistence_rebalancing_converges_over_iterations() {
             .collect();
         let problem = Problem::new(costs, p);
         let before = assignment.clone();
-        assignment = rebalance(&problem, &assignment, &cfg);
+        assignment = rebalance(&problem, &assignment);
         imbalances.push(problem.imbalance(&assignment));
         if iter > 0 {
             // After warm-up, migrations should be few.

@@ -150,18 +150,15 @@ proptest! {
     }
 
     #[test]
-    fn persistence_never_worsens_and_respects_cap(
+    fn persistence_never_worsens(
         costs in proptest::collection::vec(0.0f64..20.0, 1..100),
         workers in 1usize..8,
-        cap in 0usize..30,
     ) {
         let p = Problem::new(costs.clone(), workers);
         let prev: Vec<u32> = (0..costs.len()).map(|i| (i % workers) as u32).collect();
-        let cfg = PersistenceConfig { target_imbalance: 1.02, max_moves: cap };
-        let out = rebalance(&p, &prev, &cfg);
+        let out = rebalance(&p, &prev);
         prop_assert!(is_valid(&out, costs.len(), workers));
         prop_assert!(p.makespan(&out) <= p.makespan(&prev) + 1e-9);
-        prop_assert!(movement(&prev, &out) <= cap);
     }
 
     #[test]

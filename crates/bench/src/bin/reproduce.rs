@@ -9,17 +9,17 @@
 //! injection, see `docs/FAULT_MODEL.md`), `f1` (utilization
 //! timelines), `ablations`, `smoke` (CI's fast check: the full policy
 //! roster through both substrates), `profile` (ring-captured blame
-//! attribution of the real Fock build per policy, stamping
-//! `results/BENCH_obs.json` — see `docs/OBSERVABILITY.md`;
-//! `EMX_PROFILE_SMOKE=1` shrinks it for CI) and `distsim` (the
-//! simulator event core at 10⁴–10⁵ ranks, calendar queue vs the
-//! binary-heap oracle, stamping `results/BENCH_distsim.json` — see
-//! `docs/ARCHITECTURE.md`; `EMX_DISTSIM_SMOKE=1` shrinks it for CI).
+//! attribution of the real Fock build per policy — see
+//! `docs/OBSERVABILITY.md`; `EMX_PROFILE_SMOKE=1` shrinks it for CI) and
+//! `distsim` (the simulator event core at 10⁴–10⁵ ranks, calendar queue
+//! vs the binary-heap oracle — see `docs/ARCHITECTURE.md`;
+//! `EMX_DISTSIM_SMOKE=1` shrinks it for CI).
 //! Output is plain-text tables; pass `--csv DIR` to also write stamped
 //! CSV files and, with `profile`, `--trace-out DIR` for one Chrome
-//! trace JSON per roster policy. A flag without its value, an unknown
-//! experiment id, or `--trace-out` without `profile` prints the usage
-//! and exits with status 2 before any experiment runs.
+//! trace JSON per roster policy. Nothing else is written. A flag
+//! without its value, an unknown flag or experiment id, or
+//! `--trace-out` without `profile` prints the usage and exits with
+//! status 2 before any experiment runs.
 
 use emx_balance::prelude::{movement, rebalance, Problem};
 use emx_bench::{block_owners, chem_workload_medium, synthetic_workload_large};
@@ -134,6 +134,10 @@ fn main() {
         let slot = match a.as_str() {
             "--csv" => &mut csv_dir,
             "--trace-out" => &mut ctx.trace_dir,
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag: {flag}\n{USAGE}");
+                std::process::exit(2);
+            }
             _ => {
                 wanted.push(a.to_lowercase());
                 continue;
@@ -263,11 +267,10 @@ fn run_faults(c: &Ctx) -> Vec<Table> {
 /// end. Every roster policy's Fock build runs with per-worker event
 /// rings attached; each capture is decomposed into blame categories
 /// (compute / counter / steal / merge / idle, summing to the wall
-/// clock), compared differentially against the headline static policy
-/// and the previously stamped baseline, exported as one Chrome trace per
-/// policy when `--trace-out` is given, and finally stamped
-/// into `results/BENCH_obs.json` together with the measured rings-on
-/// vs obs-off recording overhead (ceiling-checked outside smoke mode).
+/// clock), compared differentially against the headline static policy,
+/// and exported as one Chrome trace per policy when `--trace-out` is
+/// given. The measured rings-on vs obs-off recording overhead is
+/// printed and, outside smoke mode, held to its ceiling.
 fn run_profile(trace_dir: Option<&str>) -> Table {
     use emx_bench::profbench::{self, OVERHEAD_CEILING_FRAC};
     use emx_obs::AttributionDiff;
@@ -326,20 +329,6 @@ fn run_profile(trace_dir: Option<&str>) -> Table {
         }
     }
 
-    // Differential against the previously stamped baseline (read
-    // before this run overwrites the stamp).
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_obs.json");
-    if let (Some(prev), Some(cur)) = (
-        profbench::baseline_attribution(bench_path),
-        report.baseline_policy(),
-    ) {
-        println!("vs stamped baseline:");
-        println!(
-            "{}",
-            AttributionDiff::between(&prev, &cur.profile.attribution).render()
-        );
-    }
-
     if let Some(dir) = trace_dir {
         std::fs::create_dir_all(dir).expect("create trace dir");
         for p in &report.policies {
@@ -372,9 +361,6 @@ fn run_profile(trace_dir: Option<&str>) -> Table {
             OVERHEAD_CEILING_FRAC * 100.0
         );
     }
-    let json = profbench::bench_obs_json(&report, &git_describe_string(), smoke);
-    std::fs::write(bench_path, json).expect("write BENCH_obs.json");
-    println!("wrote {bench_path}");
     t
 }
 
@@ -383,11 +369,10 @@ fn run_profile(trace_dir: Option<&str>) -> Table {
 /// 10⁵ simulated ranks on both event-queue backends (the production
 /// calendar queue and the retained binary-heap oracle — see
 /// `docs/ARCHITECTURE.md`); every pair is asserted bitwise identical,
-/// and the stamped metric is simulated events per second of wall clock.
-/// The CI gate is host-independent: aggregate calendar throughput must
+/// and the metric is simulated events per second of wall clock.
+/// The gate is host-independent: aggregate calendar throughput must
 /// be at least [`emx_bench::DISTSIM_FLOOR_RATIO`] times the heap
-/// oracle's on the same host. Walls, rates and the ratio are stamped into
-/// `results/BENCH_distsim.json`; `EMX_DISTSIM_SMOKE=1` shrinks the
+/// oracle's on the same host. `EMX_DISTSIM_SMOKE=1` shrinks the
 /// sweep to 10³/10⁴ ranks for CI.
 fn run_distsim() -> Table {
     use emx_bench::distsimbench;
@@ -439,14 +424,6 @@ fn run_distsim() -> Table {
         emx_bench::DISTSIM_FLOOR_RATIO,
         report.ratio_vs_heap()
     );
-
-    let bench_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_distsim.json"
-    );
-    let json = distsimbench::bench_distsim_json(&report, &git_describe_string(), smoke);
-    std::fs::write(bench_path, json).expect("write BENCH_distsim.json");
-    println!("wrote {bench_path}");
     t
 }
 

@@ -1,16 +1,15 @@
 //! `reproduce distsim` measurement: event-core throughput of the
-//! discrete-event simulator at cluster scale, stamped into
-//! `results/BENCH_distsim.json`.
+//! discrete-event simulator at cluster scale.
 //!
 //! The full policy roster runs at 10⁴–10⁵ simulated ranks twice per
 //! scale — once on the production calendar-queue event core and once on
 //! the retained binary-heap oracle ([`emx_distsim::eventq::QueueKind`]). Both
 //! backends pop the same `(time, seq)` total order, so every pair is
-//! asserted **bitwise identical** before its walls count; the stamped
-//! figure of merit is simulated events per second of wall clock
-//! (events = executed tasks + counter fetches + steal attempts).
+//! asserted **bitwise identical** before its walls count; the figure of
+//! merit is simulated events per second of wall clock (events =
+//! executed tasks + counter fetches + steal attempts).
 //!
-//! The CI floor is deliberately host-independent: rather than pinning
+//! The floor is deliberately host-independent: rather than pinning
 //! an absolute events/sec (which varies with hardware), the gate is the
 //! *ratio* of calendar throughput to heap throughput on the same host —
 //! the calendar core must deliver at least [`DISTSIM_FLOOR_RATIO`] of
@@ -31,11 +30,10 @@ pub fn distsim_smoke() -> bool {
 /// Aggregate calendar throughput must be at least this multiple of the
 /// heap oracle's (host-independent: both run on the same machine in the
 /// same process): the production backend may not lose to its oracle.
-/// The sort-on-open calendar stamps 1.7–2.1× at 10⁴–10⁵ ranks
-/// (`results/BENCH_distsim.json`), ten smoke runs on a noisy two-core
-/// host read 1.60–2.07, and `benchmark/`'s `distsim.heap_over_calendar`
-/// is 1.5–1.8 at both 2 and 128 tasks a rank; the per-bucket-heap
-/// calendar before it stamped 0.94×.
+/// The sort-on-open calendar reads 1.7–2.1× at 10⁴–10⁵ ranks, ten smoke
+/// runs on a noisy two-core host read 1.60–2.07, and `benchmark/`'s
+/// `distsim.heap_over_calendar` is 1.5–1.8 at both 2 and 128 tasks a
+/// rank; the per-bucket-heap calendar before it read 0.94×.
 pub const DISTSIM_FLOOR_RATIO: f64 = 1.0;
 
 /// One (model, rank count) cell of the sweep.
@@ -86,7 +84,7 @@ impl DistsimBenchRow {
     }
 }
 
-/// Everything the `reproduce distsim` arm reports and stamps.
+/// Everything the `reproduce distsim` arm reports.
 pub struct DistsimBenchReport {
     /// Timed runs per cell (walls are the minimum).
     pub samples: usize,
@@ -228,49 +226,6 @@ pub fn distsim_measure(smoke: bool) -> DistsimBenchReport {
     }
 }
 
-/// Renders the stamped `results/BENCH_distsim.json`: schema + sweep
-/// identity, one row per (model, ranks) with walls and events/sec on
-/// both backends, and the aggregate rates behind the CI floor ratio.
-pub fn bench_distsim_json(report: &DistsimBenchReport, git: &str, smoke: bool) -> String {
-    let mut rows = String::new();
-    for (i, r) in report.rows.iter().enumerate() {
-        let sep = if i + 1 < report.rows.len() { "," } else { "" };
-        rows.push_str(&format!(
-            "    {{\"model\": \"{}\", \"ranks\": {}, \"tasks\": {}, \
-             \"events\": {}, \"makespan_secs\": {:.9}, \
-             \"calendar_wall_secs\": {:.6}, \"calendar_events_per_sec\": {:.1}, \
-             \"heap_wall_secs\": {:.6}, \"heap_events_per_sec\": {:.1}, \
-             \"speedup_vs_heap\": {:.4}}}{sep}\n",
-            r.model,
-            r.ranks,
-            r.ntasks,
-            r.events,
-            r.makespan,
-            r.calendar_wall_secs,
-            r.calendar_events_per_sec(),
-            r.heap_wall_secs,
-            r.heap_events_per_sec(),
-            r.speedup_vs_heap(),
-        ));
-    }
-    format!(
-        "{{\n  \"schema_version\": {},\n  \"experiment\": \"distsim\",\n  \
-         \"git\": \"{}\",\n  \"smoke\": {},\n  \"samples\": {},\n  \
-         \"calendar_events_per_sec\": {:.1},\n  \"heap_events_per_sec\": {:.1},\n  \
-         \"ratio_vs_heap\": {:.4},\n  \"floor_ratio\": {:.2},\n  \
-         \"rows\": [\n{}  ]\n}}\n",
-        emx_obs::SCHEMA_VERSION,
-        git,
-        smoke,
-        report.samples,
-        report.calendar_rate(),
-        report.heap_rate(),
-        report.ratio_vs_heap(),
-        DISTSIM_FLOOR_RATIO,
-        rows
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,33 +244,5 @@ mod tests {
         assert!(report.calendar_rate() > 0.0);
         assert!(report.heap_rate() > 0.0);
         assert!(report.ratio_vs_heap() > 0.0);
-    }
-
-    #[test]
-    fn bench_distsim_json_parses_and_carries_the_sweep() {
-        let report = distsim_measure_at(&[64], 2, 1);
-        let json = bench_distsim_json(&report, "test", true);
-        let v = emx_obs::Json::parse(&json).expect("stamped JSON parses");
-        assert_eq!(
-            v.get("experiment").and_then(|e| e.as_str()),
-            Some("distsim")
-        );
-        assert!(v.get("ratio_vs_heap").and_then(|r| r.as_f64()).is_some());
-        assert_eq!(
-            v.get("floor_ratio").and_then(|f| f.as_f64()),
-            Some(DISTSIM_FLOOR_RATIO)
-        );
-        let rows = v.get("rows").and_then(|r| r.as_arr()).expect("rows");
-        assert_eq!(rows.len(), report.rows.len());
-        for (row, r) in rows.iter().zip(&report.rows) {
-            assert_eq!(
-                row.get("ranks").and_then(|w| w.as_f64()),
-                Some(r.ranks as f64)
-            );
-            assert!(row
-                .get("calendar_events_per_sec")
-                .and_then(|x| x.as_f64())
-                .is_some());
-        }
     }
 }

@@ -1,9 +1,9 @@
 //! # emx-bench — shared helpers for the benchmark harness
 //!
 //! The `reproduce` binary regenerates every table and figure of the
-//! study, and the `fock_hotpath` bench tracks the kernel's throughput;
-//! this library holds the workload constructors and measurements they
-//! share so all targets measure the same inputs.
+//! study; this library holds the workload constructors and the
+//! `profile` and `distsim` measurements it runs, so every experiment
+//! measures the same inputs.
 
 use emx_chem::basis::BasisSet;
 use emx_chem::molecule::Molecule;
@@ -11,17 +11,15 @@ use emx_chem::synthetic::CostModel;
 use emx_core::prelude::*;
 
 pub mod distsimbench;
-pub mod fockbench;
 pub mod profbench;
 pub mod slug;
 
 pub use distsimbench::{
-    bench_distsim_json, distsim_measure, distsim_smoke, DistsimBenchReport, DistsimBenchRow,
-    DISTSIM_FLOOR_RATIO,
+    distsim_measure, distsim_smoke, DistsimBenchReport, DistsimBenchRow, DISTSIM_FLOOR_RATIO,
 };
 pub use profbench::{
-    bench_obs_json, profile_fock_roster, profile_smoke, PolicyProfile, ProfileReport,
-    RecordingOverhead, OVERHEAD_CEILING_FRAC,
+    profile_fock_roster, profile_smoke, PolicyProfile, ProfileReport, RecordingOverhead,
+    OVERHEAD_CEILING_FRAC,
 };
 pub use slug::csv_slug;
 

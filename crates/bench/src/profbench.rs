@@ -1,8 +1,7 @@
 //! `reproduce profile` measurement: full-roster attribution capture on
-//! the real Fock build, plus the rings-on vs obs-off recording-overhead
-//! number stamped into `results/BENCH_obs.json`.
+//! the real Fock build, plus the rings-on vs obs-off recording overhead.
 //!
-//! Two halves, mirroring `fockbench`:
+//! Two halves:
 //!
 //! * [`profile_fock_roster`] runs every roster policy on the standard
 //!   (H₂O)₂/6-31G build with per-worker event rings attached and
@@ -11,30 +10,27 @@
 //!   from this single capture.
 //! * [`recording_overhead`] measures the cost of leaving the rings on:
 //!   median builds/second with no observability vs with rings attached,
-//!   on the same warmed kernel. The stamped overhead is held to
-//!   [`OVERHEAD_CEILING_FRAC`] so observability cost regressions are
-//!   caught exactly like Fock kernel regressions.
+//!   on the same warmed kernel. Outside smoke mode the overhead is held
+//!   to [`OVERHEAD_CEILING_FRAC`].
 //!
 //! `EMX_PROFILE_SMOKE=1` switches both to the small H₂O/STO-3G workload
 //! and the reduced [`PolicyKind::profile_roster`] for CI.
 
-use crate::fockbench::{fock_hotpath_workload, mock_density};
 use emx_chem::basis::{BasisSet, BasisedMolecule};
 use emx_chem::molecule::Molecule;
 use emx_chem::screening::ScreenedPairs;
 use emx_core::fockexec::{FockProfile, ParallelFock};
-use emx_obs::{Attribution, RingSet};
+use emx_linalg::Matrix;
+use emx_obs::RingSet;
 use emx_runtime::{Executor, PolicyKind};
 use std::time::Instant;
 
 /// Ceiling on the rings-on recording overhead vs the obs-off build
-/// (fraction of build time). Stamped into `BENCH_obs.json` and asserted
-/// by non-smoke `reproduce profile` runs and the results-file test.
-/// Deliberately wider than the stamped measurement (~4.6% on the
+/// (fraction of build time), asserted by non-smoke `reproduce profile`
+/// runs. Deliberately wider than the measurement (~4.6% on the
 /// reference host): a median-of-5 wall-clock micro-benchmark needs
 /// headroom for slower or noisier hosts, so the ceiling catches real
-/// regressions while the stamped `recording_overhead_frac` remains the
-/// tracked signal.
+/// regressions while the printed overhead remains the tracked signal.
 pub const OVERHEAD_CEILING_FRAC: f64 = 0.08;
 
 /// Ring depth used for profiled builds: deep enough to hold every
@@ -79,7 +75,7 @@ impl RecordingOverhead {
     }
 }
 
-/// Everything the `reproduce profile` arm reports and stamps.
+/// Everything the `reproduce profile` arm reports.
 pub struct ProfileReport {
     /// Workload molecule label.
     pub molecule: String,
@@ -95,29 +91,27 @@ pub struct ProfileReport {
     pub overhead: RecordingOverhead,
 }
 
-impl ProfileReport {
-    /// The profile stamped as the differential baseline (work stealing
-    /// — the policy the paper's headline comparisons center on), or the
-    /// first roster entry if the roster somehow lacks it.
-    pub fn baseline_policy(&self) -> Option<&PolicyProfile> {
-        self.policies
-            .iter()
-            .find(|p| p.label == "work-stealing")
-            .or_else(|| self.policies.first())
-    }
+/// The profile workload: (H₂O)₂/6-31G, or H₂O/STO-3G under smoke, with
+/// pairs screened at 1e-12 (τ·1e-2 for the τ = 1e-10 builds below,
+/// matching `rhf_parallel`).
+fn profile_workload(smoke: bool) -> (BasisedMolecule, ScreenedPairs, &'static str, &'static str) {
+    let (molecule, basis, molecule_label, basis_label) = if smoke {
+        (Molecule::water(), BasisSet::Sto3g, "H2O", "STO-3G")
+    } else {
+        let dimer = Molecule::water_cluster(2, 42);
+        (dimer, BasisSet::SixThirtyOneG, "(H2O)2", "6-31G")
+    };
+    let bm = BasisedMolecule::assign(&molecule, basis);
+    let pairs = ScreenedPairs::build(&bm, 1e-12);
+    (bm, pairs, molecule_label, basis_label)
 }
 
-/// The profile workload: (H₂O)₂/6-31G (the `fock_hotpath` workload), or
-/// H₂O/STO-3G under smoke.
-fn profile_workload(smoke: bool) -> (BasisedMolecule, ScreenedPairs, &'static str, &'static str) {
-    if smoke {
-        let bm = BasisedMolecule::assign(&Molecule::water(), BasisSet::Sto3g);
-        let pairs = ScreenedPairs::build(&bm, 1e-12);
-        (bm, pairs, "H2O", "STO-3G")
-    } else {
-        let (bm, pairs) = fock_hotpath_workload();
-        (bm, pairs, "(H2O)2", "6-31G")
-    }
+/// A fixed symmetric mock density (same shape the fockexec invariance
+/// tests use) so every revision measures the identical build.
+fn mock_density(nbf: usize) -> Matrix {
+    let mut d = Matrix::from_fn(nbf, nbf, |i, j| 0.2 / (1.0 + (i as f64 - j as f64).abs()));
+    d.symmetrize();
+    d
 }
 
 /// Runs the roster with rings attached and measures recording overhead.
@@ -171,7 +165,7 @@ pub fn profile_fock_roster(workers: usize, smoke: bool) -> ProfileReport {
 /// overhead).
 pub fn recording_overhead(
     pf: &ParallelFock<'_>,
-    density: &emx_linalg::Matrix,
+    density: &Matrix,
     workers: usize,
     samples: usize,
 ) -> RecordingOverhead {
@@ -204,49 +198,6 @@ pub fn recording_overhead(
     }
 }
 
-/// Renders the stamped `results/BENCH_obs.json`: schema + workload
-/// identity, both throughputs, the overhead fraction with its ceiling,
-/// and the baseline policy's attribution (the differential baseline
-/// future runs compare against via [`Attribution::from_json`]).
-pub fn bench_obs_json(report: &ProfileReport, git: &str, smoke: bool) -> String {
-    let o = &report.overhead;
-    let attribution = report
-        .baseline_policy()
-        .map(|p| p.profile.attribution.to_json().to_json_string())
-        .unwrap_or_else(|| "null".into());
-    format!(
-        "{{\n  \"schema_version\": {},\n  \"experiment\": \"profile\",\n  \
-         \"git\": \"{}\",\n  \"smoke\": {},\n  \"molecule\": \"{}\",\n  \
-         \"basis\": \"{}\",\n  \"ntasks\": {},\n  \"workers\": {},\n  \
-         \"samples\": {},\n  \"obs_off_builds_per_sec\": {:.3},\n  \
-         \"rings_on_builds_per_sec\": {:.3},\n  \
-         \"recording_overhead_frac\": {:.4},\n  \
-         \"overhead_ceiling_frac\": {:.2},\n  \"attribution\": {}\n}}\n",
-        emx_obs::SCHEMA_VERSION,
-        git,
-        smoke,
-        report.molecule,
-        report.basis,
-        report.ntasks,
-        o.workers,
-        o.samples,
-        o.obs_off_builds_per_sec,
-        o.rings_on_builds_per_sec,
-        o.overhead_frac(),
-        OVERHEAD_CEILING_FRAC,
-        attribution
-    )
-}
-
-/// Parses the attribution block back out of a stamped `BENCH_obs.json`
-/// (the differential baseline). Returns `None` for missing files, old
-/// schemas or a `null` attribution.
-pub fn baseline_attribution(path: &str) -> Option<Attribution> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let v = emx_obs::Json::parse(&text).ok()?;
-    Attribution::from_json(v.get("attribution")?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,27 +218,7 @@ mod tests {
                 a.max_sum_error()
             );
         }
-        assert!(report.baseline_policy().unwrap().label == "work-stealing");
         assert!(report.overhead.obs_off_builds_per_sec > 0.0);
         assert!(report.overhead.rings_on_builds_per_sec > 0.0);
-    }
-
-    #[test]
-    fn bench_obs_json_round_trips_the_baseline_attribution() {
-        let report = profile_fock_roster(2, true);
-        let json = bench_obs_json(&report, "test", true);
-        let v = emx_obs::Json::parse(&json).expect("stamped JSON parses");
-        assert_eq!(
-            v.get("overhead_ceiling_frac").unwrap().as_f64(),
-            Some(OVERHEAD_CEILING_FRAC)
-        );
-        let a =
-            Attribution::from_json(v.get("attribution").unwrap()).expect("attribution embedded");
-        assert_eq!(a.policy, "work-stealing");
-        let path = std::env::temp_dir().join("emx_bench_obs_test.json");
-        std::fs::write(&path, &json).unwrap();
-        let b = baseline_attribution(path.to_str().unwrap()).unwrap();
-        assert_eq!(a, b);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,7 +1,7 @@
 //! `reproduce`'s command line: a value flag given without its value, an
-//! unknown experiment id, or `--trace-out` without `profile` is a usage
-//! error (exit status 2, usage on stderr) raised before any experiment
-//! runs, not a panic.
+//! unknown flag or experiment id, or `--trace-out` without `profile` is
+//! a usage error (exit status 2, usage on stderr) raised before any
+//! experiment runs, not a panic.
 
 use std::process::Command;
 
@@ -36,11 +36,16 @@ fn unknown_experiment_id_prints_usage_and_exits_2_before_running_anything() {
 
 #[test]
 fn retired_ids_and_a_trace_dir_without_profile_exit_2_before_running_anything() {
-    // `obs` and `fock` name no experiment; `--trace-out` is read by
-    // `profile` alone, so without it the flag would be silently ignored.
-    let cases: [(&[&str], &str); 3] = [
+    // `obs` and `fock` name no experiment and `--metrics-out` no flag;
+    // `--trace-out` is read by `profile` alone, so without it the flag
+    // would be silently ignored.
+    let cases: [(&[&str], &str); 4] = [
         (&["validate", "obs"], "unknown experiment id: obs"),
         (&["validate", "fock"], "unknown experiment id: fock"),
+        (
+            &["validate", "--metrics-out", "x"],
+            "unknown flag: --metrics-out",
+        ),
         (
             &["validate", "--trace-out", "traces"],
             "--trace-out needs the profile experiment",

@@ -135,10 +135,10 @@ impl<'a> FockBuilder<'a> {
 
     /// The pre-batching task executor: one scalar
     /// [`eri_quartet_into`] call per surviving quartet. Kept as the
-    /// comparison arm of the `fock_hotpath` benchmark and of the
-    /// `batched_fock_build_beats_the_scalar_oracle` test (the
+    /// comparison arm of the benchmark's `chem.batched_vs_scalar` and of
+    /// the `batched_fock_build_beats_the_scalar_oracle` test (the
     /// batched-vs-scalar speedup is host-independent evidence the
-    /// restructure pays; both assert it is ≥ 1.3×) and as a second
+    /// restructure pays; the test asserts it is ≥ 1.3×) and as a second
     /// full-path oracle in tests. Scatter, screening and counts
     /// are identical to [`Self::execute`]; only summation order inside a
     /// block differs (≤ 1e-12 relative on `G`).

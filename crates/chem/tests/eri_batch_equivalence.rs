@@ -16,8 +16,8 @@
 //! summation.
 //!
 //! The same two paths also carry the kernel's one host-independent
-//! speed floor: on `fock_hotpath`'s workload a full batched Fock build
-//! must beat the scalar oracle by 1.3×, timed in this process.
+//! speed floor: on (H₂O)₂/6-31G a full batched Fock build must beat the
+//! scalar oracle by 1.3×, timed in this process.
 
 use emx_chem::basis::{BasisSet, BasisedMolecule, Shell};
 use emx_chem::eri::{eri_quartet_into, EriScratch};
@@ -214,8 +214,8 @@ fn ket_blocks_are_independent_of_batch_composition() {
 
 #[test]
 fn batched_fock_build_beats_the_scalar_oracle() {
-    // `fock_hotpath`'s workload and mock density: (H2O)2/6-31G, pairs
-    // screened at 1e-12, tau = 1e-10, chunk 8.
+    // `reproduce profile`'s workload and mock density: (H2O)2/6-31G,
+    // pairs screened at 1e-12, tau = 1e-10, chunk 8.
     let bm = BasisedMolecule::assign(&Molecule::water_cluster(2, 42), BasisSet::SixThirtyOneG);
     let pairs = ScreenedPairs::build(&bm, 1e-12);
     let fb = FockBuilder::new(&bm, &pairs, 1e-10);

@@ -31,7 +31,6 @@
 //! hunt time never extend the path — it is the classic lower bound on
 //! achievable wall time, and `wall − critical_path` is scheduling slack.
 
-use crate::json::Json;
 use crate::ring::{EventKind, ProfEvent, RingSet};
 use crate::timeline::task_spans;
 
@@ -170,73 +169,6 @@ impl Attribution {
             return 0.0;
         }
         self.critical_path_ns as f64 / self.wall_ns as f64
-    }
-
-    /// Serializes for stamping (baselines, `BENCH_obs.json`).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("policy", Json::Str(self.policy.clone())),
-            ("wall_ns", Json::Num(self.wall_ns as f64)),
-            ("critical_path_ns", Json::Num(self.critical_path_ns as f64)),
-            (
-                "critical_path_nodes",
-                Json::Num(self.critical_path_nodes as f64),
-            ),
-            ("overwritten", Json::Num(self.overwritten as f64)),
-            (
-                "workers",
-                Json::Arr(
-                    self.workers
-                        .iter()
-                        .map(|w| {
-                            Json::obj(vec![
-                                ("worker", Json::Num(w.worker as f64)),
-                                ("compute_ns", Json::Num(w.compute_ns as f64)),
-                                ("counter_ns", Json::Num(w.counter_ns as f64)),
-                                ("steal_ns", Json::Num(w.steal_ns as f64)),
-                                ("merge_ns", Json::Num(w.merge_ns as f64)),
-                                ("idle_ns", Json::Num(w.idle_ns as f64)),
-                                ("tasks", Json::Num(w.tasks as f64)),
-                                ("steal_attempts", Json::Num(w.steal_attempts as f64)),
-                                ("steals", Json::Num(w.steals as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses a stamped attribution back (for differential runs against
-    /// a baseline file). Returns `None` on shape mismatch.
-    pub fn from_json(v: &Json) -> Option<Attribution> {
-        let num = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64);
-        let workers = v
-            .get("workers")?
-            .as_arr()?
-            .iter()
-            .map(|w| {
-                Some(WorkerBlame {
-                    worker: num(w, "worker")? as usize,
-                    compute_ns: num(w, "compute_ns")? as u64,
-                    counter_ns: num(w, "counter_ns")? as u64,
-                    steal_ns: num(w, "steal_ns")? as u64,
-                    merge_ns: num(w, "merge_ns")? as u64,
-                    idle_ns: num(w, "idle_ns")? as u64,
-                    tasks: num(w, "tasks")? as u64,
-                    steal_attempts: num(w, "steal_attempts")? as u64,
-                    steals: num(w, "steals")? as u64,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(Attribution {
-            policy: v.get("policy")?.as_str()?.to_string(),
-            wall_ns: num(v, "wall_ns")? as u64,
-            workers,
-            critical_path_ns: num(v, "critical_path_ns")? as u64,
-            critical_path_nodes: num(v, "critical_path_nodes")? as u64,
-            overwritten: num(v, "overwritten")? as u64,
-        })
     }
 
     /// Renders the attribution as a fixed-width text table (the
@@ -567,22 +499,6 @@ mod tests {
         let a = Attribution::build("test", 70, &[w0, w1, w2, w3]);
         assert_eq!(a.critical_path_ns, 51);
         assert_eq!(a.critical_path_nodes, 3, "w3 task, merge(2,3), merge(0,2)");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let w0 = vec![
-            ev(EventKind::TaskStart, 0, 0),
-            ev(EventKind::TaskEnd, 0, 40),
-        ];
-        let a = Attribution {
-            overwritten: 3,
-            ..Attribution::build("static-block", 50, &[w0])
-        };
-        let j = a.to_json();
-        let back = Attribution::from_json(&Json::parse(&j.to_json_string()).unwrap()).unwrap();
-        assert_eq!(back, a);
-        assert_eq!(back.overwritten, 3);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! The identity stamp on every exported file.
+//! The identity stamp on every exported table.
 //!
-//! Each stamped CSV (`reproduce --csv`) and `results/BENCH_*.json` file
-//! carries the schema version, the experiment id and a git-describe
-//! string, so a results directory can be read years later without the
-//! producing binary. The version increments only on breaking changes to
-//! those files' layout.
+//! Each stamped CSV (`reproduce --csv`) carries the schema version, the
+//! experiment id and a git-describe string, so a results directory can
+//! be read years later without the producing binary. The version
+//! increments only on breaking changes to that layout.
 
 /// Version of the stamped file layout.
 pub const SCHEMA_VERSION: u32 = 2;

@@ -1,15 +1,13 @@
 //! The execution-model registry.
 //!
 //! [`PolicyKind`] is the single enumeration of every scheduling policy
-//! the study compares. Both substrates dispatch on it, the experiment
-//! drivers build their rosters from it, and the reproduce harness parses
-//! it from the command line — adding a variant here is the whole cost of
-//! adding an execution model to the repository.
+//! the study compares. Both substrates dispatch on it and the experiment
+//! drivers build their rosters from it — adding a variant here is the
+//! whole cost of adding an execution model to the repository.
 
 use crate::chunk::ChunkRule;
 use crate::partition::{block_partition, cyclic_partition};
 use std::fmt;
-use std::str::FromStr;
 use std::sync::Arc;
 
 /// A scheduling policy: which worker runs which task, decided when.
@@ -51,7 +49,7 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Short, stable canonical name used in reports, CSVs and parsing.
+    /// Short, stable canonical name used in reports and CSVs.
     pub fn name(&self) -> &'static str {
         match self {
             PolicyKind::Serial => "serial",
@@ -63,20 +61,6 @@ impl PolicyKind {
             PolicyKind::WorkStealing(_) => "work-stealing",
             PolicyKind::PersistenceBased(_) => "persistence-based",
         }
-    }
-
-    /// Every canonical policy name, in roster order.
-    pub fn canonical_names() -> &'static [&'static str] {
-        &[
-            "serial",
-            "static-block",
-            "static-cyclic",
-            "static-assigned",
-            "dynamic-counter",
-            "guided",
-            "work-stealing",
-            "persistence-based",
-        ]
     }
 
     /// Whether the policy can rebalance at runtime.
@@ -214,62 +198,6 @@ impl fmt::Display for PolicyKind {
     }
 }
 
-/// Error from parsing a [`PolicyKind`] name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsePolicyError(String);
-
-impl fmt::Display for ParsePolicyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for ParsePolicyError {}
-
-impl FromStr for PolicyKind {
-    type Err = ParsePolicyError;
-
-    /// Parses `name[:param]`: `serial`, `static-block`, `static-cyclic`,
-    /// `dynamic-counter[:chunk]`, `guided[:min_chunk]`, `work-stealing`.
-    /// `static-assigned` and `persistence-based` carry owner maps and
-    /// must be constructed programmatically.
-    fn from_str(s: &str) -> Result<PolicyKind, ParsePolicyError> {
-        let mut parts = s.split(':');
-        let head = parts.next().unwrap_or_default();
-        let mut num = |default: usize| -> Result<usize, ParsePolicyError> {
-            match parts.next() {
-                None => Ok(default),
-                Some(x) => x
-                    .parse()
-                    .map_err(|_| ParsePolicyError(format!("bad policy parameter {x:?} in {s:?}"))),
-            }
-        };
-        let kind = match head {
-            "serial" => PolicyKind::Serial,
-            "static-block" => PolicyKind::StaticBlock,
-            "static-cyclic" => PolicyKind::StaticCyclic,
-            "dynamic-counter" => PolicyKind::DynamicCounter { chunk: num(1)? },
-            "guided" => PolicyKind::Guided { min_chunk: num(1)? },
-            "work-stealing" => PolicyKind::WorkStealing(StealConfig::default()),
-            "static-assigned" | "persistence-based" => {
-                return Err(ParsePolicyError(format!(
-                    "{head} carries an owner map; construct it programmatically"
-                )))
-            }
-            other => {
-                return Err(ParsePolicyError(format!(
-                    "unknown policy {other:?} (known: {})",
-                    PolicyKind::canonical_names().join(", ")
-                )))
-            }
-        };
-        if parts.next().is_some() {
-            return Err(ParsePolicyError(format!("too many parameters in {s:?}")));
-        }
-        Ok(kind)
-    }
-}
-
 /// Work-stealing policy knobs (the ablation axes of experiment E7).
 #[derive(Debug, Clone)]
 pub struct StealConfig {
@@ -339,48 +267,6 @@ mod tests {
             PolicyKind::PersistenceBased(Arc::new(vec![])).name(),
             "persistence-based"
         );
-    }
-
-    #[test]
-    fn every_canonical_name_is_a_policy_name() {
-        // The canonical list and the variants cannot drift apart.
-        assert_eq!(PolicyKind::canonical_names().len(), 8);
-        let costs = vec![1.0; 12];
-        for (_, kind) in PolicyKind::full_roster(&costs, 3, 4) {
-            assert!(
-                PolicyKind::canonical_names().contains(&kind.name()),
-                "{} missing from canonical_names",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
-    fn parse_round_trips_display() {
-        for s in [
-            "serial",
-            "static-block",
-            "static-cyclic",
-            "dynamic-counter:8",
-            "guided:2",
-            "work-stealing",
-        ] {
-            let kind: PolicyKind = s.parse().expect(s);
-            assert_eq!(kind.to_string(), s, "round trip of {s}");
-        }
-    }
-
-    #[test]
-    fn parse_defaults_and_errors() {
-        assert!(matches!(
-            "dynamic-counter".parse::<PolicyKind>().unwrap(),
-            PolicyKind::DynamicCounter { chunk: 1 }
-        ));
-        let err = "nope".parse::<PolicyKind>().unwrap_err();
-        assert!(err.to_string().starts_with("unknown policy"), "{err}");
-        assert!("static-assigned".parse::<PolicyKind>().is_err());
-        assert!("guided:x".parse::<PolicyKind>().is_err());
-        assert!("guided:1:2".parse::<PolicyKind>().is_err());
     }
 
     #[test]

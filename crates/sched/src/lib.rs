@@ -7,7 +7,7 @@
 //! * [`PolicyKind`] — the registry enum naming every model of the paper's
 //!   spectrum (serial, static block/cyclic/assigned, shared-counter
 //!   self-scheduling, guided self-scheduling, work stealing,
-//!   persistence-based assignment), with canonical names, parsing,
+//!   persistence-based assignment), with canonical names,
 //!   classification, and the experiment rosters;
 //! * [`ChunkRule`] — the single source of truth for how a counter fetch
 //!   sizes its claim (fixed chunks vs the guided `remaining/(2·P)` taper);
@@ -27,8 +27,8 @@
 //! ```
 //! use emx_sched::PolicyKind;
 //!
-//! let kind: PolicyKind = "guided:2".parse().unwrap();
-//! assert_eq!(kind.name(), "guided");
+//! let kind = PolicyKind::Guided { min_chunk: 2 };
+//! assert_eq!(kind.to_string(), "guided:2");
 //! assert!(kind.is_dynamic());
 //! // Static policies fix the task→worker map before execution:
 //! let owners = PolicyKind::StaticCyclic.initial_partition(5, 2).unwrap();

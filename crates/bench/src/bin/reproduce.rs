@@ -22,11 +22,12 @@
 //! status 2 before any experiment runs.
 
 use emx_balance::prelude::{movement, rebalance, Problem};
-use emx_bench::{block_owners, chem_workload_medium, synthetic_workload_large};
+use emx_bench::{chem_workload_medium, synthetic_workload_large};
 use emx_chem::synthetic::CostModel;
 use emx_core::prelude::*;
 use emx_distsim::machine::MachineModel;
 use emx_obs::{git_describe_string, render_timeline, ChromeTrace, RunMeta};
+use emx_sched::block_partition;
 
 const USAGE: &str =
     "usage: reproduce [EXPERIMENT ...] [--csv DIR] [--trace-out DIR (with profile)]";
@@ -463,7 +464,7 @@ fn smoke_full_roster(machine: &MachineModel) -> Table {
             "sim util",
         ],
     );
-    for (label, kind) in PolicyKind::full_roster(&w.costs, p, 8) {
+    for (label, kind) in full_roster(&w.costs, p, 8) {
         let ex = Executor::new(p, kind.clone());
         let (sums, report) = ex.run(
             n,
@@ -521,7 +522,7 @@ fn figure_timelines(machine: &MachineModel) {
         let makespan_ns = (r.makespan * 1e9).round() as u64;
         render_timeline(&r.events, makespan_ns, 72, 16)
     };
-    let owners = block_owners(w.ntasks(), p);
+    let owners = block_partition(w.ntasks(), p);
     let st = simulate(&w.costs, &SimModel::Static(owners), &cfg);
     println!(
         "\nstatic-block   (makespan {}, utilization {:.2}):",
@@ -884,7 +885,7 @@ fn ablation_persistence_warmup() -> Table {
         "Ablation: persistence rebalancer warm-up (P=16)",
         &["iteration", "imbalance", "migrated-tasks"],
     );
-    let mut assignment = block_owners(w.ntasks(), p);
+    let mut assignment = block_partition(w.ntasks(), p);
     for iter in 0..5 {
         let problem = Problem::new(w.costs.clone(), p);
         let before = assignment.clone();

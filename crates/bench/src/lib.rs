@@ -51,13 +51,6 @@ pub fn synthetic_workload_large(ntasks: usize) -> KernelWorkload {
     )
 }
 
-/// Block owners for a static partition (bench convenience).
-pub fn block_owners(ntasks: usize, workers: usize) -> Vec<u32> {
-    (0..ntasks)
-        .map(|i| emx_runtime::block_owner(i, ntasks.max(1), workers) as u32)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,12 +63,5 @@ mod tests {
         assert_eq!(a.costs, b.costs);
         let s = synthetic_workload_large(1000);
         assert_eq!(s.ntasks(), 1000);
-    }
-
-    #[test]
-    fn block_owners_shape() {
-        let o = block_owners(10, 3);
-        assert_eq!(o.len(), 10);
-        assert!(o.iter().all(|&w| w < 3));
     }
 }

@@ -19,6 +19,7 @@
 use emx_chem::basis::{BasisSet, BasisedMolecule};
 use emx_chem::molecule::Molecule;
 use emx_chem::screening::ScreenedPairs;
+use emx_core::balancer::full_roster;
 use emx_core::fockexec::{FockProfile, ParallelFock};
 use emx_linalg::Matrix;
 use emx_obs::RingSet;
@@ -115,7 +116,7 @@ fn mock_density(nbf: usize) -> Matrix {
 }
 
 /// Runs the roster with rings attached and measures recording overhead.
-/// Full mode: the 7-policy [`PolicyKind::full_roster`] at `workers`,
+/// Full mode: the 7-policy [`full_roster`] at `workers`,
 /// 5 overhead samples. Smoke: [`PolicyKind::profile_roster`], 2 samples.
 pub fn profile_fock_roster(workers: usize, smoke: bool) -> ProfileReport {
     let (bm, pairs, molecule, basis) = profile_workload(smoke);
@@ -125,7 +126,7 @@ pub fn profile_fock_roster(workers: usize, smoke: bool) -> ProfileReport {
     let roster = if smoke {
         PolicyKind::profile_roster(4)
     } else {
-        PolicyKind::full_roster(&pf.estimated_costs(), workers, 8)
+        full_roster(&pf.estimated_costs(), workers, 8)
     };
 
     let mut policies = Vec::new();

@@ -13,7 +13,7 @@
 use emx_chem::basis::{BasisSet, BasisedMolecule};
 use emx_chem::molecule::Molecule;
 use emx_chem::screening::ScreenedPairs;
-use emx_core::prelude::ParallelFock;
+use emx_core::prelude::{full_roster, ParallelFock};
 use emx_distsim::prelude::{simulate_policy, SimConfig};
 use emx_linalg::Matrix;
 use emx_obs::{Attribution, EventKind, ProfEvent, RingSet};
@@ -32,7 +32,7 @@ fn full_roster_attribution_sums_to_wall_within_one_percent() {
     });
     let workers = 2;
 
-    for (label, kind) in PolicyKind::full_roster(&pf.estimated_costs(), workers, 4) {
+    for (label, kind) in full_roster(&pf.estimated_costs(), workers, 4) {
         let w = if matches!(kind, PolicyKind::Serial) {
             1
         } else {

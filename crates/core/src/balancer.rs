@@ -3,10 +3,14 @@
 //! The balancer comparison experiments (E3/E4) sweep one task set across
 //! all techniques; this module gives them a single entry point and
 //! builds the task-affinity structures (for semi-matching candidate
-//! sets and hypergraph nets) from the Fock task list.
+//! sets and hypergraph nets) from the Fock task list. It also builds the
+//! full policy roster ([`full_roster`]), whose persistence-based entry
+//! is a rebalanced static map.
 
 use emx_balance::prelude::*;
 use emx_chem::fock::FockTask;
+use emx_sched::{block_partition, PolicyKind};
+use std::sync::Arc;
 
 /// Which balancing technique to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,6 +113,25 @@ pub fn balance(
     (assignment, t0.elapsed().as_secs_f64())
 }
 
+/// The full policy roster: every model of the paper's spectrum,
+/// runnable on both substrates. Its `"persistence-based"` entry is a
+/// [`PolicyKind::StaticAssigned`] map: the block partition plays the
+/// previous iteration's assignment and is rebalanced against `costs`
+/// (the measured or estimated task costs, or uniform costs for
+/// microbenchmarks). The balancing happens here, between runs; the
+/// executor runs the map statically.
+pub fn full_roster(costs: &[f64], workers: usize, chunk: usize) -> Vec<(String, PolicyKind)> {
+    let previous = block_partition(costs.len(), workers);
+    let persistence = rebalance(&Problem::new(costs.to_vec(), workers), &previous);
+    let mut out = vec![("serial".into(), PolicyKind::Serial)];
+    out.extend(PolicyKind::comparison_roster(chunk));
+    out.push((
+        "persistence-based".into(),
+        PolicyKind::StaticAssigned(Arc::new(persistence)),
+    ));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,5 +220,35 @@ mod tests {
             p.makespan(&sm),
             p.makespan(&hg)
         );
+    }
+
+    #[test]
+    fn full_roster_covers_the_spectrum_and_persistence_balances() {
+        // Skewed costs: the persistence assignment must differ from the
+        // block partition it starts from and stay in range.
+        let costs: Vec<f64> = (1..=32).map(|i| i as f64).collect();
+        let roster = full_roster(&costs, 4, 8);
+        assert_eq!(roster.len(), 7);
+        assert_eq!(roster[0].0, "serial");
+        let (label, persistence) = roster.last().unwrap();
+        assert_eq!(label, "persistence-based");
+        let owners = persistence.initial_partition(32, 4).unwrap();
+        assert!(owners.iter().all(|&w| w < 4));
+        assert_ne!(owners, block_partition(32, 4));
+    }
+
+    #[test]
+    fn profile_roster_is_a_labeled_subset_of_the_full_roster() {
+        let costs = vec![1.0; 16];
+        let full: Vec<String> = full_roster(&costs, 4, 8)
+            .into_iter()
+            .map(|(l, _)| l)
+            .collect();
+        let profile = PolicyKind::profile_roster(8);
+        assert_eq!(profile.len(), 3, "one representative per family");
+        for (label, kind) in &profile {
+            assert!(full.contains(label), "{label} must keep its CSV name");
+            assert!(!matches!(kind, PolicyKind::Serial));
+        }
     }
 }

@@ -9,7 +9,8 @@
 //!   SCF driver;
 //! * [`balancer`] — one interface over LPT, semi-matching and
 //!   hypergraph partitioning ([`emx_balance`]), with task-affinity
-//!   extraction from the kernel;
+//!   extraction from the kernel, and the full policy roster whose
+//!   persistence entry it balances;
 //! * [`workload`] — measured, estimated and synthetic task-cost
 //!   workloads;
 //! * [`experiments`] — one driver per table/figure (E1–E8, see
@@ -39,7 +40,7 @@ pub mod workload;
 
 /// Common imports for examples and benches.
 pub mod prelude {
-    pub use crate::balancer::{balance, fock_affinity, BalancerKind, TaskAffinity};
+    pub use crate::balancer::{balance, fock_affinity, full_roster, BalancerKind, TaskAffinity};
     pub use crate::experiments::{
         e10_faults, e1_scaling, e2_headline, e3_balancer_quality, e3_comm_aware, e4_partition_cost,
         e5_granularity, e6_variability, e7_overheads, e8_distributed, e9_weak_scaling,

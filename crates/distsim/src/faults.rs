@@ -546,12 +546,7 @@ mod tests {
     use super::*;
     use crate::machine::MachineModel;
     use crate::sim::simulate;
-
-    fn block_assignment(n: usize, p: usize) -> Vec<u32> {
-        (0..n)
-            .map(|i| emx_runtime::block_owner(i, n, p) as u32)
-            .collect()
-    }
+    use emx_sched::block_partition;
 
     fn skewed(n: usize) -> Vec<f64> {
         (1..=n).map(|i| i as f64 * 1e-4).collect()
@@ -569,7 +564,7 @@ mod tests {
         let plan = FaultPlan::fault_free().with_rank_failure(1, 2.5);
         let r = simulate_with_faults(
             &costs,
-            &SimModel::Static(block_assignment(32, p)),
+            &SimModel::Static(block_partition(32, p)),
             &cfg,
             &plan,
         );

@@ -27,8 +27,7 @@ use crate::faults::{
 };
 use crate::machine::MachineModel;
 use emx_obs::{EventKind, ProfEvent};
-use emx_runtime::Variability;
-use emx_sched::{random_victim, ChunkRule, PolicyKind, SeedPartition};
+use emx_sched::{random_victim, ChunkRule, PolicyKind, SeedPartition, Variability};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -120,8 +119,7 @@ impl SimModel {
             PolicyKind::Serial
             | PolicyKind::StaticBlock
             | PolicyKind::StaticCyclic
-            | PolicyKind::StaticAssigned(_)
-            | PolicyKind::PersistenceBased(_) => SimModel::Static(
+            | PolicyKind::StaticAssigned(_) => SimModel::Static(
                 kind.initial_partition(ntasks, workers)
                     .expect("static policy has a partition"),
             ),
@@ -1135,12 +1133,7 @@ impl SplitMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn block_assignment(n: usize, p: usize) -> Vec<u32> {
-        (0..n)
-            .map(|i| emx_runtime::block_owner(i, n, p) as u32)
-            .collect()
-    }
+    use emx_sched::block_partition;
 
     fn ideal_cfg(p: usize) -> SimConfig {
         SimConfig {
@@ -1155,7 +1148,7 @@ mod tests {
         let costs = vec![1.0; 16];
         let r = simulate(
             &costs,
-            &SimModel::Static(block_assignment(16, 4)),
+            &SimModel::Static(block_partition(16, 4)),
             &ideal_cfg(4),
         );
         assert!((r.makespan - 4.0).abs() < 1e-12);
@@ -1168,7 +1161,7 @@ mod tests {
         let costs: Vec<f64> = (1..=16).map(|i| i as f64).collect();
         let r = simulate(
             &costs,
-            &SimModel::Static(block_assignment(16, 4)),
+            &SimModel::Static(block_partition(16, 4)),
             &ideal_cfg(4),
         );
         // Last worker owns 13+14+15+16 = 58 of 136 total.
@@ -1346,7 +1339,7 @@ mod tests {
         let p = 8;
         let static_r = simulate(
             &costs,
-            &SimModel::Static(block_assignment(64, p)),
+            &SimModel::Static(block_partition(64, p)),
             &ideal_cfg(p),
         );
         let ws_r = simulate(
@@ -1404,7 +1397,7 @@ mod tests {
             factor: 3.0,
             count: 1,
         };
-        let st = simulate(&costs, &SimModel::Static(block_assignment(64, p)), &cfg);
+        let st = simulate(&costs, &SimModel::Static(block_partition(64, p)), &cfg);
         let ws = simulate(&costs, &SimModel::WorkStealing { steal_half: true }, &cfg);
         // Static: slow worker takes 8 tasks × 3 = 24 s. Stealing: others
         // absorb its backlog.
@@ -1528,7 +1521,7 @@ mod tests {
         // Triangular costs, block partition: early workers idle at the
         // end — their strips contain dots, the last worker's none.
         let costs: Vec<f64> = (1..=32).map(|i| i as f64).collect();
-        let owners = block_assignment(32, 4);
+        let owners = block_partition(32, 4);
         let r = simulate(&costs, &SimModel::Static(owners), &event_cfg(4));
         let s = emx_obs::render_timeline(&r.events, virt_ns(r.makespan), 40, 8);
         let lines: Vec<&str> = s.lines().collect();
@@ -1573,7 +1566,7 @@ mod tests {
     #[test]
     fn static_sim_emits_task_events_in_virtual_time() {
         let costs: Vec<f64> = (1..=8).map(|i| i as f64 * 1e-6).collect();
-        let owners = block_assignment(8, 2);
+        let owners = block_partition(8, 2);
         let r = simulate(&costs, &SimModel::Static(owners.clone()), &event_cfg(2));
         assert_eq!(r.events.len(), 2);
         for (w, stream) in r.events.iter().enumerate() {
@@ -1670,7 +1663,7 @@ mod tests {
         let one_death = FaultPlan::fault_free().with_rank_failure(2, 40e-6);
         for plan in [FaultPlan::fault_free(), one_death] {
             for model in [
-                SimModel::Static(block_assignment(64, 4)),
+                SimModel::Static(block_partition(64, 4)),
                 SimModel::Counter { chunk: 3 },
                 SimModel::Guided { min_chunk: 1 },
                 SimModel::WorkStealing { steal_half: true },
@@ -1700,7 +1693,7 @@ mod tests {
         let plan = FaultPlan::fault_free().with_rank_failure(1, dt);
         let cfg = event_cfg(4);
         for model in [
-            SimModel::Static(block_assignment(32, 4)),
+            SimModel::Static(block_partition(32, 4)),
             SimModel::Counter { chunk: 2 },
             SimModel::WorkStealing { steal_half: true },
         ] {
@@ -1910,7 +1903,7 @@ mod tests {
         let costs: Vec<f64> = (1..=256).map(|i| i as f64).collect();
         let mut cfg = ideal_cfg(16);
         cfg.machine.counter_service = 1e-9;
-        let st = simulate(&costs, &SimModel::Static(block_assignment(256, 16)), &cfg);
+        let st = simulate(&costs, &SimModel::Static(block_partition(256, 16)), &cfg);
         let flat = simulate(&costs, &SimModel::Counter { chunk: 1 }, &cfg);
         let tree = simulate(
             &costs,

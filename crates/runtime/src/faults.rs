@@ -22,7 +22,7 @@
 //! Everything is deterministic: poison sets are explicit task lists or
 //! seeded hashes.
 
-use crate::variability::unit_hash;
+use emx_sched::variability::unit_hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;

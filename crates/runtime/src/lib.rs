@@ -18,9 +18,9 @@
 //! re-enqueued) — see `docs/FAULT_MODEL.md`.
 //!
 //! The scheduling-policy vocabulary itself ([`PolicyKind`] and friends)
-//! lives in the substrate-agnostic `emx-sched` crate, shared with the
-//! distributed simulator; this crate executes those policies on real
-//! threads.
+//! and the variability model live in the substrate-agnostic `emx-sched`
+//! crate, shared with the distributed simulator, and are re-exported
+//! here; this crate executes those policies on real threads.
 //!
 //! ## Example
 //!
@@ -36,22 +36,18 @@
 #![warn(missing_docs)]
 
 pub mod faults;
-pub mod model;
 pub mod pool;
 pub mod report;
-pub mod variability;
 
+pub use emx_sched::{ChunkRule, PolicyKind, SeedPartition, StealConfig, Variability};
 pub use faults::{FaultInjection, PoisonSpec};
-pub use model::{block_owner, ChunkRule, PolicyKind, SeedPartition, StealConfig};
 pub use pool::Executor;
 pub use report::{ExecutionReport, WorkerStats};
-pub use variability::Variability;
 
 /// Common imports.
 pub mod prelude {
     pub use crate::faults::{FaultInjection, PoisonSpec};
-    pub use crate::model::{ChunkRule, PolicyKind, SeedPartition, StealConfig};
     pub use crate::pool::Executor;
     pub use crate::report::{ExecutionReport, WorkerStats};
-    pub use crate::variability::Variability;
+    pub use emx_sched::{ChunkRule, PolicyKind, SeedPartition, StealConfig, Variability};
 }

@@ -8,12 +8,10 @@
 //! what lets one kernel run unchanged under every execution model.
 
 use crate::faults::{propagate, run_poisonable, FaultInjection, FaultState};
-use crate::model::{ChunkRule, PolicyKind, StealConfig};
 use crate::report::{ExecutionReport, WorkerStats};
-use crate::variability::Variability;
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use emx_obs::{EventKind, RingSet, RingWriter};
-use emx_sched::{random_victim, worker_stream};
+use emx_sched::{random_victim, worker_stream, ChunkRule, PolicyKind, StealConfig, Variability};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -631,7 +629,7 @@ fn dur_ns(d: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SeedPartition;
+    use emx_sched::SeedPartition;
     use std::sync::Arc;
 
     fn all_models(n: usize) -> Vec<PolicyKind> {

@@ -25,7 +25,9 @@ pub enum PolicyKind {
     /// Round-robin: task `i` belongs to worker `i mod P`.
     StaticCyclic,
     /// Explicit per-task owner map (`assignment[i] < P`), produced by a
-    /// cost-model load balancer.
+    /// cost-model load balancer — or by persistence-based rebalancing of
+    /// a previous run's map against measured costs: either way the map
+    /// is made between runs and executed statically.
     StaticAssigned(Arc<Vec<u32>>),
     /// NXTVAL-style self-scheduling off a single shared counter; each
     /// fetch claims `chunk` consecutive tasks.
@@ -41,11 +43,6 @@ pub enum PolicyKind {
     },
     /// Work stealing over per-worker deques.
     WorkStealing(StealConfig),
-    /// Persistence-based assignment: a static owner map produced by
-    /// rebalancing the previous iteration's assignment with measured
-    /// costs (see [`PolicyKind::persistence_from_costs`]). Statically
-    /// scheduled at run time; the balancing happens between runs.
-    PersistenceBased(Arc<Vec<u32>>),
 }
 
 impl PolicyKind {
@@ -59,7 +56,6 @@ impl PolicyKind {
             PolicyKind::DynamicCounter { .. } => "dynamic-counter",
             PolicyKind::Guided { .. } => "guided",
             PolicyKind::WorkStealing(_) => "work-stealing",
-            PolicyKind::PersistenceBased(_) => "persistence-based",
         }
     }
 
@@ -98,7 +94,7 @@ impl PolicyKind {
             PolicyKind::Serial => Some(vec![0; ntasks]),
             PolicyKind::StaticBlock => Some(block_partition(ntasks, workers)),
             PolicyKind::StaticCyclic => Some(cyclic_partition(ntasks, workers)),
-            PolicyKind::StaticAssigned(map) | PolicyKind::PersistenceBased(map) => Some(check(map)),
+            PolicyKind::StaticAssigned(map) => Some(check(map)),
             _ => None,
         }
     }
@@ -111,17 +107,6 @@ impl PolicyKind {
             PolicyKind::Guided { min_chunk } => Some(ChunkRule::Tapering { min: min_chunk }),
             _ => None,
         }
-    }
-
-    /// Builds a persistence-based policy for `costs` on `workers`
-    /// workers: the block partition plays the role of the previous
-    /// iteration's assignment and is rebalanced against the measured (or
-    /// estimated) costs.
-    pub fn persistence_from_costs(costs: &[f64], workers: usize) -> PolicyKind {
-        let previous = block_partition(costs.len(), workers);
-        let problem = emx_balance::prelude::Problem::new(costs.to_vec(), workers);
-        let assignment = emx_balance::persistence::rebalance(&problem, &previous);
-        PolicyKind::PersistenceBased(Arc::new(assignment))
     }
 
     /// The five-model roster of the scaling experiments (E1/E6/E8/E9 and
@@ -152,20 +137,6 @@ impl PolicyKind {
             PolicyKind::DynamicCounter { chunk: 64 },
             PolicyKind::WorkStealing(StealConfig::default()),
         ]
-    }
-
-    /// The full policy roster: every model of the paper's spectrum,
-    /// runnable on both substrates. `costs` supplies the estimates the
-    /// persistence policy rebalances from (pass the task-cost vector, or
-    /// uniform costs for microbenchmarks).
-    pub fn full_roster(costs: &[f64], workers: usize, chunk: usize) -> Vec<(String, PolicyKind)> {
-        let mut out = vec![("serial".into(), PolicyKind::Serial)];
-        out.extend(PolicyKind::comparison_roster(chunk));
-        out.push((
-            "persistence-based".into(),
-            PolicyKind::persistence_from_costs(costs, workers),
-        ));
-        out
     }
 
     /// The reduced roster of the `reproduce profile` smoke: one
@@ -264,8 +235,8 @@ mod tests {
             "work-stealing"
         );
         assert_eq!(
-            PolicyKind::PersistenceBased(Arc::new(vec![])).name(),
-            "persistence-based"
+            PolicyKind::StaticAssigned(Arc::new(vec![])).name(),
+            "static-assigned"
         );
     }
 
@@ -273,7 +244,7 @@ mod tests {
     fn dynamic_classification() {
         assert!(!PolicyKind::StaticBlock.is_dynamic());
         assert!(!PolicyKind::Serial.is_dynamic());
-        assert!(!PolicyKind::PersistenceBased(Arc::new(vec![0, 0])).is_dynamic());
+        assert!(!PolicyKind::StaticAssigned(Arc::new(vec![0, 0])).is_dynamic());
         assert!(PolicyKind::DynamicCounter { chunk: 1 }.is_dynamic());
         assert!(PolicyKind::Guided { min_chunk: 1 }.is_dynamic());
         assert!(PolicyKind::WorkStealing(StealConfig::default()).is_dynamic());
@@ -350,35 +321,6 @@ mod tests {
                 "work-stealing"
             ]
         );
-    }
-
-    #[test]
-    fn full_roster_covers_the_spectrum_and_persistence_balances() {
-        // Skewed costs: the persistence assignment must differ from the
-        // block partition it starts from and stay in range.
-        let costs: Vec<f64> = (1..=32).map(|i| i as f64).collect();
-        let roster = PolicyKind::full_roster(&costs, 4, 8);
-        assert_eq!(roster.len(), 7);
-        assert_eq!(roster[0].0, "serial");
-        let (_, persistence) = roster.last().unwrap();
-        let owners = persistence.initial_partition(32, 4).unwrap();
-        assert!(owners.iter().all(|&w| w < 4));
-        assert_ne!(owners, crate::partition::block_partition(32, 4));
-    }
-
-    #[test]
-    fn profile_roster_is_a_labeled_subset_of_the_full_roster() {
-        let costs = vec![1.0; 16];
-        let full: Vec<String> = PolicyKind::full_roster(&costs, 4, 8)
-            .into_iter()
-            .map(|(l, _)| l)
-            .collect();
-        let profile = PolicyKind::profile_roster(8);
-        assert_eq!(profile.len(), 3, "one representative per family");
-        for (label, kind) in &profile {
-            assert!(full.contains(label), "{label} must keep its CSV name");
-            assert!(!matches!(kind, PolicyKind::Serial));
-        }
     }
 
     #[test]

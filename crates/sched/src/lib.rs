@@ -6,13 +6,19 @@
 //!
 //! * [`PolicyKind`] — the registry enum naming every model of the paper's
 //!   spectrum (serial, static block/cyclic/assigned, shared-counter
-//!   self-scheduling, guided self-scheduling, work stealing,
-//!   persistence-based assignment), with canonical names,
-//!   classification, and the experiment rosters;
+//!   self-scheduling, guided self-scheduling, work stealing), with
+//!   canonical names, classification, and the experiment rosters. A
+//!   persistence-based assignment is a `StaticAssigned` map rebalanced
+//!   between runs; `emx-core` builds it, since the rebalancer lives in
+//!   `emx-balance`;
 //! * [`ChunkRule`] — the single source of truth for how a counter fetch
 //!   sizes its claim (fixed chunks vs the guided `remaining/(2·P)` taper);
 //! * [`partition`] and [`rng`] — the partition maps and the splitmix64
-//!   victim-selection streams both substrates reproduce bit-for-bit.
+//!   victim-selection streams both substrates reproduce bit-for-bit;
+//! * [`Variability`] — the per-worker slowdown model both substrates
+//!   apply to task durations.
+//!
+//! The crate depends on no other workspace crate.
 //!
 //! The thread runtime (`emx-runtime`) executes these policies with real
 //! atomics and Chase–Lev deques; the discrete-event simulator
@@ -41,8 +47,10 @@ pub mod chunk;
 pub mod kind;
 pub mod partition;
 pub mod rng;
+pub mod variability;
 
 pub use chunk::ChunkRule;
 pub use kind::{PolicyKind, SeedPartition, StealConfig};
 pub use partition::{block_owner, block_partition, cyclic_partition};
 pub use rng::{random_victim, worker_stream, SplitMix64};
+pub use variability::Variability;

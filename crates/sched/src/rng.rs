@@ -26,16 +26,21 @@ impl SplitMix64 {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// Uniform draw in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         (self.next() >> 11) as f64 / (1u64 << 53) as f64
     }
+}
+
+/// The splitmix64 finalizer: the output step of [`SplitMix64::next`]
+/// and of [`unit_hash`](crate::variability::unit_hash).
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// The thread runtime's per-worker victim stream: worker `w` draws from

@@ -16,6 +16,7 @@ use emx_chem::prelude::*;
 use emx_core::prelude::{fmt3, ParallelFock};
 use emx_linalg::Matrix;
 use emx_obs::task_spans;
+use emx_sched::block_partition;
 use std::sync::Arc;
 
 fn main() {
@@ -30,9 +31,7 @@ fn main() {
     );
 
     // Start from the naive static-block partition.
-    let mut assignment: Vec<u32> = (0..pf.ntasks())
-        .map(|i| emx_runtime::block_owner(i, pf.ntasks(), workers) as u32)
-        .collect();
+    let mut assignment = block_partition(pf.ntasks(), workers);
 
     let cfg = ScfConfig::default();
     let mut iteration = 0usize;

@@ -7,6 +7,7 @@
 
 use emx_balance::prelude::*;
 use emx_core::prelude::*;
+use emx_sched::block_partition;
 
 fn chem_workload() -> KernelWorkload {
     measure_fock_workload(
@@ -87,9 +88,7 @@ fn balanced_assignments_beat_block_partition_in_simulation() {
     let w = chem_workload();
     let p = 8;
     let cfg = SimConfig::new(p);
-    let block: Vec<u32> = (0..w.ntasks())
-        .map(|i| emx_runtime::block_owner(i, w.ntasks(), p) as u32)
-        .collect();
+    let block = block_partition(w.ntasks(), p);
     let naive = simulate(&w.costs, &SimModel::Static(block), &cfg);
     for kind in BalancerKind::all() {
         let (a, _) = balance(kind, &w.costs, p, w.affinity.as_ref());
@@ -120,9 +119,7 @@ fn persistence_rebalancing_converges_over_iterations() {
         "(H2O)2",
     );
     let p = 6;
-    let mut assignment: Vec<u32> = (0..w.ntasks())
-        .map(|i| emx_runtime::block_owner(i, w.ntasks(), p) as u32)
-        .collect();
+    let mut assignment = block_partition(w.ntasks(), p);
     let mut imbalances = Vec::new();
     for iter in 0..5 {
         // Slight deterministic drift models iteration-to-iteration noise.

@@ -14,6 +14,12 @@ fn mock_density(n: usize) -> Matrix {
     d
 }
 
+/// The roster's last entry, its persistence-based one: `costs`
+/// rebalanced from the block partition into a static owner map.
+fn persistence(costs: &[f64], workers: usize) -> PolicyKind {
+    full_roster(costs, workers, 1).pop().unwrap().1
+}
+
 fn all_models(ntasks: usize, workers: usize) -> Vec<PolicyKind> {
     vec![
         PolicyKind::StaticBlock,
@@ -24,7 +30,7 @@ fn all_models(ntasks: usize, workers: usize) -> Vec<PolicyKind> {
         PolicyKind::DynamicCounter { chunk: 1 },
         PolicyKind::DynamicCounter { chunk: 5 },
         PolicyKind::Guided { min_chunk: 1 },
-        PolicyKind::persistence_from_costs(&vec![1.0; ntasks], workers),
+        persistence(&vec![1.0; ntasks], workers),
         PolicyKind::WorkStealing(StealConfig::default()),
         PolicyKind::WorkStealing(StealConfig {
             steal_batch: false,
@@ -80,11 +86,7 @@ fn full_scf_energy_invariant_under_execution_model() {
         (2, PolicyKind::StaticCyclic, 4),
         (3, PolicyKind::DynamicCounter { chunk: 2 }, 2),
         (4, PolicyKind::Guided { min_chunk: 1 }, 2),
-        (
-            4,
-            PolicyKind::persistence_from_costs(&vec![1.0; ntasks_c2], 4),
-            2,
-        ),
+        (4, persistence(&vec![1.0; ntasks_c2], 4), 2),
         (4, PolicyKind::WorkStealing(StealConfig::default()), 1),
     ] {
         let (r, reports) = rhf_parallel(&bm, &cfg, &Executor::new(workers, model.clone()), chunk);

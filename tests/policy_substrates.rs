@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 
+use emx_core::balancer::full_roster;
 use emx_distsim::sim::{simulate_policy, SimConfig};
 use emx_runtime::{Executor, PolicyKind};
 
@@ -21,17 +22,19 @@ fn skewed_costs(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1e-7 * (1.0 + (i % 7) as f64)).collect()
 }
 
+/// The roster's static models (serial, block, cyclic and the
+/// persistence-balanced map) plus one hand-made owner map.
 fn deterministic_roster(ntasks: usize, workers: usize) -> Vec<PolicyKind> {
-    let costs = skewed_costs(ntasks);
-    vec![
-        PolicyKind::Serial,
-        PolicyKind::StaticBlock,
-        PolicyKind::StaticCyclic,
-        PolicyKind::StaticAssigned(Arc::new(
-            (0..ntasks).map(|i| ((i * i) % workers) as u32).collect(),
-        )),
-        PolicyKind::persistence_from_costs(&costs, workers),
-    ]
+    let mut roster: Vec<PolicyKind> = full_roster(&skewed_costs(ntasks), workers, 2)
+        .into_iter()
+        .map(|(_, kind)| kind)
+        .filter(PolicyKind::is_deterministic)
+        .collect();
+    assert_eq!(roster.len(), 4);
+    roster.push(PolicyKind::StaticAssigned(Arc::new(
+        (0..ntasks).map(|i| ((i * i) % workers) as u32).collect(),
+    )));
+    roster
 }
 
 /// Runs `kind` on the threaded executor and returns the observed
@@ -66,7 +69,7 @@ fn deterministic_policies_agree_on_assignment() {
 fn full_roster_runs_on_threads_exactly_once() {
     let costs = skewed_costs(NTASKS);
     let want: u64 = (1..=NTASKS as u64).sum();
-    for (label, kind) in PolicyKind::full_roster(&costs, WORKERS, 2) {
+    for (label, kind) in full_roster(&costs, WORKERS, 2) {
         let ex = Executor::new(WORKERS, kind);
         let (locals, report) = ex.run(NTASKS, |_| 0u64, |i, acc| *acc += i as u64 + 1);
         assert_eq!(
@@ -81,7 +84,7 @@ fn full_roster_runs_on_threads_exactly_once() {
 #[test]
 fn full_roster_runs_in_simulator_exactly_once() {
     let costs = skewed_costs(NTASKS);
-    for (label, kind) in PolicyKind::full_roster(&costs, WORKERS, 2) {
+    for (label, kind) in full_roster(&costs, WORKERS, 2) {
         let report = simulate_policy(&costs, &kind, &SimConfig::new(WORKERS));
         assert!(report.makespan > 0.0, "policy {label} did no work");
         assert_eq!(
@@ -104,7 +107,7 @@ fn full_roster_runs_in_simulator_exactly_once() {
 }
 
 #[test]
-fn the_roster_is_eight_names_and_removed_models_are_not_ones() {
+fn the_roster_is_seven_names_and_removed_models_are_not_ones() {
     let names = [
         "serial",
         "static-block",
@@ -113,22 +116,23 @@ fn the_roster_is_eight_names_and_removed_models_are_not_ones() {
         "dynamic-counter",
         "guided",
         "work-stealing",
-        "persistence-based",
     ];
-    // Every name but the one that needs an owner map is in the roster,
-    // and nothing else is: a removed model has no roster entry.
-    let roster = PolicyKind::full_roster(&skewed_costs(NTASKS), WORKERS, 2);
-    assert_eq!(roster.len(), names.len() - 1);
+    // Every model has a roster entry, and nothing else does: a removed
+    // model has none. The persistence entry is a rebalanced owner map,
+    // so it reports `static-assigned` under its own label.
+    let roster = full_roster(&skewed_costs(NTASKS), WORKERS, 2);
+    assert_eq!(roster.len(), names.len());
     for name in names {
-        assert_eq!(
-            roster.iter().any(|(_, kind)| kind.name() == name),
-            name != "static-assigned",
-            "{name}"
-        );
+        assert!(roster.iter().any(|(_, kind)| kind.name() == name), "{name}");
     }
     for (label, kind) in &roster {
         assert!(names.contains(&kind.name()), "{label}: {}", kind.name());
     }
+    let (label, kind) = roster.last().unwrap();
+    assert_eq!(
+        (label.as_str(), kind.name()),
+        ("persistence-based", "static-assigned")
+    );
 }
 
 /// Threads and the simulator's replay both equal the partition at every

@@ -8,6 +8,7 @@
 use emx_balance::prelude::*;
 use emx_core::prelude::*;
 use emx_linalg::{jacobi_eigen, Matrix};
+use emx_sched::block_partition;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -25,10 +26,11 @@ fn policy_pick(pick: usize, n: usize, workers: usize, chunk: usize) -> PolicyKin
         3 => PolicyKind::WorkStealing(StealConfig::default()),
         4 => PolicyKind::Guided { min_chunk: chunk },
         5 => PolicyKind::Serial,
-        6 => PolicyKind::persistence_from_costs(
-            &(0..n).map(|i| 1.0 + (i % 5) as f64).collect::<Vec<_>>(),
-            workers,
-        ),
+        // The roster's last entry: its persistence-balanced owner map.
+        6 => {
+            let costs: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+            full_roster(&costs, workers, chunk).pop().unwrap().1
+        }
         _ => PolicyKind::StaticAssigned(Arc::new(
             (0..n as u32).map(|i| i % workers as u32).collect(),
         )),
@@ -97,7 +99,7 @@ proptest! {
         let n = costs.len();
         let model = match model_pick {
             0 => SimModel::Static(
-                (0..n).map(|i| emx_runtime::block_owner(i, n, workers) as u32).collect(),
+                block_partition(n, workers),
             ),
             1 => SimModel::Counter { chunk },
             2 => SimModel::Guided { min_chunk: chunk },

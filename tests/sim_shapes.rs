@@ -6,6 +6,7 @@
 
 use emx_core::prelude::*;
 use emx_distsim::machine::MachineModel;
+use emx_sched::block_partition;
 
 fn chem_costs() -> KernelWorkload {
     // Inspector-estimate costs of a real Fock decomposition (fast) with
@@ -75,9 +76,7 @@ fn stealing_scales_further_than_static() {
             machine,
             ..SimConfig::new(p)
         };
-        let owners: Vec<u32> = (0..w.ntasks())
-            .map(|i| emx_runtime::block_owner(i, w.ntasks(), p) as u32)
-            .collect();
+        let owners = block_partition(w.ntasks(), p);
         let st = simulate(&w.costs, &SimModel::Static(owners), &cfg);
         let ws = simulate(&w.costs, &SimModel::WorkStealing { steal_half: true }, &cfg);
         assert!(ws.makespan <= st.makespan * 1.01, "P={p}");
@@ -111,9 +110,7 @@ fn too_few_work_units_cap_every_model() {
             machine,
             ..SimConfig::new(p)
         };
-        let owners: Vec<u32> = (0..w.ntasks())
-            .map(|i| emx_runtime::block_owner(i, w.ntasks(), p) as u32)
-            .collect();
+        let owners = block_partition(w.ntasks(), p);
         let st = simulate(&w.costs, &SimModel::Static(owners), &cfg);
         let ws = simulate(&w.costs, &SimModel::WorkStealing { steal_half: true }, &cfg);
         (st.makespan / ws.makespan, w.ntasks())
@@ -219,9 +216,7 @@ fn utilization_degrades_for_static_with_worker_count() {
             machine,
             ..SimConfig::new(p)
         };
-        let owners: Vec<u32> = (0..w.ntasks())
-            .map(|i| emx_runtime::block_owner(i, w.ntasks(), p) as u32)
-            .collect();
+        let owners = block_partition(w.ntasks(), p);
         simulate(&w.costs, &SimModel::Static(owners), &cfg).utilization()
     };
     let u4 = util(4);
@@ -244,9 +239,7 @@ fn balanced_static_recovers_most_of_stealings_win() {
         machine: MachineModel::default(),
         ..SimConfig::new(p)
     };
-    let block: Vec<u32> = (0..w.ntasks())
-        .map(|i| emx_runtime::block_owner(i, w.ntasks(), p) as u32)
-        .collect();
+    let block = block_partition(w.ntasks(), p);
     let naive = simulate(&w.costs, &SimModel::Static(block), &cfg);
     let (sm, _) = balance(BalancerKind::SemiMatching, &w.costs, p, None);
     let balanced = simulate(&w.costs, &SimModel::Static(sm), &cfg);
@@ -275,7 +268,7 @@ fn hybrid_seeded_stealing_regimes() {
         "hybrid",
     );
     let machine = MachineModel::default();
-    let run = |p: usize, var: emx_runtime::Variability, model: &SimModel| {
+    let run = |p: usize, var: Variability, model: &SimModel| {
         let cfg = SimConfig {
             workers: p,
             machine,
@@ -293,8 +286,8 @@ fn hybrid_seeded_stealing_regimes() {
     let static_sm = SimModel::Static(sm);
 
     // Stable costs: the hybrid matches pure static (steals ≈ 0).
-    let st = run(p, emx_runtime::Variability::None, &static_sm);
-    let hy = run(p, emx_runtime::Variability::None, &seeded);
+    let st = run(p, Variability::None, &static_sm);
+    let hy = run(p, Variability::None, &seeded);
     assert!(hy.makespan <= st.makespan * 1.02);
     assert!(
         hy.steals < 20,
@@ -303,7 +296,7 @@ fn hybrid_seeded_stealing_regimes() {
     );
 
     // Slow cores: static pays ~2×, the hybrid adapts.
-    let slow = emx_runtime::Variability::SlowCores {
+    let slow = Variability::SlowCores {
         factor: 2.0,
         count: 2,
     };
@@ -330,7 +323,7 @@ fn variability_soundness_across_models() {
     // models stay within the theoretical capacity bound.
     let w = synthetic_workload(CostModel::Uniform { scale: 1.0 }, 2048, 1, 2.0, "uniform");
     let p = 16;
-    let slow = emx_runtime::Variability::SlowCores {
+    let slow = Variability::SlowCores {
         factor: 2.0,
         count: 4,
     };
@@ -355,9 +348,7 @@ fn variability_soundness_across_models() {
     // 14/16; slowdown should stay well under the static worst case (2×).
     let slowdown = ws_slow.makespan / ws_base.makespan;
     assert!(slowdown < 1.5, "stealing slowdown {slowdown}");
-    let owners: Vec<u32> = (0..w.ntasks())
-        .map(|i| emx_runtime::block_owner(i, w.ntasks(), p) as u32)
-        .collect();
+    let owners = block_partition(w.ntasks(), p);
     let st_base = simulate(&w.costs, &SimModel::Static(owners.clone()), &base_cfg);
     let st_slow = simulate(&w.costs, &SimModel::Static(owners), &cfg);
     let st_slowdown = st_slow.makespan / st_base.makespan;

@@ -345,10 +345,10 @@ fn run_profile(trace_dir: Option<&str>) -> Table {
 
     let o = &report.overhead;
     println!(
-        "[profile] recording overhead on the warmed Fock build (P={}, {} samples): \
-         obs-off {:.2} builds/s, rings-on {:.2} builds/s -> {:+.2}% (ceiling {:.0}%)\n",
+        "[profile] recording overhead on the warmed Fock build (P={}, {} ABBA pairs): \
+         obs-off {:.2} builds/s, rings-on {:.2} builds/s, median pair {:+.2}% (ceiling {:.0}%)\n",
         o.workers,
-        o.samples,
+        o.pairs,
         o.obs_off_builds_per_sec,
         o.rings_on_builds_per_sec,
         o.overhead_frac() * 100.0,

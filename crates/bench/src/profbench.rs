@@ -9,9 +9,9 @@
 //!   the Chrome trace export, and the differential comparison all come
 //!   from this single capture.
 //! * [`recording_overhead`] measures the cost of leaving the rings on:
-//!   median builds/second with no observability vs with rings attached,
-//!   on the same warmed kernel. Outside smoke mode the overhead is held
-//!   to [`OVERHEAD_CEILING_FRAC`].
+//!   the median ratio of rings-on over obs-off build time across
+//!   interleaved pairs of builds on the same warmed kernel. Outside
+//!   smoke mode the overhead is held to [`OVERHEAD_CEILING_FRAC`].
 //!
 //! `EMX_PROFILE_SMOKE=1` switches both to the small H₂O/STO-3G workload
 //! and the reduced [`PolicyKind::profile_roster`] for CI.
@@ -29,17 +29,23 @@ use std::time::Instant;
 /// Ceiling on the rings-on recording overhead vs the obs-off build
 /// (fraction of build time), asserted by non-smoke `reproduce profile`
 /// runs. Deliberately wider than the measurement (~4.6% on the
-/// reference host): a median-of-5 wall-clock micro-benchmark needs
-/// headroom for slower or noisier hosts, so the ceiling catches real
-/// regressions while the printed overhead remains the tracked signal.
+/// reference host): a wall-clock micro-benchmark needs headroom for
+/// slower or noisier hosts, so the ceiling catches real regressions
+/// while the printed overhead remains the tracked signal.
 pub const OVERHEAD_CEILING_FRAC: f64 = 0.08;
+
+/// Interleaved build pairs behind a full run's overhead reading. On a
+/// 2-core host, at 11 pairs one run of unchanged code in 20 read above
+/// the ceiling; at 41 none did, and a ring writer slowed to ~15 %
+/// overhead failed 20 runs in 20.
+const FULL_PAIRS: usize = 41;
 
 /// Ring depth used for profiled builds: deep enough to hold every
 /// event of a medium build on few workers without overwrite.
 pub const PROFILE_RING_CAPACITY: usize = 1 << 14;
 
 /// True when `EMX_PROFILE_SMOKE` is set — CI's fast mode (small
-/// molecule, reduced roster, fewer overhead samples, no ceiling
+/// molecule, reduced roster, fewer overhead pairs, no ceiling
 /// assertion since shared runners are noisy).
 pub fn profile_smoke() -> bool {
     std::env::var("EMX_PROFILE_SMOKE").is_ok()
@@ -54,25 +60,25 @@ pub struct PolicyProfile {
 }
 
 /// The rings-on vs obs-off cost of recording, measured on the same
-/// warmed kernel (median of `samples` timed builds each).
+/// warmed kernel in interleaved pairs of builds.
 pub struct RecordingOverhead {
-    /// Timed builds per mode.
-    pub samples: usize,
+    /// Timed (obs-off, rings-on) pairs of builds.
+    pub pairs: usize,
     /// Workers used for the measured builds.
     pub workers: usize,
     /// Median throughput with `obs = None` (the zero-cost path).
     pub obs_off_builds_per_sec: f64,
     /// Median throughput with per-worker rings attached.
     pub rings_on_builds_per_sec: f64,
+    /// Median over the pairs of rings-on time over obs-off time.
+    pub median_pair_ratio: f64,
 }
 
 impl RecordingOverhead {
-    /// Fractional slowdown of rings-on vs obs-off (negative = noise).
+    /// Fractional slowdown of rings-on vs obs-off, the median pair's
+    /// (negative = noise).
     pub fn overhead_frac(&self) -> f64 {
-        if self.rings_on_builds_per_sec <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.obs_off_builds_per_sec / self.rings_on_builds_per_sec - 1.0
+        self.median_pair_ratio - 1.0
     }
 }
 
@@ -117,7 +123,8 @@ fn mock_density(nbf: usize) -> Matrix {
 
 /// Runs the roster with rings attached and measures recording overhead.
 /// Full mode: the 7-policy [`full_roster`] at `workers`,
-/// 5 overhead samples. Smoke: [`PolicyKind::profile_roster`], 2 samples.
+/// 41 interleaved overhead pairs. Smoke: [`PolicyKind::profile_roster`],
+/// 2 pairs.
 pub fn profile_fock_roster(workers: usize, smoke: bool) -> ProfileReport {
     let (bm, pairs, molecule, basis) = profile_workload(smoke);
     let pf = ParallelFock::new(&bm, &pairs, 1e-10, if smoke { 4 } else { 8 });
@@ -148,7 +155,7 @@ pub fn profile_fock_roster(workers: usize, smoke: bool) -> ProfileReport {
         policies.push(PolicyProfile { label, profile });
     }
 
-    let overhead = recording_overhead(&pf, &density, workers, if smoke { 2 } else { 5 });
+    let overhead = recording_overhead(&pf, &density, workers, if smoke { 2 } else { FULL_PAIRS });
 
     ProfileReport {
         molecule: molecule.into(),
@@ -160,43 +167,59 @@ pub fn profile_fock_roster(workers: usize, smoke: bool) -> ProfileReport {
     }
 }
 
-/// Median-of-samples builds/second for obs-off vs rings-on on one
-/// warmed kernel under work stealing (the policy whose idle/steal path
-/// takes the extra ring clock reads — the worst case for recording
-/// overhead).
+/// Obs-off vs rings-on builds on one warmed kernel under work stealing
+/// (the policy whose idle/steal path takes the extra ring clock reads —
+/// the worst case for recording overhead), read as `pairs` interleaved
+/// pairs in ABBA order: pair k times obs-off then rings-on when k is
+/// even, rings-on then obs-off when it is odd. The overhead is the
+/// median of the per-pair ratios, so a slow spell of the host lands in
+/// both arms of the pairs it touches instead of in one arm's block.
 pub fn recording_overhead(
     pf: &ParallelFock<'_>,
     density: &Matrix,
     workers: usize,
-    samples: usize,
+    pairs: usize,
 ) -> RecordingOverhead {
     let kind = PolicyKind::WorkStealing(Default::default());
-
-    let median_secs = |ex: &Executor| -> f64 {
-        // One untimed warm-up, then `samples` timed builds.
-        pf.execute(density, ex);
-        let mut secs: Vec<f64> = (0..samples)
-            .map(|_| {
-                let t0 = Instant::now();
-                let (_, r) = pf.execute(density, ex);
-                assert_eq!(r.total_tasks_run(), pf.ntasks());
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        secs.sort_by(|a, b| a.total_cmp(b));
-        secs[secs.len() / 2]
-    };
-
-    let off = median_secs(&Executor::new(workers, kind.clone()));
+    let off = Executor::new(workers, kind.clone());
     let rings = RingSet::new(workers, PROFILE_RING_CAPACITY);
-    let on = median_secs(&Executor::new(workers, kind).with_rings(rings));
+    let on = Executor::new(workers, kind).with_rings(rings);
+    let secs = |ex: &Executor| -> f64 {
+        let t0 = Instant::now();
+        let (_, r) = pf.execute(density, ex);
+        assert_eq!(r.total_tasks_run(), pf.ntasks());
+        t0.elapsed().as_secs_f64()
+    };
+    // One untimed warm-up per arm.
+    secs(&off);
+    secs(&on);
+    let (mut off_s, mut on_s, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for k in 0..pairs {
+        let (t_off, t_on) = if k % 2 == 0 {
+            let t_off = secs(&off);
+            (t_off, secs(&on))
+        } else {
+            let t_on = secs(&on);
+            (secs(&off), t_on)
+        };
+        off_s.push(t_off);
+        on_s.push(t_on);
+        ratios.push(t_on / t_off);
+    }
 
     RecordingOverhead {
-        samples,
+        pairs,
         workers,
-        obs_off_builds_per_sec: 1.0 / off,
-        rings_on_builds_per_sec: 1.0 / on,
+        obs_off_builds_per_sec: 1.0 / median(off_s),
+        rings_on_builds_per_sec: 1.0 / median(on_s),
+        median_pair_ratio: median(ratios),
     }
+}
+
+/// The upper median of `xs` (non-empty).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.total_cmp(b));
+    xs[xs.len() / 2]
 }
 
 #[cfg(test)]

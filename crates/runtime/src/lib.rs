@@ -17,6 +17,12 @@
 //! deterministic fault injection ([`faults`]: poisoned tasks caught and
 //! re-enqueued) — see `docs/FAULT_MODEL.md`.
 //!
+//! A parallel run executes worker 0 on the calling thread and the other
+//! workers on long-lived helper threads that the crate keeps for the
+//! whole process: a run takes idle helpers (spawning only those that are
+//! missing) and gives them back, and an idle helper spins briefly and
+//! then parks, so back-to-back runs pay neither a spawn nor a join.
+//!
 //! The scheduling-policy vocabulary itself ([`PolicyKind`] and friends)
 //! and the variability model live in the substrate-agnostic `emx-sched`
 //! crate, shared with the distributed simulator, and are re-exported
@@ -36,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod faults;
+mod helpers;
 pub mod pool;
 pub mod report;
 

@@ -6,15 +6,21 @@
 //! executed exactly once by some worker, accumulating into that worker's
 //! local state; the caller reduces the locals afterwards. This shape is
 //! what lets one kernel run unchanged under every execution model.
+//!
+//! `Serial` runs inline on the calling thread. Every other model fans
+//! out once per run: worker 0 on the calling thread, workers 1…W−1 on
+//! the crate's long-lived helper threads, which park between runs
+//! instead of being spawned and joined by each.
 
 use crate::faults::{propagate, run_poisonable, FaultInjection, FaultState};
+use crate::helpers;
 use crate::report::{ExecutionReport, WorkerStats};
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use emx_obs::{EventKind, RingSet, RingWriter};
 use emx_sched::{random_victim, worker_stream, ChunkRule, PolicyKind, StealConfig, Variability};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A configured executor.
@@ -200,7 +206,7 @@ impl Executor {
         let mut slots: Vec<Option<L>> = locals.into_iter().map(Some).collect();
         let n = slots.len();
         // Merge events land in the absorbing worker's profiling ring,
-        // stamped on the run's timeline: the workers have joined, so the
+        // stamped on the run's timeline: the workers have finished, so the
         // merge phase continues from `report.wall` on a fresh clock.
         let rings = self.rings.as_ref();
         let merge_clock = rings.map(|_| (Instant::now(), dur_ns(report.wall)));
@@ -240,9 +246,10 @@ impl Executor {
         (reduced, report)
     }
 
-    /// The one spawn site: a scoped thread per seed (an owner list,
-    /// nothing, or a deque), in which worker `w` builds its local with
-    /// `init(w)` and runs `body` over its seed; then the join and the
+    /// The one fan-out: worker `w` builds its local with `init(w)` and
+    /// runs `body` over seed `w` (an owner list, nothing, or a deque) —
+    /// worker 0 on the calling thread, the others on the crate's
+    /// long-lived helper threads, which park between runs — then the
     /// report.
     fn scoped<L, S>(
         &self,
@@ -257,26 +264,26 @@ impl Executor {
     {
         let p = seeds.len();
         let faults = self.fault_state(ntasks);
+        let seeds: Vec<Mutex<Option<S>>> = seeds.into_iter().map(|s| Mutex::new(Some(s))).collect();
+        let results: Vec<Mutex<Option<(L, WorkerStats)>>> =
+            (0..p).map(|_| Mutex::new(None)).collect();
         let start = Instant::now();
-        let body = &body;
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = seeds
-                .into_iter()
-                .enumerate()
-                .map(|(w, seed)| {
-                    let mut ctx = self.worker_ctx(w, p, start, faults.clone());
-                    s.spawn(move || {
-                        let mut local = init(w);
-                        body(&mut ctx, seed, &mut local);
-                        (local, ctx.stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+        // No lock below is held across user code, so none is poisoned.
+        helpers::fan_out(p, &|w| {
+            let seed = seeds[w].lock().expect("unpoisoned").take();
+            let mut ctx = self.worker_ctx(w, p, start, faults.clone());
+            let mut local = init(w);
+            body(&mut ctx, seed.expect("one worker per seed"), &mut local);
+            *results[w].lock().expect("unpoisoned") = Some((local, ctx.stats));
         });
+        let results = results
+            .into_iter()
+            .map(|r| {
+                r.into_inner()
+                    .expect("unpoisoned")
+                    .expect("every worker reports")
+            })
+            .collect();
         self.assemble(ntasks, start.elapsed(), results)
     }
 
@@ -386,7 +393,7 @@ fn run_stealing<L>(
             if ctx.fault_aborted() {
                 // A peer is propagating the panic of a task that
                 // exhausted its retries; `remaining` will never reach
-                // zero, so exit instead of spinning (the scope join
+                // zero, so exit instead of spinning (the fan-out
                 // re-raises the panic).
                 ctx.obs_idle_end(idle_from, spins);
                 return;
@@ -432,8 +439,8 @@ fn run_stealing<L>(
 /// counter `remaining`. More completions than tasks left means some task
 /// completed twice: a wrapped counter would never read zero and every
 /// peer would spin forever, so the counter is stored to zero, which
-/// releases them, and the excess is raised as a panic that the scope
-/// join re-raises.
+/// releases them, and the excess is raised as a panic that the
+/// fan-out re-raises.
 fn publish_completions(remaining: &AtomicUsize, done: usize) {
     // Protocol `runtime-ws-termination` (docs/protocols.toml): Release
     // decrements publish completed work; the idle loop's Acquire load of
@@ -654,24 +661,86 @@ mod tests {
         ]
     }
 
+    /// Runs `n` tasks on `ex`, counting each task's executions in the
+    /// worker locals, and asserts every count is one.
+    fn assert_exactly_once(ex: &Executor, n: usize) {
+        let (locals, report) = ex.run(n, |_| vec![0u32; n], |i, l: &mut Vec<u32>| l[i] += 1);
+        let mut counts = vec![0u32; n];
+        for l in &locals {
+            for (c, v) in counts.iter_mut().zip(l) {
+                *c += v;
+            }
+        }
+        assert!(
+            counts.iter().all(|&c| c == 1),
+            "model {} duplicated/dropped tasks: {counts:?}",
+            ex.model.name()
+        );
+        assert_eq!(report.total_tasks_run(), n, "model {}", ex.model.name());
+    }
+
     #[test]
     fn every_model_runs_each_task_exactly_once() {
         let n = 97;
         for model in all_models(n) {
-            let ex = Executor::new(3, model.clone());
-            let (locals, report) = ex.run(n, |_| vec![0u32; n], |i, l: &mut Vec<u32>| l[i] += 1);
-            let mut counts = vec![0u32; n];
-            for l in &locals {
-                for (c, v) in counts.iter_mut().zip(l) {
-                    *c += v;
-                }
+            assert_exactly_once(&Executor::new(3, model), n);
+        }
+    }
+
+    #[test]
+    fn four_concurrent_callers_each_run_every_task_once() {
+        // Concurrent runs draw on one process-wide helper list: each
+        // must get helpers of its own, never a peer's busy one.
+        let n = 97;
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for model in all_models(n) {
+                        start.wait();
+                        assert_exactly_once(&Executor::new(3, model), n);
+                    }
+                });
             }
-            assert!(
-                counts.iter().all(|&c| c == 1),
-                "model {} duplicated/dropped tasks: {counts:?}",
-                model.name()
+        });
+    }
+
+    #[test]
+    fn a_task_may_run_the_executor_itself() {
+        // A nested run takes helpers of its own while its caller — a
+        // helper or the outer caller — waits inside a task.
+        let n = 12;
+        for model in all_models(n) {
+            let ex = Executor::new(3, model);
+            let (locals, _) = ex.run(
+                n,
+                |_| vec![0u32; n],
+                |i, l: &mut Vec<u32>| {
+                    assert_exactly_once(&ex, n);
+                    l[i] += 1;
+                },
             );
-            assert_eq!(report.total_tasks_run(), n, "model {}", model.name());
+            let counts: Vec<u32> = (0..n).map(|i| locals.iter().map(|l| l[i]).sum()).collect();
+            assert_eq!(counts, vec![1; n], "model {}", ex.model.name());
+        }
+    }
+
+    #[test]
+    fn a_panicked_run_leaves_the_pool_usable() {
+        // Tasks 0 and n − 1 fail for good, so worker 0 (on the calling
+        // thread) and a helper both panic under the owner-list models.
+        let n = 30;
+        for model in all_models(n) {
+            let mut fi = crate::faults::FaultInjection::poison_tasks(vec![0, n - 1]);
+            fi.max_retries = 0;
+            let broken = Executor::new(3, model.clone()).with_faults(fi);
+            let err = std::panic::catch_unwind(|| broken.run(n, |_| (), |_, _| {}))
+                .expect_err("a task past its retries fails the run");
+            if !matches!(model, PolicyKind::Serial) {
+                let msg = err.downcast_ref::<String>().expect("formatted panic");
+                assert!(msg.contains("worker panicked"), "{msg}");
+            }
+            assert_exactly_once(&Executor::new(3, model), n);
         }
     }
 

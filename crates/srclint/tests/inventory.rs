@@ -100,15 +100,24 @@ fn inventory_covers_the_whole_concurrency_surface() {
     }
 
     // Unsafe surface: the counting allocators of the two alloc guards
-    // (chem's Fock hot path, distsim's stealing loop) are the only
-    // unsafe code in the workspace, and every occurrence carries a
-    // SAFETY comment.
+    // (chem's Fock hot path, distsim's stealing loop) and the one
+    // lifetime erasure that hands a run's borrowed workers to the
+    // executor's helper threads are the only unsafe code in the
+    // workspace, and every occurrence carries a SAFETY comment.
     assert!(!inv.unsafes.is_empty(), "unsafe extraction found nothing");
+    let helper_sites: Vec<_> = inv
+        .unsafes
+        .iter()
+        .filter(|u| u.file == "crates/runtime/src/helpers.rs")
+        .map(|u| u.func.as_str())
+        .collect();
+    assert_eq!(helper_sites, ["fan_out"], "the helpers' unsafe sites");
     for u in &inv.unsafes {
         assert!(
             u.file == "crates/chem/tests/alloc_guard.rs"
-                || u.file == "crates/distsim/tests/alloc_guard.rs",
-            "unexpected unsafe outside the alloc guards: {}:{}",
+                || u.file == "crates/distsim/tests/alloc_guard.rs"
+                || u.file == "crates/runtime/src/helpers.rs",
+            "unexpected unsafe outside the alloc guards and the helpers: {}:{}",
             u.file,
             u.line
         );
